@@ -90,9 +90,12 @@ evictOverCapLocked()
 }
 
 /** Front-end sharing across devices: the driver's parse+lower of a
- * given text is device-independent, so a campaign compiling one
- * variant on five devices parses it once and clones the IR per device
- * for the vendor pass set. Entries are immutable once inserted (vendor
+ * given text, and the first canonicalize every vendor runs on it, are
+ * device-independent, so a campaign compiling one variant on five
+ * devices does that work once and clones the canonical IR per device
+ * for the vendor pass set. The clone keeps instruction and var ids, so
+ * each device continues from exactly the module it would have
+ * canonicalized itself. Entries are immutable once inserted (vendor
  * passes always run on a clone). Unbounded by default — a full
  * campaign tops out at a few hundred unique texts x 5 devices. For
  * longer-lived processes the binary cache above is LRU-boundable
@@ -101,26 +104,37 @@ evictOverCapLocked()
 std::mutex irCacheMutex;
 std::unordered_map<uint64_t, std::unique_ptr<ir::Module>> irCache;
 
+/** The driver's device-independent front end: parse, lower, and the
+ * first canonicalize. */
 std::unique_ptr<ir::Module>
-frontEndIr(const std::string &glslSource)
+canonicalIr(const std::string &glslSource)
 {
-    const uint64_t key = fnv1a(glslSource);
+    auto module = emit::compileToIr(glslSource);
+    passes::canonicalize(*module);
+    return module;
+}
+
+/** canonicalIr through the cross-device cache; @p textHash is
+ * fnv1a(glslSource). */
+std::unique_ptr<ir::Module>
+frontEndIr(const std::string &glslSource, uint64_t textHash)
+{
     {
         std::lock_guard lock(irCacheMutex);
-        auto it = irCache.find(key);
+        auto it = irCache.find(textHash);
         if (it != irCache.end())
             return it->second->clone();
     }
-    auto module = emit::compileToIr(glslSource);
+    auto module = canonicalIr(glslSource);
     auto result = module->clone();
     {
         std::lock_guard lock(irCacheMutex);
-        irCache.try_emplace(key, std::move(module));
+        irCache.try_emplace(textHash, std::move(module));
     }
     return result;
 }
 
-/** Vendor pass set + cost model over an already-parsed module. */
+/** Vendor pass set + cost model over a module canonicalIr produced. */
 ShaderBinary compileIr(ir::Module &module, const DeviceModel &device);
 
 } // namespace
@@ -128,8 +142,8 @@ ShaderBinary compileIr(ir::Module &module, const DeviceModel &device);
 ShaderBinary
 driverCompile(const std::string &glslSource, const DeviceModel &device)
 {
-    const uint64_t key =
-        hashCombine(fnv1a(glslSource), deviceConfigHash(device));
+    const uint64_t textHash = fnv1a(glslSource);
+    const uint64_t key = hashCombine(textHash, deviceConfigHash(device));
     if (cacheCap.load(std::memory_order_relaxed) == 0) {
         // Unbounded (default): lock-shared read path, no recency
         // maintenance needed — nothing is ever evicted.
@@ -152,13 +166,14 @@ driverCompile(const std::string &glslSource, const DeviceModel &device)
             return it->second.bin;
         }
     }
-    // Miss: front end via the cross-device IR cache (parse each unique
-    // text once, vendor passes on a clone), then the vendor pipeline.
+    // Miss: front end via the cross-device IR cache (parse and
+    // canonicalize each unique text once, vendor passes on a clone),
+    // then the vendor pipeline.
     // Flaky real drivers fail here, on actual compiles — never on a
     // binary-cache hit — so the fault site guards only the fill path.
     fault::point("driver.compile", device.name);
     const uint64_t t0 = nowNs();
-    auto module = frontEndIr(glslSource);
+    auto module = frontEndIr(glslSource, textHash);
     ShaderBinary bin = compileIr(*module, device);
     cacheCompileNs.fetch_add(nowNs() - t0, std::memory_order_relaxed);
     {
@@ -218,7 +233,7 @@ driverCompileUncached(const std::string &glslSource,
                       const DeviceModel &device)
 {
     // Front end: the driver parses whatever text it is given.
-    auto module = emit::compileToIr(glslSource);
+    auto module = canonicalIr(glslSource);
     return compileIr(*module, device);
 }
 
@@ -230,11 +245,10 @@ compileIr(ir::Module &moduleRef, const DeviceModel &device)
     ir::Module *module = &moduleRef;
 
     // Vendor optimization set. Every real driver folds constants and
-    // CSEs (canonicalize); the flags encode what else this vendor's
-    // stack can do. Structural transforms (unroll, hoist) apply the
-    // vendor's own heuristics' budgets — unlike the offline tool's
-    // unconditional versions.
-    passes::canonicalize(*module);
+    // CSEs (canonicalize, already run by canonicalIr); the flags encode
+    // what else this vendor's stack can do. Structural transforms
+    // (unroll, hoist) apply the vendor's own heuristics' budgets —
+    // unlike the offline tool's unconditional versions.
     if (device.jitFlags.unroll && device.jitUnrollTrips > 0) {
         passes::unroll(*module, device.jitUnrollTrips,
                        device.jitUnrollInstrs);

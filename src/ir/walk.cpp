@@ -4,46 +4,6 @@
 
 namespace gsopt::ir {
 
-void
-forEachInstr(Region &region, const std::function<void(Instr &)> &fn)
-{
-    for (auto &node : region.nodes) {
-        if (auto *b = dyn_cast<Block>(node.get())) {
-            for (auto &i : b->instrs)
-                fn(*i);
-        } else if (auto *f = dyn_cast<IfNode>(node.get())) {
-            forEachInstr(f->thenRegion, fn);
-            forEachInstr(f->elseRegion, fn);
-        } else if (auto *l = dyn_cast<LoopNode>(node.get())) {
-            forEachInstr(l->condRegion, fn);
-            forEachInstr(l->body, fn);
-        }
-    }
-}
-
-void
-forEachInstr(const Region &region,
-             const std::function<void(const Instr &)> &fn)
-{
-    forEachInstr(const_cast<Region &>(region),
-                 [&fn](Instr &i) { fn(i); });
-}
-
-void
-forEachNode(Region &region, const std::function<void(Node &)> &fn)
-{
-    for (auto &node : region.nodes) {
-        fn(*node);
-        if (auto *f = dyn_cast<IfNode>(node.get())) {
-            forEachNode(f->thenRegion, fn);
-            forEachNode(f->elseRegion, fn);
-        } else if (auto *l = dyn_cast<LoopNode>(node.get())) {
-            forEachNode(l->condRegion, fn);
-            forEachNode(l->body, fn);
-        }
-    }
-}
-
 namespace {
 
 void
@@ -119,30 +79,6 @@ cloneRegionInto(const Region &src, Region &dst, Module &module,
             nl->condValue = mapped(l->condValue);
             cloneRegionInto(l->body, nl->body, module, map);
             dst.nodes.push_back(std::move(nl));
-        }
-    }
-}
-
-void
-eraseInstrsIf(Region &region,
-              const std::function<bool(const Instr &)> &pred)
-{
-    for (auto &node : region.nodes) {
-        if (auto *b = dyn_cast<Block>(node.get())) {
-            // Unlinks only: the instructions stay alive (and their
-            // addresses stable) in the module's arena.
-            auto &v = b->instrs;
-            v.erase(std::remove_if(v.begin(), v.end(),
-                                   [&pred](const Instr *i) {
-                                       return pred(*i);
-                                   }),
-                    v.end());
-        } else if (auto *f = dyn_cast<IfNode>(node.get())) {
-            eraseInstrsIf(f->thenRegion, pred);
-            eraseInstrsIf(f->elseRegion, pred);
-        } else if (auto *l = dyn_cast<LoopNode>(node.get())) {
-            eraseInstrsIf(l->condRegion, pred);
-            eraseInstrsIf(l->body, pred);
         }
     }
 }

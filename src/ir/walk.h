@@ -7,21 +7,60 @@
 #ifndef GSOPT_IR_WALK_H
 #define GSOPT_IR_WALK_H
 
-#include <functional>
+#include <algorithm>
 #include <unordered_map>
 
 #include "ir/ir.h"
 
 namespace gsopt::ir {
 
-/** Visit every instruction in the region, in structural order. */
-void forEachInstr(Region &region,
-                  const std::function<void(Instr &)> &fn);
-void forEachInstr(const Region &region,
-                  const std::function<void(const Instr &)> &fn);
+/**
+ * Visit every instruction in the region, in structural order. The
+ * walkers are templates over any callable, so the visitor inlines
+ * into the passes' hot loops instead of going through std::function.
+ */
+template <typename Fn>
+void
+forEachInstr(Region &region, Fn &&fn)
+{
+    for (auto &node : region.nodes) {
+        if (auto *b = dyn_cast<Block>(node.get())) {
+            for (Instr *i : b->instrs)
+                fn(*i);
+        } else if (auto *f = dyn_cast<IfNode>(node.get())) {
+            forEachInstr(f->thenRegion, fn);
+            forEachInstr(f->elseRegion, fn);
+        } else if (auto *l = dyn_cast<LoopNode>(node.get())) {
+            forEachInstr(l->condRegion, fn);
+            forEachInstr(l->body, fn);
+        }
+    }
+}
+
+template <typename Fn>
+void
+forEachInstr(const Region &region, Fn &&fn)
+{
+    forEachInstr(const_cast<Region &>(region),
+                 [&fn](const Instr &i) { fn(i); });
+}
 
 /** Visit every node (blocks, ifs, loops), pre-order. */
-void forEachNode(Region &region, const std::function<void(Node &)> &fn);
+template <typename Fn>
+void
+forEachNode(Region &region, Fn &&fn)
+{
+    for (auto &node : region.nodes) {
+        fn(*node);
+        if (auto *f = dyn_cast<IfNode>(node.get())) {
+            forEachNode(f->thenRegion, fn);
+            forEachNode(f->elseRegion, fn);
+        } else if (auto *l = dyn_cast<LoopNode>(node.get())) {
+            forEachNode(l->condRegion, fn);
+            forEachNode(l->body, fn);
+        }
+    }
+}
 
 /**
  * Replace every use of @p from with @p to across the module body
@@ -45,8 +84,29 @@ void cloneRegionInto(const Region &src, Region &dst, Module &module,
  * Erase instructions of the region for which @p pred returns true.
  * Does not check uses; callers must know the instructions are dead.
  */
-void eraseInstrsIf(Region &region,
-                   const std::function<bool(const Instr &)> &pred);
+template <typename Pred>
+void
+eraseInstrsIf(Region &region, Pred &&pred)
+{
+    for (auto &node : region.nodes) {
+        if (auto *b = dyn_cast<Block>(node.get())) {
+            // Unlinks only: the instructions stay alive (and their
+            // addresses stable) in the module's arena.
+            auto &v = b->instrs;
+            v.erase(std::remove_if(v.begin(), v.end(),
+                                   [&pred](const Instr *i) {
+                                       return pred(*i);
+                                   }),
+                    v.end());
+        } else if (auto *f = dyn_cast<IfNode>(node.get())) {
+            eraseInstrsIf(f->thenRegion, pred);
+            eraseInstrsIf(f->elseRegion, pred);
+        } else if (auto *l = dyn_cast<LoopNode>(node.get())) {
+            eraseInstrsIf(l->condRegion, pred);
+            eraseInstrsIf(l->body, pred);
+        }
+    }
+}
 
 /** Remove empty blocks and empty if-nodes; returns true if changed. */
 bool simplifyRegionStructure(Region &region);

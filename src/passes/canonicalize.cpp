@@ -7,6 +7,7 @@
 #include <map>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "ir/walk.h"
 #include "passes/passes.h"
@@ -29,37 +30,6 @@ using ir::VarKind;
 
 namespace {
 
-/**
- * Apply a value-replacement map to all operand references in the module
- * (with chain following).
- */
-void
-applyReplacements(Module &module,
-                  std::unordered_map<Instr *, Instr *> &repl)
-{
-    if (repl.empty())
-        return;
-    auto resolve = [&repl](Instr *v) {
-        while (v) {
-            auto it = repl.find(v);
-            if (it == repl.end())
-                break;
-            v = it->second;
-        }
-        return v;
-    };
-    ir::forEachInstr(module.body, [&](Instr &i) {
-        for (Instr *&op : i.operands)
-            op = resolve(op);
-    });
-    ir::forEachNode(module.body, [&](Node &n) {
-        if (auto *f = dyn_cast<IfNode>(&n))
-            f->cond = resolve(f->cond);
-        else if (auto *l = dyn_cast<LoopNode>(&n))
-            l->condValue = resolve(l->condValue);
-    });
-}
-
 // ------------------------------------------------------------------
 // Constant folding + simple instruction simplification (in place).
 // ------------------------------------------------------------------
@@ -67,7 +37,7 @@ bool
 foldConstants(Module &module)
 {
     bool changed = false;
-    std::unordered_map<Instr *, Instr *> repl;
+    Replacements repl(module);
 
     ir::forEachInstr(module.body, [&](Instr &i) {
         if (i.op == Opcode::Const || ir::hasSideEffects(i.op))
@@ -110,15 +80,15 @@ foldConstants(Module &module)
         // Select with constant condition -> the chosen arm.
         if (i.op == Opcode::Select &&
             i.operands[0]->op == Opcode::Const) {
-            repl[&i] = i.operands[0]->scalarConst() != 0.0
-                           ? i.operands[1]
-                           : i.operands[2];
+            repl.set(i, i.operands[0]->scalarConst() != 0.0
+                            ? i.operands[1]
+                            : i.operands[2]);
             changed = true;
             return;
         }
         // Select with identical arms.
         if (i.op == Opcode::Select && i.operands[1] == i.operands[2]) {
-            repl[&i] = i.operands[1];
+            repl.set(i, i.operands[1]);
             changed = true;
             return;
         }
@@ -130,7 +100,7 @@ foldConstants(Module &module)
             if (src->op == Opcode::Construct) {
                 if (src->operands.size() == 1 &&
                     src->operands[0]->type.isScalar()) {
-                    repl[&i] = src->operands[0]; // splat
+                    repl.set(i, src->operands[0]); // splat
                     changed = true;
                     return;
                 }
@@ -139,7 +109,7 @@ foldConstants(Module &module)
                     int n = part->type.componentCount();
                     if (want < at + n) {
                         if (part->type.isScalar()) {
-                            repl[&i] = part;
+                            repl.set(i, part);
                         } else {
                             i.operands[0] = part;
                             i.indices[0] = want - at;
@@ -157,7 +127,7 @@ foldConstants(Module &module)
                 return;
             } else if (src->op == Opcode::Insert) {
                 if (src->indices[0] == want) {
-                    repl[&i] = src->operands[1];
+                    repl.set(i, src->operands[1]);
                 } else {
                     i.operands[0] = src->operands[0];
                 }
@@ -176,7 +146,7 @@ foldConstants(Module &module)
                 for (size_t k = 0; k < i.indices.size(); ++k)
                     identity &= i.indices[k] == static_cast<int>(k);
                 if (identity) {
-                    repl[&i] = src;
+                    repl.set(i, src);
                     changed = true;
                     return;
                 }
@@ -195,7 +165,7 @@ foldConstants(Module &module)
                 src->operands.size() == 1 &&
                 src->operands[0]->type.isScalar()) {
                 if (i.type.rows == src->type.rows) {
-                    repl[&i] = src;
+                    repl.set(i, src);
                 } else {
                     i.op = Opcode::Construct;
                     i.operands = {src->operands[0]};
@@ -210,20 +180,20 @@ foldConstants(Module &module)
         // Construct of a single full-width vector is that vector.
         if (i.op == Opcode::Construct && i.operands.size() == 1 &&
             i.operands[0]->type == i.type && !i.type.isScalar()) {
-            repl[&i] = i.operands[0];
+            repl.set(i, i.operands[0]);
             changed = true;
             return;
         }
         // Scalar "conversion" construct of same type.
         if (i.op == Opcode::Construct && i.operands.size() == 1 &&
             i.type.isScalar() && i.operands[0]->type == i.type) {
-            repl[&i] = i.operands[0];
+            repl.set(i, i.operands[0]);
             changed = true;
             return;
         }
     });
 
-    applyReplacements(module, repl);
+    repl.apply(module);
     return changed;
 }
 
@@ -260,27 +230,20 @@ collectStoredVars(const Region &region, std::unordered_set<Var *> &out)
 }
 
 bool
-forwardRegion(Region &region, MemEnv &env,
-              std::unordered_map<Instr *, Instr *> &repl)
+forwardRegion(Region &region, MemEnv &env, Replacements &repl)
 {
     bool changed = false;
     for (auto &node : region.nodes) {
         if (auto *b = dyn_cast<Block>(node.get())) {
-            for (auto &ip : b->instrs) {
+            for (Instr *ip : b->instrs) {
                 Instr &i = *ip;
                 // Operands may already have replacements.
-                for (Instr *&op : i.operands) {
-                    auto it = repl.find(op);
-                    while (it != repl.end()) {
-                        op = it->second;
-                        it = repl.find(op);
-                    }
-                }
+                repl.resolveOperands(i);
                 switch (i.op) {
                   case Opcode::LoadVar: {
                     auto it = env.whole.find(i.var);
                     if (it != env.whole.end()) {
-                        repl[&i] = it->second;
+                        repl.set(i, it->second);
                         changed = true;
                     } else if (!i.var->type.isArray() &&
                                !i.var->type.isMatrix()) {
@@ -301,7 +264,7 @@ forwardRegion(Region &region, MemEnv &env,
                         auto key = std::make_pair(i.var, idx);
                         auto it = env.elems.find(key);
                         if (it != env.elems.end()) {
-                            repl[&i] = it->second;
+                            repl.set(i, it->second);
                             changed = true;
                         } else {
                             env.elems[key] = &i;
@@ -326,13 +289,7 @@ forwardRegion(Region &region, MemEnv &env,
                 }
             }
         } else if (auto *f = dyn_cast<IfNode>(node.get())) {
-            if (f->cond) {
-                auto it = repl.find(f->cond);
-                while (it != repl.end()) {
-                    f->cond = it->second;
-                    it = repl.find(f->cond);
-                }
-            }
+            f->cond = repl.resolve(f->cond);
             MemEnv then_env = env;
             MemEnv else_env = env;
             changed |= forwardRegion(f->thenRegion, then_env, repl);
@@ -354,13 +311,7 @@ forwardRegion(Region &region, MemEnv &env,
                 env.invalidate(v);
             MemEnv cond_env = env;
             changed |= forwardRegion(l->condRegion, cond_env, repl);
-            if (l->condValue) {
-                auto it = repl.find(l->condValue);
-                while (it != repl.end()) {
-                    l->condValue = it->second;
-                    it = repl.find(l->condValue);
-                }
-            }
+            l->condValue = repl.resolve(l->condValue);
             MemEnv body_env = env;
             changed |= forwardRegion(l->body, body_env, repl);
             for (Var *v : stored)
@@ -374,9 +325,9 @@ bool
 storeLoadForwarding(Module &module)
 {
     MemEnv env;
-    std::unordered_map<Instr *, Instr *> repl;
+    Replacements repl(module);
     bool changed = forwardRegion(module.body, env, repl);
-    applyReplacements(module, repl);
+    repl.apply(module);
     return changed;
 }
 
@@ -389,16 +340,21 @@ deadStoreElim(Module &module)
     bool changed = false;
 
     // 1. Locals that are never loaded anywhere: all their stores die.
-    std::unordered_set<Var *> loaded;
+    std::vector<char> loaded(module.vars.size(), 0);
     ir::forEachInstr(module.body, [&loaded](const Instr &i) {
         if (i.op == Opcode::LoadVar || i.op == Opcode::LoadElem)
-            loaded.insert(i.var);
+            loaded[static_cast<size_t>(i.var->id)] = 1;
     });
-    std::unordered_set<const Instr *> dead;
+    std::vector<char> dead(static_cast<size_t>(module.idBound()), 0);
+    auto kill = [&](const Instr &i) {
+        dead[static_cast<size_t>(i.id)] = 1;
+        changed = true;
+    };
     ir::forEachInstr(module.body, [&](const Instr &i) {
         if ((i.op == Opcode::StoreVar || i.op == Opcode::StoreElem) &&
-            i.var->kind == VarKind::Local && !loaded.count(i.var))
-            dead.insert(&i);
+            i.var->kind == VarKind::Local &&
+            !loaded[static_cast<size_t>(i.var->id)])
+            kill(i);
     });
 
     // 2. Same-block overwritten stores with no intervening load.
@@ -407,13 +363,13 @@ deadStoreElim(Module &module)
         if (!b)
             return;
         std::map<Var *, Instr *> pending; // whole-var stores
-        for (auto &ip : b->instrs) {
+        for (Instr *ip : b->instrs) {
             Instr &i = *ip;
             switch (i.op) {
               case Opcode::StoreVar: {
                 auto it = pending.find(i.var);
                 if (it != pending.end())
-                    dead.insert(it->second);
+                    kill(*it->second);
                 pending[i.var] = &i;
                 break;
               }
@@ -430,11 +386,10 @@ deadStoreElim(Module &module)
         }
     });
 
-    if (!dead.empty()) {
+    if (changed) {
         ir::eraseInstrsIf(module.body, [&dead](const Instr &i) {
-            return dead.count(&i) > 0;
+            return dead[static_cast<size_t>(i.id)] != 0;
         });
-        changed = true;
     }
     return changed;
 }
@@ -442,22 +397,6 @@ deadStoreElim(Module &module)
 // ------------------------------------------------------------------
 // Block-local CSE.
 // ------------------------------------------------------------------
-std::string
-instrKey(const Instr &i)
-{
-    std::string key = std::to_string(static_cast<int>(i.op));
-    key += "/" + i.type.str();
-    for (const Instr *op : i.operands)
-        key += ":" + std::to_string(op->id);
-    if (i.var)
-        key += "@" + std::to_string(i.var->id);
-    for (int idx : i.indices)
-        key += "." + std::to_string(idx);
-    for (double d : i.constData)
-        key += "," + std::to_string(d);
-    return key;
-}
-
 /** True if the instruction can be value-numbered. */
 bool
 isNumerable(const Instr &i)
@@ -476,32 +415,28 @@ bool
 localCse(Module &module)
 {
     bool changed = false;
-    std::unordered_map<Instr *, Instr *> repl;
+    Replacements repl(module);
     ir::forEachNode(module.body, [&](Node &n) {
         auto *b = dyn_cast<Block>(&n);
         if (!b)
             return;
-        std::unordered_map<std::string, Instr *> table;
-        for (auto &ip : b->instrs) {
+        // One table per block, sized for it: clearing a shared table
+        // would cost the largest block's bucket count on every block.
+        std::unordered_map<ValueKey, Instr *, ValueKeyHash> table;
+        table.reserve(b->instrs.size());
+        for (Instr *ip : b->instrs) {
             Instr &i = *ip;
-            for (Instr *&op : i.operands) {
-                auto it = repl.find(op);
-                while (it != repl.end()) {
-                    op = it->second;
-                    it = repl.find(op);
-                }
-            }
+            repl.resolveOperands(i);
             if (!isNumerable(i))
                 continue;
-            std::string key = instrKey(i);
-            auto [it, inserted] = table.emplace(key, &i);
+            auto [it, inserted] = table.emplace(valueKey(i), &i);
             if (!inserted) {
-                repl[&i] = it->second;
+                repl.set(i, it->second);
                 changed = true;
             }
         }
     });
-    applyReplacements(module, repl);
+    repl.apply(module);
     return changed;
 }
 
@@ -513,17 +448,16 @@ trivialDce(Module &module)
 {
     bool changed = false;
     for (;;) {
-        auto uses = countUses(module);
-        std::unordered_set<const Instr *> dead;
-        ir::forEachInstr(module.body, [&](const Instr &i) {
-            if (!ir::hasSideEffects(i.op) && uses[&i] == 0)
-                dead.insert(&i);
+        const std::vector<int> uses = countUses(module);
+        bool erased = false;
+        ir::eraseInstrsIf(module.body, [&](const Instr &i) {
+            const bool dead = !ir::hasSideEffects(i.op) &&
+                              uses[static_cast<size_t>(i.id)] == 0;
+            erased |= dead;
+            return dead;
         });
-        if (dead.empty())
+        if (!erased)
             break;
-        ir::eraseInstrsIf(module.body, [&dead](const Instr &i) {
-            return dead.count(&i) > 0;
-        });
         changed = true;
     }
     return changed;

@@ -7,7 +7,6 @@
  * pass; it applies to almost every shader (Fig 8a) because lowering
  * turns per-component writes (`v.x = ...`) into insert chains.
  */
-#include <unordered_map>
 
 #include "ir/walk.h"
 #include "passes/passes.h"
@@ -26,8 +25,7 @@ namespace {
 
 bool
 coalesceBlock(Block &block, Module &module,
-              const std::unordered_map<const Instr *, int> &uses,
-              std::unordered_map<Instr *, Instr *> &repl)
+              const std::vector<int> &uses)
 {
     bool changed = false;
     for (size_t pos = 0; pos < block.instrs.size(); ++pos) {
@@ -37,11 +35,8 @@ coalesceBlock(Block &block, Module &module,
         if (i.op == Opcode::Insert) {
             // Dead inserts (mid-chain leftovers from an earlier sweep)
             // are cleanup work for DCE, not chain heads.
-            {
-                auto it = uses.find(&i);
-                if (it == uses.end() || it->second == 0)
-                    continue;
-            }
+            if (useCount(uses, &i) == 0)
+                continue;
             // Only rewrite chain heads: an insert whose result is not
             // consumed by another single-use insert in this block.
             bool is_head = true;
@@ -49,9 +44,7 @@ coalesceBlock(Block &block, Module &module,
                 // Heuristic scan: if any later insert in this block uses
                 // i as its vector operand and i has exactly one use, i
                 // is mid-chain.
-                auto it = uses.find(&i);
-                int use_count = it == uses.end() ? 0 : it->second;
-                if (use_count == 1) {
+                if (useCount(uses, &i) == 1) {
                     for (size_t j = pos + 1; j < block.instrs.size();
                          ++j) {
                         const Instr &later = *block.instrs[j];
@@ -81,9 +74,8 @@ coalesceBlock(Block &block, Module &module,
                 ++chain_len;
                 Instr *base = cursor->operands[0];
                 // Only follow through single-use inserts.
-                auto it = uses.find(base);
-                if (base->op == Opcode::Insert && it != uses.end() &&
-                    it->second == 1) {
+                if (base->op == Opcode::Insert &&
+                    useCount(uses, base) == 1) {
                     cursor = base;
                 } else {
                     cursor = base;
@@ -142,7 +134,6 @@ coalesceBlock(Block &block, Module &module,
             }
         }
     }
-    (void)repl;
     return changed;
 }
 
@@ -156,11 +147,10 @@ coalesce(Module &module)
     bool changed = false;
     for (int iter = 0; iter < 4; ++iter) {
         auto uses = countUses(module);
-        std::unordered_map<Instr *, Instr *> repl;
         bool pass_changed = false;
         ir::forEachNode(module.body, [&](Node &n) {
             if (auto *b = dyn_cast<Block>(&n))
-                pass_changed |= coalesceBlock(*b, module, uses, repl);
+                pass_changed |= coalesceBlock(*b, module, uses);
         });
         if (!pass_changed)
             break;

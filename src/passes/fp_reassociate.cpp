@@ -37,14 +37,13 @@ namespace {
 struct Rewriter
 {
     Module &module;
-    const std::unordered_map<const Instr *, int> &uses;
-    std::unordered_map<Instr *, Instr *> &repl;
+    const std::vector<int> &uses;
+    Replacements &repl;
     bool changed = false;
 
     int useCount(const Instr *i) const
     {
-        auto it = uses.find(i);
-        return it == uses.end() ? 0 : it->second;
+        return passes::useCount(uses, i);
     }
 
     // ---------------- additive chains --------------------------------
@@ -380,7 +379,7 @@ struct Rewriter
     {
         for (size_t pos = 0; pos < block.instrs.size(); ++pos) {
             Instr &i = *block.instrs[pos];
-            if (repl.count(&i))
+            if (repl.replaced(i))
                 continue;
             if (!i.type.isFloat() || i.type.isMatrix())
                 continue;
@@ -390,7 +389,7 @@ struct Rewriter
             if (i.op == Opcode::Div) {
                 auto c = splatConstValue(i.operands[1]);
                 if (c && *c == 1.0) {
-                    repl[&i] = i.operands[0];
+                    repl.set(i, i.operands[0]);
                     changed = true;
                 }
                 continue;
@@ -424,7 +423,7 @@ struct Rewriter
                 size_t p = pos;
                 if (Instr *r = rewriteAddChain(i, block, p)) {
                     if (r != &i) {
-                        repl[&i] = r;
+                        repl.set(i, r);
                         changed = true;
                     }
                     pos = p;
@@ -456,7 +455,7 @@ struct Rewriter
                 size_t p = pos;
                 if (Instr *r = rewriteMulChain(i, block, p)) {
                     if (r != &i) {
-                        repl[&i] = r;
+                        repl.set(i, r);
                         changed = true;
                     }
                     pos = p;
@@ -476,45 +475,19 @@ struct Rewriter
     }
 };
 
-void
-applyRepl(Module &module, std::unordered_map<Instr *, Instr *> &repl)
-{
-    if (repl.empty())
-        return;
-    auto resolve = [&repl](Instr *v) {
-        while (v) {
-            auto it = repl.find(v);
-            if (it == repl.end())
-                break;
-            v = it->second;
-        }
-        return v;
-    };
-    ir::forEachInstr(module.body, [&](Instr &i) {
-        for (Instr *&op : i.operands)
-            op = resolve(op);
-    });
-    ir::forEachNode(module.body, [&](Node &n) {
-        if (auto *f = dyn_cast<ir::IfNode>(&n))
-            f->cond = resolve(f->cond);
-        else if (auto *l = dyn_cast<ir::LoopNode>(&n))
-            l->condValue = resolve(l->condValue);
-    });
-}
-
 } // namespace
 
 bool
 fpReassociate(Module &module)
 {
     auto uses = countUses(module);
-    std::unordered_map<Instr *, Instr *> repl;
+    Replacements repl(module);
     Rewriter rw{module, uses, repl};
     ir::forEachNode(module.body, [&](Node &n) {
         if (auto *b = dyn_cast<Block>(&n))
             rw.rewriteBlock(*b);
     });
-    applyRepl(module, repl);
+    repl.apply(module);
     return rw.changed;
 }
 

@@ -11,8 +11,6 @@
  * shaders with non-trivial control flow: straight-line redundancy is
  * already gone after local CSE.
  */
-#include <map>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -37,41 +35,29 @@ namespace {
 class GvnPass
 {
   public:
-    explicit GvnPass(Module &module) : module_(module) {}
+    explicit GvnPass(Module &module)
+        : module_(module), memVersion_(module.vars.size(), 0),
+          repl_(module)
+    {
+    }
 
     bool run()
     {
         scopes_.emplace_back();
         walkRegion(module_.body);
-
-        if (repl_.empty())
-            return false;
-        auto resolve = [this](Instr *v) {
-            while (v) {
-                auto it = repl_.find(v);
-                if (it == repl_.end())
-                    break;
-                v = it->second;
-            }
-            return v;
-        };
-        ir::forEachInstr(module_.body, [&](Instr &i) {
-            for (Instr *&op : i.operands)
-                op = resolve(op);
-        });
-        ir::forEachNode(module_.body, [&](ir::Node &n) {
-            if (auto *f = dyn_cast<IfNode>(&n))
-                f->cond = resolve(f->cond);
-            else if (auto *l = dyn_cast<LoopNode>(&n))
-                l->condValue = resolve(l->condValue);
-        });
-        return true;
+        repl_.apply(module_);
+        return !repl_.empty();
     }
 
   private:
-    using Scope = std::unordered_map<std::string, Instr *>;
+    using Scope = std::unordered_map<ValueKey, Instr *, ValueKeyHash>;
 
-    Instr *lookup(const std::string &key)
+    int &versionOf(const Var *v)
+    {
+        return memVersion_[static_cast<size_t>(v->id)];
+    }
+
+    Instr *lookup(const ValueKey &key)
     {
         for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
             auto f = it->find(key);
@@ -81,29 +67,18 @@ class GvnPass
         return nullptr;
     }
 
-    std::string keyOf(const Instr &i)
+    ValueKey keyOf(const Instr &i)
     {
-        std::string key = std::to_string(static_cast<int>(i.op));
-        key += "/" + i.type.str();
-        for (const Instr *op : i.operands)
-            key += ":" + std::to_string(op->id);
-        if (i.var) {
-            key += "@" + std::to_string(i.var->id);
-            if (i.op == Opcode::LoadVar || i.op == Opcode::LoadElem)
-                key += "v" + std::to_string(memVersion_[i.var]);
-        }
-        for (int idx : i.indices)
-            key += "." + std::to_string(idx);
-        for (double d : i.constData)
-            key += "," + std::to_string(d);
-        return key;
+        const bool load =
+            i.var && (i.op == Opcode::LoadVar || i.op == Opcode::LoadElem);
+        return valueKey(i, load ? versionOf(i.var) : 0);
     }
 
     void bumpStoredVars(const Region &region)
     {
         ir::forEachInstr(region, [this](const Instr &i) {
             if (i.op == Opcode::StoreVar || i.op == Opcode::StoreElem)
-                ++memVersion_[i.var];
+                ++versionOf(i.var);
         });
     }
 
@@ -111,37 +86,24 @@ class GvnPass
     {
         for (auto &node : region.nodes) {
             if (auto *b = dyn_cast<Block>(node.get())) {
-                for (auto &ip : b->instrs) {
+                for (Instr *ip : b->instrs) {
                     Instr &i = *ip;
-                    for (Instr *&op : i.operands) {
-                        auto it = repl_.find(op);
-                        while (it != repl_.end()) {
-                            op = it->second;
-                            it = repl_.find(op);
-                        }
-                    }
+                    repl_.resolveOperands(i);
                     if (i.op == Opcode::StoreVar ||
                         i.op == Opcode::StoreElem) {
-                        ++memVersion_[i.var];
+                        ++versionOf(i.var);
                         continue;
                     }
                     if (ir::hasSideEffects(i.op))
                         continue;
-                    std::string key = keyOf(i);
-                    if (Instr *prior = lookup(key)) {
-                        repl_[&i] = prior;
-                    } else {
-                        scopes_.back().emplace(std::move(key), &i);
-                    }
+                    const ValueKey key = keyOf(i);
+                    if (Instr *prior = lookup(key))
+                        repl_.set(i, prior);
+                    else
+                        scopes_.back().emplace(key, &i);
                 }
             } else if (auto *f = dyn_cast<IfNode>(node.get())) {
-                if (f->cond) {
-                    auto it = repl_.find(f->cond);
-                    while (it != repl_.end()) {
-                        f->cond = it->second;
-                        it = repl_.find(f->cond);
-                    }
-                }
+                f->cond = repl_.resolve(f->cond);
                 auto versions = memVersion_;
                 scopes_.emplace_back();
                 walkRegion(f->thenRegion);
@@ -162,19 +124,13 @@ class GvnPass
                 bumpStoredVars(l->condRegion);
                 bumpStoredVars(l->body);
                 if (l->counter)
-                    ++memVersion_[l->counter];
+                    ++versionOf(l->counter);
                 // Cond region and body get *separate* scopes: values
                 // must not be shared between them (the back end emits
                 // the condition computation twice, at different points).
                 scopes_.emplace_back();
                 walkRegion(l->condRegion);
-                if (l->condValue) {
-                    auto it = repl_.find(l->condValue);
-                    while (it != repl_.end()) {
-                        l->condValue = it->second;
-                        it = repl_.find(l->condValue);
-                    }
-                }
+                l->condValue = repl_.resolve(l->condValue);
                 scopes_.pop_back();
                 scopes_.emplace_back();
                 walkRegion(l->body);
@@ -182,15 +138,16 @@ class GvnPass
                 bumpStoredVars(l->condRegion);
                 bumpStoredVars(l->body);
                 if (l->counter)
-                    ++memVersion_[l->counter];
+                    ++versionOf(l->counter);
             }
         }
     }
 
     Module &module_;
     std::vector<Scope> scopes_;
-    std::map<Var *, int> memVersion_;
-    std::unordered_map<Instr *, Instr *> repl_;
+    /** Per Var::id: bumped by every store the walk passes. */
+    std::vector<int> memVersion_;
+    Replacements repl_;
 };
 
 } // namespace

@@ -113,11 +113,6 @@ bool texBatch(ir::Module &module);
  * signal and the pass agree on what a fetch is. */
 bool isFetchOp(const ir::Instr &instr);
 
-/** tex_batch's fetch identity key (op, type, operands, var, indices).
- * Two fetches with equal keys compute the same value on any path
- * where both execute. */
-std::string fetchKey(const ir::Instr &instr);
-
 // -- driver-side scheduling ----------------------------------------------
 
 /**

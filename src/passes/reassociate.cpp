@@ -25,8 +25,8 @@ namespace {
 
 bool
 reassociateBlock(Block &block, Module &module,
-                 const std::unordered_map<const Instr *, int> &uses,
-                 std::unordered_map<Instr *, Instr *> &repl)
+                 const std::vector<int> &uses,
+                 Replacements &repl)
 {
     bool changed = false;
     for (size_t pos = 0; pos < block.instrs.size(); ++pos) {
@@ -41,12 +41,12 @@ reassociateBlock(Block &block, Module &module,
             auto cb = splatConstValue(b);
             if (i.op == Opcode::Add) {
                 if (cb && *cb == 0.0) {
-                    repl[&i] = a;
+                    repl.set(i, a);
                     changed = true;
                     continue;
                 }
                 if (ca && *ca == 0.0) {
-                    repl[&i] = b;
+                    repl.set(i, b);
                     changed = true;
                     continue;
                 }
@@ -54,7 +54,7 @@ reassociateBlock(Block &block, Module &module,
                 if ((cb && *cb == 0.0) || (ca && *ca == 0.0)) {
                     LocalBuilder lb(module, block, pos);
                     Instr *zero = lb.constSplat(i.type, 0.0);
-                    repl[&i] = zero;
+                    repl.set(i, zero);
                     pos = lb.position();
                     changed = true;
                     continue;
@@ -78,9 +78,8 @@ reassociateBlock(Block &block, Module &module,
             Instr *cur = stack.back();
             stack.pop_back();
             for (Instr *op : cur->operands) {
-                auto it = uses.find(op);
-                int n = it == uses.end() ? 0 : it->second;
-                if (op->op == i.op && op->type == i.type && n == 1) {
+                if (op->op == i.op && op->type == i.type &&
+                    useCount(uses, op) == 1) {
                     stack.push_back(op);
                     ++flattened;
                 } else if (op->op == Opcode::Const) {
@@ -123,37 +122,11 @@ reassociateBlock(Block &block, Module &module,
             c->constData = {0.0};
             acc = c;
         }
-        repl[&i] = acc;
+        repl.set(i, acc);
         pos = lb.position();
         changed = true;
     }
     return changed;
-}
-
-void
-applyRepl(Module &module, std::unordered_map<Instr *, Instr *> &repl)
-{
-    if (repl.empty())
-        return;
-    auto resolve = [&repl](Instr *v) {
-        while (v) {
-            auto it = repl.find(v);
-            if (it == repl.end())
-                break;
-            v = it->second;
-        }
-        return v;
-    };
-    ir::forEachInstr(module.body, [&](Instr &i) {
-        for (Instr *&op : i.operands)
-            op = resolve(op);
-    });
-    ir::forEachNode(module.body, [&](Node &n) {
-        if (auto *f = dyn_cast<ir::IfNode>(&n))
-            f->cond = resolve(f->cond);
-        else if (auto *l = dyn_cast<ir::LoopNode>(&n))
-            l->condValue = resolve(l->condValue);
-    });
 }
 
 } // namespace
@@ -162,13 +135,13 @@ bool
 reassociate(Module &module)
 {
     auto uses = countUses(module);
-    std::unordered_map<Instr *, Instr *> repl;
+    Replacements repl(module);
     bool changed = false;
     ir::forEachNode(module.body, [&](Node &n) {
         if (auto *b = dyn_cast<Block>(&n))
             changed |= reassociateBlock(*b, module, uses, repl);
     });
-    applyRepl(module, repl);
+    repl.apply(module);
     return changed;
 }
 

@@ -58,7 +58,7 @@ isSinkable(const Instr &i)
 
 bool
 scheduleBlock(Block &block, size_t min_span,
-              const std::unordered_map<const Instr *, int> &uses)
+              const std::vector<int> &uses)
 {
     const size_t n = block.instrs.size();
     std::unordered_map<const Instr *, size_t> pos;
@@ -79,10 +79,8 @@ scheduleBlock(Block &block, size_t min_span,
     bool any = false;
     for (size_t i = 0; i < n; ++i) {
         const Instr *instr = block.instrs[i];
-        auto uit = uses.find(instr);
         auto pit = user_pos.find(instr);
-        if (uit == uses.end() || uit->second != 1 ||
-            pit == user_pos.end())
+        if (useCount(uses, instr) != 1 || pit == user_pos.end())
             continue; // multi-use, unused, or used outside the block
         if (!isSinkable(*instr))
             continue;

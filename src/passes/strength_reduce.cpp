@@ -22,7 +22,6 @@
  * the trailing canonicalisation's DCE, exactly like the built-ins.
  */
 #include <cmath>
-#include <unordered_map>
 
 #include "ir/walk.h"
 #include "passes/passes.h"
@@ -71,7 +70,10 @@ mulParts(Instr *v)
 class StrengthReducer
 {
   public:
-    explicit StrengthReducer(Module &module) : module_(module) {}
+    explicit StrengthReducer(Module &module)
+        : module_(module), repl_(module)
+    {
+    }
 
     bool run()
     {
@@ -94,25 +96,13 @@ class StrengthReducer
     }
 
   private:
-    Instr *resolve(Instr *v)
-    {
-        while (v) {
-            auto it = repl_.find(v);
-            if (it == repl_.end())
-                break;
-            v = it->second;
-        }
-        return v;
-    }
-
     void reduceBlock(Block &block)
     {
         for (size_t pos = 0; pos < block.instrs.size(); ++pos) {
             Instr &i = *block.instrs[pos];
-            if (repl_.count(&i))
+            if (repl_.replaced(i))
                 continue; // already rewritten; awaiting DCE
-            for (Instr *&op : i.operands)
-                op = resolve(op);
+            repl_.resolveOperands(i);
 
             if (i.op == Opcode::Pow) {
                 if (auto k = smallIntConst(i.operands[1], 0, 4)) {
@@ -175,7 +165,7 @@ class StrengthReducer
             break;
           }
         }
-        repl_[&i] = acc;
+        repl_.set(i, acc);
         pos = lb.position();
         round_changed_ = true;
     }
@@ -187,7 +177,7 @@ class StrengthReducer
         Instr *acc = base;
         for (long m = 1; m < k; m *= 2)
             acc = lb.emit(Opcode::Add, i.type, {acc, acc});
-        repl_[&i] = acc;
+        repl_.set(i, acc);
         pos = lb.position();
         round_changed_ = true;
     }
@@ -207,7 +197,7 @@ class StrengthReducer
             c->constData = {static_cast<double>(factor)};
             acc = lb.emit(Opcode::Mul, i.type, {base, c});
         }
-        repl_[&i] = acc;
+        repl_.set(i, acc);
         pos = lb.position();
         round_changed_ = true;
     }
@@ -217,21 +207,20 @@ class StrengthReducer
         if (repl_.empty())
             return;
         ir::forEachInstr(module_.body, [&](Instr &i) {
-            if (repl_.count(&i))
+            if (repl_.replaced(i))
                 return; // dead original; operands stay as-is
-            for (Instr *&op : i.operands)
-                op = resolve(op);
+            repl_.resolveOperands(i);
         });
         ir::forEachNode(module_.body, [&](Node &n) {
             if (auto *f = dyn_cast<ir::IfNode>(&n))
-                f->cond = resolve(f->cond);
+                f->cond = repl_.resolve(f->cond);
             else if (auto *l = dyn_cast<ir::LoopNode>(&n))
-                l->condValue = resolve(l->condValue);
+                l->condValue = repl_.resolve(l->condValue);
         });
     }
 
     Module &module_;
-    std::unordered_map<Instr *, Instr *> repl_;
+    Replacements repl_;
     bool round_changed_ = false;
 };
 

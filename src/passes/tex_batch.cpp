@@ -19,12 +19,12 @@
  * the other arm or the code after the join, and loop cond-region
  * values never serve the body, mirroring the GVN/back-end contract).
  */
-#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "ir/walk.h"
 #include "passes/passes.h"
+#include "passes/util.h"
 
 namespace gsopt::passes {
 
@@ -53,61 +53,27 @@ isFetchOp(const Instr &i)
     }
 }
 
-std::string
-fetchKey(const Instr &i)
-{
-    std::string key = std::to_string(static_cast<int>(i.op));
-    key += "/" + i.type.str();
-    for (const Instr *op : i.operands)
-        key += ":" + std::to_string(op->id);
-    if (i.var)
-        key += "@" + std::to_string(i.var->id);
-    for (int idx : i.indices)
-        key += "." + std::to_string(idx);
-    return key;
-}
-
 namespace {
 
 class TexBatcher
 {
   public:
-    explicit TexBatcher(Module &module) : module_(module) {}
+    explicit TexBatcher(Module &module) : module_(module), repl_(module)
+    {
+    }
 
     bool run()
     {
         scopes_.emplace_back();
         walkRegion(module_.body);
-        if (repl_.empty())
-            return false;
-        ir::forEachInstr(module_.body, [&](Instr &i) {
-            for (Instr *&op : i.operands)
-                op = resolve(op);
-        });
-        ir::forEachNode(module_.body, [&](ir::Node &n) {
-            if (auto *f = dyn_cast<IfNode>(&n))
-                f->cond = resolve(f->cond);
-            else if (auto *l = dyn_cast<LoopNode>(&n))
-                l->condValue = resolve(l->condValue);
-        });
-        return true;
+        repl_.apply(module_);
+        return !repl_.empty();
     }
 
   private:
-    using Scope = std::unordered_map<std::string, Instr *>;
+    using Scope = std::unordered_map<ValueKey, Instr *, ValueKeyHash>;
 
-    Instr *resolve(Instr *v)
-    {
-        while (v) {
-            auto it = repl_.find(v);
-            if (it == repl_.end())
-                break;
-            v = it->second;
-        }
-        return v;
-    }
-
-    Instr *lookup(const std::string &key)
+    Instr *lookup(const ValueKey &key)
     {
         for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
             auto f = it->find(key);
@@ -121,20 +87,19 @@ class TexBatcher
     {
         for (auto &node : region.nodes) {
             if (auto *b = dyn_cast<Block>(node.get())) {
-                for (auto &ip : b->instrs) {
+                for (Instr *ip : b->instrs) {
                     Instr &i = *ip;
-                    for (Instr *&op : i.operands)
-                        op = resolve(op);
+                    repl_.resolveOperands(i);
                     if (!isFetchOp(i))
                         continue;
-                    std::string key = fetchKey(i);
+                    const ValueKey key = valueKey(i);
                     if (Instr *prior = lookup(key))
-                        repl_[&i] = prior;
+                        repl_.set(i, prior);
                     else
-                        scopes_.back().emplace(std::move(key), &i);
+                        scopes_.back().emplace(key, &i);
                 }
             } else if (auto *f = dyn_cast<IfNode>(node.get())) {
-                f->cond = resolve(f->cond);
+                f->cond = repl_.resolve(f->cond);
                 scopes_.emplace_back();
                 walkRegion(f->thenRegion);
                 scopes_.pop_back();
@@ -148,7 +113,7 @@ class TexBatcher
                 // is what lifts a loop-constant fetch to one issue.
                 scopes_.emplace_back();
                 walkRegion(l->condRegion);
-                l->condValue = resolve(l->condValue);
+                l->condValue = repl_.resolve(l->condValue);
                 scopes_.pop_back();
                 scopes_.emplace_back();
                 walkRegion(l->body);
@@ -159,7 +124,7 @@ class TexBatcher
 
     Module &module_;
     std::vector<Scope> scopes_;
-    std::unordered_map<Instr *, Instr *> repl_;
+    Replacements repl_;
 };
 
 } // namespace

@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <limits>
+#include <type_traits>
 
 #include "ir/walk.h"
+#include "support/rng.h"
 
 namespace gsopt::passes {
 
@@ -13,27 +17,134 @@ using ir::Module;
 using ir::Opcode;
 using ir::Type;
 
-std::unordered_map<const Instr *, int>
+std::vector<int>
 countUses(const Module &module)
 {
-    std::unordered_map<const Instr *, int> uses;
+    std::vector<int> uses(static_cast<size_t>(module.idBound()), 0);
     ir::forEachInstr(module.body, [&uses](const Instr &i) {
         for (const Instr *op : i.operands)
-            ++uses[op];
+            ++uses[static_cast<size_t>(op->id)];
     });
     // Structured condition references count as uses too.
     ir::forEachNode(const_cast<Module &>(module).body,
                     [&uses](ir::Node &n) {
-                        if (auto *f = ir::dyn_cast<ir::IfNode>(&n)) {
-                            if (f->cond)
-                                ++uses[f->cond];
-                        } else if (auto *l =
-                                       ir::dyn_cast<ir::LoopNode>(&n)) {
-                            if (l->condValue)
-                                ++uses[l->condValue];
-                        }
+                        const Instr *cond = nullptr;
+                        if (auto *f = ir::dyn_cast<ir::IfNode>(&n))
+                            cond = f->cond;
+                        else if (auto *l = ir::dyn_cast<ir::LoopNode>(&n))
+                            cond = l->condValue;
+                        if (cond)
+                            ++uses[static_cast<size_t>(cond->id)];
                     });
     return uses;
+}
+
+void
+Replacements::set(const Instr &from, Instr *to)
+{
+    const size_t id = static_cast<size_t>(from.id);
+    if (id >= to_.size())
+        to_.resize(id + 1, nullptr);
+    to_[id] = to;
+    any_ = true;
+}
+
+void
+Replacements::apply(Module &module) const
+{
+    if (!any_)
+        return;
+    ir::forEachInstr(module.body, [this](Instr &i) { resolveOperands(i); });
+    ir::forEachNode(module.body, [this](ir::Node &n) {
+        if (auto *f = ir::dyn_cast<ir::IfNode>(&n))
+            f->cond = resolve(f->cond);
+        else if (auto *l = ir::dyn_cast<ir::LoopNode>(&n))
+            l->condValue = resolve(l->condValue);
+    });
+}
+
+namespace {
+
+static_assert(std::has_unique_object_representations_v<ValueKey> &&
+                  sizeof(ValueKey) % sizeof(uint64_t) == 0,
+              "ValueKey is compared and hashed as raw words");
+
+/**
+ * One Const lane at std::to_string's "%f" resolution: its digits read as
+ * an integer (the decimal point always sits six places from the end),
+ * with the printed sign reported in @p negative. Renderings of more than
+ * 19 digits (|d| >= 1e13) and non-finite ones are hashed instead.
+ */
+uint64_t
+laneKey(double d, bool &negative, bool &hashed)
+{
+    negative = std::signbit(d);
+    hashed = false;
+    // An integer prints as "<d>.000000" exactly.
+    if (d == std::trunc(d) && std::fabs(d) < 1e12)
+        return static_cast<uint64_t>(std::fabs(d)) * 1000000u;
+    char buf[400];
+    const int n = std::snprintf(buf, sizeof buf, "%f", d);
+    negative = buf[0] == '-';
+    uint64_t digits = 0;
+    int count = 0;
+    for (const char *p = buf + negative; *p; ++p) {
+        if (*p == '.')
+            continue;
+        if (*p < '0' || *p > '9' || ++count > 19) {
+            hashed = true;
+            return fnv1a(std::string_view(buf, static_cast<size_t>(n)));
+        }
+        digits = digits * 10 + static_cast<uint64_t>(*p - '0');
+    }
+    return digits;
+}
+
+} // namespace
+
+bool
+ValueKey::operator==(const ValueKey &o) const
+{
+    return std::memcmp(this, &o, sizeof(ValueKey)) == 0;
+}
+
+size_t
+ValueKeyHash::operator()(const ValueKey &k) const
+{
+    uint64_t words[sizeof(ValueKey) / sizeof(uint64_t)];
+    std::memcpy(words, &k, sizeof(ValueKey));
+    uint64_t h = 0;
+    for (uint64_t w : words)
+        h = (h ^ w) * 0x9e3779b97f4a7c15ull;
+    return static_cast<size_t>(h ^ (h >> 32));
+}
+
+ValueKey
+valueKey(const Instr &i, int memVersion)
+{
+    ValueKey k;
+    k.op = static_cast<uint16_t>(i.op);
+    k.shape = static_cast<uint32_t>(i.type.base) |
+              static_cast<uint32_t>(i.type.cols) << 8 |
+              static_cast<uint32_t>(i.type.rows) << 16;
+    k.arraySize = i.type.arraySize;
+    k.operandCount = static_cast<uint8_t>(i.operands.size());
+    for (size_t n = 0; n < i.operands.size(); ++n)
+        k.operands[n] = i.operands[n]->id;
+    if (i.var)
+        k.var = i.var->id;
+    k.memVersion = memVersion;
+    k.indexCount = static_cast<uint8_t>(i.indices.size());
+    for (size_t n = 0; n < i.indices.size(); ++n)
+        k.indices[n] = i.indices[n];
+    k.laneCount = static_cast<uint8_t>(i.constData.size());
+    for (size_t n = 0; n < i.constData.size(); ++n) {
+        bool negative = false, hashed = false;
+        k.lanes[n] = laneKey(i.constData[n], negative, hashed);
+        k.laneFlags |=
+            static_cast<uint8_t>(negative << n | hashed << (4 + n));
+    }
+    return k;
 }
 
 Instr *

@@ -1,23 +1,122 @@
 /**
  * @file
- * Shared machinery for optimization passes: module-wide use counts, an
- * insert-anywhere instruction factory, and the constant evaluator used by
- * folding.
+ * Shared machinery for optimization passes: module-wide use counts, the
+ * value-numbering key, an insert-anywhere instruction factory, and the
+ * constant evaluator used by folding.
  */
 #ifndef GSOPT_PASSES_UTIL_H
 #define GSOPT_PASSES_UTIL_H
 
+#include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "ir/ir.h"
 
 namespace gsopt::passes {
 
-/** Number of uses of each value (operands + structured condition refs). */
-std::unordered_map<const ir::Instr *, int>
-countUses(const ir::Module &module);
+/**
+ * Number of uses of each value (operands + structured condition refs),
+ * indexed by Instr::id and sized by Module::idBound().
+ */
+std::vector<int> countUses(const ir::Module &module);
+
+/** @p i's entry in a countUses table; instructions created after the
+ * count was taken have no uses yet. */
+inline int
+useCount(const std::vector<int> &uses, const ir::Instr *i)
+{
+    const size_t id = static_cast<size_t>(i->id);
+    return id < uses.size() ? uses[id] : 0;
+}
+
+/**
+ * Value replacements, dense by Instr::id: after set(from, to), resolve
+ * maps from (transitively) to its replacement. Instructions created
+ * after construction can be replaced or resolved too.
+ */
+class Replacements
+{
+  public:
+    explicit Replacements(const ir::Module &module)
+        : to_(static_cast<size_t>(module.idBound()), nullptr)
+    {
+    }
+
+    void set(const ir::Instr &from, ir::Instr *to);
+
+    bool empty() const { return !any_; }
+
+    bool replaced(const ir::Instr &i) const { return next(&i) != nullptr; }
+
+    ir::Instr *resolve(ir::Instr *v) const
+    {
+        while (ir::Instr *n = v ? next(v) : nullptr)
+            v = n;
+        return v;
+    }
+
+    void resolveOperands(ir::Instr &i) const
+    {
+        for (ir::Instr *&op : i.operands)
+            op = resolve(op);
+    }
+
+    /** Resolve every operand and if/loop condition in the module. */
+    void apply(ir::Module &module) const;
+
+  private:
+    ir::Instr *next(const ir::Instr *v) const
+    {
+        const size_t id = static_cast<size_t>(v->id);
+        return id < to_.size() ? to_[id] : nullptr;
+    }
+
+    std::vector<ir::Instr *> to_;
+    bool any_ = false;
+};
+
+/**
+ * Value-numbering key: equal keys compute the same value. A fixed-size
+ * record of the opcode, result type, operand ids, var id, indices and
+ * const lanes (plus GVN's memory version of a loaded var), compared and
+ * hashed word-wise.
+ *
+ * Const lanes compare by their std::to_string ("%f") rendering, as the
+ * string keys this record replaced did. That merges distinct constants
+ * printing alike (5.4e-09 and 0) within a block, deliberately: the
+ * pinned campaign outputs depend on it. Exact lanes are ROADMAP item 5
+ * and need a re-baseline of the pins.
+ */
+struct ValueKey
+{
+    uint16_t op = 0;
+    uint8_t operandCount = 0;
+    uint8_t indexCount = 0;
+    uint8_t laneCount = 0;
+    /** Bit k: lane k prints with a '-'; bit 4+k: lane k is a text hash. */
+    uint8_t laneFlags = 0;
+    uint16_t unused = 0;
+    uint32_t shape = 0;   ///< Type base, cols and rows
+    int32_t arraySize = 0;
+    int32_t var = -1;     ///< Var::id, -1 for none
+    int32_t memVersion = 0;
+    int32_t operands[ir::kMaxInstrWidth] = {};
+    int32_t indices[ir::kMaxInstrWidth] = {};
+    uint64_t lanes[ir::kMaxInstrWidth] = {};
+
+    bool operator==(const ValueKey &o) const;
+    bool operator!=(const ValueKey &o) const { return !(*this == o); }
+};
+
+struct ValueKeyHash
+{
+    size_t operator()(const ValueKey &k) const;
+};
+
+/** The key of @p instr; @p memVersion distinguishes loads of one var
+ * across stores (GVN), 0 elsewhere. */
+ValueKey valueKey(const ir::Instr &instr, int memVersion = 0);
 
 /**
  * Creates instructions inside an existing Block at a fixed position

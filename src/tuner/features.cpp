@@ -33,7 +33,8 @@ computeFeatures(const std::string &preprocessed)
             ++f.branches;
         }
     });
-    std::unordered_map<std::string, int> fetchShapes;
+    std::unordered_map<passes::ValueKey, int, passes::ValueKeyHash>
+        fetchShapes;
     ir::forEachInstr(module->body, [&](const ir::Instr &i) {
         switch (i.op) {
           case ir::Opcode::Texture:
@@ -68,7 +69,7 @@ computeFeatures(const std::string &preprocessed)
         // Same fetch class and identity key as tex_batch itself, so
         // the profitability signal cannot drift from the pass.
         if (passes::isFetchOp(i))
-            f.dupFetches += fetchShapes[passes::fetchKey(i)]++ > 0;
+            f.dupFetches += fetchShapes[passes::valueKey(i)]++ > 0;
     });
     f.loopInvariantInstrs = passes::licmHoistableCount(*module);
     return f;

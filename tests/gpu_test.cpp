@@ -6,7 +6,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "corpus/corpus.h"
 #include "emit/offline.h"
+#include "glsl/frontend.h"
 #include "gpu/codegen.h"
 #include "gpu/device.h"
 #include "gpu/driver.h"
@@ -85,6 +89,51 @@ TEST(Driver, CompileCacheHitsOnRepeatedTextDevicePairs)
     // The uncached path always agrees with the cached result.
     ShaderBinary fresh = driverCompileUncached(src, nv);
     EXPECT_DOUBLE_EQ(fresh.cyclesPerFragment, a.cyclesPerFragment);
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+void
+expectSameBinary(const ShaderBinary &a, const ShaderBinary &b,
+                 const std::string &where)
+{
+    SCOPED_TRACE(where);
+    EXPECT_TRUE(sameBits(a.cost.aluCycles, b.cost.aluCycles));
+    EXPECT_TRUE(sameBits(a.cost.movCycles, b.cost.movCycles));
+    EXPECT_TRUE(sameBits(a.cost.loadStoreCycles, b.cost.loadStoreCycles));
+    EXPECT_TRUE(sameBits(a.cost.branchCycles, b.cost.branchCycles));
+    EXPECT_TRUE(sameBits(a.cost.texIssueCycles, b.cost.texIssueCycles));
+    EXPECT_EQ(a.cost.textureCount, b.cost.textureCount);
+    EXPECT_EQ(a.cost.instructionCount, b.cost.instructionCount);
+    EXPECT_TRUE(sameBits(a.cost.maxLiveRegs, b.cost.maxLiveRegs));
+    EXPECT_TRUE(sameBits(a.spilledRegs, b.spilledRegs));
+    EXPECT_TRUE(sameBits(a.occupancyWaves, b.occupancyWaves));
+    EXPECT_TRUE(sameBits(a.texStallCycles, b.texStallCycles));
+    EXPECT_TRUE(sameBits(a.icacheStallCycles, b.icacheStallCycles));
+    EXPECT_TRUE(sameBits(a.cyclesPerFragment, b.cyclesPerFragment));
+}
+
+TEST(Driver, CachedCompileEqualsUncachedOnWholeCorpus)
+{
+    // The IR cache holds each text's canonicalized module; every device
+    // after the first starts from a clone of it. That must equal the
+    // uncached parse + canonicalize on every corpus original x device.
+    clearDriverCache();
+    for (const auto &shader : corpus::corpus()) {
+        const std::string text =
+            glsl::compileShader(shader.source, shader.defines)
+                .preprocessedText;
+        for (DeviceId id : allDevices()) {
+            const ShaderBinary cached = driverCompile(text, dev(id));
+            expectSameBinary(cached, driverCompileUncached(text, dev(id)),
+                             shader.name + " on " + dev(id).name);
+        }
+    }
+    clearDriverCache();
 }
 
 TEST(Driver, CompileCacheLruBoundEvictsColdEntries)

@@ -7,13 +7,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <unordered_map>
 
+#include "corpus/corpus.h"
 #include "emit/offline.h"
+#include "gpu/device.h"
 #include "ir/interp.h"
 #include "ir/verifier.h"
 #include "ir/walk.h"
 #include "passes/passes.h"
 #include "passes/registry.h"
+#include "passes/util.h"
+#include "support/rng.h"
 
 namespace gsopt {
 namespace {
@@ -418,6 +424,247 @@ TEST(Gvn, RespectsMemoryVersions)
     env.inputs["x"] = {1.0};
     EXPECT_DOUBLE_EQ(ir::interpret(*m, env).outputs.at("c")[0],
                      2.0 + 4.0);
+}
+
+// ------------------------------------------------------------ value keys
+
+// The string keys canonicalize's CSE and GVN built before ValueKey,
+// kept verbatim: ValueKey must reproduce exactly their equivalence.
+std::string
+referenceCseKey(const ir::Instr &i)
+{
+    std::string key = std::to_string(static_cast<int>(i.op));
+    key += "/" + i.type.str();
+    for (const ir::Instr *op : i.operands)
+        key += ":" + std::to_string(op->id);
+    if (i.var)
+        key += "@" + std::to_string(i.var->id);
+    for (int idx : i.indices)
+        key += "." + std::to_string(idx);
+    for (double d : i.constData)
+        key += "," + std::to_string(d);
+    return key;
+}
+
+std::string
+referenceGvnKey(const ir::Instr &i, int memVersion)
+{
+    std::string key = std::to_string(static_cast<int>(i.op));
+    key += "/" + i.type.str();
+    for (const ir::Instr *op : i.operands)
+        key += ":" + std::to_string(op->id);
+    if (i.var) {
+        key += "@" + std::to_string(i.var->id);
+        if (i.op == ir::Opcode::LoadVar || i.op == ir::Opcode::LoadElem)
+            key += "v" + std::to_string(memVersion);
+    }
+    for (int idx : i.indices)
+        key += "." + std::to_string(idx);
+    for (double d : i.constData)
+        key += "," + std::to_string(d);
+    return key;
+}
+
+bool
+isLoad(const ir::Instr &i)
+{
+    return i.op == ir::Opcode::LoadVar || i.op == ir::Opcode::LoadElem;
+}
+
+/** Canonicalize's CSE candidates (its isNumerable). */
+bool
+isCseCandidate(const ir::Instr &i)
+{
+    if (ir::hasSideEffects(i.op))
+        return false;
+    return !isLoad(i) || i.var->isReadOnly();
+}
+
+/**
+ * Collects (reference string, ValueKey) pairs and checks that the two
+ * partition them identically: equal strings <=> equal keys.
+ */
+class KeyEquivalence
+{
+  public:
+    void add(const std::string &reference, const passes::ValueKey &key)
+    {
+        ++compared_;
+        auto [s, fresh_string] = byString_.emplace(reference, key);
+        auto [k, fresh_key] = byKey_.emplace(key, reference);
+        if (!fresh_string)
+            ++merges_;
+        if (s->second != key || k->second != reference) {
+            if (mismatches_++ == 0)
+                first_ = reference + " vs " + k->second;
+        }
+    }
+
+    /** Start a new scope (a block): keys only ever meet within one. */
+    void reset()
+    {
+        byString_.clear();
+        byKey_.clear();
+    }
+
+    size_t compared() const { return compared_; }
+    size_t merges() const { return merges_; }
+    size_t mismatches() const { return mismatches_; }
+    const std::string &firstMismatch() const { return first_; }
+
+  private:
+    std::unordered_map<std::string, passes::ValueKey> byString_;
+    std::unordered_map<passes::ValueKey, std::string, passes::ValueKeyHash>
+        byKey_;
+    size_t compared_ = 0;
+    size_t merges_ = 0;
+    size_t mismatches_ = 0;
+    std::string first_;
+};
+
+/** Feed every block of @p m to the CSE and GVN checkers. */
+void
+addModuleKeys(ir::Module &m, KeyEquivalence &cse, KeyEquivalence &gvn)
+{
+    ir::forEachNode(m.body, [&](ir::Node &n) {
+        auto *b = ir::dyn_cast<ir::Block>(&n);
+        if (!b)
+            return;
+        cse.reset();
+        gvn.reset();
+        for (const ir::Instr *i : b->instrs) {
+            if (isCseCandidate(*i))
+                cse.add(referenceCseKey(*i), passes::valueKey(*i));
+            if (ir::hasSideEffects(i->op))
+                continue;
+            // Loads of one var at several memory versions.
+            for (int version : {0, 1, 2}) {
+                const int used = i->var && isLoad(*i) ? version : 0;
+                gvn.add(referenceGvnKey(*i, version),
+                        passes::valueKey(*i, used));
+            }
+        }
+    });
+}
+
+void
+expectNoMismatch(const KeyEquivalence &check, const std::string &what)
+{
+    EXPECT_EQ(check.mismatches(), 0u)
+        << what << ": first " << check.firstMismatch();
+}
+
+TEST(ValueKey, MatchesStringKeysOnCorpusAndDriverStages)
+{
+    // Every corpus shader, lowered, then through every vendor driver
+    // stage on all five devices (gpu/driver.cpp's compileIr order).
+    KeyEquivalence cse, gvn;
+    for (const auto &shader : corpus::corpus()) {
+        auto base = emit::compileToIr(shader.source, shader.defines);
+        addModuleKeys(*base, cse, gvn);
+        passes::canonicalize(*base);
+        addModuleKeys(*base, cse, gvn);
+        for (gpu::DeviceId id : gpu::allDevices()) {
+            const gpu::DeviceModel &d = gpu::deviceModel(id);
+            auto m = base->clone();
+            auto stage = [&](bool enabled, auto &&pass) {
+                if (!enabled)
+                    return;
+                pass(*m);
+                addModuleKeys(*m, cse, gvn);
+                passes::canonicalize(*m);
+                addModuleKeys(*m, cse, gvn);
+            };
+            stage(d.jitFlags.unroll && d.jitUnrollTrips > 0,
+                  [&](ir::Module &x) {
+                      passes::unroll(x, d.jitUnrollTrips,
+                                     d.jitUnrollInstrs);
+                  });
+            stage(d.jitFlags.hoist && d.jitHoistArmInstrs > 0,
+                  [&](ir::Module &x) {
+                      passes::hoist(x, d.jitHoistArmInstrs);
+                  });
+            stage(d.jitFlags.coalesce, passes::coalesce);
+            stage(d.jitFlags.reassociate, passes::reassociate);
+            stage(d.jitFlags.gvn, passes::gvn);
+            passes::scheduleForPressure(*m, d.schedulerWindow);
+            addModuleKeys(*m, cse, gvn);
+        }
+    }
+    expectNoMismatch(cse, "CSE");
+    expectNoMismatch(gvn, "GVN");
+    EXPECT_GT(cse.compared(), 10000u);
+    // Lowered code is full of equal values; the keys must see them.
+    EXPECT_GT(cse.merges(), 0u);
+    EXPECT_GT(gvn.merges(), cse.merges());
+}
+
+ir::Instr *
+constInstr(ir::Module &m, ir::Block &b, ir::Type type,
+           std::vector<double> lanes)
+{
+    ir::Instr *i = m.newInstr();
+    i->op = ir::Opcode::Const;
+    i->type = type;
+    for (double d : lanes)
+        i->constData.push_back(d);
+    b.instrs.push_back(i);
+    return i;
+}
+
+TEST(ValueKey, ConstLanesCompareAtToStringResolution)
+{
+    ir::Module m;
+    ir::Block b;
+    const ir::Type f = ir::Type::floatTy();
+    auto key = [&](double d) {
+        return passes::valueKey(*constInstr(m, b, f, {d}));
+    };
+    // The %f collisions the string key had, kept on purpose.
+    EXPECT_EQ(key(1e-7), key(0.0));
+    EXPECT_EQ(key(5.3846893227178126e-09), key(0.0));
+    EXPECT_EQ(key(0.70710677928277232), key(0.70710678182113929));
+    EXPECT_EQ(key(-1e-7), key(-0.0));
+    // Distinct renderings stay distinct.
+    EXPECT_NE(key(-0.0), key(0.0));
+    EXPECT_NE(key(0.5), key(0.500001));
+    EXPECT_NE(key(3.0), key(-3.0));
+    EXPECT_NE(key(1e20), key(std::nextafter(1e20, 2e20)));
+    EXPECT_NE(key(std::numeric_limits<double>::infinity()),
+              key(-std::numeric_limits<double>::infinity()));
+
+    // Types: four lanes as mat2, vec4 or ivec4 are different values.
+    const ir::Type mat2 = ir::Type::mat(2);
+    const ir::Type vec4 = ir::Type::vec(4);
+    const std::vector<double> lanes = {1.0, 0.0, 0.0, 1.0};
+    auto typed = [&](ir::Type t) {
+        return passes::valueKey(*constInstr(m, b, t, lanes));
+    };
+    EXPECT_NE(typed(mat2), typed(vec4));
+    EXPECT_EQ(typed(mat2), typed(mat2));
+    EXPECT_NE(typed(vec4), typed(ir::Type::ivec(4)));
+    EXPECT_NE(typed(vec4), typed(vec4.array(1)));
+
+    // Everything above, plus seeded near-ties around each rounding
+    // boundary and values across magnitudes, against the reference.
+    Rng rng(20261017);
+    for (int n = 0; n < 4000; ++n) {
+        const double scale = std::pow(10.0, rng.uniform(-9.0, 15.0));
+        const double x = std::round(rng.uniform(-1.0, 1.0) * scale *
+                                    1e6) /
+                             1e6 +
+                         5e-7;
+        for (double d : {x, std::nextafter(x, 0.0), x * 1.0000001,
+                         std::nextafter(x, 1e300), -x})
+            constInstr(m, b, f, {d, x});
+    }
+    constInstr(m, b, f, {std::nan("")});
+    constInstr(m, b, f, {std::nan("")});
+    KeyEquivalence check;
+    for (const ir::Instr *i : b.instrs)
+        check.add(referenceCseKey(*i), passes::valueKey(*i));
+    expectNoMismatch(check, "hand-built block");
+    EXPECT_GT(check.merges(), 0u);
 }
 
 // ------------------------------------------------------------ reassociate

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <future>
 #include <stdexcept>
 #include <vector>
 
@@ -210,20 +211,43 @@ TEST(ParallelFor, SerialFirstErrorPropagatesWithPosition)
     EXPECT_EQ(executed.load(), 4);
 }
 
+/** Fulfils its promise when its thread exits. */
+struct ReleaseOnThreadExit
+{
+    std::promise<void> *promise = nullptr;
+    ~ReleaseOnThreadExit()
+    {
+        if (promise)
+            promise->set_value();
+    }
+};
+
 TEST(ParallelFor, ThreadedErrorAbandonsTheQueue)
 {
     // Any worker's failure must stop the others from claiming more
-    // work. With an early item throwing, far fewer than `items` run.
+    // work. The healthy items wait on a latch that opens only when the
+    // thrower's worker thread exits, which parallelFor lets it do only
+    // after recording the failure. So however the threads are
+    // scheduled, each worker runs at most the item it holds plus one
+    // claimed before it saw the failure, and the queue is abandoned.
     constexpr size_t items = 10000;
+    constexpr unsigned threads = 4;
+    std::promise<void> recorded;
+    std::shared_future<void> latch = recorded.get_future().share();
     std::atomic<size_t> executed{0};
-    EXPECT_THROW(parallelFor(items, 4,
+    EXPECT_THROW(parallelFor(items, threads,
                              [&](size_t i) {
                                  executed.fetch_add(1);
-                                 if (i == 0)
+                                 if (i == 0) {
+                                     thread_local ReleaseOnThreadExit
+                                         release;
+                                     release.promise = &recorded;
                                      throw std::runtime_error("boom");
+                                 }
+                                 latch.wait();
                              }),
                  std::runtime_error);
-    EXPECT_LT(executed.load(), items);
+    EXPECT_LE(executed.load(), 2 * threads);
 }
 
 TEST(ParallelFor, CompletionHookRunsOncePerItem)
