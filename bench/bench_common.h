@@ -5,10 +5,10 @@
  *
  * Every binary regenerates one table or figure of the paper and prints
  * the same rows/series the paper reports. The first binary run pays for
- * the measurement campaign (~4 s on one core since the compile-once
- * exploration refactor; ~15 s before it — see bench/micro_explore.cpp
- * and bench/micro_campaign.cpp for the trajectory; GSOPT_THREADS
- * controls the worker pool); the results are cached as per-shader
+ * the measurement campaign (~4 s on one core — see
+ * bench/micro_explore.cpp and bench/micro_campaign.cpp for the
+ * per-phase and per-worker split; GSOPT_THREADS controls the worker
+ * pool); the results are cached as per-shader
  * shards under ./experiment_cache/ for all subsequent runs.
  */
 #ifndef GSOPT_BENCH_BENCH_COMMON_H

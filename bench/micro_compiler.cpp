@@ -166,20 +166,6 @@ BM_Interpret(benchmark::State &state)
 BENCHMARK(BM_Interpret);
 
 void
-BM_InterpretMapReference(benchmark::State &state)
-{
-    const auto &s = heavyShader();
-    auto cs = glsl::compileShader(s.source, s.defines);
-    auto module = lower::lowerShader(cs);
-    passes::canonicalize(*module);
-    for (auto _ : state) {
-        auto r = ir::interpretReference(*module, {});
-        benchmark::DoNotOptimize(r.executedInstructions);
-    }
-}
-BENCHMARK(BM_InterpretMapReference);
-
-void
 BM_ModuleClone(benchmark::State &state)
 {
     const auto &s = heavyShader();

@@ -4,17 +4,8 @@
  * arena-backed modules, the primitive the exploration flag tree leans
  * on (one clone per executed pass edge).
  *
- * Reports modules/s, us per clone+destroy, arena bytes per module, and
- * chunk counts, next to the measured figures of the heap-backed seed
- * (per-Instr unique_ptr allocations, hash-map operand remapping) so the
- * before-vs-after trajectory stays visible:
- *
- *   seed (commit 6f21584, RelWithDebInfo, same probe shaders):
- *     simple/grayscale   12 instrs:   883 k clones/s   (1.1 us)
- *     blur/weighted9     27 instrs:   441 k clones/s   (2.3 us)
- *     blur + unroll/hoist 75 instrs:  106 k clones/s   (9.4 us)
- *     pbr/full          152 instrs:    46 k clones/s  (21.9 us)
- *     uber/car_chase    488 instrs:    13 k clones/s  (76.6 us)
+ * Reports modules/s, us per clone and per destroy, and arena bytes per
+ * module.
  */
 #include <algorithm>
 #include <chrono>
@@ -45,7 +36,6 @@ struct Probe
 {
     const char *label;
     std::unique_ptr<ir::Module> module;
-    double seedClonesPerSec; ///< measured on the heap-backed seed
 };
 
 std::unique_ptr<ir::Module>
@@ -71,47 +61,37 @@ int
 main()
 {
     bench::banner("micro_ir",
-                  "Arena-backed Module clone/destroy throughput vs the "
-                  "heap-backed seed");
+                  "Arena-backed Module clone/destroy throughput");
 
     std::vector<Probe> probes;
-    probes.push_back({"simple/grayscale",
-                      lowered("simple/grayscale", false), 883e3});
     probes.push_back(
-        {"blur/weighted9", lowered("blur/weighted9", false), 441e3});
+        {"simple/grayscale", lowered("simple/grayscale", false)});
+    probes.push_back({"blur/weighted9", lowered("blur/weighted9", false)});
     probes.push_back({"blur/weighted9 +unroll+hoist",
-                      lowered("blur/weighted9", true), 106e3});
-    probes.push_back({"pbr/full", lowered("pbr/full", false), 46e3});
-    probes.push_back(
-        {"uber/car_chase", lowered("uber/car_chase", false), 13e3});
+                      lowered("blur/weighted9", true)});
+    probes.push_back({"pbr/full", lowered("pbr/full", false)});
+    probes.push_back({"uber/car_chase", lowered("uber/car_chase", false)});
 
-    std::printf("%-30s %7s %9s %11s %9s %9s %8s\n", "module", "instrs",
-                "bytes", "clones/s", "us/clone", "us/destroy",
-                "vs seed");
+    std::printf("%-30s %7s %9s %11s %9s %9s\n", "module", "instrs",
+                "bytes", "clones/s", "us/clone", "us/destroy");
     for (const Probe &p : probes) {
         const ir::Module &m = *p.module;
         // Pick a repetition count that keeps each probe ~50 ms. The
-        // clone is destroyed before the next begins — the same protocol
-        // the seed numbers were captured with, and the cache-resident
+        // clone is destroyed before the next begins — the cache-resident
         // shape the flag tree's clone-apply-drop edges have.
         const int reps = std::max(
             256, static_cast<int>(2'000'000 /
                                   std::max<size_t>(
                                       1, m.instructionCount())));
-        const int batch = 1;
 
         double clone_ms = 1e300, destroy_ms = 1e300;
         for (int trial = 0; trial < 3; ++trial) {
             double trial_clone = 0, trial_destroy = 0;
-            std::vector<std::unique_ptr<ir::Module>> clones;
-            clones.reserve(batch);
-            for (int done = 0; done < reps; done += batch) {
-                const int n = std::min(batch, reps - done);
+            for (int r = 0; r < reps; ++r) {
                 double t0 = nowMs();
-                for (int r = 0; r < n; ++r)
-                    clones.push_back(m.clone());
+                auto clone = m.clone();
                 double t1 = nowMs();
-                clones.clear();
+                clone.reset();
                 trial_clone += t1 - t0;
                 trial_destroy += nowMs() - t1;
             }
@@ -121,14 +101,10 @@ main()
 
         const double total_ms = clone_ms + destroy_ms;
         const double per_sec = reps / total_ms * 1000.0;
-        std::printf("%-30s %7zu %9zu %11.0f %9.2f %9.2f %7.1fx\n",
-                    p.label, m.instructionCount(), m.arenaBytes(),
-                    per_sec, clone_ms * 1000.0 / reps,
-                    destroy_ms * 1000.0 / reps,
-                    per_sec / p.seedClonesPerSec);
+        std::printf("%-30s %7zu %9zu %11.0f %9.2f %9.2f\n", p.label,
+                    m.instructionCount(), m.arenaBytes(), per_sec,
+                    clone_ms * 1000.0 / reps,
+                    destroy_ms * 1000.0 / reps);
     }
-
-    std::printf("\n(seed column: heap-backed IR at commit 6f21584; "
-                "clone+destroy combined.)\n");
     return 0;
 }

@@ -89,8 +89,9 @@ class Parser
     // before the stack overflows (even ungoverned); the governed cap
     // (Dim::ParseDepth) lets a budget reject far shallower with a
     // structured ResourceExhausted. Depth counts statement and
-    // expression levels combined.
-    static constexpr int kMaxNesting = 1024;
+    // expression levels combined. 256 stays reachable under ASan, whose
+    // larger frames overflow an 8 MB stack at about 1000 paren levels.
+    static constexpr int kMaxNesting = 256;
     struct NestingGuard
     {
         Parser &p;

@@ -2,10 +2,10 @@
 
 #include <array>
 #include <cmath>
-#include <cstdint>
-#include <cstring>
 #include <stdexcept>
 #include <unordered_map>
+
+#include "ir/interp_batch.h"
 
 namespace gsopt::ir {
 
@@ -24,9 +24,9 @@ lane(const LaneVector &v, size_t i)
 }
 
 // ===================================================================
-// Map-based reference interpreter (the original engine). Kept verbatim
-// as the golden baseline for the slot-indexed engine below, and as the
-// fallback for hand-assembled modules with non-dense ids.
+// Map-based reference interpreter: the independent golden baseline for
+// the batched engine, and its scalar fallback for hand-assembled
+// modules with non-dense ids and BatchFallback shapes.
 // ===================================================================
 
 class MapInterpreter
@@ -477,109 +477,6 @@ class MapInterpreter
     governor::StepMeter meter_{governor::Dim::InterpSteps, "interp"};
 };
 
-// ===================================================================
-// Slot-indexed interpreter.
-// ===================================================================
-
-/**
- * Small-buffer lane storage: up to 4 lanes inline (every GLSL SSA value
- * fits), larger sizes (array/matrix var memory) spill to the heap.
- * Copying a small value is a handful of stores — no allocation.
- */
-class Lanes
-{
-  public:
-    static constexpr size_t kInline = 4;
-
-    Lanes() = default;
-
-    size_t size() const { return n_; }
-    bool empty() const { return n_ == 0; }
-
-    double *data() { return n_ <= kInline ? inline_ : heap_.data(); }
-    const double *data() const
-    {
-        return n_ <= kInline ? inline_ : heap_.data();
-    }
-
-    double operator[](size_t i) const { return data()[i]; }
-    double &operator[](size_t i) { return data()[i]; }
-
-    /** Grow/shrink, preserving existing lanes; new lanes get @p fill. */
-    void resize(size_t n, double fill = 0.0)
-    {
-        if (n > kInline) {
-            if (n_ <= kInline)
-                heap_.assign(inline_, inline_ + n_);
-            heap_.resize(n, fill);
-        } else {
-            if (n_ > kInline) {
-                for (size_t i = 0; i < n; ++i)
-                    inline_[i] = heap_[i];
-                heap_.clear();
-            } else {
-                for (size_t i = n_; i < n; ++i)
-                    inline_[i] = fill;
-            }
-        }
-        n_ = static_cast<uint32_t>(n);
-    }
-
-    /** All @p n lanes set to @p v. */
-    void assign(size_t n, double v)
-    {
-        if (n > kInline) {
-            heap_.assign(n, v);
-        } else {
-            heap_.clear();
-            for (size_t i = 0; i < n; ++i)
-                inline_[i] = v;
-        }
-        n_ = static_cast<uint32_t>(n);
-    }
-
-    void assignFrom(const double *src, size_t n)
-    {
-        if (n > kInline) {
-            heap_.assign(src, src + n);
-        } else {
-            heap_.clear();
-            for (size_t i = 0; i < n; ++i)
-                inline_[i] = src[i];
-        }
-        n_ = static_cast<uint32_t>(n);
-    }
-
-    bool equals(const Lanes &o) const
-    {
-        if (n_ != o.n_)
-            return false;
-        const double *a = data(), *b = o.data();
-        for (size_t i = 0; i < n_; ++i) {
-            if (a[i] != b[i])
-                return false;
-        }
-        return true;
-    }
-
-  private:
-    uint32_t n_ = 0;
-    double inline_[kInline];
-    std::vector<double> heap_; ///< engaged only when n_ > kInline
-};
-
-/** Broadcast read over Lanes; modulo wrap hoisted off the hot paths. */
-double
-lane(const Lanes &v, size_t i)
-{
-    const size_t n = v.size();
-    if (n == 0)
-        return 0.0;
-    if (n == 1)
-        return v[0];
-    return i < n ? v[i] : v[i % n];
-}
-
 /**
  * Dense indexing is only valid when every Instr::id came from
  * Module::nextId() (ids unique, below idBound()) and every referenced
@@ -642,526 +539,6 @@ denseIdsUsable(const Module &module)
 
 } // namespace detail
 
-namespace {
-
-class SlotInterpreter
-{
-  public:
-    SlotInterpreter(const Module &module, const InterpEnv &env)
-        : module_(module), env_(env)
-    {
-        regs_.resize(static_cast<size_t>(module.idBound()));
-        defined_.assign(static_cast<size_t>(module.idBound()), 0);
-        memory_.resize(module.vars.size());
-        textures_.assign(module.vars.size(), nullptr);
-        for (const auto &v : module_.vars)
-            initVar(*v);
-    }
-
-    InterpResult run()
-    {
-        execRegion(module_.body);
-        meter_.flush(); // enforce sub-4096 budgets before returning
-        InterpResult result;
-        result.discarded = discarded_;
-        result.executedInstructions = executed_;
-        for (const auto &v : module_.vars) {
-            if (v->kind == VarKind::Output) {
-                const Lanes &mem = memory_[static_cast<size_t>(v->id)];
-                result.outputs[v->name] =
-                    LaneVector(mem.data(), mem.data() + mem.size());
-            }
-        }
-        return result;
-    }
-
-  private:
-    void initVar(const Var &v)
-    {
-        const int comp = v.type.isArray()
-                             ? v.type.arraySize *
-                                   v.type.elementType().componentCount()
-                             : v.type.componentCount();
-        Lanes &init = memory_[static_cast<size_t>(v.id)];
-        init.assign(static_cast<size_t>(comp), 0.0);
-        switch (v.kind) {
-          case VarKind::Input: {
-            auto it = env_.inputs.find(v.name);
-            if (it != env_.inputs.end()) {
-                for (size_t i = 0; i < init.size(); ++i)
-                    init[i] = lane(it->second, i);
-            } else {
-                init.assign(init.size(), 0.5);
-            }
-            break;
-          }
-          case VarKind::Uniform: {
-            auto it = env_.uniforms.find(v.name);
-            if (it != env_.uniforms.end()) {
-                for (size_t i = 0; i < init.size(); ++i)
-                    init[i] = lane(it->second, i);
-            } else {
-                init.assign(init.size(), 0.5);
-            }
-            break;
-          }
-          case VarKind::ConstArray:
-            init.assignFrom(v.constInit.data(), v.constInit.size());
-            break;
-          case VarKind::Sampler: {
-            auto it = env_.textures.find(v.name);
-            if (it != env_.textures.end())
-                textures_[static_cast<size_t>(v.id)] = &it->second;
-            break;
-          }
-          default:
-            break;
-        }
-    }
-
-    const Lanes &value(const Instr *i)
-    {
-        const size_t slot = static_cast<size_t>(i->id);
-        if (slot >= regs_.size() || !defined_[slot])
-            throw std::runtime_error("interp: use of unevaluated value");
-        return regs_[slot];
-    }
-
-    /** The output slot of @p i, marked defined. Never aliases an
-     * operand slot (an instruction cannot be its own operand in
-     * verified IR). */
-    Lanes &define(const Instr &i)
-    {
-        const size_t slot = static_cast<size_t>(i.id);
-        defined_[slot] = 1;
-        return regs_[slot];
-    }
-
-    void execRegion(const Region &region)
-    {
-        if (discarded_)
-            return;
-        for (const auto &node : region.nodes) {
-            if (discarded_)
-                return;
-            if (const auto *b = dyn_cast<Block>(node.get())) {
-                for (const auto &i : b->instrs) {
-                    execInstr(*i);
-                    if (discarded_)
-                        return;
-                }
-            } else if (const auto *f = dyn_cast<IfNode>(node.get())) {
-                bool cond = value(f->cond)[0] != 0.0;
-                execRegion(cond ? f->thenRegion : f->elseRegion);
-            } else if (const auto *l = dyn_cast<LoopNode>(node.get())) {
-                execLoop(*l);
-            }
-        }
-    }
-
-    void execLoop(const LoopNode &l)
-    {
-        if (l.canonical) {
-            Lanes &counter = memory_[static_cast<size_t>(l.counter->id)];
-            counter.assign(1, 0.0);
-            for (long v = l.init; v < l.limit; v += l.step) {
-                counter[0] = static_cast<double>(v);
-                execRegion(l.body);
-                if (discarded_)
-                    return;
-            }
-            return;
-        }
-        detail::LoopGuard guard(env_.maxLoopIterations);
-        for (;;) {
-            execRegion(l.condRegion);
-            if (discarded_)
-                return;
-            if (value(l.condValue)[0] == 0.0)
-                break;
-            execRegion(l.body);
-            if (discarded_)
-                return;
-            guard.tick();
-        }
-    }
-
-    void execInstr(const Instr &i)
-    {
-        ++executed_;
-        meter_.tick();
-        auto arg = [&](size_t k) -> const Lanes & {
-            return value(i.operands[k]);
-        };
-        auto setScalar = [&](double v) { define(i).assign(1, v); };
-        auto cw1 = [&](double (*fn)(double)) {
-            const Lanes &a = arg(0);
-            Lanes &out = define(i);
-            const size_t n = a.size();
-            out.resize(n);
-            const double *s = a.data();
-            double *d = out.data();
-            for (size_t k = 0; k < n; ++k)
-                d[k] = fn(s[k]);
-        };
-        auto cw2 = [&](double (*fn)(double, double)) {
-            const Lanes &a = arg(0);
-            const Lanes &b = arg(1);
-            const size_t n = std::max(a.size(), b.size());
-            Lanes &out = define(i);
-            out.resize(n);
-            double *d = out.data();
-            for (size_t k = 0; k < n; ++k)
-                d[k] = fn(lane(a, k), lane(b, k));
-        };
-
-        switch (i.op) {
-          case Opcode::Const:
-            define(i).assignFrom(i.constData.data(), i.constData.size());
-            break;
-          case Opcode::Neg:
-            cw1(+[](double a) { return -a; });
-            break;
-          case Opcode::Not:
-            cw1(+[](double a) { return a == 0.0 ? 1.0 : 0.0; });
-            break;
-          case Opcode::Add:
-            cw2(+[](double a, double b) { return a + b; });
-            break;
-          case Opcode::Sub:
-            cw2(+[](double a, double b) { return a - b; });
-            break;
-          case Opcode::Mul:
-            cw2(+[](double a, double b) { return a * b; });
-            break;
-          case Opcode::Div:
-            if (i.type.isInt()) {
-                cw2(+[](double a, double b) {
-                    return b != 0.0 ? std::trunc(a / b) : 0.0;
-                });
-            } else {
-                cw2(+[](double a, double b) { return a / b; });
-            }
-            break;
-          case Opcode::Mod:
-            cw2(+[](double a, double b) {
-                return b != 0.0 ? a - b * std::floor(a / b) : 0.0;
-            });
-            break;
-          case Opcode::Lt:
-            setScalar(arg(0)[0] < arg(1)[0] ? 1.0 : 0.0);
-            break;
-          case Opcode::Le:
-            setScalar(arg(0)[0] <= arg(1)[0] ? 1.0 : 0.0);
-            break;
-          case Opcode::Gt:
-            setScalar(arg(0)[0] > arg(1)[0] ? 1.0 : 0.0);
-            break;
-          case Opcode::Ge:
-            setScalar(arg(0)[0] >= arg(1)[0] ? 1.0 : 0.0);
-            break;
-          case Opcode::Eq:
-            setScalar(arg(0).equals(arg(1)) ? 1.0 : 0.0);
-            break;
-          case Opcode::Ne:
-            setScalar(!arg(0).equals(arg(1)) ? 1.0 : 0.0);
-            break;
-          case Opcode::LogicalAnd:
-            setScalar(arg(0)[0] != 0.0 && arg(1)[0] != 0.0 ? 1.0 : 0.0);
-            break;
-          case Opcode::LogicalOr:
-            setScalar(arg(0)[0] != 0.0 || arg(1)[0] != 0.0 ? 1.0 : 0.0);
-            break;
-          case Opcode::Sin: cw1(+[](double a) { return std::sin(a); }); break;
-          case Opcode::Cos: cw1(+[](double a) { return std::cos(a); }); break;
-          case Opcode::Tan: cw1(+[](double a) { return std::tan(a); }); break;
-          case Opcode::Asin: cw1(+[](double a) { return std::asin(a); }); break;
-          case Opcode::Acos: cw1(+[](double a) { return std::acos(a); }); break;
-          case Opcode::Atan: cw1(+[](double a) { return std::atan(a); }); break;
-          case Opcode::Exp: cw1(+[](double a) { return std::exp(a); }); break;
-          case Opcode::Log: cw1(+[](double a) { return std::log(a); }); break;
-          case Opcode::Exp2: cw1(+[](double a) { return std::exp2(a); }); break;
-          case Opcode::Log2: cw1(+[](double a) { return std::log2(a); }); break;
-          case Opcode::Sqrt: cw1(+[](double a) { return std::sqrt(a); }); break;
-          case Opcode::InvSqrt:
-            cw1(+[](double a) { return 1.0 / std::sqrt(a); });
-            break;
-          case Opcode::Abs: cw1(+[](double a) { return std::fabs(a); }); break;
-          case Opcode::Sign:
-            cw1(+[](double a) {
-                return a > 0.0 ? 1.0 : a < 0.0 ? -1.0 : 0.0;
-            });
-            break;
-          case Opcode::Floor: cw1(+[](double a) { return std::floor(a); }); break;
-          case Opcode::Ceil: cw1(+[](double a) { return std::ceil(a); }); break;
-          case Opcode::Fract:
-            cw1(+[](double a) { return a - std::floor(a); });
-            break;
-          case Opcode::Radians:
-            cw1(+[](double a) { return a * M_PI / 180.0; });
-            break;
-          case Opcode::Degrees:
-            cw1(+[](double a) { return a * 180.0 / M_PI; });
-            break;
-          case Opcode::Atan2:
-            cw2(+[](double y, double x) { return std::atan2(y, x); });
-            break;
-          case Opcode::Pow:
-            cw2(+[](double a, double b) { return std::pow(a, b); });
-            break;
-          case Opcode::Min:
-            cw2(+[](double a, double b) { return std::min(a, b); });
-            break;
-          case Opcode::Max:
-            cw2(+[](double a, double b) { return std::max(a, b); });
-            break;
-          case Opcode::Step:
-            cw2(+[](double e, double x) { return x < e ? 0.0 : 1.0; });
-            break;
-          case Opcode::Normalize: {
-            const Lanes &a = arg(0);
-            Lanes &out = define(i);
-            const size_t n = a.size();
-            out.resize(n);
-            double *d = out.data();
-            const double *s = a.data();
-            double len = 0.0;
-            for (size_t k = 0; k < n; ++k)
-                len += s[k] * s[k];
-            len = std::sqrt(len);
-            if (len > 0.0) {
-                for (size_t k = 0; k < n; ++k)
-                    d[k] = s[k] / len;
-            } else {
-                for (size_t k = 0; k < n; ++k)
-                    d[k] = s[k];
-            }
-            break;
-          }
-          case Opcode::Length: {
-            const Lanes &a = arg(0);
-            double len = 0.0;
-            for (size_t k = 0; k < a.size(); ++k)
-                len += a[k] * a[k];
-            setScalar(std::sqrt(len));
-            break;
-          }
-          case Opcode::Distance: {
-            const Lanes &a = arg(0);
-            const Lanes &b = arg(1);
-            double len = 0.0;
-            for (size_t k = 0; k < a.size(); ++k) {
-                double d = a[k] - lane(b, k);
-                len += d * d;
-            }
-            setScalar(std::sqrt(len));
-            break;
-          }
-          case Opcode::Dot: {
-            const Lanes &a = arg(0);
-            const Lanes &b = arg(1);
-            double sum = 0.0;
-            for (size_t k = 0; k < a.size(); ++k)
-                sum += a[k] * lane(b, k);
-            setScalar(sum);
-            break;
-          }
-          case Opcode::Cross: {
-            const Lanes &a = arg(0);
-            const Lanes &b = arg(1);
-            const double x = a[1] * b[2] - a[2] * b[1];
-            const double y = a[2] * b[0] - a[0] * b[2];
-            const double z = a[0] * b[1] - a[1] * b[0];
-            Lanes &out = define(i);
-            out.resize(3);
-            out[0] = x;
-            out[1] = y;
-            out[2] = z;
-            break;
-          }
-          case Opcode::Reflect: {
-            const Lanes &v = arg(0);
-            const Lanes &n = arg(1);
-            double d = 0.0;
-            for (size_t k = 0; k < v.size(); ++k)
-                d += v[k] * lane(n, k);
-            Lanes &out = define(i);
-            out.resize(v.size());
-            for (size_t k = 0; k < v.size(); ++k)
-                out[k] = v[k] - 2.0 * d * lane(n, k);
-            break;
-          }
-          case Opcode::Refract: {
-            const Lanes &v = arg(0);
-            const Lanes &n = arg(1);
-            double eta = arg(2)[0];
-            double d = 0.0;
-            for (size_t k = 0; k < v.size(); ++k)
-                d += v[k] * lane(n, k);
-            double k_val = 1.0 - eta * eta * (1.0 - d * d);
-            Lanes &out = define(i);
-            out.assign(v.size(), 0.0);
-            if (k_val >= 0.0) {
-                double coeff = eta * d + std::sqrt(k_val);
-                for (size_t k = 0; k < v.size(); ++k)
-                    out[k] = eta * v[k] - coeff * lane(n, k);
-            }
-            break;
-          }
-          case Opcode::Clamp: {
-            const Lanes &a = arg(0);
-            const Lanes &lo = arg(1);
-            const Lanes &hi = arg(2);
-            Lanes &out = define(i);
-            out.resize(a.size());
-            for (size_t k = 0; k < a.size(); ++k)
-                out[k] = std::min(std::max(a[k], lane(lo, k)),
-                                  lane(hi, k));
-            break;
-          }
-          case Opcode::Mix: {
-            const Lanes &a = arg(0);
-            const Lanes &b = arg(1);
-            const Lanes &t = arg(2);
-            Lanes &out = define(i);
-            out.resize(a.size());
-            for (size_t k = 0; k < a.size(); ++k) {
-                double tk = lane(t, k);
-                out[k] = a[k] * (1.0 - tk) + lane(b, k) * tk;
-            }
-            break;
-          }
-          case Opcode::Smoothstep: {
-            const Lanes &e0v = arg(0);
-            const Lanes &e1v = arg(1);
-            const Lanes &x = arg(2);
-            Lanes &out = define(i);
-            out.resize(x.size());
-            for (size_t k = 0; k < x.size(); ++k) {
-                double e0 = lane(e0v, k), e1 = lane(e1v, k);
-                double t = e1 != e0 ? (x[k] - e0) / (e1 - e0) : 0.0;
-                t = std::min(std::max(t, 0.0), 1.0);
-                out[k] = t * t * (3.0 - 2.0 * t);
-            }
-            break;
-          }
-          case Opcode::Select: {
-            const Lanes &src = arg(0)[0] != 0.0 ? arg(1) : arg(2);
-            define(i) = src;
-            break;
-          }
-          case Opcode::Construct: {
-            // Gather operand lanes (may momentarily exceed 4 before
-            // truncation, e.g. vec3(v4.xyz) shapes).
-            Lanes tmp;
-            size_t total = 0;
-            for (const Instr *op : i.operands) {
-                const Lanes &v = value(op);
-                tmp.resize(total + v.size());
-                for (size_t k = 0; k < v.size(); ++k)
-                    tmp[total + k] = v[k];
-                total += v.size();
-            }
-            const size_t want =
-                static_cast<size_t>(i.type.componentCount());
-            Lanes &out = define(i);
-            if (total == 1 && want > 1) {
-                out.assign(want, tmp[0]);
-            } else {
-                out = tmp;
-                out.resize(want, 0.0);
-            }
-            // int(x) truncates toward zero (see the reference engine).
-            if (i.type.isInt()) {
-                for (size_t k = 0; k < out.size(); ++k)
-                    out[k] = std::trunc(out[k]);
-            }
-            break;
-          }
-          case Opcode::Extract:
-            setScalar(arg(0)[static_cast<size_t>(i.indices[0])]);
-            break;
-          case Opcode::Insert: {
-            const double v = arg(1)[0];
-            Lanes &out = define(i);
-            out = arg(0);
-            out[static_cast<size_t>(i.indices[0])] = v;
-            break;
-          }
-          case Opcode::Swizzle: {
-            const Lanes &a = arg(0);
-            double tmp[4];
-            const size_t n = i.indices.size();
-            for (size_t k = 0; k < n && k < 4; ++k)
-                tmp[k] = a[static_cast<size_t>(i.indices[k])];
-            define(i).assignFrom(tmp, std::min<size_t>(n, 4));
-            break;
-          }
-          case Opcode::Texture:
-          case Opcode::TextureBias:
-          case Opcode::TextureLod: {
-            const Lanes &coord = arg(0);
-            double lod = i.operands.size() > 1 ? arg(1)[0] : 0.0;
-            const TextureFn *fn =
-                textures_[static_cast<size_t>(i.var->id)];
-            auto rgba = fn ? (*fn)(coord[0], lane(coord, 1), lod)
-                           : defaultTexture(coord[0], lane(coord, 1),
-                                            lod);
-            define(i).assignFrom(rgba.data(), rgba.size());
-            break;
-          }
-          case Opcode::LoadVar:
-            define(i) = memory_[static_cast<size_t>(i.var->id)];
-            break;
-          case Opcode::StoreVar:
-            memory_[static_cast<size_t>(i.var->id)] = arg(0);
-            break;
-          case Opcode::LoadElem: {
-            const Lanes &mem = memory_[static_cast<size_t>(i.var->id)];
-            const int comp = i.type.componentCount();
-            long idx = static_cast<long>(arg(0)[0]);
-            Lanes &out = define(i);
-            out.assign(static_cast<size_t>(comp), 0.0);
-            size_t off = static_cast<size_t>(idx) *
-                         static_cast<size_t>(comp);
-            for (int k = 0; k < comp; ++k) {
-                size_t p = off + static_cast<size_t>(k);
-                if (p < mem.size())
-                    out[static_cast<size_t>(k)] = mem[p];
-            }
-            break;
-          }
-          case Opcode::StoreElem: {
-            Lanes &mem = memory_[static_cast<size_t>(i.var->id)];
-            const Lanes &val = arg(1);
-            long idx = static_cast<long>(arg(0)[0]);
-            size_t off = static_cast<size_t>(idx) * val.size();
-            for (size_t k = 0; k < val.size(); ++k) {
-                size_t p = off + k;
-                if (p < mem.size())
-                    mem[p] = val[k];
-            }
-            break;
-          }
-          case Opcode::Discard:
-            discarded_ = true;
-            break;
-        }
-    }
-
-    const Module &module_;
-    const InterpEnv &env_;
-    std::vector<Lanes> regs_;      ///< register file, slot = Instr::id
-    std::vector<uint8_t> defined_; ///< per-slot "has been evaluated"
-    std::vector<Lanes> memory_;    ///< var storage, index = Var::id
-    std::vector<const TextureFn *> textures_; ///< resolved per sampler
-    bool discarded_ = false;
-    size_t executed_ = 0;
-    governor::StepMeter meter_{governor::Dim::InterpSteps, "interp"};
-};
-
-} // namespace
-
 std::array<double, 4>
 defaultTexture(double u, double v, double lod)
 {
@@ -1177,9 +554,7 @@ defaultTexture(double u, double v, double lod)
 InterpResult
 interpret(const Module &module, const InterpEnv &env)
 {
-    if (!detail::denseIdsUsable(module))
-        return MapInterpreter(module, env).run();
-    return SlotInterpreter(module, env).run();
+    return interpretBatch(module, BatchEnv::broadcast(env, 1)).laneResult(0);
 }
 
 InterpResult

@@ -1,6 +1,6 @@
 /**
  * @file
- * Reference interpreter for IR modules.
+ * Scalar interpreter entry points for IR modules.
  *
  * Executes a shader module for one fragment given concrete input,
  * uniform, and texture bindings, producing the values of all output
@@ -8,6 +8,12 @@
  * correctness: for every pass (and every combination of passes), the
  * optimised module must compute the same outputs as the original, up to
  * floating-point reassociation tolerance.
+ *
+ * Two engines implement the IR semantics: the batched SoA engine
+ * (ir/interp_batch.h), of which interpret() runs one lane, and the
+ * small map-based engine behind interpretReference(), which is the
+ * independent reference the batched engine is pinned against and its
+ * scalar fallback.
  */
 #ifndef GSOPT_IR_INTERP_H
 #define GSOPT_IR_INTERP_H
@@ -66,22 +72,24 @@ std::array<double, 4> defaultTexture(double u, double v, double lod);
  * component (the measurement framework's auto-initialisation rule);
  * missing samplers use defaultTexture.
  *
- * Implementation: SSA values live in a dense slot-indexed register file
- * (one slot per Instr::id, small-buffer lane storage — GLSL values are
- * at most 4 components, so the hot path never heap-allocates), and var
- * memory is a dense table indexed by Var::id. Modules whose ids did not
- * come from Module::nextId()/newVar (hand-assembled test IR) fall back
- * to the map-based reference engine automatically.
+ * Implementation: one lane of the batched engine — a width-1
+ * BatchRunner over BatchEnv::broadcast(env, 1), returning lane 0.
+ * Modules whose ids did not come from Module::nextId()/newVar
+ * (hand-assembled test IR) fall back to the map-based reference engine
+ * automatically.
  *
  * Throws std::runtime_error on malformed modules or runaway loops.
  */
 InterpResult interpret(const Module &module, const InterpEnv &env);
 
 /**
- * The original map-based interpreter (`unordered_map<const Instr*,
- * LaneVector>` value storage). Kept as the golden reference: the
- * slot-indexed engine must produce bit-identical outputs, and the
- * equivalence test suite pins that.
+ * The map-based interpreter (`unordered_map<const Instr*, LaneVector>`
+ * value storage). It shares no code with the batched engine beyond
+ * LoopGuard, the step meter and defaultTexture, so it serves as the
+ * independent golden reference: every batched lane must match it bit
+ * for bit (outputs, discard flag, executed-instruction count), and the
+ * golden and fuzz suites pin that. It is also the batched engine's
+ * scalar fallback.
  */
 InterpResult interpretReference(const Module &module,
                                 const InterpEnv &env);
@@ -90,16 +98,15 @@ namespace detail {
 /**
  * True when dense slot indexing is valid for @p module: every Instr::id
  * unique and below idBound(), every referenced Var at vars[Var::id].
- * Shared by the slot engine's dispatch and the batched SoA engine
- * (ir/interp_batch.h), which both fall back to the map engine when it
- * fails.
+ * The batched SoA engine (ir/interp_batch.h) checks it once per
+ * runner and falls back to the map engine when it fails.
  */
 bool denseIdsUsable(const Module &module);
 
 /**
  * The shared runaway-guard for generic (non-canonical) loops, used by
- * all three engines (map, slot, batched SoA) — one implementation
- * instead of per-engine copies. It enforces the legacy per-loop
+ * both engines (map and batched SoA) — one implementation instead of
+ * per-engine copies. It enforces the legacy per-loop
  * InterpEnv::maxLoopIterations trip cap (kept working as an alias of
  * the old hard-coded guards) and re-checks the governed wall-clock
  * deadline on every trip, so a slow loop cannot outrun

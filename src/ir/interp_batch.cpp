@@ -26,7 +26,7 @@ static_assert(kMaxBatchWidth <= 32, "Mask is uint32_t");
  * Raised for the rare module shapes the SoA layout cannot represent
  * (per-lane divergent variable resizes, whole-array LoadVar). The
  * runner catches it and re-executes the batch lane-by-lane on the
- * scalar engine, so callers never see it.
+ * map reference engine, so callers never see it.
  */
 struct BatchFallback : std::runtime_error
 {
@@ -152,7 +152,7 @@ class Engine
         return regs_.get() + slot * kStride * W;
     }
 
-    /** Strip of component c of a value (ptr, n), with the scalar
+    /** Strip of component c of a value (ptr, n), with the reference
      * engine's broadcast/wrap rule; empty values read as zero. */
     const double *comp(const double *p, size_t n, size_t c) const
     {
@@ -255,8 +255,8 @@ class Engine
                 laneExec_[l] += runLen * on;
                 lanes += on;
             }
-            // Governed work is the per-lane sum, matching the scalar
-            // engines' per-instruction charge, amortised per run.
+            // Governed work is the per-lane sum, matching the map
+            // engine's per-instruction charge, amortised per run.
             meter_->tick(runLen * lanes);
             runLen = 0;
         };
@@ -781,7 +781,7 @@ class Engine
                         simd::broadcast<W>(d + c * W, 0.0);
                 }
             }
-            // int(x) truncates toward zero (see the scalar engines).
+            // int(x) truncates toward zero (see the map engine).
             if (i.type.isInt()) {
                 for (size_t c = 0; c < want; ++c)
                     simd::apply<W>(d + c * W, [](double a) {
@@ -842,7 +842,7 @@ class Engine
                 textures_[static_cast<size_t>(i.var->id)];
             double *d = define(i, 4);
             // Masked: a user texture callback must only observe the
-            // lanes the scalar engine would have sampled.
+            // lanes the map engine would have sampled.
             for (size_t l = 0; l < W; ++l) {
                 if (!((m >> l) & 1u))
                     continue;
@@ -973,11 +973,12 @@ class Engine
     std::vector<const TextureFn *> textures_;
 };
 
-/** Per-lane scalar execution assembled into a BatchResult — the
- * fallback for non-dense ids and BatchFallback shapes, and the shape
- * the equivalence tests compare against. */
+/** Per-lane map-reference execution assembled into a BatchResult —
+ * the fallback for non-dense ids and BatchFallback shapes. It calls
+ * interpretReference, never interpret: interpret is itself a one-lane
+ * BatchRunner, so routing the fallback through it would recurse. */
 BatchResult
-runScalarLanes(const Module &module, const BatchEnv &env)
+runReferenceLanes(const Module &module, const BatchEnv &env)
 {
     BatchResult result;
     result.width = env.width;
@@ -985,7 +986,8 @@ runScalarLanes(const Module &module, const BatchEnv &env)
     result.laneExecuted.resize(env.width);
     std::map<std::string, size_t> comps;
     for (size_t l = 0; l < env.width; ++l) {
-        const InterpResult r = interpret(module, env.laneEnv(l));
+        const InterpResult r =
+            interpretReference(module, env.laneEnv(l));
         result.discarded[l] = r.discarded ? 1 : 0;
         result.laneExecuted[l] = r.executedInstructions;
         result.executedInstructions += r.executedInstructions;
@@ -1189,14 +1191,14 @@ BatchResult
 BatchRunner::run(const BatchEnv &env)
 {
     if (!impl_->dense)
-        return runScalarLanes(impl_->module, env);
+        return runReferenceLanes(impl_->module, env);
     if (env.width > impl_->engineWidth)
         throw std::invalid_argument(
             "BatchRunner::run: env.width exceeds construction width");
     try {
         return impl_->engine->run(env);
     } catch (const BatchFallback &) {
-        return runScalarLanes(impl_->module, env);
+        return runReferenceLanes(impl_->module, env);
     }
 }
 

@@ -3,10 +3,10 @@
  * Batched SIMT interpreter: evaluate W fragment invocations of a module
  * in one pass over the instruction stream.
  *
- * The scalar engines in ir/interp.h pay the per-instruction costs —
- * region walk, opcode dispatch, register-file bookkeeping — once per
- * invocation. The measurement protocol and the differential fuzzer are
- * inherently wide (a 500x500 draw is 250,000 invocations of the same
+ * A scalar engine pays the per-instruction costs — region walk,
+ * opcode dispatch, register-file bookkeeping — once per invocation.
+ * The measurement protocol and the differential fuzzer are inherently
+ * wide (a 500x500 draw is 250,000 invocations of the same
  * module; a fuzz seed probes many environments per variant), so this
  * engine restructures the register file as structure-of-arrays over W
  * invocations ("lanes"): each (Instr::id, component) owns one
@@ -20,15 +20,20 @@
  * loops iterate while any lane's condition holds with exited lanes
  * masked off, and `discard` removes lanes from every enclosing mask
  * permanently — a discarded lane's variable memory freezes exactly
- * where the scalar engine stopped executing. Pure value computations
- * run full-width (inactive lanes compute unobserved garbage, which is
- * safe over IEEE doubles); only side effects — variable stores, texture
- * callbacks, discard, the dynamic instruction count — are masked.
+ * where a scalar run of that lane stopped executing. Pure value
+ * computations run full-width (inactive lanes compute unobserved
+ * garbage, which is safe over IEEE doubles); only side effects —
+ * variable stores, texture callbacks, discard, the dynamic instruction
+ * count — are masked.
+ *
+ * This is also the scalar engine: `ir::interpret()` is one width-1
+ * lane of it.
  *
  * Equivalence contract: for every lane, outputs, the discard flag, and
  * the per-lane executed-instruction count are bit-identical to running
- * `ir::interpret()` on that lane's scalar environment. The golden and
- * fuzz suites pin this across the corpus and the full pass registry.
+ * the map reference `ir::interpretReference()` on that lane's scalar
+ * environment. The golden and fuzz suites pin this across the corpus
+ * and the full pass registry.
  * `InterpResult::executedInstructions` generalises to the per-lane-
  * summed dynamic count: on divergence-free shaders the batch total is
  * exactly W times the scalar count; masked-off lanes never count.
@@ -36,7 +41,7 @@
  * Modules whose ids are not dense (hand-assembled test IR) and the rare
  * shapes the SoA layout cannot represent (per-lane divergent variable
  * *resizes*, which well-typed GLSL never produces) fall back to the
- * scalar engine lane by lane; results are identical either way.
+ * map reference engine lane by lane; results are identical either way.
  */
 #ifndef GSOPT_IR_INTERP_BATCH_H
 #define GSOPT_IR_INTERP_BATCH_H
@@ -112,7 +117,7 @@ struct BatchResult
     /** Per-lane discard flags. */
     std::vector<uint8_t> discarded;
     /** Per-lane dynamic instruction counts: instructions executed while
-     * the lane was in the active mask (bit-identical to the scalar
+     * the lane was in the active mask (bit-identical to the reference
      * engine's count for that lane's environment). */
     std::vector<size_t> laneExecuted;
     /** Sum of laneExecuted: the batched generalisation of
@@ -126,8 +131,9 @@ struct BatchResult
     double output(const std::string &name, size_t comp,
                   size_t lane) const;
 
-    /** Lane @p lane reshaped as a scalar InterpResult (for comparing
-     * against ir::interpret with the lane's scalar environment). */
+    /** Lane @p lane reshaped as a scalar InterpResult (ir::interpret's
+     * result, and what the tests compare against
+     * ir::interpretReference with the lane's scalar environment). */
     InterpResult laneResult(size_t lane) const;
 };
 
@@ -149,8 +155,8 @@ class BatchRunner
     BatchRunner(const BatchRunner &) = delete;
     BatchRunner &operator=(const BatchRunner &) = delete;
 
-    /** False when the module fell back to the scalar engines (non-dense
-     * ids); results are identical, just not batched. */
+    /** False when the module fell back to the map reference engine
+     * (non-dense ids); results are identical, just not batched. */
     bool batched() const;
 
     /** Evaluate lanes [0, env.width) of @p env. env.width must not

@@ -178,8 +178,9 @@ interpretTile(const ir::Module &module,
     };
 
     if (opts.batchWidth == 0) {
-        // Scalar reference path: one interpret() per fragment, the
+        // Scalar reference path: one map-engine run per fragment, the
         // environment built once and mutated in place per fragment.
+        // Tile checks then compare two independent engines.
         ir::InterpEnv env = base;
         for (size_t f = 0; f < total; ++f) {
             double u, v;
@@ -190,7 +191,8 @@ interpretTile(const ir::Module &module,
                 if (in.comps > 1)
                     val[1] = v;
             }
-            accumulateFragment(result, ir::interpret(module, env));
+            accumulateFragment(result,
+                               ir::interpretReference(module, env));
         }
         return result;
     }

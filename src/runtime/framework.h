@@ -76,9 +76,10 @@ defaultEnvironmentCached(const glsl::ShaderInterface &iface);
 
 /**
  * Options for interpretTile: tile geometry and engine selection.
- * batchWidth 0 selects the scalar reference path (one ir::interpret
- * per fragment); any other value runs the batched SIMT engine with
- * that many lanes per batch. Both paths produce bit-identical results.
+ * batchWidth 0 selects the scalar reference path (one
+ * ir::interpretReference per fragment, the independent map engine);
+ * any other value runs the batched SIMT engine with that many lanes per
+ * batch. Both paths produce bit-identical results.
  */
 struct TileOptions
 {

@@ -9,10 +9,6 @@
 
 namespace gsopt::governor {
 
-namespace detail {
-thread_local Budget *tlBudget = nullptr;
-} // namespace detail
-
 namespace {
 
 struct DimInfo

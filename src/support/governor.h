@@ -147,7 +147,9 @@ class Budget
 };
 
 namespace detail {
-extern thread_local Budget *tlBudget;
+/** Defined inline so every TU sees the initialiser: no TLS wrapper
+ * call, which UBSan flags as a null load when a budget is absent. */
+inline thread_local Budget *tlBudget = nullptr;
 } // namespace detail
 
 /** The budget governing this thread, or nullptr (the common case). */

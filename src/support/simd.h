@@ -10,7 +10,7 @@
  * scaffolding those loops need to auto-vectorize reliably — a restrict
  * macro, a vectorization pragma, and tiny fixed-width map/copy helpers
  * that take the element functor as a template parameter so it inlines
- * into the loop body (the scalar interpreter's function-pointer
+ * into the loop body (the map interpreter's function-pointer
  * dispatch defeats that) — and nothing else. Every helper is plain
  * standard C++: on a compiler with no vector unit the pragmas expand to
  * nothing and the loops compile as scalar code, which is the fallback.

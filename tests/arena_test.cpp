@@ -7,8 +7,8 @@
  *  - a clone is storage-independent and outlives its source module;
  *  - unlinking instructions never invalidates other references
  *    (addresses are stable until the module dies);
- *  - the slot-indexed interpreter and the verifier behave identically
- *    over arena-backed IR (bit-identical to interpretReference);
+ *  - the interpreter and the verifier behave identically over
+ *    arena-backed IR (bit-identical to interpretReference);
  *  - the allocator itself: bump allocation, chunk growth, accounting,
  *    and the InlineVec fixed-capacity surface.
  */
@@ -179,7 +179,7 @@ TEST(ArenaLifetime, ModuleReportsArenaFootprint)
 
 // ------------------------------------- interp/verifier equivalence
 
-TEST(ArenaInterp, SlotEngineBitIdenticalToReferenceOverArenaIr)
+TEST(ArenaInterp, InterpretBitIdenticalToReferenceOverArenaIr)
 {
     // Focused spot-check (the exhaustive sweep lives in
     // interp_golden_test): optimized arena-backed IR must interpret

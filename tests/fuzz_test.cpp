@@ -8,11 +8,11 @@
  *      the whole extra-pass catalog (licm, strength_reduce, tex_batch),
  *      2048 combinations by default — with identical semantics vs the
  *      reference interpretation of the unoptimised shader,
- *   2. interpret identically across all three engines — the batched
- *      SIMT engine evaluates all probe environments as lanes of ONE
- *      run per distinct optimised module (the fast path), and a
- *      rotating lane is re-checked bit-identically on the slot-indexed
- *      and map-based golden engines — and
+ *   2. interpret identically on both engines — the batched SIMT
+ *      engine evaluates all probe environments as lanes of ONE run per
+ *      distinct optimised module (the fast path), and a rotating lane
+ *      is re-checked bit-identically on the map-based reference
+ *      engine — and
  *   3. round-trip through the GLSL back end into the driver path
  *      (emit, re-parse, re-interpret batched) for every distinct
  *      variant.
@@ -306,25 +306,21 @@ TEST_P(RandomShader, FullRegistryTreePreservesSemantics)
                 ir::interpretBatch(module, benv);
             check_against_reference(batch, "optimized");
 
-            // (2) tri-engine bit-identity on a rotating probe lane:
-            // slot-indexed, map-based golden, and the batched lane
-            // must agree bit-for-bit (outputs, discard, and the
-            // per-lane dynamic instruction count).
+            // (2) two-engine bit-identity on a rotating probe lane:
+            // the batched lane and the map-based reference must agree
+            // bit-for-bit (outputs, discard, and the per-lane dynamic
+            // instruction count).
             const size_t lane =
                 static_cast<size_t>(fingerprint % kProbeLanes);
-            const auto slot = ir::interpret(module, envs[lane]);
             const auto ref =
                 ir::interpretReference(module, envs[lane]);
-            ASSERT_EQ(slot.discarded, ref.discarded);
-            ASSERT_EQ(slot.outputs, ref.outputs)
-                << "slot/reference divergence, seed " << seed;
             const auto blane = batch.laneResult(lane);
-            ASSERT_EQ(blane.discarded, slot.discarded);
+            ASSERT_EQ(blane.discarded, ref.discarded);
             ASSERT_EQ(blane.executedInstructions,
-                      slot.executedInstructions)
+                      ref.executedInstructions)
                 << "batched lane count diverged, seed " << seed;
-            ASSERT_EQ(blane.outputs, slot.outputs)
-                << "batched/scalar divergence, seed " << seed
+            ASSERT_EQ(blane.outputs, ref.outputs)
+                << "batched/reference divergence, seed " << seed
                 << " lane " << lane;
 
             // (3) driver path: emit, re-parse, re-interpret batched.
@@ -426,15 +422,16 @@ TEST_P(RandomShader, RandomPlanWalkPreservesSemantics)
 
             const size_t lane =
                 static_cast<size_t>(fingerprint % kProbeLanes);
-            const auto slot = ir::interpret(module, envs[lane]);
+            const auto ref =
+                ir::interpretReference(module, envs[lane]);
             const auto blane = batch.laneResult(lane);
-            ASSERT_EQ(blane.discarded, slot.discarded);
+            ASSERT_EQ(blane.discarded, ref.discarded);
             ASSERT_EQ(blane.executedInstructions,
-                      slot.executedInstructions)
+                      ref.executedInstructions)
                 << "batched lane count diverged, seed " << seed
                 << " plan " << plan.str();
-            ASSERT_EQ(blane.outputs, slot.outputs)
-                << "batched/scalar divergence, seed " << seed
+            ASSERT_EQ(blane.outputs, ref.outputs)
+                << "batched/reference divergence, seed " << seed
                 << " plan " << plan.str() << " lane " << lane;
 
             const std::string text = emit::emitGlsl(module);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Batched SIMT interpreter tests: per-lane bit-identity against the
- * scalar engines under heavy divergence (nested ifs, discards at
+ * map reference engine under heavy divergence (nested ifs, discards at
  * different mask depths, non-uniform loop trip counts), the per-lane
  * executed-instruction semantics, width rounding and fallback paths,
  * the tile entry point, and the cached default-environment regression.
@@ -96,7 +96,7 @@ expectLaneIdentical(const ir::BatchResult &batch,
     for (size_t l = 0; l < env.width; ++l) {
         SCOPED_TRACE("lane " + std::to_string(l));
         const ir::InterpResult want =
-            ir::interpret(module, env.laneEnv(l));
+            ir::interpretReference(module, env.laneEnv(l));
         const ir::InterpResult got = batch.laneResult(l);
         ASSERT_EQ(got.discarded, want.discarded);
         ASSERT_EQ(got.executedInstructions, want.executedInstructions);
@@ -156,7 +156,7 @@ TEST(InterpBatch, ExecutedCountIsPerLaneSummed)
     const ir::BatchResult batch = ir::interpretBatch(*module, env);
 
     const size_t scalar =
-        ir::interpret(*module, env.laneEnv(0)).executedInstructions;
+        ir::interpretReference(*module, env.laneEnv(0)).executedInstructions;
     EXPECT_EQ(batch.executedInstructions, 8 * scalar);
     size_t sum = 0;
     for (size_t l = 0; l < 8; ++l) {
@@ -216,7 +216,7 @@ TEST(InterpBatch, EverySupportedWidthMatches)
 TEST(InterpBatch, NonDenseIdsFallBackToScalar)
 {
     // Hand-assembled module whose ids are deliberately not dense: the
-    // runner must report fallback and still match the scalar engine.
+    // runner must report fallback and still match the reference engine.
     ir::Module m;
     ir::Var *in = m.newVar("x", glsl::Type::floatTy(),
                            ir::VarKind::Input);

@@ -1,12 +1,13 @@
 /**
  * @file
- * Golden equivalence for the slot-indexed interpreter: across corpus
- * shaders and a sample of pass combinations, the dense-register engine
- * must produce *bit-identical* results to the map-based reference
- * implementation it replaced (same outputs, same discard behaviour,
- * same dynamic instruction count) — and the batched SIMT engine must
- * produce bit-identical per-lane results to the scalar engine on every
- * corpus shader under every combination of the full pass registry.
+ * Golden equivalence between the two interpreters: across corpus
+ * shaders and a sample of pass combinations, the one-shot
+ * `ir::interpret` (one batched lane) must produce *bit-identical*
+ * results to the map-based reference engine (same outputs, same
+ * discard behaviour, same dynamic instruction count) — and the batched
+ * SIMT engine must produce bit-identical per-lane results to the
+ * reference on every corpus shader under every combination of the full
+ * pass registry.
  */
 #include <gtest/gtest.h>
 
@@ -72,7 +73,7 @@ expectBitIdentical(const ir::InterpResult &got,
     }
 }
 
-TEST(InterpGolden, SlotEngineMatchesMapReferenceAcrossCorpus)
+TEST(InterpGolden, InterpretMatchesMapReferenceAcrossCorpus)
 {
     for (const char *name : kShaders) {
         const corpus::CorpusShader *shader = corpus::findShader(name);
@@ -115,7 +116,7 @@ TEST(InterpGolden, BatchedMatchesScalarOnEveryCorpusShaderAllCombos)
     // checked once), with 4 probe lanes spanning the default
     // environment and perturbed inputs. Each distinct module gets one
     // batched run; a lane chosen by the module's fingerprint is then
-    // re-run on the scalar slot engine and compared bit-for-bit —
+    // re-run on the map reference engine and compared bit-for-bit —
     // outputs, discard flag, and dynamic instruction count. Across the
     // corpus the rotation covers all lanes many times over.
     passes::ScopedExtraPasses extras;
@@ -154,7 +155,7 @@ TEST(InterpGolden, BatchedMatchesScalarOnEveryCorpusShaderAllCombos)
                 const size_t lane = static_cast<size_t>(fp % kLanes);
                 expectBitIdentical(
                     batch.laneResult(lane),
-                    ir::interpret(m, envs[lane]),
+                    ir::interpretReference(m, envs[lane]),
                     (shader.name + " lane " + std::to_string(lane))
                         .c_str());
                 ++modulesChecked;
@@ -168,8 +169,7 @@ TEST(InterpGolden, BatchedMatchesScalarOnEveryCorpusShaderAllCombos)
 TEST(InterpGolden, ExploredVariantsMatchOnClonedModules)
 {
     // The compile-once pipeline interprets clones; pin that a cloned
-    // module's execution is bit-identical to the original's under both
-    // engines.
+    // module's execution matches the original's reference run.
     const corpus::CorpusShader &shader = corpus::motivatingExample();
     glsl::CompiledShader cs =
         glsl::compileShader(shader.source, shader.defines);
