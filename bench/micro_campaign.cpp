@@ -1,15 +1,18 @@
 /**
  * @file
  * Campaign scaling trajectory for the sharded work-queue engine: runs
- * the same (shader x device) campaign at 1 and 2 workers plus the
- * machine default (GSOPT_THREADS / hardware_concurrency), reports
- * wall-clock per configuration, and verifies the outputs are
+ * the same campaign at 1 and 2 workers plus the machine default
+ * (GSOPT_THREADS / hardware_concurrency), reports wall-clock and driver
+ * front-end runs per configuration, and verifies the outputs are
  * bit-identical across thread counts (the engine's core invariant —
- * per-item result slots, deterministic measurement seeds).
+ * one thread owns each shader's result, deterministic measurement
+ * seeds).
  *
  * The driver compile cache is cleared before every configuration so
- * each one pays the same cold-compile work; campaign results land in
- * per-item slots, so scaling is pure scheduling.
+ * each one pays the same cold-compile work. The shader is the parallel
+ * unit (one thread explores it and runs its five device items), so no
+ * text is parsed on two threads at once: the front-end count is the
+ * same at every worker count, and scaling is pure scheduling.
  *
  * Pass --full to run the entire corpus instead of the probe set.
  */
@@ -112,6 +115,7 @@ main(int argc, char **argv)
     {
         unsigned threads;
         double wallMs;
+        uint64_t frontEndRuns;
     };
     std::vector<Run> runs;
     std::vector<tuner::ExperimentEngine> engines;
@@ -121,7 +125,8 @@ main(int argc, char **argv)
         gpu::clearDriverCache();
         const double t0 = nowMs();
         engines.emplace_back(probe, threads);
-        runs.push_back({threads, nowMs() - t0});
+        runs.push_back({threads, nowMs() - t0,
+                        gpu::driverCacheStats().frontEndRuns});
     }
 
     bool all_identical = true;
@@ -129,10 +134,12 @@ main(int argc, char **argv)
         all_identical &= identicalResults(engines[0], engines[i]);
 
     std::printf("Campaign wall-clock by worker count:\n");
-    std::printf("  %-10s %12s %10s\n", "workers", "wall", "speedup");
+    std::printf("  %-10s %12s %10s %11s\n", "workers", "wall",
+                "speedup", "front ends");
     for (const Run &r : runs) {
-        std::printf("  %-10u %9.1f ms %9.2fx%s\n", r.threads, r.wallMs,
-                    runs[0].wallMs / r.wallMs,
+        std::printf("  %-10u %9.1f ms %9.2fx %11llu%s\n", r.threads,
+                    r.wallMs, runs[0].wallMs / r.wallMs,
+                    static_cast<unsigned long long>(r.frontEndRuns),
                     r.threads == machine ? "  (machine default)" : "");
     }
     std::printf("\nCross-thread-count results: %s\n",

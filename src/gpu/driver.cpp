@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <list>
 #include <mutex>
 #include <shared_mutex>
@@ -11,6 +10,7 @@
 
 #include "emit/offline.h"
 #include "passes/passes.h"
+#include "support/env.h"
 #include "support/fault.h"
 #include "support/rng.h"
 #include "support/time.h"
@@ -65,14 +65,12 @@ std::atomic<uint64_t> cacheHits{0};
 std::atomic<uint64_t> cacheMisses{0};
 std::atomic<uint64_t> cacheCompileNs{0};
 std::atomic<uint64_t> cacheEvictions{0};
+std::atomic<uint64_t> frontEndRuns{0};
 
 /** Max entries, 0 = unbounded (the historical default). Seeded from
  * GSOPT_DRIVER_CACHE_CAP once at start-up; setDriverCacheCap after. */
-std::atomic<size_t> cacheCap{[] {
-    const char *env = std::getenv("GSOPT_DRIVER_CACHE_CAP");
-    return env ? static_cast<size_t>(std::strtoull(env, nullptr, 10))
-               : size_t{0};
-}()};
+std::atomic<size_t> cacheCap{
+    static_cast<size_t>(envInteger("GSOPT_DRIVER_CACHE_CAP", 0, 0))};
 
 /** Evict LRU entries beyond the cap. Caller holds cacheMutex unique. */
 void
@@ -125,6 +123,7 @@ frontEndIr(const std::string &glslSource, uint64_t textHash)
         if (it != irCache.end())
             return it->second->clone();
     }
+    frontEndRuns.fetch_add(1, std::memory_order_relaxed);
     auto module = canonicalIr(glslSource);
     auto result = module->clone();
     {
@@ -201,7 +200,8 @@ driverCacheStats()
     std::shared_lock lock(cacheMutex);
     return {cacheHits,      cacheMisses,
             cache.size(),   cacheCompileNs,
-            cacheEvictions, cacheCap.load(std::memory_order_relaxed)};
+            cacheEvictions, cacheCap.load(std::memory_order_relaxed),
+            frontEndRuns};
 }
 
 void
@@ -226,6 +226,7 @@ clearDriverCache()
     cacheMisses = 0;
     cacheCompileNs = 0;
     cacheEvictions = 0;
+    frontEndRuns = 0;
 }
 
 ShaderBinary

@@ -66,6 +66,10 @@ struct DriverCacheStats
     uint64_t compileNs = 0;  ///< time spent in uncached fills
     uint64_t evictions = 0;  ///< entries LRU-evicted over the cap
     uint64_t capacity = 0;   ///< current cap (0 = unbounded)
+    /** Driver front-end runs (parse, lower, first canonicalize): the
+     * cross-device IR cache's misses, one per distinct text unless
+     * two threads compile the same text at once. */
+    uint64_t frontEndRuns = 0;
 };
 
 DriverCacheStats driverCacheStats();
@@ -82,7 +86,8 @@ DriverCacheStats driverCacheStats();
  */
 void setDriverCacheCap(size_t cap);
 
-/** Drop all cached binaries and zero the stats (benchmarks only).
+/** Drop all cached binaries and IR and zero the stats (benchmarks
+ * and tests only).
  * The configured capacity is config, not a stat: it survives. */
 void clearDriverCache();
 

@@ -2,9 +2,9 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 
+#include "support/env.h"
 #include "support/time.h"
 
 namespace gsopt::governor {
@@ -27,25 +27,6 @@ constexpr DimInfo kDims[kDimCount] = {
     {"pass-steps", "GSOPT_BUDGET_PASS_STEPS"},
     {"interp-steps", "GSOPT_BUDGET_INTERP_STEPS"},
 };
-
-/** Parse a non-negative integer env var; malformed values abort loudly
- * (a silently dropped budget would let a governed CI leg prove
- * nothing — same policy as a bad GSOPT_FAULTS). */
-uint64_t
-envU64(const char *name)
-{
-    const char *env = std::getenv(name);
-    if (!env || !*env)
-        return 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end == env || *end != '\0') {
-        std::fprintf(stderr, "%s: '%s' is not a non-negative integer\n",
-                     name, env);
-        std::abort();
-    }
-    return static_cast<uint64_t>(v);
-}
 
 std::string
 exhaustedMessage(const char *dimension, const char *stage, uint64_t limit,
@@ -94,9 +75,10 @@ Caps
 Caps::fromEnv()
 {
     Caps caps;
-    caps.deadlineMs = envU64("GSOPT_DEADLINE_MS");
+    // Unset = 0 = no cap; malformed values abort (support/env.h).
+    caps.deadlineMs = envInteger("GSOPT_DEADLINE_MS", 0, 0);
     for (int i = 0; i < kDimCount; ++i)
-        caps.dim[i] = envU64(kDims[i].envVar);
+        caps.dim[i] = envInteger(kDims[i].envVar, 0, 0);
     return caps;
 }
 

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
+#include <climits>
 #include <thread>
 
+#include "support/env.h"
 #include "support/rng.h"
 
 namespace gsopt {
@@ -19,11 +20,10 @@ defaultRetryPolicy()
 {
     static const RetryPolicy policy = [] {
         RetryPolicy p;
-        if (const char *env = std::getenv("GSOPT_RETRY_ATTEMPTS")) {
-            const long n = std::strtol(env, nullptr, 10);
-            if (n >= 1)
-                p.maxAttempts = static_cast<int>(n);
-        }
+        p.maxAttempts = static_cast<int>(std::min<uint64_t>(
+            envInteger("GSOPT_RETRY_ATTEMPTS",
+                       static_cast<uint64_t>(p.maxAttempts)),
+            INT_MAX));
         return p;
     }();
     return policy;

@@ -31,7 +31,8 @@ struct RetryPolicy
 };
 
 /** The process default: RetryPolicy{} with maxAttempts overridable via
- * GSOPT_RETRY_ATTEMPTS (>= 1; 1 disables retries entirely). */
+ * GSOPT_RETRY_ATTEMPTS (a positive integer; 1 disables retries
+ * entirely; malformed values abort, see support/env.h). Read once. */
 RetryPolicy defaultRetryPolicy();
 
 /** Total backoff sleeps performed process-wide (test/report metric). */

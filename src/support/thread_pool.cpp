@@ -1,30 +1,26 @@
 #include "support/thread_pool.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "support/env.h"
 
 namespace gsopt {
 
 unsigned
 defaultThreadCount()
 {
-    if (const char *env = std::getenv("GSOPT_THREADS")) {
-        const long n = std::strtol(env, nullptr, 10);
-        if (n > 0)
-            return static_cast<unsigned>(n);
-    }
     const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? hw : 1;
+    return static_cast<unsigned>(
+        envInteger("GSOPT_THREADS", hw > 0 ? hw : 1));
 }
 
 void
 parallelFor(size_t items, unsigned threads,
-            const std::function<void(size_t)> &fn,
-            const std::function<void(size_t)> &onItemDone)
+            const std::function<void(size_t)> &fn)
 {
     if (items == 0)
         return;
@@ -34,11 +30,8 @@ parallelFor(size_t items, unsigned threads,
         threads = static_cast<unsigned>(items);
 
     if (threads <= 1) {
-        for (size_t i = 0; i < items; ++i) {
+        for (size_t i = 0; i < items; ++i)
             fn(i);
-            if (onItemDone)
-                onItemDone(i);
-        }
         return;
     }
 
@@ -56,8 +49,6 @@ parallelFor(size_t items, unsigned threads,
                 return;
             try {
                 fn(i);
-                if (onItemDone)
-                    onItemDone(i);
             } catch (...) {
                 std::lock_guard<std::mutex> lock(error_mutex);
                 if (!first_error)

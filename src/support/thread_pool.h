@@ -14,9 +14,9 @@
 namespace gsopt {
 
 /**
- * Worker count for parallel sections: GSOPT_THREADS if set to a
- * positive integer, otherwise std::thread::hardware_concurrency()
- * (minimum 1).
+ * Worker count for parallel sections: GSOPT_THREADS if set,
+ * otherwise std::thread::hardware_concurrency() (minimum 1). A value
+ * that is not a positive integer aborts (support/env.h).
  */
 unsigned defaultThreadCount();
 
@@ -29,16 +29,9 @@ unsigned defaultThreadCount();
  * or one thread runs inline with no spawn. If @p fn throws, workers
  * stop claiming new items (in-flight items finish) and the first
  * exception is rethrown after the pool joins.
- *
- * @p onItemDone, when provided, runs on the worker thread immediately
- * after fn(i) returns normally — the per-item completion hook the
- * campaign engine uses for incremental shard checkpointing. It is not
- * called for an item whose fn threw; if the hook itself throws, the
- * item counts as failed under the same first-error semantics.
  */
 void parallelFor(size_t items, unsigned threads,
-                 const std::function<void(size_t)> &fn,
-                 const std::function<void(size_t)> &onItemDone = {});
+                 const std::function<void(size_t)> &fn);
 
 } // namespace gsopt
 

@@ -23,6 +23,7 @@
 #include <unistd.h>
 
 #include "support/diag.h"
+#include "support/env.h"
 #include "support/fault.h"
 #include "support/governor.h"
 #include "support/ipc.h"
@@ -81,38 +82,17 @@ decodeUnit(std::string_view payload, WireUnit &u)
 
 // ---- knobs --------------------------------------------------------------
 
-[[noreturn]] void
-badKnob(const char *name, const char *value)
-{
-    std::fprintf(stderr, "%s: '%s' is not a positive integer\n", name,
-                 value);
-    std::abort();
-}
-
-uint64_t
-envPositive(const char *name, uint64_t fallback)
-{
-    const char *env = std::getenv(name);
-    if (!env || !*env)
-        return fallback;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end == env || *end != '\0' || v == 0)
-        badKnob(name, env);
-    return v;
-}
-
 unsigned
 defaultWorkerCount()
 {
     return static_cast<unsigned>(
-        envPositive("GSOPT_DISTRIB_WORKERS", 2));
+        envInteger("GSOPT_DISTRIB_WORKERS", 2));
 }
 
 uint64_t
 defaultLeaseMs()
 {
-    return envPositive("GSOPT_LEASE_MS", 30000);
+    return envInteger("GSOPT_LEASE_MS", 30000);
 }
 
 bool
@@ -148,8 +128,7 @@ warnDistrib(const std::string &what)
 class InProcessTransport final : public WorkerTransport
 {
   public:
-    InProcessTransport(unsigned workers, unsigned workerThreads)
-        : threads_(workerThreads == 0 ? 1 : workerThreads)
+    explicit InProcessTransport(unsigned workers)
     {
         for (unsigned w = 0; w < workers; ++w)
             slots_.push_back(std::make_unique<Slot>());
@@ -291,7 +270,7 @@ class InProcessTransport final : public WorkerTransport
             ev.unit = unit.id;
             try {
                 std::string bytes =
-                    executeUnit(unit.shader, unit.key, threads_);
+                    executeUnit(unit.shader, unit.key, 1);
                 // Simulated wire: route the delivery through the same
                 // fault sites as the pipe transport. A tear truncates
                 // the shard bytes (merge validation must catch it); a
@@ -324,7 +303,6 @@ class InProcessTransport final : public WorkerTransport
         }
     }
 
-    unsigned threads_;
     std::vector<std::unique_ptr<Slot>> slots_;
     std::mutex qm_;
     std::condition_variable qcv_;
@@ -816,7 +794,7 @@ maybeRunWorker()
 
 std::string
 executeUnit(const corpus::CorpusShader &shader, uint64_t key,
-            unsigned threads)
+            unsigned /*threads*/)
 {
     const uint64_t expected = shardKey(shader, deviceSetKey());
     if (expected != key) {
@@ -836,8 +814,7 @@ executeUnit(const corpus::CorpusShader &shader, uint64_t key,
     // admission points defer to this outer budget.
     governor::ScopedRequestBudget admission;
 
-    ExperimentEngine engine({shader},
-                            threads == 0 ? 1u : threads);
+    ExperimentEngine engine({shader}, 1);
     if (!engine.health().healthy()) {
         // A worker never publishes a partial shard; surface the first
         // structured reason and let the coordinator decide.
@@ -905,8 +882,7 @@ CampaignCoordinator::run()
     std::unique_ptr<WorkerTransport> transport =
         opts_.transport == TransportKind::Subprocess
             ? makeSubprocessTransport(opts_.workers)
-            : makeInProcessTransport(opts_.workers,
-                                     opts_.workerThreads);
+            : makeInProcessTransport(opts_.workers);
     return run(*transport);
 }
 
@@ -1244,10 +1220,10 @@ CampaignCoordinator::run(WorkerTransport &transport)
 }
 
 std::unique_ptr<WorkerTransport>
-makeInProcessTransport(unsigned workers, unsigned workerThreads)
+makeInProcessTransport(unsigned workers)
 {
     return std::make_unique<InProcessTransport>(
-        workers == 0 ? defaultWorkerCount() : workers, workerThreads);
+        workers == 0 ? defaultWorkerCount() : workers);
 }
 
 std::unique_ptr<WorkerTransport>

@@ -10,7 +10,8 @@
  * each übershader family is measured before the long tail, so family
  * priors exist early and late arrivals can be seeded instead of
  * swept), and hands them to N workers behind a WorkerTransport.
- * Workers run a fresh single-shader ExperimentEngine per unit — under
+ * Workers run a fresh single-shader ExperimentEngine per unit, which
+ * runs serially (the shader is the engine's parallel unit) — under
  * a per-unit governor::ScopedRequestBudget, so an ambient
  * GSOPT_DEADLINE_MS bounds each unit — and ship the finished shard
  * *file bytes* back: the shard file format is the wire format (see
@@ -81,10 +82,6 @@ struct Options
     uint64_t leaseMs = 0;
     /** Times a unit may be assigned before it is quarantined. */
     int maxAssignments = 3;
-    /** Thread count inside each worker's ExperimentEngine (the
-     * parallelism of the distributed campaign is across workers, so
-     * the default keeps each worker serial and deterministic). */
-    unsigned workerThreads = 1;
     /** Non-zero: deterministically shuffle the assignment order
      * (within the family-representative group and within the tail
      * separately — representatives always go first). Merge is keyed,
@@ -180,8 +177,10 @@ class WorkerTransport
     virtual void shutdown() = 0;
 };
 
+/** @p workers worker threads (0 = GSOPT_DISTRIB_WORKERS), each running
+ * one unit at a time, serially (see executeUnit). */
 std::unique_ptr<WorkerTransport>
-makeInProcessTransport(unsigned workers, unsigned workerThreads);
+makeInProcessTransport(unsigned workers);
 
 std::unique_ptr<WorkerTransport>
 makeSubprocessTransport(unsigned workers);
@@ -196,6 +195,9 @@ makeSubprocessTransport(unsigned workers);
  * return the complete shard file bytes ([key][hash][body]). Throws on
  * any failure, including a quarantined device item (a worker has no
  * business publishing a partial shard — the coordinator re-queues).
+ * The engine's parallel unit is the shader, so a unit runs serially on
+ * the calling thread: @p threads has no effect and is kept for
+ * source compatibility.
  */
 std::string executeUnit(const corpus::CorpusShader &shader,
                         uint64_t key, unsigned threads);

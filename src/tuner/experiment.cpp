@@ -1,6 +1,7 @@
 #include "tuner/experiment.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -296,7 +297,7 @@ ExperimentEngine::ExperimentEngine(
     std::error_code dir_ec;
     fs::create_directories(cacheDir, dir_ec);
 
-    // Checkpoint each shard the moment its last device item completes
+    // Checkpoint each shard the moment its shader's unit completes
     // (called from worker threads; each shader writes a distinct
     // file), so a killed campaign resumes from the shards it finished
     // instead of re-running everything.
@@ -331,30 +332,6 @@ ExperimentEngine::runShaders(
 {
     const std::vector<gpu::DeviceId> devices = gpu::allDevices();
     const size_t n_dev = devices.size();
-    const size_t n_items = indices.size() * n_dev;
-
-    // One exploration per shader, triggered by the first (shader x
-    // device) item scheduled for it; later items for the same shader
-    // block on the same once_flag instead of re-exploring.
-    std::unique_ptr<std::once_flag[]> explored(
-        new std::once_flag[indices.size()]);
-
-    // Per-item result slots: workers never append to shared state, so
-    // the campaign output is identical for any thread count and any
-    // item completion order.
-    std::vector<DeviceMeasurement> slots(n_items);
-
-    // Per-shader completion countdown (drives the incremental
-    // checkpoint) and a quarantine-free flag: only a shader whose
-    // items all completed cleanly is checkpointed.
-    std::unique_ptr<std::atomic<size_t>[]> remaining(
-        new std::atomic<size_t>[indices.size()]);
-    std::unique_ptr<std::atomic<bool>[]> clean(
-        new std::atomic<bool>[indices.size()]);
-    for (size_t si = 0; si < indices.size(); ++si) {
-        remaining[si].store(n_dev, std::memory_order_relaxed);
-        clean[si].store(true, std::memory_order_relaxed);
-    }
 
     // GSOPT_STRICT=1 restores fail-fast: the first item error aborts
     // the campaign (CI wants a loud failure, not a quarantine).
@@ -363,68 +340,19 @@ ExperimentEngine::runShaders(
     const RetryPolicy policy = defaultRetryPolicy();
 
     std::mutex health_mutex;
+    std::atomic<uint64_t> retries{0};
 
-    auto run_item = [&](size_t item) {
-        const size_t si = item / n_dev;
-        const size_t di = item % n_dev;
-        const corpus::CorpusShader &shader = shaders[indices[si]];
-        ShaderResult &r = results_[indices[si]];
-
-        // Admission control: one (shader, device) item is one governed
-        // unit of work — under an ambient GSOPT_DEADLINE_MS each item
-        // gets its own deadline, so one pathological item is
-        // quarantined instead of starving the rest of the campaign.
-        // Installed here (worker thread) rather than at the campaign
-        // entry because budgets are thread-local. A retry of the item
-        // gets a fresh budget, like any other request.
-        governor::ScopedRequestBudget admission;
-
-        fault::point("worker.item", shader.name);
-
-        std::call_once(explored[si], [&] {
-            r.exploration = exploreShader(shader);
-        });
-
-        // Drivers receive what an application would ship: the
-        // original preprocessed text (real engines preprocess
-        // übershaders before glShaderSource).
-        const std::string &original =
-            r.exploration.preprocessedOriginal;
-        const gpu::DeviceModel &device = gpu::deviceModel(devices[di]);
-
-        // Reset the slot: this may be the retry of a partially filled
-        // attempt, and the measurement protocol is deterministic, so a
-        // clean re-run reproduces the same values.
-        DeviceMeasurement &m = slots[item];
-        m = DeviceMeasurement{};
-        m.originalMeanNs =
-            runtime::measureShader(original, device,
-                                   shader.name + "/original")
-                .meanNs;
-        m.variantMeanNs.reserve(r.exploration.variants.size());
-        for (size_t v = 0; v < r.exploration.variants.size(); ++v) {
-            const auto &variant = r.exploration.variants[v];
-            m.variantMeanNs.push_back(
-                runtime::measureShader(
-                    variant.source, device,
-                    shader.name + "/v" + std::to_string(v))
-                    .meanNs);
-        }
-    };
-
-    auto quarantine_item = [&](size_t item, const char *what,
+    // Quarantine one (shader, device) item. The ShaderResult belongs
+    // to the calling unit's thread; only the campaign-wide health
+    // report is shared.
+    auto quarantine_item = [&](size_t si, size_t di, const char *what,
                                int attempts) {
-        const size_t si = item / n_dev;
-        const size_t di = item % n_dev;
-        slots[item] = DeviceMeasurement{};
-        clean[si].store(false, std::memory_order_relaxed);
-
-        std::lock_guard<std::mutex> lock(health_mutex);
+        const corpus::CorpusShader &shader = shaders[indices[si]];
         ShaderResult &r = results_[indices[si]];
         // Exploration itself may have failed; keep the result
         // addressable by name either way.
         if (r.exploration.shaderName.empty())
-            r.exploration.shaderName = shaders[indices[si]].name;
+            r.exploration.shaderName = shader.name;
         r.quarantined.insert(devices[di]);
         // The structured reason rides with the result (and, through
         // the schema-16 'Q' section, with any shard serialised from
@@ -432,7 +360,7 @@ ExperimentEngine::runShaders(
         // naming the dimension and stage.
         r.quarantineReason[devices[di]] = what;
         QuarantinedItem q;
-        q.shader = shaders[indices[si]].name;
+        q.shader = shader.name;
         q.device = devices[di];
         q.error = what;
         q.attempts = attempts;
@@ -444,61 +372,103 @@ ExperimentEngine::runShaders(
                     std::to_string(attempts) + " attempt(s): " + what;
         std::fprintf(stderr, "%s\n", d.str().c_str());
 
+        std::lock_guard<std::mutex> lock(health_mutex);
         health_.quarantined.push_back(std::move(q));
     };
 
-    uint64_t item_retries = 0;
-    std::atomic<uint64_t> retries{0};
+    // One unit per shader: it explores the shader once, then runs its
+    // device items in device order on the same thread, so no two
+    // threads ever explore, parse or compile the same shader's texts.
+    // Each unit writes only its own ShaderResult, so the campaign
+    // output is identical for any thread count and completion order.
+    parallelFor(indices.size(), threads, [&](size_t si) {
+        const corpus::CorpusShader &shader = shaders[indices[si]];
+        ShaderResult &r = results_[indices[si]];
+        bool explored = false;
+        bool clean = true;
 
-    parallelFor(
-        n_items, threads,
-        [&](size_t item) {
+        // One (shader, device) item.
+        auto run_item = [&](gpu::DeviceId dev, DeviceMeasurement &m) {
+            // Admission control: one (shader, device) item is one
+            // governed unit of work — under an ambient
+            // GSOPT_DEADLINE_MS each item gets its own deadline, so
+            // one pathological item is quarantined instead of
+            // starving the rest of the campaign. Installed here
+            // (worker thread) rather than at the campaign entry
+            // because budgets are thread-local. A retry of the item
+            // gets a fresh budget, like any other request.
+            governor::ScopedRequestBudget admission;
+
+            fault::point("worker.item", shader.name);
+
+            // The first item that gets this far explores; if
+            // exploration throws, the next attempt (or the next
+            // device's item) tries again.
+            if (!explored) {
+                r.exploration = exploreShader(shader);
+                explored = true;
+            }
+
+            // Drivers receive what an application would ship: the
+            // original preprocessed text (real engines preprocess
+            // übershaders before glShaderSource).
+            const std::string &original =
+                r.exploration.preprocessedOriginal;
+            const gpu::DeviceModel &device = gpu::deviceModel(dev);
+
+            // Reset the measurement: this may be the retry of a
+            // partially filled attempt, and the measurement protocol
+            // is deterministic, so a clean re-run reproduces the same
+            // values.
+            m = DeviceMeasurement{};
+            m.originalMeanNs =
+                runtime::measureShader(original, device,
+                                       shader.name + "/original")
+                    .meanNs;
+            m.variantMeanNs.reserve(r.exploration.variants.size());
+            for (size_t v = 0; v < r.exploration.variants.size(); ++v) {
+                const auto &variant = r.exploration.variants[v];
+                m.variantMeanNs.push_back(
+                    runtime::measureShader(
+                        variant.source, device,
+                        shader.name + "/v" + std::to_string(v))
+                        .meanNs);
+            }
+        };
+
+        for (size_t di = 0; di < n_dev; ++di) {
+            DeviceMeasurement m;
             if (strict) {
-                run_item(item);
-                return;
+                run_item(devices[di], m);
+                r.byDevice.emplace(devices[di], std::move(m));
+                continue;
             }
             int attempts = 0;
             try {
                 retryTransient(
-                    policy,
-                    shaders[indices[item / n_dev]].name + "/item",
-                    [&] { run_item(item); }, &attempts);
+                    policy, shader.name + "/item",
+                    [&] { run_item(devices[di], m); }, &attempts);
+                r.byDevice.emplace(devices[di], std::move(m));
             } catch (const std::exception &e) {
-                quarantine_item(item, e.what(), attempts);
+                quarantine_item(si, di, e.what(), attempts);
+                clean = false;
             }
             if (attempts > 1)
-                retries.fetch_add(
-                    static_cast<uint64_t>(attempts - 1),
-                    std::memory_order_relaxed);
-        },
-        [&](size_t item) {
-            // Per-item completion hook (also runs after a quarantine
-            // — the countdown must drain either way). When the last
-            // device item of a shader finishes, every other item of
-            // that shader has fully completed (the hook runs after
-            // the item body, and the countdown is sequenced after
-            // both), so assembling the result here is race-free.
-            const size_t si = item / n_dev;
-            if (remaining[si].fetch_sub(1) != 1)
-                return;
-            ShaderResult &r = results_[indices[si]];
-            for (size_t di = 0; di < n_dev; ++di) {
-                if (!r.quarantined.count(devices[di]))
-                    r.byDevice.emplace(
-                        devices[di],
-                        std::move(slots[si * n_dev + di]));
-            }
-            if (clean[si].load(std::memory_order_relaxed) &&
-                checkpoint)
-                checkpoint(indices[si]);
-        });
+                retries.fetch_add(static_cast<uint64_t>(attempts - 1),
+                                  std::memory_order_relaxed);
+        }
 
-    item_retries = retries.load(std::memory_order_relaxed);
-    health_.itemRetries += item_retries;
+        // Checkpoint only a shader whose items all completed cleanly.
+        if (clean && checkpoint)
+            checkpoint(indices[si]);
+    });
+
+    health_.itemRetries += retries.load(std::memory_order_relaxed);
     health_.itemsQuarantined =
         static_cast<uint64_t>(health_.quarantined.size());
     health_.itemsCompleted +=
-        static_cast<uint64_t>(n_items) - health_.itemsQuarantined;
+        static_cast<uint64_t>(indices.size() * n_dev) -
+        health_.itemsQuarantined;
 
     if (!health_.healthy())
         std::fprintf(stderr, "%s", health_.summary().c_str());

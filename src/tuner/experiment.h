@@ -5,10 +5,13 @@
  * the 100-frame/5-repetition timing protocol — and exposes the derived
  * quantities every figure and table needs.
  *
- * The campaign is scheduled as a work queue of (shader x device) items
- * over a std::thread pool (GSOPT_THREADS workers, default
- * hardware_concurrency); results are written to per-item slots, so the
- * output is bit-identical for any thread count.
+ * The campaign is scheduled as a work queue of shaders over a
+ * std::thread pool (GSOPT_THREADS workers, default
+ * hardware_concurrency). One thread owns a shader: it explores it once
+ * and then runs its (shader x device) items in device order. The item
+ * stays the unit of governance, retry and quarantine. Each shader's
+ * result is written by its own thread only, so the output is
+ * bit-identical for any thread count.
  *
  * Because all the benches share this campaign, the engine caches its
  * results under ./experiment_cache/ as one shard file per shader,
@@ -215,7 +218,9 @@ class ExperimentEngine
     /**
      * Run fresh with explicit options (no caching). Used by tests and
      * benches with a reduced corpus. @p threads sizes the worker pool
-     * (0 = GSOPT_THREADS / hardware_concurrency).
+     * (0 = GSOPT_THREADS / hardware_concurrency); shaders are the
+     * parallel unit, so a one-shader campaign runs serially whatever
+     * @p threads says.
      */
     explicit ExperimentEngine(
         const std::vector<corpus::CorpusShader> &shaders,
@@ -285,13 +290,14 @@ class ExperimentEngine
     ExperimentEngine() = default;
 
     /**
-     * Work-queue campaign over (shader x device) items for the listed
-     * shader indices; exploration runs once per shader (first item to
-     * need it), measurements fill per-item slots. Transient per-item
-     * failures retry with backoff; exhausted or non-transient ones are
-     * quarantined (or rethrown under GSOPT_STRICT=1). @p checkpoint,
-     * when set, is invoked with a shader index the moment all of its
-     * device items completed cleanly.
+     * Work-queue campaign over the listed shader indices, one shader
+     * per unit: the unit explores its shader once (first item to need
+     * it) and then runs the shader's (shader x device) items in device
+     * order on the same thread. Transient per-item failures retry with
+     * backoff; exhausted or non-transient ones are quarantined (or
+     * rethrown under GSOPT_STRICT=1). @p checkpoint, when set, is
+     * invoked with a shader index on the unit's thread the moment all
+     * of its device items completed cleanly.
      */
     void runShaders(const std::vector<corpus::CorpusShader> &shaders,
                     const std::vector<size_t> &indices, unsigned threads,

@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -622,6 +623,42 @@ TEST(Campaign, StrictModeRestoresFailFast)
     fault::ScopedFaultPlan plan("worker.item:1:1");
     EXPECT_THROW(tuner::ExperimentEngine(shaders, /*threads=*/1),
                  fault::TransientError);
+}
+
+TEST(Campaign, ParallelCampaignRunsEachDriverFrontEndOnce)
+{
+    // The shader is the campaign's parallel unit: one thread compiles
+    // all of a shader's texts, so a parallel campaign never parses one
+    // text on two threads at once. It does exactly the serial run's
+    // driver front-end work: one run per distinct text.
+    const fault::ScopedFaultPlan noAmbientFaults = quiesce();
+    const auto shaders = miniCorpus();
+    auto front_end_runs = [&](unsigned threads, size_t &texts) {
+        gpu::clearDriverCache();
+        tuner::ExperimentEngine engine(shaders, threads);
+        EXPECT_TRUE(engine.health().healthy());
+        const uint64_t runs = gpu::driverCacheStats().frontEndRuns;
+        std::set<std::string> distinct;
+        texts = 0;
+        for (const auto &r : engine.results()) {
+            distinct.insert(r.exploration.preprocessedOriginal);
+            for (const auto &v : r.exploration.variants)
+                distinct.insert(v.source);
+            texts += 1 + r.exploration.variants.size();
+        }
+        // No text is shared across these shaders, so the distinct
+        // texts are the originals plus the distinct variants.
+        EXPECT_EQ(distinct.size(), texts);
+        return runs;
+    };
+    size_t serial_texts = 0;
+    size_t parallel_texts = 0;
+    const uint64_t serial = front_end_runs(1, serial_texts);
+    const uint64_t parallel = front_end_runs(4, parallel_texts);
+    EXPECT_EQ(serial, serial_texts);
+    EXPECT_EQ(parallel, serial);
+    EXPECT_EQ(parallel_texts, serial_texts);
+    gpu::clearDriverCache();
 }
 
 // ------------------------------------------------- torture harness

@@ -91,6 +91,23 @@ TEST(Driver, CompileCacheHitsOnRepeatedTextDevicePairs)
     EXPECT_DOUBLE_EQ(fresh.cyclesPerFragment, a.cyclesPerFragment);
 }
 
+TEST(Driver, FrontEndRunsOncePerTextAcrossDevices)
+{
+    const std::string src =
+        "in vec2 uv; out vec4 c; void main() { c = vec4(uv.yx, 0.25, "
+        "1.0); }";
+    clearDriverCache();
+    for (DeviceId d : allDevices())
+        driverCompile(src, dev(d));
+    // Five binaries, one parse + lower + first canonicalize.
+    EXPECT_EQ(driverCacheStats().misses, allDevices().size());
+    EXPECT_EQ(driverCacheStats().frontEndRuns, 1u);
+    driverCompile(src + "\n", dev(DeviceId::Arm));
+    EXPECT_EQ(driverCacheStats().frontEndRuns, 2u);
+    clearDriverCache();
+    EXPECT_EQ(driverCacheStats().frontEndRuns, 0u);
+}
+
 bool
 sameBits(double a, double b)
 {

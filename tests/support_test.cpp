@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the support library: RNG determinism, statistics,
- * string utilities, and table rendering.
+ * string utilities, table rendering, the thread pool and the
+ * environment knobs.
  */
 #include <gtest/gtest.h>
 
@@ -10,17 +11,23 @@
 #include <cmath>
 #include <future>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "support/diag.h"
+#include "support/env.h"
+#include "support/retry.h"
 #include "support/rng.h"
 #include "support/stats.h"
 #include "support/strings.h"
 #include "support/table.h"
 #include "support/thread_pool.h"
+#include "test_scratch.h"
 
 namespace gsopt {
 namespace {
+
+using testutil::ScopedEnv;
 
 TEST(Rng, DeterministicForSameSeed)
 {
@@ -250,48 +257,89 @@ TEST(ParallelFor, ThreadedErrorAbandonsTheQueue)
     EXPECT_LE(executed.load(), 2 * threads);
 }
 
-TEST(ParallelFor, CompletionHookRunsOncePerItem)
+TEST(ParallelFor, RunsEachItemOnce)
 {
     for (unsigned threads : {1u, 4u}) {
         std::vector<std::atomic<int>> done(64);
         for (auto &d : done)
             d = 0;
-        parallelFor(
-            done.size(), threads, [](size_t) {},
-            [&](size_t i) { done[i].fetch_add(1); });
+        parallelFor(done.size(), threads,
+                    [&](size_t i) { done[i].fetch_add(1); });
         for (size_t i = 0; i < done.size(); ++i)
             EXPECT_EQ(done[i].load(), 1) << "item " << i;
     }
 }
 
-TEST(ParallelFor, CompletionHookSkippedForFailedItem)
+// ---- environment knobs ------------------------------------------------
+
+TEST(EnvKnob, UnsetOrEmptyMeansTheDefault)
 {
-    std::vector<int> done(8, 0);
-    EXPECT_THROW(parallelFor(
-                     done.size(), 1,
-                     [&](size_t i) {
-                         if (i == 5)
-                             throw std::runtime_error("no hook for 5");
-                     },
-                     [&](size_t i) { done[i] = 1; }),
-                 std::runtime_error);
-    EXPECT_EQ(done[4], 1); // completed items got their hook...
-    EXPECT_EQ(done[5], 0); // ... the failed one did not
-    EXPECT_EQ(done[6], 0); // ... and the queue was abandoned
+    unsetenv("GSOPT_TEST_KNOB");
+    EXPECT_EQ(envInteger("GSOPT_TEST_KNOB", 7), 7u);
+    ScopedEnv empty("GSOPT_TEST_KNOB", "");
+    EXPECT_EQ(envInteger("GSOPT_TEST_KNOB", 7), 7u);
 }
 
-TEST(ParallelFor, HookExceptionIsAnItemFailure)
+TEST(EnvKnob, ParsesPlainIntegersAtOrAboveTheMinimum)
 {
-    std::atomic<int> executed{0};
-    EXPECT_THROW(parallelFor(
-                     8, 1, [&](size_t) { executed.fetch_add(1); },
-                     [](size_t i) {
-                         if (i == 2)
-                             throw std::runtime_error("hook failed");
-                     }),
-                 std::runtime_error);
-    // fn ran for 0,1,2; the failing hook abandoned the rest.
-    EXPECT_EQ(executed.load(), 3);
+    {
+        ScopedEnv v("GSOPT_TEST_KNOB", "42");
+        EXPECT_EQ(envInteger("GSOPT_TEST_KNOB", 7), 42u);
+    }
+    ScopedEnv zero("GSOPT_TEST_KNOB", "0");
+    EXPECT_EQ(envInteger("GSOPT_TEST_KNOB", 7, 0), 0u);
+}
+
+TEST(EnvKnob, ThreadCountFollowsGsoptThreads)
+{
+    {
+        ScopedEnv v("GSOPT_THREADS", "3");
+        EXPECT_EQ(defaultThreadCount(), 3u);
+    }
+    // CI's default-threads leg sets GSOPT_THREADS to the empty string.
+    ScopedEnv empty("GSOPT_THREADS", "");
+    const unsigned hw = std::thread::hardware_concurrency();
+    EXPECT_EQ(defaultThreadCount(), hw > 0 ? hw : 1u);
+}
+
+// Malformed knobs abort with a message naming the variable instead of
+// being read as a prefix ("4x" -> 4) or silently replaced by the
+// default ("-1", "0", "abc"). Each death test re-runs in a fresh
+// process, so defaultRetryPolicy's read-once value is read from the
+// variable set here.
+class EnvKnobDeath : public ::testing::TestWithParam<const char *>
+{
+  protected:
+    void SetUp() override
+    {
+        ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    }
+};
+
+TEST_P(EnvKnobDeath, GsoptThreadsRejectsGarbage)
+{
+    ScopedEnv bad("GSOPT_THREADS", GetParam());
+    EXPECT_DEATH(defaultThreadCount(),
+                 "GSOPT_THREADS: '.*' is not a positive integer");
+}
+
+TEST_P(EnvKnobDeath, GsoptRetryAttemptsRejectsGarbage)
+{
+    ScopedEnv bad("GSOPT_RETRY_ATTEMPTS", GetParam());
+    EXPECT_DEATH(defaultRetryPolicy(),
+                 "GSOPT_RETRY_ATTEMPTS: '.*' is not a positive integer");
+}
+
+INSTANTIATE_TEST_SUITE_P(Garbage, EnvKnobDeath,
+                         ::testing::Values("4x", "0", "-1", "abc", " 4",
+                                           "99999999999999999999999"));
+
+TEST(EnvKnob, NonNegativeKnobRejectsASign)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    ScopedEnv bad("GSOPT_TEST_KNOB", "-1");
+    EXPECT_DEATH(envInteger("GSOPT_TEST_KNOB", 0, 0),
+                 "GSOPT_TEST_KNOB: '-1' is not a non-negative integer");
 }
 
 } // namespace

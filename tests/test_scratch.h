@@ -62,8 +62,9 @@ class ScratchDir
 
 /** Scoped environment variable (restores the prior value). Note that
  * GSOPT_* env configuration parsed once at startup (GSOPT_FAULTS,
- * GSOPT_THREADS...) is NOT re-read by this process — a ScopedEnv for
- * those only affects child processes spawned inside the scope. */
+ * GSOPT_RETRY_ATTEMPTS...) is NOT re-read by this process — a
+ * ScopedEnv for those only affects child processes spawned inside the
+ * scope. GSOPT_THREADS is read on every defaultThreadCount() call. */
 class ScopedEnv
 {
   public:
