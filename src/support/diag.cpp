@@ -20,6 +20,16 @@ currentWarningSink()
     return gWarningSink;
 }
 
+void
+deliver(const Diagnostic &d)
+{
+    const auto sink = currentWarningSink();
+    if (sink && *sink)
+        (*sink)(d);
+    else
+        std::fprintf(stderr, "%s\n", d.str().c_str());
+}
+
 } // namespace
 
 std::string
@@ -84,15 +94,16 @@ DiagEngine::reportWarnings() const
 {
     if (warningCount_ == 0)
         return;
-    const auto sink = currentWarningSink();
     for (const Diagnostic &d : diags_) {
-        if (d.severity != Severity::Warning)
-            continue;
-        if (sink && *sink)
-            (*sink)(d);
-        else
-            std::fprintf(stderr, "%s\n", d.str().c_str());
+        if (d.severity == Severity::Warning)
+            deliver(d);
     }
+}
+
+void
+warn(std::string message)
+{
+    deliver({Severity::Warning, SourceLoc{}, std::move(message)});
 }
 
 void

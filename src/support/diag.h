@@ -99,6 +99,13 @@ class DiagEngine
  */
 void setWarningSink(std::function<void(const Diagnostic &)> sink);
 
+/**
+ * Deliver one warning without a source position to the warning sink —
+ * the channel for runtime warnings outside a compilation: shard IO,
+ * campaign quarantines, the distributed coordinator, search baselines.
+ */
+void warn(std::string message);
+
 } // namespace gsopt
 
 #endif // GSOPT_SUPPORT_DIAG_H

@@ -29,6 +29,12 @@ defaultRetryPolicy()
     return policy;
 }
 
+bool
+strictMode()
+{
+    return envInteger("GSOPT_STRICT", 0, 0) != 0;
+}
+
 uint64_t
 retryBackoffCount()
 {

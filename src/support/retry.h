@@ -35,6 +35,13 @@ struct RetryPolicy
  * entirely; malformed values abort, see support/env.h). Read once. */
 RetryPolicy defaultRetryPolicy();
 
+/** GSOPT_STRICT: a non-negative integer, default 0; non-zero makes
+ * both campaign schedulers fail fast — no item retry, and the first
+ * failure aborts the run instead of being quarantined. Malformed
+ * values ("false", "yes", "-1") abort, see support/env.h. Read on
+ * every call, so a scoped override takes effect at once. */
+bool strictMode();
+
 /** Total backoff sleeps performed process-wide (test/report metric). */
 uint64_t retryBackoffCount();
 

@@ -9,7 +9,6 @@
 #include <cstring>
 #include <deque>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <set>
@@ -27,6 +26,7 @@
 #include "support/fault.h"
 #include "support/governor.h"
 #include "support/ipc.h"
+#include "support/retry.h"
 #include "support/rng.h"
 #include "support/time.h"
 
@@ -93,22 +93,6 @@ uint64_t
 defaultLeaseMs()
 {
     return envInteger("GSOPT_LEASE_MS", 30000);
-}
-
-bool
-strictMode()
-{
-    const char *env = std::getenv("GSOPT_STRICT");
-    return env && *env && *env != '0';
-}
-
-void
-warnDistrib(const std::string &what)
-{
-    Diagnostic d;
-    d.severity = Severity::Warning;
-    d.message = "distrib: " + what;
-    std::fprintf(stderr, "%s\n", d.str().c_str());
 }
 
 // ---- in-process transport ----------------------------------------------
@@ -810,25 +794,18 @@ executeUnit(const corpus::CorpusShader &shader, uint64_t key,
     }
 
     // One unit = one governed request: an ambient GSOPT_DEADLINE_MS /
-    // GSOPT_BUDGET_* bounds each unit, and the engine's per-item
+    // GSOPT_BUDGET_* bounds each unit, and the unit's per-item
     // admission points defer to this outer budget.
     governor::ScopedRequestBudget admission;
 
-    ExperimentEngine engine({shader}, 1);
-    if (!engine.health().healthy()) {
-        // A worker never publishes a partial shard; surface the first
-        // structured reason and let the coordinator decide.
-        std::string why = "unit failed";
-        if (!engine.health().quarantined.empty())
-            why += ": " + engine.health().quarantined.front().error;
-        throw std::runtime_error(why);
-    }
-    const std::string body = serializeShardBody(engine.results().front());
-    ipc::Pack file;
-    file.u64(key).u64(fnv1a(body));
-    std::string bytes = file.take();
-    bytes += body;
-    return bytes;
+    ShaderResult r;
+    const CampaignHealth health = runShaderUnit(shader, r);
+    // A worker never publishes a partial shard; surface the first
+    // structured reason and let the coordinator decide.
+    if (!health.healthy())
+        throw std::runtime_error("unit failed: " +
+                                 health.quarantined.front().error);
+    return shardFileBytes(key, r);
 }
 
 std::string
@@ -856,8 +833,6 @@ DistribHealth::summary() const
 struct CampaignCoordinator::Unit
 {
     size_t shaderIndex = 0;
-    uint64_t key = 0;
-    std::string path;
     int assignments = 0;
     bool done = false;
 };
@@ -879,67 +854,62 @@ CampaignCoordinator::CampaignCoordinator(
 const DistribHealth &
 CampaignCoordinator::run()
 {
-    std::unique_ptr<WorkerTransport> transport =
-        opts_.transport == TransportKind::Subprocess
-            ? makeSubprocessTransport(opts_.workers)
-            : makeInProcessTransport(opts_.workers);
-    return run(*transport);
+    return runOver(nullptr);
 }
 
 const DistribHealth &
 CampaignCoordinator::run(WorkerTransport &transport)
 {
+    return runOver(&transport);
+}
+
+const DistribHealth &
+CampaignCoordinator::runOver(WorkerTransport *supplied)
+{
     // The transport owns OS resources (children, threads); make sure
     // they are stopped on every exit path, including a strict-mode
     // throw.
+    std::unique_ptr<WorkerTransport> owned;
+    WorkerTransport *active = supplied;
     struct ShutdownGuard
     {
-        WorkerTransport &t;
+        WorkerTransport *&t;
         ~ShutdownGuard()
         {
             try {
-                t.shutdown();
+                if (t)
+                    t->shutdown();
             } catch (...) {
             }
         }
-    } guard{transport};
+    } guard{active};
 
     health_ = DistribHealth{};
     const bool strict = strictMode();
 
-    std::error_code ec;
-    fs::create_directories(shardDir_, ec);
-
     // ---- enumerate units; resume over surviving shards ------------
-    const uint64_t setKey = deviceSetKey();
+    const ShardStore store(shardDir_, shaders_);
     std::vector<Unit> units;
-    std::set<std::string> livePaths;
-    for (size_t i = 0; i < shaders_.size(); ++i) {
-        health_.unitsTotal++;
-        Unit u;
-        u.shaderIndex = i;
-        u.key = shardKey(shaders_[i], setKey);
-        u.path = shardDir_ + "/" + shardFileName(shaders_[i], u.key);
-        livePaths.insert(u.path);
-        ShaderResult existing;
-        if (ExperimentEngine::loadShard(u.path, u.key, existing)) {
-            health_.unitsFromCache++;
-            continue; // resume: this unit is already done
-        }
-        units.push_back(std::move(u));
+    {
+        std::vector<ShaderResult> existing(shaders_.size());
+        for (size_t i : store.load(existing))
+            units.push_back(Unit{i});
     }
-
+    health_.unitsTotal = shaders_.size();
+    health_.unitsFromCache = shaders_.size() - units.size();
     // Retire shards no current unit claims (stale keys, dropped
     // shaders) so the merged directory equals a fresh campaign's.
-    for (const auto &entry : fs::directory_iterator(shardDir_, ec)) {
-        const std::string name = entry.path().filename().string();
-        std::string claimed = shardDir_ + "/" + name;
-        if (name.size() > 4 &&
-            name.compare(name.size() - 4, 4, ".tmp") == 0)
-            claimed = claimed.substr(0, claimed.size() - 4);
-        if (!livePaths.count(claimed))
-            fs::remove(entry.path(), ec);
+    store.sweep();
+    // A resume with nothing pending starts no workers.
+    if (units.empty())
+        return health_;
+    if (!active) {
+        owned = opts_.transport == TransportKind::Subprocess
+                    ? makeSubprocessTransport(opts_.workers)
+                    : makeInProcessTransport(opts_.workers);
+        active = owned.get();
     }
+    WorkerTransport &transport = *active;
 
     // ---- schedule: family representatives first --------------------
     // Measuring one member of each übershader family before the tail
@@ -969,46 +939,30 @@ CampaignCoordinator::run(WorkerTransport &transport)
 
     // ---- merge helpers ---------------------------------------------
     enum class Merge { Published, Duplicate, Invalid };
-    auto merge_shard = [&](Unit &u,
+    auto merge_shard = [&](const Unit &u,
                            const std::string &bytes) -> Merge {
-        if (fs::exists(u.path))
+        const std::string &path = store.path(u.shaderIndex);
+        std::error_code ec;
+        if (fs::exists(path, ec))
             return Merge::Duplicate; // copy only if the key is absent
-        const std::string tmp = u.path + ".tmp";
-        // Publish with the engine's tmp+rename protocol; injected
-        // shard.write tears are local write failures (retry the
-        // write), not delivery corruption.
-        bool written = false;
-        for (int attempt = 0; attempt < 3 && !written; ++attempt) {
-            std::ofstream file(tmp,
-                               std::ios::binary | std::ios::trunc);
-            if (!file)
-                continue;
-            const size_t n =
-                fault::tearPoint("shard.write", bytes.size());
-            file.write(bytes.data(),
-                       static_cast<std::streamsize>(n));
-            file.flush();
-            written = n == bytes.size() && bool(file);
-        }
-        if (!written) {
-            fs::remove(tmp, ec);
-            return Merge::Invalid;
-        }
         // Verification gate: checksum + key + structural validation
         // through the exact loader every consumer uses. Nothing a
         // worker sent is trusted until it parses.
-        ShaderResult parsed;
-        if (!ExperimentEngine::loadShard(tmp, u.key, parsed)) {
-            fs::remove(tmp, ec);
-            return Merge::Invalid;
-        }
-        std::error_code rename_ec;
-        fs::rename(tmp, u.path, rename_ec);
-        if (rename_ec) {
-            fs::remove(tmp, ec);
-            return Merge::Invalid;
-        }
-        return Merge::Published;
+        // A failed write (an injected shard.write tear, say) is local
+        // and retried; a rejected delivery is not.
+        bool published = false, rejected = false;
+        auto parses = [&](const std::string &tmp) {
+            ShaderResult parsed;
+            rejected = !ExperimentEngine::loadShard(
+                tmp, store.key(u.shaderIndex), parsed);
+            return !rejected;
+        };
+        for (int attempt = 0; attempt < 3 && !published && !rejected;
+             ++attempt)
+            published = publishShardFile(path, bytes, parses);
+        if (!published)
+            fs::remove(path + ".tmp", ec);
+        return published ? Merge::Published : Merge::Invalid;
     };
 
     auto requeue_or_quarantine = [&](size_t ui,
@@ -1024,9 +978,8 @@ CampaignCoordinator::run(WorkerTransport &transport)
         q.error = err;
         q.assignments = u.assignments;
         u.done = true; // retired; a late valid delivery still merges
-        warnDistrib("quarantined unit " + q.shader + " after " +
-                    std::to_string(q.assignments) +
-                    " assignment(s): " + err);
+        warn("distrib: quarantined unit " + q.shader + " after " +
+             std::to_string(q.assignments) + " assignment(s): " + err);
         health_.quarantined.push_back(std::move(q));
         if (strict)
             throw std::runtime_error(
@@ -1072,7 +1025,7 @@ CampaignCoordinator::run(WorkerTransport &transport)
                 break;
             WireUnit wire;
             wire.id = ui;
-            wire.key = units[ui].key;
+            wire.key = store.key(units[ui].shaderIndex);
             wire.heartbeatMs = heartbeatMs;
             wire.shader = shaders_[units[ui].shaderIndex];
             if (!transport.assign(w, wire))
@@ -1142,10 +1095,9 @@ CampaignCoordinator::run(WorkerTransport &transport)
                     break;
                 case Merge::Invalid:
                     health_.shardsRejected++;
-                    warnDistrib(
-                        "rejected shard for '" +
-                        shaders_[u.shaderIndex].name +
-                        "' (checksum/structural validation failed)");
+                    warn("distrib: rejected shard for '" +
+                         shaders_[u.shaderIndex].name +
+                         "' (checksum/structural validation failed)");
                     requeue_or_quarantine(
                         ev.unit, "delivered shard failed validation");
                     break;
@@ -1202,10 +1154,9 @@ CampaignCoordinator::run(WorkerTransport &transport)
             const unsigned w = it->first;
             const size_t ui = it->second.unit;
             health_.leaseExpiries++;
-            warnDistrib("lease expired for unit '" +
-                        shaders_[units[ui].shaderIndex].name +
-                        "' on worker " + std::to_string(w) +
-                        "; reaping");
+            warn("distrib: lease expired for unit '" +
+                 shaders_[units[ui].shaderIndex].name + "' on worker " +
+                 std::to_string(w) + "; reaping");
             transport.reap(w);
             it = outstanding.erase(it);
             if (!units[ui].done)

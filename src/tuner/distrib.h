@@ -1,26 +1,28 @@
 /**
  * @file
- * Distributed campaign: a coordinator/worker fan-out of the
- * ExperimentEngine over (shader, device-set) work units.
+ * Distributed campaign: a coordinator/worker fan-out of the campaign's
+ * shader units — the second scheduler over the same unit and the same
+ * store as ExperimentEngine (see tuner/experiment.h).
  *
  * The campaign is embarrassingly parallel across shaders: one work
  * unit = one shader x the whole configured device set = one shard
- * file, keyed by tuner::shardKey. The CampaignCoordinator enumerates
- * the units, orders them family-representatives-first (one member of
- * each übershader family is measured before the long tail, so family
- * priors exist early and late arrivals can be seeded instead of
- * swept), and hands them to N workers behind a WorkerTransport.
- * Workers run a fresh single-shader ExperimentEngine per unit, which
- * runs serially (the shader is the engine's parallel unit) — under
- * a per-unit governor::ScopedRequestBudget, so an ambient
- * GSOPT_DEADLINE_MS bounds each unit — and ship the finished shard
- * *file bytes* back: the shard file format is the wire format (see
- * experiment.h), so merge verification is free.
+ * file in a ShardStore. The CampaignCoordinator scans the store for
+ * missing shards, orders those units family-representatives-first
+ * (one member of each übershader family is measured before the long
+ * tail, so family priors exist early and late arrivals can be seeded
+ * instead of swept), and hands them to N workers behind a
+ * WorkerTransport. It builds the transport only when some unit is
+ * pending, so resuming a complete directory starts no workers. A
+ * worker runs tuner::runShaderUnit under a per-unit
+ * governor::ScopedRequestBudget — an ambient GSOPT_DEADLINE_MS bounds
+ * each unit — and ships the finished shard *file bytes*
+ * (tuner::shardFileBytes) back: the shard file format is the wire
+ * format (see experiment.h), so merge verification is free.
  *
  * The coordinator merges with "copy if key absent": every incoming
- * shard is written to a `.tmp` sibling, re-validated through
- * ExperimentEngine::loadShard (key, content hash, structural checks),
- * and only then atomically renamed into the shard directory. A shard
+ * shard goes through tuner::publishShardFile, the store's one
+ * tmp-then-rename write, with ExperimentEngine::loadShard (key, content
+ * hash, structural checks) as the gate before the rename. A shard
  * that fails validation is rejected and its unit re-queued; a
  * duplicate delivery (a unit that was re-assigned after a lease
  * expiry and then completed twice) is discarded. The merged directory
@@ -190,14 +192,14 @@ makeSubprocessTransport(unsigned workers);
 /**
  * Execute one unit exactly as a worker does: verify the shard key
  * (coordinator and worker must agree on registry/device/schema state —
- * a mismatch means environment drift and fails loudly), run a fresh
- * single-shader ExperimentEngine under a per-unit request budget, and
- * return the complete shard file bytes ([key][hash][body]). Throws on
- * any failure, including a quarantined device item (a worker has no
- * business publishing a partial shard — the coordinator re-queues).
- * The engine's parallel unit is the shader, so a unit runs serially on
- * the calling thread: @p threads has no effect and is kept for
- * source compatibility.
+ * a mismatch means environment drift and fails loudly), run
+ * tuner::runShaderUnit under a per-unit request budget, and return the
+ * complete shard file bytes (tuner::shardFileBytes). Throws on any
+ * failure: a worker never publishes a partial shard, so a quarantined
+ * item becomes std::runtime_error("unit failed: <the item's reason>")
+ * and the coordinator re-queues. A unit runs serially on the calling
+ * thread: @p threads has no effect and is kept for source
+ * compatibility.
  */
 std::string executeUnit(const corpus::CorpusShader &shader,
                         uint64_t key, unsigned threads);
@@ -242,6 +244,10 @@ class CampaignCoordinator
 
   private:
     struct Unit; // internal scheduling state
+
+    /** Both run()s: @p transport is null when run() is to build its
+     * own, which it does only once some unit is pending. */
+    const DistribHealth &runOver(WorkerTransport *transport);
 
     std::vector<corpus::CorpusShader> shaders_;
     std::string shardDir_;

@@ -1,12 +1,10 @@
 #include "tuner/experiment.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -243,73 +241,19 @@ ExperimentEngine::ExperimentEngine(
     const std::vector<corpus::CorpusShader> &shaders, unsigned threads,
     const std::string &cacheDir)
 {
-    namespace fs = std::filesystem;
     results_.resize(shaders.size());
-
-    const uint64_t set_key = deviceSetKey();
-
-    auto shard_path = [&](size_t i, uint64_t key) {
-        return cacheDir + "/" + shardFileName(shaders[i], key);
-    };
-
-    // Retire every shard no current shader claims (old keys from
-    // prior schemas / device sets / registries / source revisions,
-    // and shaders dropped from the corpus) so the cache never
-    // accretes. In-flight `.tmp` checkpoints are never reaped while
-    // their key is live; a `.tmp` whose key died is an orphan too.
-    auto sweep_orphans = [&] {
-        std::set<std::string> live;
-        for (size_t i = 0; i < shaders.size(); ++i)
-            live.insert(shard_path(i, shardKey(shaders[i], set_key)));
-        auto ends_with = [](const std::string &s,
-                            const std::string &suffix) {
-            return s.size() >= suffix.size() &&
-                   s.compare(s.size() - suffix.size(), suffix.size(),
-                             suffix) == 0;
-        };
-        std::error_code iter_ec;
-        for (const auto &entry :
-             fs::directory_iterator(cacheDir, iter_ec)) {
-            const std::string name = entry.path().filename().string();
-            if (ends_with(name, ".bin")) {
-                if (!live.count(cacheDir + "/" + name))
-                    fs::remove(entry.path(), iter_ec);
-            } else if (ends_with(name, ".bin.tmp")) {
-                const std::string base =
-                    name.substr(0, name.size() - 4);
-                if (!live.count(cacheDir + "/" + base))
-                    fs::remove(entry.path(), iter_ec);
-            }
-        }
-    };
-
-    std::vector<size_t> missing;
-    for (size_t i = 0; i < shaders.size(); ++i) {
-        const uint64_t key = shardKey(shaders[i], set_key);
-        if (!loadShard(shard_path(i, key), key, results_[i]))
-            missing.push_back(i);
-    }
-    if (missing.empty()) {
-        sweep_orphans();
-        return;
-    }
-
-    std::error_code dir_ec;
-    fs::create_directories(cacheDir, dir_ec);
-
-    // Checkpoint each shard the moment its shader's unit completes
+    const ShardStore store(cacheDir, shaders);
+    const std::vector<size_t> missing = store.load(results_);
+    // Checkpoint each shard the moment its unit completes cleanly
     // (called from worker threads; each shader writes a distinct
     // file), so a killed campaign resumes from the shards it finished
     // instead of re-running everything.
-    auto checkpoint = [&](size_t i) {
-        if (dir_ec)
-            return;
-        const uint64_t key = shardKey(shaders[i], set_key);
-        saveShard(shard_path(i, key), key, results_[i]);
-    };
-
-    runShaders(shaders, missing, threads, checkpoint);
-    sweep_orphans();
+    if (!missing.empty()) {
+        runShaders(shaders, missing, threads, [&](size_t i) {
+            saveShard(store.path(i), store.key(i), results_[i]);
+        });
+    }
+    store.sweep();
 }
 
 const ExperimentEngine &
@@ -324,151 +268,121 @@ ExperimentEngine::instance()
     return engine;
 }
 
+CampaignHealth
+runShaderUnit(const corpus::CorpusShader &shader, ShaderResult &r)
+{
+    const bool strict = strictMode();
+    const RetryPolicy policy = defaultRetryPolicy();
+    CampaignHealth health;
+    bool explored = false;
+
+    // One (shader, device) item.
+    auto run_item = [&](gpu::DeviceId dev, DeviceMeasurement &m) {
+        // Admission control: one (shader, device) item is one governed
+        // unit of work — under an ambient GSOPT_DEADLINE_MS each item
+        // gets its own deadline, so one pathological item is
+        // quarantined instead of starving the rest of the campaign.
+        // Installed here (the unit's thread) because budgets are
+        // thread-local. A retry of the item gets a fresh budget, like
+        // any other request.
+        governor::ScopedRequestBudget admission;
+
+        fault::point("worker.item", shader.name);
+
+        // The first item that gets this far explores; if exploration
+        // throws, the next attempt (or the next device's item) tries
+        // again.
+        if (!explored) {
+            r.exploration = exploreShader(shader);
+            explored = true;
+        }
+
+        // Drivers receive what an application would ship: the original
+        // preprocessed text (real engines preprocess übershaders before
+        // glShaderSource).
+        const std::string &original = r.exploration.preprocessedOriginal;
+        const gpu::DeviceModel &device = gpu::deviceModel(dev);
+
+        // Reset the measurement: this may be the retry of a partially
+        // filled attempt, and the measurement protocol is
+        // deterministic, so a clean re-run reproduces the same values.
+        m = DeviceMeasurement{};
+        m.originalMeanNs =
+            runtime::measureShader(original, device,
+                                   shader.name + "/original")
+                .meanNs;
+        m.variantMeanNs.reserve(r.exploration.variants.size());
+        for (size_t v = 0; v < r.exploration.variants.size(); ++v) {
+            const auto &variant = r.exploration.variants[v];
+            m.variantMeanNs.push_back(
+                runtime::measureShader(
+                    variant.source, device,
+                    shader.name + "/v" + std::to_string(v))
+                    .meanNs);
+        }
+    };
+
+    for (gpu::DeviceId dev : gpu::allDevices()) {
+        DeviceMeasurement m;
+        int attempts = 1;
+        try {
+            if (strict)
+                run_item(dev, m);
+            else
+                retryTransient(
+                    policy, shader.name + "/item",
+                    [&] { run_item(dev, m); }, &attempts);
+            r.byDevice.emplace(dev, std::move(m));
+            health.itemsCompleted++;
+        } catch (const std::exception &e) {
+            if (strict)
+                throw;
+            // Exploration itself may have failed; keep the result
+            // addressable by name either way.
+            if (r.exploration.shaderName.empty())
+                r.exploration.shaderName = shader.name;
+            r.quarantined.insert(dev);
+            // The structured reason rides with the result (and,
+            // through the schema-16 'Q' section, with any shard
+            // serialised from it): for a budget kill this is the
+            // ResourceExhausted message naming the dimension and stage.
+            r.quarantineReason[dev] = e.what();
+            warn("quarantined campaign item " + shader.name + " x " +
+                 gpu::deviceModel(dev).vendor + " after " +
+                 std::to_string(attempts) + " attempt(s): " + e.what());
+            health.quarantined.push_back(
+                {shader.name, dev, e.what(), attempts});
+        }
+        health.itemRetries += static_cast<uint64_t>(attempts - 1);
+    }
+    health.itemsQuarantined =
+        static_cast<uint64_t>(health.quarantined.size());
+    return health;
+}
+
 void
 ExperimentEngine::runShaders(
     const std::vector<corpus::CorpusShader> &shaders,
     const std::vector<size_t> &indices, unsigned threads,
     const std::function<void(size_t)> &checkpoint)
 {
-    const std::vector<gpu::DeviceId> devices = gpu::allDevices();
-    const size_t n_dev = devices.size();
-
-    // GSOPT_STRICT=1 restores fail-fast: the first item error aborts
-    // the campaign (CI wants a loud failure, not a quarantine).
-    const char *strict_env = std::getenv("GSOPT_STRICT");
-    const bool strict = strict_env && *strict_env && *strict_env != '0';
-    const RetryPolicy policy = defaultRetryPolicy();
-
     std::mutex health_mutex;
-    std::atomic<uint64_t> retries{0};
-
-    // Quarantine one (shader, device) item. The ShaderResult belongs
-    // to the calling unit's thread; only the campaign-wide health
-    // report is shared.
-    auto quarantine_item = [&](size_t si, size_t di, const char *what,
-                               int attempts) {
-        const corpus::CorpusShader &shader = shaders[indices[si]];
-        ShaderResult &r = results_[indices[si]];
-        // Exploration itself may have failed; keep the result
-        // addressable by name either way.
-        if (r.exploration.shaderName.empty())
-            r.exploration.shaderName = shader.name;
-        r.quarantined.insert(devices[di]);
-        // The structured reason rides with the result (and, through
-        // the schema-16 'Q' section, with any shard serialised from
-        // it): for a budget kill this is the ResourceExhausted message
-        // naming the dimension and stage.
-        r.quarantineReason[devices[di]] = what;
-        QuarantinedItem q;
-        q.shader = shader.name;
-        q.device = devices[di];
-        q.error = what;
-        q.attempts = attempts;
-
-        Diagnostic d;
-        d.severity = Severity::Warning;
-        d.message = "quarantined campaign item " + q.shader + " x " +
-                    gpu::deviceModel(devices[di]).vendor + " after " +
-                    std::to_string(attempts) + " attempt(s): " + what;
-        std::fprintf(stderr, "%s\n", d.str().c_str());
-
-        std::lock_guard<std::mutex> lock(health_mutex);
-        health_.quarantined.push_back(std::move(q));
-    };
-
-    // One unit per shader: it explores the shader once, then runs its
-    // device items in device order on the same thread, so no two
-    // threads ever explore, parse or compile the same shader's texts.
-    // Each unit writes only its own ShaderResult, so the campaign
-    // output is identical for any thread count and completion order.
+    // One runShaderUnit per shader. Each unit writes only its own
+    // ShaderResult, so the campaign output is identical for any thread
+    // count and completion order; only the health report is shared.
     parallelFor(indices.size(), threads, [&](size_t si) {
-        const corpus::CorpusShader &shader = shaders[indices[si]];
-        ShaderResult &r = results_[indices[si]];
-        bool explored = false;
-        bool clean = true;
-
-        // One (shader, device) item.
-        auto run_item = [&](gpu::DeviceId dev, DeviceMeasurement &m) {
-            // Admission control: one (shader, device) item is one
-            // governed unit of work — under an ambient
-            // GSOPT_DEADLINE_MS each item gets its own deadline, so
-            // one pathological item is quarantined instead of
-            // starving the rest of the campaign. Installed here
-            // (worker thread) rather than at the campaign entry
-            // because budgets are thread-local. A retry of the item
-            // gets a fresh budget, like any other request.
-            governor::ScopedRequestBudget admission;
-
-            fault::point("worker.item", shader.name);
-
-            // The first item that gets this far explores; if
-            // exploration throws, the next attempt (or the next
-            // device's item) tries again.
-            if (!explored) {
-                r.exploration = exploreShader(shader);
-                explored = true;
-            }
-
-            // Drivers receive what an application would ship: the
-            // original preprocessed text (real engines preprocess
-            // übershaders before glShaderSource).
-            const std::string &original =
-                r.exploration.preprocessedOriginal;
-            const gpu::DeviceModel &device = gpu::deviceModel(dev);
-
-            // Reset the measurement: this may be the retry of a
-            // partially filled attempt, and the measurement protocol
-            // is deterministic, so a clean re-run reproduces the same
-            // values.
-            m = DeviceMeasurement{};
-            m.originalMeanNs =
-                runtime::measureShader(original, device,
-                                       shader.name + "/original")
-                    .meanNs;
-            m.variantMeanNs.reserve(r.exploration.variants.size());
-            for (size_t v = 0; v < r.exploration.variants.size(); ++v) {
-                const auto &variant = r.exploration.variants[v];
-                m.variantMeanNs.push_back(
-                    runtime::measureShader(
-                        variant.source, device,
-                        shader.name + "/v" + std::to_string(v))
-                        .meanNs);
-            }
-        };
-
-        for (size_t di = 0; di < n_dev; ++di) {
-            DeviceMeasurement m;
-            if (strict) {
-                run_item(devices[di], m);
-                r.byDevice.emplace(devices[di], std::move(m));
-                continue;
-            }
-            int attempts = 0;
-            try {
-                retryTransient(
-                    policy, shader.name + "/item",
-                    [&] { run_item(devices[di], m); }, &attempts);
-                r.byDevice.emplace(devices[di], std::move(m));
-            } catch (const std::exception &e) {
-                quarantine_item(si, di, e.what(), attempts);
-                clean = false;
-            }
-            if (attempts > 1)
-                retries.fetch_add(static_cast<uint64_t>(attempts - 1),
-                                  std::memory_order_relaxed);
-        }
-
+        const size_t i = indices[si];
+        CampaignHealth unit = runShaderUnit(shaders[i], results_[i]);
         // Checkpoint only a shader whose items all completed cleanly.
-        if (clean && checkpoint)
-            checkpoint(indices[si]);
+        if (unit.healthy() && checkpoint)
+            checkpoint(i);
+        std::lock_guard<std::mutex> lock(health_mutex);
+        health_.itemsCompleted += unit.itemsCompleted;
+        health_.itemsQuarantined += unit.itemsQuarantined;
+        health_.itemRetries += unit.itemRetries;
+        for (QuarantinedItem &q : unit.quarantined)
+            health_.quarantined.push_back(std::move(q));
     });
-
-    health_.itemRetries += retries.load(std::memory_order_relaxed);
-    health_.itemsQuarantined =
-        static_cast<uint64_t>(health_.quarantined.size());
-    health_.itemsCompleted +=
-        static_cast<uint64_t>(indices.size() * n_dev) -
-        health_.itemsQuarantined;
 
     if (!health_.healthy())
         std::fprintf(stderr, "%s", health_.summary().c_str());
@@ -702,57 +616,111 @@ namespace {
 void
 warnShard(const std::string &path, const std::string &what)
 {
-    Diagnostic d;
-    d.severity = Severity::Warning;
-    d.message = "shard checkpoint '" + path + "': " + what;
-    std::fprintf(stderr, "%s\n", d.str().c_str());
+    warn("shard checkpoint '" + path + "': " + what);
 }
 
 } // namespace
+
+std::string
+shardFileBytes(uint64_t key, const ShaderResult &r)
+{
+    // Serialise the body first so a content hash can front it: the
+    // structural caps in loadShard cannot catch a flipped byte inside
+    // stored shader text, and a silently wrong variant is worse than a
+    // re-run shard.
+    const std::string body = serializeShardBody(r);
+    const uint64_t hash = fnv1a(body);
+    std::string bytes;
+    bytes.reserve(sizeof(key) + sizeof(hash) + body.size());
+    bytes.append(reinterpret_cast<const char *>(&key), sizeof(key));
+    bytes.append(reinterpret_cast<const char *>(&hash), sizeof(hash));
+    bytes += body;
+    return bytes;
+}
+
+bool
+publishShardFile(const std::string &path, const std::string &bytes,
+                 const std::function<bool(const std::string &)> &accept)
+{
+    namespace fs = std::filesystem;
+    // Tmp-rename protocol: build the whole file beside the target,
+    // publish it with one atomic rename. A crash (or injected tear)
+    // mid-write leaves only the .tmp — readers never see a torn shard,
+    // and a previous complete shard stays intact.
+    const std::string tmp = path + ".tmp";
+    std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
+    if (!file) {
+        warnShard(path, "cannot open temporary file for writing");
+        return false;
+    }
+    const size_t n = fault::tearPoint("shard.write", bytes.size());
+    file.write(bytes.data(), static_cast<std::streamsize>(n));
+    file.close();
+    if (n != bytes.size()) {
+        // Injected torn write: simulate the process dying mid-write —
+        // abandon the .tmp without publishing it.
+        warnShard(path, "torn write injected; checkpoint abandoned");
+        return false;
+    }
+    std::error_code ec;
+    if (!file) {
+        warnShard(path, "write failed; checkpoint abandoned");
+    } else if (!accept || accept(tmp)) {
+        fs::rename(tmp, path, ec);
+        if (!ec)
+            return true;
+        warnShard(path, "rename failed: " + ec.message());
+    }
+    fs::remove(tmp, ec);
+    return false;
+}
+
+ShardStore::ShardStore(std::string dir,
+                       const std::vector<corpus::CorpusShader> &shaders)
+    : dir_(std::move(dir))
+{
+    std::error_code ec;
+    std::filesystem::create_directories(dir_, ec);
+    const uint64_t set_key = deviceSetKey();
+    for (const corpus::CorpusShader &shader : shaders) {
+        keys_.push_back(shardKey(shader, set_key));
+        paths_.push_back(dir_ + "/" + shardFileName(shader, keys_.back()));
+    }
+}
+
+std::vector<size_t>
+ShardStore::load(std::vector<ShaderResult> &results) const
+{
+    std::vector<size_t> missing;
+    for (size_t i = 0; i < keys_.size(); ++i) {
+        if (!ExperimentEngine::loadShard(paths_[i], keys_[i], results[i]))
+            missing.push_back(i);
+    }
+    return missing;
+}
+
+void
+ShardStore::sweep() const
+{
+    namespace fs = std::filesystem;
+    std::set<std::string> live;
+    for (const std::string &p : paths_)
+        live.insert(fs::path(p).filename().string());
+    std::error_code ec;
+    for (const auto &entry : fs::directory_iterator(dir_, ec)) {
+        fs::path name = entry.path().filename();
+        if (name.extension() == ".tmp")
+            name.replace_extension(); // a checkpoint of `name`
+        if (name.extension() == ".bin" && !live.count(name.string()))
+            fs::remove(entry.path(), ec);
+    }
+}
 
 void
 ExperimentEngine::saveShard(const std::string &path, uint64_t key,
                             const ShaderResult &r)
 {
-    namespace fs = std::filesystem;
-    // Serialise the body first so a content hash can front it: the
-    // structural caps in loadShard cannot catch a flipped byte inside
-    // stored shader text, and a silently wrong variant is worse than
-    // a re-run shard.
-    const std::string body = serializeShardBody(r);
-
-    // Tmp-rename protocol: build the whole file beside the target,
-    // publish it with one atomic rename. A crash (or injected tear)
-    // mid-write leaves only the .tmp — readers never see a torn
-    // shard, and a previous complete shard stays intact.
-    const std::string tmp = path + ".tmp";
-    std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
-    if (!file) {
-        warnShard(path, "cannot open temporary file for writing");
-        return;
-    }
-    writePod(file, key);
-    writePod(file, fnv1a(body));
-    const size_t n = fault::tearPoint("shard.write", body.size());
-    file.write(body.data(), static_cast<std::streamsize>(n));
-    file.flush();
-    if (n != body.size()) {
-        // Injected torn write: simulate the process dying mid-write —
-        // abandon the .tmp without publishing it.
-        warnShard(path, "torn write injected; checkpoint abandoned");
-        return;
-    }
-    if (!file) {
-        warnShard(path, "write failed; checkpoint abandoned");
-        std::error_code ec;
-        fs::remove(tmp, ec);
-        return;
-    }
-    file.close();
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec)
-        warnShard(path, "rename failed: " + ec.message());
+    publishShardFile(path, shardFileBytes(key, r), {});
 }
 
 bool

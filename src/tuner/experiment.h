@@ -5,19 +5,17 @@
  * the 100-frame/5-repetition timing protocol — and exposes the derived
  * quantities every figure and table needs.
  *
- * The campaign is scheduled as a work queue of shaders over a
- * std::thread pool (GSOPT_THREADS workers, default
- * hardware_concurrency). One thread owns a shader: it explores it once
- * and then runs its (shader x device) items in device order. The item
- * stays the unit of governance, retry and quarantine. Each shader's
- * result is written by its own thread only, so the output is
- * bit-identical for any thread count.
- *
- * Because all the benches share this campaign, the engine caches its
- * results under ./experiment_cache/ as one shard file per shader,
- * keyed by (shader hash, device-set hash, pass-registry signature,
- * schema). Editing one corpus shader re-runs only that shard. Delete
- * the directory (or set GSOPT_NO_CACHE=1) to force a full re-run.
+ * The campaign's unit is one shader (runShaderUnit): explore it once,
+ * then run its (shader x device) items in device order on one thread;
+ * the item stays the unit of governance, retry and quarantine. Two
+ * schedulers run that unit over one store (ShardStore, one shard file
+ * per shader keyed by shader, device set, pass registry and schema):
+ * this engine's thread pool (GSOPT_THREADS workers, default
+ * hardware_concurrency) and the coordinator's workers (tuner/distrib.h).
+ * Each shader's result is written by one thread only, so the output is
+ * bit-identical for any thread or worker count. All the benches share
+ * the campaign, so instance() caches it under ./experiment_cache/;
+ * delete the directory (or set GSOPT_NO_CACHE=1) to force a re-run.
  *
  * Fault tolerance: per-item transient failures (support/fault sites on
  * the driver, the timing harness, and the work items themselves) are
@@ -25,7 +23,7 @@
  * into the CampaignHealth report and the campaign completes with
  * partial results. GSOPT_STRICT=1 restores fail-fast (first error
  * aborts the run). Shards are checkpointed *incrementally* — each one
- * is written the moment its shader's last device item completes — so a
+ * is written the moment its shader's unit completes cleanly — so a
  * killed campaign resumes from completed shards.
  */
 #ifndef GSOPT_TUNER_EXPERIMENT_H
@@ -123,13 +121,57 @@ uint64_t shardKey(const corpus::CorpusShader &shader, uint64_t setKey);
 
 /**
  * Canonical file name of @p shader's shard under @p key:
- * "<name with '/' replaced by '_'>-<016x key>.bin". The engine's cache
- * loader and the distributed-campaign coordinator (tuner/distrib) must
- * agree on this spelling — a directory a coordinator merged is a valid
- * engine cache and vice versa.
+ * "<name with '/' replaced by '_'>-<016x key>.bin". ShardStore names
+ * every shard this way for both schedulers.
  */
 std::string shardFileName(const corpus::CorpusShader &shader,
                           uint64_t key);
+
+/** Complete shard file bytes of @p r under @p key (format below):
+ * what saveShard writes and what a distributed worker ships. */
+std::string shardFileBytes(uint64_t key, const ShaderResult &r);
+
+/**
+ * The store's one write: @p bytes go to `path + ".tmp"`, which is
+ * atomically renamed onto @p path once @p accept (when set: the
+ * coordinator's validation gate) accepts it, so readers never see a
+ * half-written shard. Returns whether @p path now holds @p bytes. An
+ * injected "shard.write" tear leaves the torn `.tmp` behind, as a
+ * writer dying mid-write would; other failures remove it. Write
+ * failures warn through the support/diag sink.
+ */
+bool publishShardFile(const std::string &path, const std::string &bytes,
+                      const std::function<bool(const std::string &)> &accept);
+
+/** One shard directory, the store both schedulers share (a directory
+ * either one wrote is valid for the other): one shard per shader,
+ * named shardFileName(shader, shardKey(shader, deviceSetKey())). The
+ * constructor creates the directory if it is absent. */
+class ShardStore
+{
+  public:
+    ShardStore(std::string dir,
+               const std::vector<corpus::CorpusShader> &shaders);
+
+    uint64_t key(size_t shader) const { return keys_[shader]; }
+    const std::string &path(size_t shader) const { return paths_[shader]; }
+
+    /** Load every valid shard into @p results (indexed like the
+     * shaders, and as long). Returns the indices whose shard is
+     * missing, stale or corrupt: the units still to run. */
+    std::vector<size_t> load(std::vector<ShaderResult> &results) const;
+
+    /** Remove every `*.bin` and `*.bin.tmp` whose shard no shader
+     * claims: old keys from prior schemas, device sets, registries or
+     * source revisions, and dropped shaders. A live shard's `.tmp` (a
+     * checkpoint in flight) and files that are not shards stay. */
+    void sweep() const;
+
+  private:
+    std::string dir_;
+    std::vector<uint64_t> keys_;
+    std::vector<std::string> paths_;
+};
 
 /**
  * The canonical byte serialisation of one shader's campaign result —
@@ -138,24 +180,17 @@ std::string shardFileName(const corpus::CorpusShader &shader,
  * regression tests md5 these bytes against the values captured before
  * the arena/memoization refactor.
  *
- * Shard file format: [shard key u64][fnv1a(body) u64][body bytes].
- * This file format is also the *wire format* of the distributed
- * campaign: a worker ships exactly these bytes back over the
- * support/ipc frame protocol, and the coordinator validates them with
- * the same loadShard path before publishing — checkpoint unit and
- * transfer unit are one representation (see tuner/distrib.h).
- * Shards are published with a tmp-rename protocol: saveShard writes
- * the whole file to a `<path>.tmp` sibling first and only then
- * atomically renames it onto `<path>`, so readers never observe a
- * half-written shard — a crash mid-checkpoint leaves at worst a stale
- * `.tmp` (overwritten by the next checkpoint, reaped by the orphan
- * sweep once its key dies) and the previous complete shard, if any,
- * stays intact. loadShard additionally verifies the key and the body
- * content hash, so any residual corruption is a cache miss (re-run),
- * never bad data. A shard whose key does not match — the key covers
- * the schema version, pass-registry signature, device set, and shader
- * source, so this is what an old-schema shard looks like — is a clean
- * miss with a support/diag warning, never a silent wrong-key hit.
+ * Shard file format (shardFileBytes): [shard key u64][fnv1a(body)
+ * u64][body bytes]. This file format is also the *wire format* of the
+ * distributed campaign: a worker ships exactly these bytes back, and
+ * the coordinator validates them with loadShard before publishing
+ * (see tuner/distrib.h). Shards are published with publishShardFile's
+ * tmp-rename protocol. loadShard verifies the key and the body content
+ * hash, so any residual corruption is a cache miss (re-run), never bad
+ * data. A shard whose key does not match — the key covers the schema
+ * version, pass-registry signature, device set, and shader source, so
+ * this is what an old-schema shard looks like — is a clean miss with a
+ * support/diag warning, never a silent wrong-key hit.
  *
  * Schema 16 (tagged trailing sections): the body may end with optional
  * sections, each introduced by a one-byte tag, in this order, each at
@@ -207,6 +242,17 @@ struct CampaignHealth
     /** One line per quarantined item, for logs. */
     std::string summary() const;
 };
+
+/**
+ * Run one shader unit, filling @p out: explore @p shader once, then
+ * measure it on every device in device order on the calling thread.
+ * Each (shader, device) item has its own governor::ScopedRequestBudget,
+ * "worker.item" fault point and retryTransient; an item that still
+ * fails is quarantined into @p out and the returned health, and the
+ * unit goes on. Under strictMode() the first item error propagates.
+ */
+CampaignHealth runShaderUnit(const corpus::CorpusShader &shader,
+                             ShaderResult &out);
 
 /** The full campaign. */
 class ExperimentEngine
@@ -279,10 +325,8 @@ class ExperimentEngine
     static bool loadShard(const std::string &path, uint64_t key,
                           ShaderResult &out);
 
-    /** Crash-safe checkpoint of one shard: writes `path + ".tmp"`,
-     * then atomically renames onto @p path. Failures (unopenable file,
-     * failed write, injected torn write) emit a support/diag warning
-     * and leave any previous shard at @p path untouched. */
+    /** Crash-safe checkpoint of one shard: publishShardFile of
+     * shardFileBytes(@p key, @p r), with no validation gate. */
     static void saveShard(const std::string &path, uint64_t key,
                           const ShaderResult &r);
 
@@ -290,14 +334,10 @@ class ExperimentEngine
     ExperimentEngine() = default;
 
     /**
-     * Work-queue campaign over the listed shader indices, one shader
-     * per unit: the unit explores its shader once (first item to need
-     * it) and then runs the shader's (shader x device) items in device
-     * order on the same thread. Transient per-item failures retry with
-     * backoff; exhausted or non-transient ones are quarantined (or
-     * rethrown under GSOPT_STRICT=1). @p checkpoint, when set, is
-     * invoked with a shader index on the unit's thread the moment all
-     * of its device items completed cleanly.
+     * Work-queue campaign over the listed shader indices: one
+     * runShaderUnit per shader, shaders spread over @p threads.
+     * @p checkpoint, when set, is invoked with a shader index on the
+     * unit's thread the moment its unit completed cleanly.
      */
     void runShaders(const std::vector<corpus::CorpusShader> &shaders,
                     const std::vector<size_t> &indices, unsigned threads,

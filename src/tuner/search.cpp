@@ -1,7 +1,6 @@
 #include "tuner/search.h"
 
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <stdexcept>
 
@@ -86,13 +85,9 @@ MeasurementOracle::baselineOrWarn()
     const double base = originalMeanNs();
     if (base <= 0.0 && !warnedBaseline_) {
         warnedBaseline_ = true;
-        Diagnostic d;
-        d.severity = Severity::Warning;
-        d.message = "non-positive baseline mean (" +
-                    std::to_string(base) + " ns) for '" +
-                    exploration_.shaderName + "' on " +
-                    device_.vendor + "; all speed-ups report 0";
-        std::fprintf(stderr, "%s\n", d.str().c_str());
+        warn("non-positive baseline mean (" + std::to_string(base) +
+             " ns) for '" + exploration_.shaderName + "' on " +
+             device_.vendor + "; all speed-ups report 0");
     }
     return base;
 }

@@ -313,6 +313,73 @@ TEST(DistribEquivalence, WorkerRefusesMismatchedShardKey)
                  std::runtime_error);
 }
 
+/** A resume over a complete directory has nothing to run, so it
+ * starts no workers: with GSOPT_DISTRIB_WORKER_FDS set, constructing a
+ * SubprocessTransport here would abort the process. */
+TEST(DistribEquivalence, CompleteResumeStartsNoWorkers)
+{
+    auto quiet = quiesce();
+    ScratchDir dir("complete_resume");
+    const auto shaders = miniCorpus();
+    { ExperimentEngine engine(shaders, /*threads=*/1, dir.path()); }
+    ScopedEnv insideWorker("GSOPT_DISTRIB_WORKER_FDS", "3,4");
+    distrib::Options opts;
+    opts.workers = 2;
+    opts.transport = distrib::TransportKind::Subprocess;
+    distrib::CampaignCoordinator coord(shaders, dir.path(), opts);
+    const distrib::DistribHealth &h = coord.run();
+    EXPECT_EQ(h.unitsTotal, shaders.size());
+    EXPECT_EQ(h.unitsFromCache, h.unitsTotal);
+    EXPECT_EQ(dirDigest(dir.path()), referenceDigest());
+}
+
+/** The coordinator's orphan sweep removes only dead shards: a file or
+ * directory that is not a shard is someone else's and survives. */
+TEST(DistribEquivalence, SweepRemovesOnlyDeadShards)
+{
+    auto quiet = quiesce();
+    ScratchDir dir("sweep");
+    const std::string foreign = dir.path() + "/notes.txt";
+    const std::string subdir = dir.path() + "/keep";
+    const std::string dead_bin = dir.path() + "/dead-0000.bin";
+    const std::string dead_tmp = dir.path() + "/dead-0001.bin.tmp";
+    for (const std::string &p : {foreign, dead_bin, dead_tmp})
+        std::ofstream(p, std::ios::binary) << "x";
+    fs::create_directories(subdir);
+
+    distrib::Options opts;
+    opts.workers = 2;
+    distrib::CampaignCoordinator coord(miniCorpus(), dir.path(), opts);
+    const distrib::DistribHealth &h = coord.run();
+    EXPECT_TRUE(h.healthy()) << h.summary();
+    EXPECT_TRUE(fs::exists(foreign));
+    EXPECT_TRUE(fs::is_directory(subdir));
+    EXPECT_FALSE(fs::exists(dead_bin));
+    EXPECT_FALSE(fs::exists(dead_tmp));
+    fs::remove(foreign);
+    fs::remove(subdir);
+    EXPECT_EQ(dirDigest(dir.path()), referenceDigest());
+}
+
+/** A worker's failed unit names the failing item's reason. */
+TEST(DistribFaults, FailedUnitCarriesTheItemReason)
+{
+    const auto shaders = miniCorpus();
+    const uint64_t key =
+        tuner::shardKey(shaders[0], tuner::deviceSetKey());
+    fault::ScopedFaultPlan plan("worker.item:1:1");
+    try {
+        distrib::executeUnit(shaders[0], key, 1);
+        FAIL() << "a unit whose every item fails must throw";
+    } catch (const std::runtime_error &e) {
+        const std::string what = e.what();
+        EXPECT_EQ(what.rfind("unit failed: ", 0), 0u) << what;
+        EXPECT_NE(what.find("injected fault at worker.item"),
+                  std::string::npos)
+            << what;
+    }
+}
+
 // ---------------------------------------------------- fault matrix
 
 /** Torn delivery: the coordinator must reject the truncated shard,

@@ -23,6 +23,7 @@
 #include "corpus/corpus.h"
 #include "gpu/driver.h"
 #include "runtime/framework.h"
+#include "support/diag.h"
 #include "support/fault.h"
 #include "support/retry.h"
 #include "support/rng.h"
@@ -485,6 +486,31 @@ TEST(ShardIO, StaleKeyMissesCleanlyAndSaysSo)
     testing::internal::CaptureStderr();
     EXPECT_TRUE(tuner::ExperimentEngine::loadShard(path, 14, out));
     EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+}
+
+TEST(ShardIO, StaleKeyWarningGoesToTheWarningSink)
+{
+    // Shard warnings travel the support/diag warning channel: with a
+    // sink installed they reach it, and nothing reaches stderr.
+    const fault::ScopedFaultPlan noAmbientFaults = quiesce();
+    ScratchDir dir("stalesink");
+    const std::string path = dir.path() + "/tiny.bin";
+    tuner::ExperimentEngine::saveShard(path, 14, tinyResult());
+
+    std::vector<Diagnostic> caught;
+    setWarningSink([&](const Diagnostic &d) { caught.push_back(d); });
+    tuner::ShaderResult out;
+    testing::internal::CaptureStderr();
+    const bool loaded = tuner::ExperimentEngine::loadShard(path, 15, out);
+    const std::string stderr_text = testing::internal::GetCapturedStderr();
+    setWarningSink(nullptr);
+
+    EXPECT_FALSE(loaded);
+    EXPECT_EQ(stderr_text, "");
+    ASSERT_EQ(caught.size(), 1u);
+    EXPECT_EQ(caught[0].severity, Severity::Warning);
+    EXPECT_NE(caught[0].message.find("key mismatch"), std::string::npos)
+        << caught[0].message;
 }
 
 TEST(ShardIO, PlanAnnotatedShardRoundTripsAndSurvivesTheMatrix)

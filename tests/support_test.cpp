@@ -342,5 +342,30 @@ TEST(EnvKnob, NonNegativeKnobRejectsASign)
                  "GSOPT_TEST_KNOB: '-1' is not a non-negative integer");
 }
 
+TEST(EnvKnob, StrictRejectsWordsAndSigns)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    for (const char *value : {"false", "yes", "-1"}) {
+        ScopedEnv bad("GSOPT_STRICT", value);
+        EXPECT_DEATH(strictMode(),
+                     "GSOPT_STRICT: '.*' is not a non-negative integer")
+            << value;
+    }
+}
+
+TEST(EnvKnob, StrictIsNonZero)
+{
+    ScopedEnv unset("GSOPT_STRICT", "");
+    EXPECT_FALSE(strictMode());
+    for (const char *value : {"0", "00"}) {
+        ScopedEnv off("GSOPT_STRICT", value);
+        EXPECT_FALSE(strictMode()) << value;
+    }
+    for (const char *value : {"1", "2"}) {
+        ScopedEnv on("GSOPT_STRICT", value);
+        EXPECT_TRUE(strictMode()) << value;
+    }
+}
+
 } // namespace
 } // namespace gsopt
