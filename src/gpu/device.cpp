@@ -1,6 +1,9 @@
 #include "gpu/device.h"
 
+#include <cstring>
 #include <stdexcept>
+
+#include "support/rng.h"
 
 namespace gsopt::gpu {
 
@@ -229,6 +232,45 @@ deviceModel(DeviceId id)
       case DeviceId::Qualcomm: return qualcomm;
     }
     throw std::logic_error("unknown device id");
+}
+
+uint64_t
+deviceModelKey(const DeviceModel &device)
+{
+    auto bits = [](double v) {
+        uint64_t b;
+        static_assert(sizeof(b) == sizeof(v), "double is 64-bit");
+        std::memcpy(&b, &v, sizeof(b));
+        return b;
+    };
+    uint64_t key = fnv1a(device.name);
+    key = hashCombine(key, fnv1a(device.vendor));
+    key = hashCombine(key, static_cast<uint64_t>(device.id));
+    key = hashCombine(key, static_cast<uint64_t>(device.isa));
+    for (double v :
+         {device.clockGhz, device.baseOverheadCycles, device.costAddMul,
+          device.costDiv, device.costSqrt, device.costTranscendental,
+          device.costMov, device.costBranch, device.divergencePenalty,
+          device.texIssueCost, device.texLatency, device.wavesToHideTex,
+          device.regBudget, device.spillThreshold, device.spillCost,
+          device.maxWaves, device.icacheInstrs, device.icachePenalty,
+          device.slpEfficiency, device.noiseSigma,
+          device.timerQuantumNs}) {
+        key = hashCombine(key, bits(v));
+    }
+    key = hashCombine(key, static_cast<uint64_t>(device.shaderUnits));
+    key = hashCombine(key,
+                      static_cast<uint64_t>(device.trianglesPerFrame));
+    key = hashCombine(key, device.jitFlags.mask());
+    key = hashCombine(key,
+                      static_cast<uint64_t>(device.jitUnrollTrips));
+    key = hashCombine(key,
+                      static_cast<uint64_t>(device.jitUnrollInstrs));
+    key = hashCombine(key,
+                      static_cast<uint64_t>(device.jitHoistArmInstrs));
+    key = hashCombine(key,
+                      static_cast<uint64_t>(device.schedulerWindow));
+    return key;
 }
 
 } // namespace gsopt::gpu

@@ -30,6 +30,7 @@
 #ifndef GSOPT_GPU_DEVICE_H
 #define GSOPT_GPU_DEVICE_H
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -139,6 +140,15 @@ const DeviceModel &deviceModel(DeviceId id);
 
 /** Short vendor tag ("NVIDIA", "ARM", ...) used in tables. */
 const char *deviceVendor(DeviceId id);
+
+/**
+ * Exact-bit hash of every field of @p device: each double is hashed
+ * through its IEEE-754 bit pattern (not decimal formatting), so a
+ * 1-ulp parameter change changes the key. It keys both the driver's
+ * binary cache (a tweaked ablation model never aliases a stock one)
+ * and, through tuner::deviceSetKey, every campaign shard.
+ */
+uint64_t deviceModelKey(const DeviceModel &device);
 
 } // namespace gsopt::gpu
 

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <list>
 #include <mutex>
 #include <shared_mutex>
 #include <unordered_map>
 
 #include "emit/offline.h"
 #include "passes/passes.h"
-#include "support/env.h"
 #include "support/fault.h"
 #include "support/rng.h"
 #include "support/time.h"
@@ -19,73 +17,14 @@ namespace gsopt::gpu {
 
 namespace {
 
-/** Hash every device parameter that can influence the compiled binary
- * or its cost accounting. Over-keying is harmless (a distinct entry);
- * under-keying would let tweaked ablation models alias stock ones. */
-uint64_t
-deviceConfigHash(const DeviceModel &d)
-{
-    auto mixDouble = [](uint64_t h, double v) {
-        uint64_t bits = 0;
-        static_assert(sizeof(bits) == sizeof(v));
-        __builtin_memcpy(&bits, &v, sizeof(bits));
-        return hashCombine(h, bits);
-    };
-    uint64_t h = fnv1a(d.name);
-    h = hashCombine(h, static_cast<uint64_t>(d.id));
-    h = hashCombine(h, static_cast<uint64_t>(d.isa));
-    for (double v :
-         {d.clockGhz, static_cast<double>(d.shaderUnits),
-          d.baseOverheadCycles, d.costAddMul, d.costDiv, d.costSqrt,
-          d.costTranscendental, d.costMov, d.costBranch,
-          d.divergencePenalty, d.texIssueCost, d.texLatency,
-          d.wavesToHideTex, d.regBudget, d.spillThreshold, d.spillCost,
-          d.maxWaves, d.icacheInstrs, d.icachePenalty, d.slpEfficiency})
-        h = mixDouble(h, v);
-    h = hashCombine(h, d.jitFlags.mask());
-    h = hashCombine(h, static_cast<uint64_t>(d.jitUnrollTrips));
-    h = hashCombine(h, d.jitUnrollInstrs);
-    h = hashCombine(h, d.jitHoistArmInstrs);
-    h = hashCombine(h, d.schedulerWindow);
-    return h;
-}
-
-/** One cached binary plus its position in the LRU order list. */
-struct CacheEntry
-{
-    ShaderBinary bin;
-    std::list<uint64_t>::iterator lru;
-};
-
+/** The binary cache: hashCombine(text hash, deviceModelKey) -> binary.
+ * Unbounded; hits take the lock shared. */
 std::shared_mutex cacheMutex;
-std::unordered_map<uint64_t, CacheEntry> cache;
-/** Cache keys, front = most recently used. Guarded by cacheMutex. */
-std::list<uint64_t> lruOrder;
+std::unordered_map<uint64_t, ShaderBinary> cache;
 std::atomic<uint64_t> cacheHits{0};
 std::atomic<uint64_t> cacheMisses{0};
 std::atomic<uint64_t> cacheCompileNs{0};
-std::atomic<uint64_t> cacheEvictions{0};
 std::atomic<uint64_t> frontEndRuns{0};
-
-/** Max entries, 0 = unbounded (the historical default). Seeded from
- * GSOPT_DRIVER_CACHE_CAP once at start-up; setDriverCacheCap after. */
-std::atomic<size_t> cacheCap{
-    static_cast<size_t>(envInteger("GSOPT_DRIVER_CACHE_CAP", 0, 0))};
-
-/** Evict LRU entries beyond the cap. Caller holds cacheMutex unique. */
-void
-evictOverCapLocked()
-{
-    const size_t cap = cacheCap.load(std::memory_order_relaxed);
-    if (cap == 0)
-        return;
-    while (cache.size() > cap) {
-        const uint64_t victim = lruOrder.back();
-        lruOrder.pop_back();
-        cache.erase(victim);
-        cacheEvictions.fetch_add(1, std::memory_order_relaxed);
-    }
-}
 
 /** Front-end sharing across devices: the driver's parse+lower of a
  * given text, and the first canonicalize every vendor runs on it, are
@@ -94,11 +33,9 @@ evictOverCapLocked()
  * for the vendor pass set. The clone keeps instruction and var ids, so
  * each device continues from exactly the module it would have
  * canonicalized itself. Entries are immutable once inserted (vendor
- * passes always run on a clone). Unbounded by default — a full
- * campaign tops out at a few hundred unique texts x 5 devices. For
- * longer-lived processes the binary cache above is LRU-boundable
- * (setDriverCacheCap / GSOPT_DRIVER_CACHE_CAP) and clearDriverCache()
- * drops both. */
+ * passes always run on a clone). Like the binary cache above it is
+ * unbounded — a full campaign tops out at a few hundred unique texts x
+ * 5 devices — and clearDriverCache() drops both. */
 std::mutex irCacheMutex;
 std::unordered_map<uint64_t, std::unique_ptr<ir::Module>> irCache;
 
@@ -142,27 +79,13 @@ ShaderBinary
 driverCompile(const std::string &glslSource, const DeviceModel &device)
 {
     const uint64_t textHash = fnv1a(glslSource);
-    const uint64_t key = hashCombine(textHash, deviceConfigHash(device));
-    if (cacheCap.load(std::memory_order_relaxed) == 0) {
-        // Unbounded (default): lock-shared read path, no recency
-        // maintenance needed — nothing is ever evicted.
+    const uint64_t key = hashCombine(textHash, deviceModelKey(device));
+    {
         std::shared_lock lock(cacheMutex);
         auto it = cache.find(key);
         if (it != cache.end()) {
             cacheHits.fetch_add(1, std::memory_order_relaxed);
-            return it->second.bin;
-        }
-    } else {
-        // Capped: a hit must refresh recency, which mutates the LRU
-        // list — the hit path pays for the exclusive lock only when a
-        // cap is actually configured.
-        std::unique_lock lock(cacheMutex);
-        auto it = cache.find(key);
-        if (it != cache.end()) {
-            cacheHits.fetch_add(1, std::memory_order_relaxed);
-            lruOrder.splice(lruOrder.begin(), lruOrder,
-                            it->second.lru);
-            return it->second.bin;
+            return it->second;
         }
     }
     // Miss: front end via the cross-device IR cache (parse and
@@ -176,20 +99,11 @@ driverCompile(const std::string &glslSource, const DeviceModel &device)
     ShaderBinary bin = compileIr(*module, device);
     cacheCompileNs.fetch_add(nowNs() - t0, std::memory_order_relaxed);
     {
+        // Another thread may have filled this key while we compiled;
+        // its entry is identical (deterministic compile), so keep it.
         std::unique_lock lock(cacheMutex);
         cacheMisses.fetch_add(1, std::memory_order_relaxed);
-        auto [it, inserted] = cache.try_emplace(key);
-        if (inserted) {
-            lruOrder.push_front(key);
-            it->second.bin = bin;
-            it->second.lru = lruOrder.begin();
-            evictOverCapLocked();
-        } else {
-            // Another thread filled this key while we compiled; its
-            // entry is identical (deterministic compile) — just touch.
-            lruOrder.splice(lruOrder.begin(), lruOrder,
-                            it->second.lru);
-        }
+        cache.try_emplace(key, bin);
     }
     return bin;
 }
@@ -198,18 +112,8 @@ DriverCacheStats
 driverCacheStats()
 {
     std::shared_lock lock(cacheMutex);
-    return {cacheHits,      cacheMisses,
-            cache.size(),   cacheCompileNs,
-            cacheEvictions, cacheCap.load(std::memory_order_relaxed),
+    return {cacheHits, cacheMisses, cache.size(), cacheCompileNs,
             frontEndRuns};
-}
-
-void
-setDriverCacheCap(size_t cap)
-{
-    std::unique_lock lock(cacheMutex);
-    cacheCap.store(cap, std::memory_order_relaxed);
-    evictOverCapLocked();
 }
 
 void
@@ -221,11 +125,9 @@ clearDriverCache()
     }
     std::unique_lock lock(cacheMutex);
     cache.clear();
-    lruOrder.clear();
     cacheHits = 0;
     cacheMisses = 0;
     cacheCompileNs = 0;
-    cacheEvictions = 0;
     frontEndRuns = 0;
 }
 

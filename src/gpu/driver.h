@@ -41,13 +41,14 @@ struct ShaderBinary
  * gsopt::CompileError on invalid source.
  *
  * Compilations are memoised in a process-wide content-addressed cache
- * keyed by (source-text hash, device-configuration hash): across a
- * whole measurement campaign each unique variant text is compiled once
- * per device instead of once per measurement — the real-driver analogue
- * of the GL shader binary cache. The key covers every compilation- and
- * cost-relevant device parameter, so ablation studies that tweak a
- * model (e.g. disabling its JIT passes) never alias with the stock
- * model. Thread-safe.
+ * keyed by (source-text hash, deviceModelKey): across a whole
+ * measurement campaign each unique variant text is compiled once per
+ * device instead of once per measurement — the real-driver analogue of
+ * the GL shader binary cache. The key covers every device parameter,
+ * so ablation studies that tweak a model (e.g. disabling its JIT
+ * passes) never alias with the stock model. The cache is unbounded: a
+ * campaign tops out at a few hundred unique texts x 5 devices.
+ * Thread-safe.
  */
 ShaderBinary driverCompile(const std::string &glslSource,
                            const DeviceModel &device);
@@ -64,8 +65,6 @@ struct DriverCacheStats
     uint64_t misses = 0;
     uint64_t entries = 0;
     uint64_t compileNs = 0;  ///< time spent in uncached fills
-    uint64_t evictions = 0;  ///< entries LRU-evicted over the cap
-    uint64_t capacity = 0;   ///< current cap (0 = unbounded)
     /** Driver front-end runs (parse, lower, first canonicalize): the
      * cross-device IR cache's misses, one per distinct text unless
      * two threads compile the same text at once. */
@@ -74,21 +73,8 @@ struct DriverCacheStats
 
 DriverCacheStats driverCacheStats();
 
-/**
- * Bound the binary cache to at most @p cap entries, evicting least-
- * recently-used entries beyond it (0 restores the default unbounded
- * behaviour). A campaign never needs a cap — it tops out at a few
- * hundred unique texts x 5 devices — but a long-lived tuner daemon
- * serving open-ended traffic does; this is its pressure valve (ROADMAP
- * daemon item). Also settable at start-up via GSOPT_DRIVER_CACHE_CAP.
- * Shrinking below the current entry count evicts immediately.
- * Thread-safe.
- */
-void setDriverCacheCap(size_t cap);
-
 /** Drop all cached binaries and IR and zero the stats (benchmarks
- * and tests only).
- * The configured capacity is config, not a stat: it survives. */
+ * and tests only). */
 void clearDriverCache();
 
 /** Timing: nanoseconds to shade one full-screen draw (noise-free). */

@@ -120,8 +120,8 @@ class FrameDecoder
 };
 
 // ---- payload packing ----------------------------------------------------
-// Minimal byte packing for frame payloads (little-endian PODs +
-// length-prefixed strings), mirroring the shard serialisation idiom.
+// The one byte codec of frame payloads and shard files (tuner/
+// experiment.h): host-order PODs and u64-length-prefixed strings.
 
 /** Append-only payload builder. */
 class Pack
@@ -135,15 +135,16 @@ class Pack
         bytes_.append(s.data(), s.size());
         return *this;
     }
-    const std::string &bytes() const & { return bytes_; }
-    std::string take() { return std::move(bytes_); }
-
-  private:
+    /** Append the raw bytes of a trivially copyable @p v. */
     template <typename T> Pack &pod(T v)
     {
         bytes_.append(reinterpret_cast<const char *>(&v), sizeof(v));
         return *this;
     }
+    const std::string &bytes() const & { return bytes_; }
+    std::string take() { return std::move(bytes_); }
+
+  private:
     std::string bytes_;
 };
 
@@ -166,10 +167,7 @@ class Unpack
         pos_ += n;
         return true;
     }
-    /** All bytes consumed? (Trailing garbage is a protocol bug.) */
-    bool done() const { return pos_ == bytes_.size(); }
-
-  private:
+    /** Read the raw bytes of a trivially copyable @p v. */
     template <typename T> bool pod(T &v)
     {
         if (sizeof(T) > bytes_.size() - pos_)
@@ -178,6 +176,10 @@ class Unpack
         pos_ += sizeof(T);
         return true;
     }
+    /** All bytes consumed? (Trailing garbage is a protocol bug.) */
+    bool done() const { return pos_ == bytes_.size(); }
+
+  private:
     std::string_view bytes_;
     size_t pos_ = 0;
 };

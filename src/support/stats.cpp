@@ -17,19 +17,30 @@ Summary::str() const
     return os.str();
 }
 
+namespace {
+
+/** percentile() of an already sorted, non-empty @p sorted. */
+double
+sortedPercentile(const std::vector<double> &sorted, double p)
+{
+    if (sorted.size() == 1)
+        return sorted[0];
+    const double rank = (p / 100.0) * (sorted.size() - 1);
+    const size_t lo = static_cast<size_t>(rank);
+    const size_t hi = std::min(lo + 1, sorted.size() - 1);
+    const double frac = rank - static_cast<double>(lo);
+    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
+} // namespace
+
 double
 percentile(std::vector<double> values, double p)
 {
     if (values.empty())
         return 0.0;
     std::sort(values.begin(), values.end());
-    if (values.size() == 1)
-        return values[0];
-    const double rank = (p / 100.0) * (values.size() - 1);
-    const size_t lo = static_cast<size_t>(rank);
-    const size_t hi = std::min(lo + 1, values.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return values[lo] * (1.0 - frac) + values[hi] * frac;
+    return sortedPercentile(values, p);
 }
 
 Summary
@@ -43,9 +54,9 @@ summarize(const std::vector<double> &values)
     s.count = sorted.size();
     s.min = sorted.front();
     s.max = sorted.back();
-    s.q1 = percentile(sorted, 25.0);
-    s.median = percentile(sorted, 50.0);
-    s.q3 = percentile(sorted, 75.0);
+    s.q1 = sortedPercentile(sorted, 25.0);
+    s.median = sortedPercentile(sorted, 50.0);
+    s.q3 = sortedPercentile(sorted, 75.0);
     double sum = 0.0;
     for (double v : sorted)
         sum += v;

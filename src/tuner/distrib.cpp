@@ -945,24 +945,21 @@ CampaignCoordinator::runOver(WorkerTransport *supplied)
         std::error_code ec;
         if (fs::exists(path, ec))
             return Merge::Duplicate; // copy only if the key is absent
-        // Verification gate: checksum + key + structural validation
-        // through the exact loader every consumer uses. Nothing a
-        // worker sent is trusted until it parses.
+        // Verification gate: key, checksum and structural validation
+        // of the delivered bytes, in memory, through the parser every
+        // shard load uses. Nothing a worker sent is written until it
+        // parses.
+        ShaderResult parsed;
+        if (!parseShard(bytes, store.key(u.shaderIndex), parsed))
+            return Merge::Invalid;
         // A failed write (an injected shard.write tear, say) is local
-        // and retried; a rejected delivery is not.
-        bool published = false, rejected = false;
-        auto parses = [&](const std::string &tmp) {
-            ShaderResult parsed;
-            rejected = !ExperimentEngine::loadShard(
-                tmp, store.key(u.shaderIndex), parsed);
-            return !rejected;
-        };
-        for (int attempt = 0; attempt < 3 && !published && !rejected;
-             ++attempt)
-            published = publishShardFile(path, bytes, parses);
-        if (!published)
-            fs::remove(path + ".tmp", ec);
-        return published ? Merge::Published : Merge::Invalid;
+        // and retried.
+        for (int attempt = 0; attempt < 3; ++attempt) {
+            if (publishShardFile(path, bytes))
+                return Merge::Published;
+        }
+        fs::remove(path + ".tmp", ec);
+        return Merge::Invalid;
     };
 
     auto requeue_or_quarantine = [&](size_t ui,

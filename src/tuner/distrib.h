@@ -20,9 +20,11 @@
  * format (see experiment.h), so merge verification is free.
  *
  * The coordinator merges with "copy if key absent": every incoming
- * shard goes through tuner::publishShardFile, the store's one
- * tmp-then-rename write, with ExperimentEngine::loadShard (key, content
- * hash, structural checks) as the gate before the rename. A shard
+ * shard is first validated in memory by tuner::parseShard (key,
+ * content hash, structural checks — the parser every shard load uses)
+ * and only then goes through tuner::publishShardFile, the store's one
+ * tmp-then-rename write; nothing re-reads a file it just wrote, so a
+ * coordinator-side read fault is never blamed on a worker. A shard
  * that fails validation is rejected and its unit re-queued; a
  * duplicate delivery (a unit that was re-assigned after a lease
  * expiry and then completed twice) is discarded. The merged directory

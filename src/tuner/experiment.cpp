@@ -1,13 +1,12 @@
 #include "tuner/experiment.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
 #include "passes/registry.h"
@@ -15,6 +14,7 @@
 #include "support/diag.h"
 #include "support/fault.h"
 #include "support/governor.h"
+#include "support/ipc.h"
 #include "support/retry.h"
 #include "support/rng.h"
 #include "support/stats.h"
@@ -42,52 +42,7 @@ namespace {
  * flag-lattice bodies stay byte-identical to 14/15. */
 constexpr uint64_t kSchemaVersion = 16;
 
-/** Exact IEEE-754 bit pattern of a double, for hashing. Decimal
- * formatting (the old ostringstream path) silently collided configs
- * differing past the default 6 significant digits. */
-uint64_t
-doubleBits(double v)
-{
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v), "double is 64-bit");
-    std::memcpy(&bits, &v, sizeof(bits));
-    return bits;
-}
-
 } // namespace
-
-uint64_t
-deviceModelKey(const gpu::DeviceModel &device)
-{
-    uint64_t key = fnv1a(device.name);
-    key = hashCombine(key, fnv1a(device.vendor));
-    key = hashCombine(key, static_cast<uint64_t>(device.id));
-    key = hashCombine(key, static_cast<uint64_t>(device.isa));
-    for (double v :
-         {device.clockGhz, device.baseOverheadCycles, device.costAddMul,
-          device.costDiv, device.costSqrt, device.costTranscendental,
-          device.costMov, device.costBranch, device.divergencePenalty,
-          device.texIssueCost, device.texLatency, device.wavesToHideTex,
-          device.regBudget, device.spillThreshold, device.spillCost,
-          device.maxWaves, device.icacheInstrs, device.icachePenalty,
-          device.slpEfficiency, device.noiseSigma,
-          device.timerQuantumNs}) {
-        key = hashCombine(key, doubleBits(v));
-    }
-    key = hashCombine(key, static_cast<uint64_t>(device.shaderUnits));
-    key = hashCombine(key,
-                      static_cast<uint64_t>(device.trianglesPerFrame));
-    key = hashCombine(key, device.jitFlags.mask());
-    key = hashCombine(key,
-                      static_cast<uint64_t>(device.jitUnrollTrips));
-    key = hashCombine(key,
-                      static_cast<uint64_t>(device.jitUnrollInstrs));
-    key = hashCombine(key,
-                      static_cast<uint64_t>(device.jitHoistArmInstrs));
-    key = hashCombine(key,
-                      static_cast<uint64_t>(device.schedulerWindow));
-    return key;
-}
 
 uint64_t
 deviceSetKey()
@@ -95,7 +50,7 @@ deviceSetKey()
     uint64_t key = kSchemaVersion;
     key = hashCombine(key, passes::PassRegistry::instance().signature());
     for (gpu::DeviceId id : gpu::allDevices())
-        key = hashCombine(key, deviceModelKey(gpu::deviceModel(id)));
+        key = hashCombine(key, gpu::deviceModelKey(gpu::deviceModel(id)));
     return key;
 }
 
@@ -496,119 +451,57 @@ ExperimentEngine::familyPrior() const
 
 // ---------------------------------------------------------------- cache
 
-namespace {
-
-void
-writeString(std::ostream &os, const std::string &s)
-{
-    const uint64_t n = s.size();
-    os.write(reinterpret_cast<const char *>(&n), sizeof(n));
-    os.write(s.data(), static_cast<std::streamsize>(n));
-}
-
-bool
-readString(std::istream &is, std::string &s)
-{
-    uint64_t n = 0;
-    if (!is.read(reinterpret_cast<char *>(&n), sizeof(n)))
-        return false;
-    // Bound the length by the bytes actually remaining in the body: a
-    // flipped length byte must fail cleanly here, not allocate ~1 GB
-    // before the read fails.
-    const std::streamoff here = is.tellg();
-    if (here < 0)
-        return false;
-    is.seekg(0, std::ios::end);
-    const std::streamoff end = is.tellg();
-    is.seekg(here);
-    if (end < here || n > static_cast<uint64_t>(end - here))
-        return false;
-    s.resize(n);
-    return static_cast<bool>(
-        is.read(s.data(), static_cast<std::streamsize>(n)));
-}
-
-template <typename T>
-void
-writePod(std::ostream &os, const T &v)
-{
-    os.write(reinterpret_cast<const char *>(&v), sizeof(T));
-}
-
-template <typename T>
-bool
-readPod(std::istream &is, T &v)
-{
-    return static_cast<bool>(
-        is.read(reinterpret_cast<char *>(&v), sizeof(T)));
-}
-
-} // namespace
-
 std::string
 serializeShardBody(const ShaderResult &r)
 {
-    std::ostringstream os(std::ios::binary);
-    writeString(os, r.exploration.shaderName);
-    writeString(os, r.exploration.family);
-    writeString(os, r.exploration.preprocessedOriginal);
-    writeString(os, r.exploration.originalSource);
-    writePod(os,
-             static_cast<uint64_t>(r.exploration.exploredFlagCount));
-    writePod(os, static_cast<uint64_t>(r.exploration.variants.size()));
-    for (const auto &v : r.exploration.variants) {
-        writeString(os, v.source);
-        writePod(os, v.sourceHash);
-        writePod(os, static_cast<uint64_t>(v.producers.size()));
+    const Exploration &ex = r.exploration;
+    ipc::Pack p;
+    p.str(ex.shaderName)
+        .str(ex.family)
+        .str(ex.preprocessedOriginal)
+        .str(ex.originalSource)
+        .u64(ex.exploredFlagCount)
+        .u64(ex.variants.size());
+    for (const auto &v : ex.variants) {
+        p.str(v.source).u64(v.sourceHash).u64(v.producers.size());
         for (const FlagSet &f : v.producers)
-            writePod(os, f.bits);
+            p.u64(f.bits);
     }
-    writePod(os,
-             static_cast<uint64_t>(r.exploration.variantOfCombo.size()));
+    p.u64(ex.variantOfCombo.size());
     // Deterministic order keeps shard bytes reproducible.
     std::vector<std::pair<uint64_t, int>> combos(
-        r.exploration.variantOfCombo.begin(),
-        r.exploration.variantOfCombo.end());
+        ex.variantOfCombo.begin(), ex.variantOfCombo.end());
     std::sort(combos.begin(), combos.end());
-    for (const auto &[combo, index] : combos) {
-        writePod(os, combo);
-        writePod(os, static_cast<int64_t>(index));
-    }
-    writePod(os, r.exploration.passthroughVariant);
-    writePod(os, static_cast<uint64_t>(r.byDevice.size()));
+    for (const auto &[combo, index] : combos)
+        p.u64(combo).pod<int64_t>(index);
+    p.pod(ex.passthroughVariant).u64(r.byDevice.size());
     for (const auto &[dev, m] : r.byDevice) {
-        writePod(os, static_cast<int>(dev));
-        writePod(os, m.originalMeanNs);
-        writePod(os, static_cast<uint64_t>(m.variantMeanNs.size()));
+        p.pod(static_cast<int>(dev))
+            .pod(m.originalMeanNs)
+            .u64(m.variantMeanNs.size());
         for (double t : m.variantMeanNs)
-            writePod(os, t);
+            p.pod(t);
     }
     // Tagged trailing sections (schema 16), each written only when
     // non-empty, so a healthy pure flag-lattice campaign — the paper's
     // canonical 2^N sweep — serialises byte-identically to schema
     // 14/15 and the golden md5 pins hold. Both source maps are ordered;
     // iteration order is deterministic.
-    if (!r.exploration.variantOfPlan.empty()) {
-        writePod(os, static_cast<char>('P'));
-        writePod(os, static_cast<uint64_t>(
-                         r.exploration.variantOfPlan.size()));
-        for (const auto &[plan, index] : r.exploration.variantOfPlan) {
-            writeString(os, plan);
-            writePod(os, static_cast<int64_t>(index));
-        }
+    if (!ex.variantOfPlan.empty()) {
+        p.pod('P').u64(ex.variantOfPlan.size());
+        for (const auto &[plan, index] : ex.variantOfPlan)
+            p.str(plan).pod<int64_t>(index);
     }
     if (!r.quarantined.empty()) {
-        writePod(os, static_cast<char>('Q'));
-        writePod(os, static_cast<uint64_t>(r.quarantined.size()));
+        p.pod('Q').u64(r.quarantined.size());
         for (gpu::DeviceId dev : r.quarantined) {
-            writePod(os, static_cast<int>(dev));
             auto why = r.quarantineReason.find(dev);
-            writeString(os, why == r.quarantineReason.end()
-                                ? std::string()
-                                : why->second);
+            p.pod(static_cast<int>(dev))
+                .str(why == r.quarantineReason.end() ? std::string_view()
+                                                     : why->second);
         }
     }
-    return os.str();
+    return p.take();
 }
 
 namespace {
@@ -625,22 +518,149 @@ std::string
 shardFileBytes(uint64_t key, const ShaderResult &r)
 {
     // Serialise the body first so a content hash can front it: the
-    // structural caps in loadShard cannot catch a flipped byte inside
+    // structural caps in parseShard cannot catch a flipped byte inside
     // stored shader text, and a silently wrong variant is worse than a
     // re-run shard.
     const std::string body = serializeShardBody(r);
-    const uint64_t hash = fnv1a(body);
-    std::string bytes;
-    bytes.reserve(sizeof(key) + sizeof(hash) + body.size());
-    bytes.append(reinterpret_cast<const char *>(&key), sizeof(key));
-    bytes.append(reinterpret_cast<const char *>(&hash), sizeof(hash));
-    bytes += body;
-    return bytes;
+    return ipc::Pack().u64(key).u64(fnv1a(body)).take() + body;
 }
 
 bool
-publishShardFile(const std::string &path, const std::string &bytes,
-                 const std::function<bool(const std::string &)> &accept)
+parseShard(std::string_view bytes, uint64_t key, ShaderResult &out)
+{
+    ipc::Unpack header(bytes);
+    uint64_t file_key = 0, body_hash = 0;
+    if (!header.u64(file_key) || file_key != key ||
+        !header.u64(body_hash))
+        return false;
+    const std::string_view body = bytes.substr(2 * sizeof(uint64_t));
+    if (fnv1a(body) != body_hash)
+        return false;
+
+    ipc::Unpack in(body);
+    ShaderResult r;
+    Exploration &ex = r.exploration;
+    uint64_t flag_count = 0, n_variants = 0;
+    if (!in.str(ex.shaderName) || !in.str(ex.family) ||
+        !in.str(ex.preprocessedOriginal) || !in.str(ex.originalSource) ||
+        !in.u64(flag_count) || flag_count > 63 || !in.u64(n_variants) ||
+        n_variants > 100000)
+        return false;
+    ex.exploredFlagCount = flag_count;
+    auto is_variant = [&](int64_t index) {
+        return index >= 0 && static_cast<uint64_t>(index) < n_variants;
+    };
+    ex.variants.resize(n_variants);
+    // Plan-only variants (schema 15) legitimately have zero producers
+    // — no flag combination reaches their text. Anything else with
+    // zero producers is structural corruption; checked once the plan
+    // section below says which variants plans actually reference.
+    std::vector<size_t> producerless;
+    for (size_t vi = 0; vi < n_variants; ++vi) {
+        Variant &v = ex.variants[vi];
+        uint64_t n_producers = 0;
+        if (!in.str(v.source) || !in.u64(v.sourceHash) ||
+            !in.u64(n_producers) || n_producers > (1ull << 24))
+            return false;
+        if (n_producers == 0)
+            producerless.push_back(vi);
+        v.producers.resize(n_producers);
+        for (FlagSet &f : v.producers) {
+            if (!in.u64(f.bits))
+                return false;
+        }
+    }
+    uint64_t n_combos = 0;
+    if (!in.u64(n_combos) || n_combos > (1ull << 24))
+        return false;
+    ex.variantOfCombo.reserve(n_combos);
+    for (uint64_t c = 0; c < n_combos; ++c) {
+        uint64_t combo = 0;
+        int64_t index = 0;
+        if (!in.u64(combo) || !in.pod(index) || !is_variant(index))
+            return false;
+        ex.variantOfCombo.emplace(combo, static_cast<int>(index));
+    }
+    uint64_t n_devices = 0;
+    if (!in.pod(ex.passthroughVariant) ||
+        !is_variant(ex.passthroughVariant) || !in.u64(n_devices) ||
+        n_devices > 16)
+        return false;
+    for (uint64_t d = 0; d < n_devices; ++d) {
+        int dev = 0;
+        DeviceMeasurement m;
+        uint64_t n_times = 0;
+        if (!in.pod(dev) || !in.pod(m.originalMeanNs) ||
+            !in.u64(n_times) || n_times != n_variants)
+            return false;
+        m.variantMeanNs.resize(n_times);
+        for (double &t : m.variantMeanNs) {
+            if (!in.pod(t))
+                return false;
+        }
+        r.byDevice.emplace(static_cast<gpu::DeviceId>(dev), std::move(m));
+    }
+    // Optional tagged trailing sections (schema 16): 'P' plans then
+    // 'Q' quarantine, each at most once, in that order. Absent for a
+    // healthy flag-lattice campaign — then the body ends exactly here.
+    bool seen_plans = false, seen_quarantine = false;
+    while (!in.done()) {
+        char tag = 0;
+        in.pod(tag); // cannot fail: a byte remains
+        if (tag == 'P' && !seen_plans && !seen_quarantine) {
+            seen_plans = true;
+            uint64_t n_plans = 0;
+            if (!in.u64(n_plans) || n_plans == 0 || n_plans > (1ull << 24))
+                return false;
+            for (uint64_t i = 0; i < n_plans; ++i) {
+                std::string plan;
+                int64_t index = 0;
+                // A duplicate plan key is corrupt too.
+                if (!in.str(plan) || plan.empty() || !in.pod(index) ||
+                    !is_variant(index) ||
+                    !ex.variantOfPlan
+                         .emplace(std::move(plan), static_cast<int>(index))
+                         .second)
+                    return false;
+            }
+        } else if (tag == 'Q' && !seen_quarantine) {
+            seen_quarantine = true;
+            uint64_t n_q = 0;
+            if (!in.u64(n_q) || n_q == 0 || n_q > 1024)
+                return false;
+            for (uint64_t i = 0; i < n_q; ++i) {
+                int dev_int = 0;
+                std::string reason;
+                if (!in.pod(dev_int) || !in.str(reason))
+                    return false;
+                const auto dev = static_cast<gpu::DeviceId>(dev_int);
+                // A quarantined device has no measurement, and the
+                // set itself must be duplicate-free.
+                if (r.byDevice.count(dev) ||
+                    !r.quarantined.insert(dev).second)
+                    return false;
+                if (!reason.empty())
+                    r.quarantineReason.emplace(dev, std::move(reason));
+            }
+        } else {
+            return false; // unknown, duplicate or out-of-order section
+        }
+    }
+    // Every producer-less variant must be reachable through some plan
+    // annotation; otherwise the body is structurally corrupt.
+    for (size_t vi : producerless) {
+        if (std::none_of(ex.variantOfPlan.begin(), ex.variantOfPlan.end(),
+                         [&](const auto &plan) {
+                             return static_cast<size_t>(plan.second) == vi;
+                         }))
+            return false;
+    }
+    out = std::move(r);
+    return true;
+}
+
+bool
+publishShardFile(const std::string &path, const std::string &bytes)
 {
     namespace fs = std::filesystem;
     // Tmp-rename protocol: build the whole file beside the target,
@@ -665,7 +685,7 @@ publishShardFile(const std::string &path, const std::string &bytes,
     std::error_code ec;
     if (!file) {
         warnShard(path, "write failed; checkpoint abandoned");
-    } else if (!accept || accept(tmp)) {
+    } else {
         fs::rename(tmp, path, ec);
         if (!ec)
             return true;
@@ -720,7 +740,7 @@ void
 ExperimentEngine::saveShard(const std::string &path, uint64_t key,
                             const ShaderResult &r)
 {
-    publishShardFile(path, shardFileBytes(key, r), {});
+    publishShardFile(path, shardFileBytes(key, r));
 }
 
 bool
@@ -730,13 +750,18 @@ ExperimentEngine::loadShard(const std::string &path, uint64_t key,
     // An injected read fault is a cache miss: the shard re-runs.
     if (fault::triggered("shard.read"))
         return false;
-    std::ifstream file(path, std::ios::binary);
-    if (!file)
+    std::ifstream file(path, std::ios::binary | std::ios::ate);
+    const std::streamoff size = file ? std::streamoff(file.tellg()) : -1;
+    // The key and the content hash, then a body of at most 2 GiB.
+    if (size < 0 || size > 16 + (1ll << 31))
         return false;
-    uint64_t file_key = 0, body_hash = 0;
-    if (!readPod(file, file_key))
+    std::string bytes(static_cast<size_t>(size), '\0');
+    if (!file.seekg(0) || !file.read(bytes.data(), size))
         return false;
-    if (file_key != key) {
+    if (parseShard(bytes, key, out))
+        return true;
+    uint64_t file_key = 0;
+    if (ipc::Unpack(bytes).u64(file_key) && file_key != key) {
         // A present-but-differently-keyed shard is stale, not corrupt:
         // the key covers the schema version, registry signature,
         // device set, and shader source, so this is what an old-schema
@@ -746,165 +771,8 @@ ExperimentEngine::loadShard(const std::string &path, uint64_t key,
         warnShard(path, "key mismatch (stale schema, registry, device "
                         "set, or shader source); treating as a cache "
                         "miss");
-        return false;
     }
-    if (!readPod(file, body_hash))
-        return false;
-    const std::streamoff body_start = file.tellg();
-    file.seekg(0, std::ios::end);
-    const std::streamoff body_size = file.tellg() - body_start;
-    if (body_size < 0 || body_size > (1ll << 31))
-        return false;
-    file.seekg(body_start);
-    std::string body(static_cast<size_t>(body_size), '\0');
-    if (!file.read(body.data(), body_size))
-        return false;
-    if (fnv1a(body) != body_hash)
-        return false;
-    std::istringstream is(body, std::ios::binary);
-    ShaderResult r;
-    if (!readString(is, r.exploration.shaderName) ||
-        !readString(is, r.exploration.family) ||
-        !readString(is, r.exploration.preprocessedOriginal) ||
-        !readString(is, r.exploration.originalSource))
-        return false;
-    uint64_t flag_count = 0;
-    if (!readPod(is, flag_count) || flag_count > 63)
-        return false;
-    r.exploration.exploredFlagCount = flag_count;
-    uint64_t n_variants = 0;
-    if (!readPod(is, n_variants) || n_variants > 100000)
-        return false;
-    r.exploration.variants.resize(n_variants);
-    // Plan-only variants (schema 15) legitimately have zero producers
-    // — no flag combination reaches their text. Anything else with
-    // zero producers is structural corruption; checked once the plan
-    // section below says which variants plans actually reference.
-    std::vector<size_t> producerless;
-    for (size_t vi = 0; vi < n_variants; ++vi) {
-        auto &v = r.exploration.variants[vi];
-        if (!readString(is, v.source) || !readPod(is, v.sourceHash))
-            return false;
-        uint64_t n_producers = 0;
-        if (!readPod(is, n_producers) || n_producers > (1ull << 24))
-            return false;
-        if (n_producers == 0)
-            producerless.push_back(vi);
-        v.producers.resize(n_producers);
-        for (auto &f : v.producers) {
-            if (!readPod(is, f.bits))
-                return false;
-        }
-    }
-    uint64_t n_combos = 0;
-    if (!readPod(is, n_combos) || n_combos > (1ull << 24))
-        return false;
-    r.exploration.variantOfCombo.reserve(n_combos);
-    for (uint64_t c = 0; c < n_combos; ++c) {
-        uint64_t combo = 0;
-        int64_t index = 0;
-        if (!readPod(is, combo) || !readPod(is, index))
-            return false;
-        if (index < 0 || static_cast<uint64_t>(index) >= n_variants)
-            return false;
-        r.exploration.variantOfCombo.emplace(
-            combo, static_cast<int>(index));
-    }
-    if (!readPod(is, r.exploration.passthroughVariant) ||
-        r.exploration.passthroughVariant < 0 ||
-        static_cast<uint64_t>(r.exploration.passthroughVariant) >=
-            n_variants)
-        return false;
-    uint64_t n_devices = 0;
-    if (!readPod(is, n_devices) || n_devices > 16)
-        return false;
-    for (uint64_t d = 0; d < n_devices; ++d) {
-        int dev_int = 0;
-        DeviceMeasurement m;
-        if (!readPod(is, dev_int) || !readPod(is, m.originalMeanNs))
-            return false;
-        uint64_t n_times = 0;
-        if (!readPod(is, n_times) || n_times != n_variants)
-            return false;
-        m.variantMeanNs.resize(n_times);
-        for (double &t : m.variantMeanNs) {
-            if (!readPod(is, t))
-                return false;
-        }
-        r.byDevice.emplace(static_cast<gpu::DeviceId>(dev_int),
-                           std::move(m));
-    }
-    // Optional tagged trailing sections (schema 16): 'P' plans then
-    // 'Q' quarantine, each at most once, in that order. Absent for a
-    // healthy flag-lattice campaign — then the body ends exactly here.
-    bool seen_plans = false, seen_quarantine = false;
-    while (is.peek() != std::char_traits<char>::eof()) {
-        char tag = 0;
-        if (!readPod(is, tag))
-            return false;
-        if (tag == 'P') {
-            if (seen_plans || seen_quarantine)
-                return false; // duplicate or out-of-order section
-            seen_plans = true;
-            uint64_t n_plans = 0;
-            if (!readPod(is, n_plans) || n_plans == 0 ||
-                n_plans > (1ull << 24))
-                return false;
-            for (uint64_t p = 0; p < n_plans; ++p) {
-                std::string plan;
-                int64_t index = 0;
-                if (!readString(is, plan) || plan.empty() ||
-                    !readPod(is, index))
-                    return false;
-                if (index < 0 ||
-                    static_cast<uint64_t>(index) >= n_variants)
-                    return false;
-                if (!r.exploration.variantOfPlan
-                         .emplace(std::move(plan),
-                                  static_cast<int>(index))
-                         .second)
-                    return false; // duplicate plan key
-            }
-        } else if (tag == 'Q') {
-            if (seen_quarantine)
-                return false;
-            seen_quarantine = true;
-            uint64_t n_q = 0;
-            if (!readPod(is, n_q) || n_q == 0 || n_q > 1024)
-                return false;
-            for (uint64_t q = 0; q < n_q; ++q) {
-                int dev_int = 0;
-                std::string reason;
-                if (!readPod(is, dev_int) || !readString(is, reason))
-                    return false;
-                const auto dev = static_cast<gpu::DeviceId>(dev_int);
-                // A quarantined device has no measurement, and the
-                // set itself must be duplicate-free.
-                if (r.byDevice.count(dev) ||
-                    !r.quarantined.insert(dev).second)
-                    return false;
-                if (!reason.empty())
-                    r.quarantineReason.emplace(dev, std::move(reason));
-            }
-        } else {
-            return false; // unknown tag: garbled body
-        }
-    }
-    // Every producer-less variant must be reachable through some plan
-    // annotation; otherwise the body is structurally corrupt.
-    for (size_t vi : producerless) {
-        bool referenced = false;
-        for (const auto &[plan, index] : r.exploration.variantOfPlan) {
-            if (static_cast<size_t>(index) == vi) {
-                referenced = true;
-                break;
-            }
-        }
-        if (!referenced)
-            return false;
-    }
-    out = std::move(r);
-    return true;
+    return false;
 }
 
 } // namespace gsopt::tuner

@@ -33,6 +33,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gpu/device.h"
@@ -104,15 +105,8 @@ struct ShaderResult
 
 // ---- campaign cache keys -------------------------------------------------
 
-/**
- * Exact-bit hash of one device model: every double is hashed through
- * its IEEE-754 bit pattern (not decimal formatting), so a 1-ulp
- * parameter change changes the key.
- */
-uint64_t deviceModelKey(const gpu::DeviceModel &device);
-
-/** Combined key of all configured devices plus the pass-registry
- * signature and the engine schema version. */
+/** Combined key of all configured devices (gpu::deviceModelKey) plus
+ * the pass-registry signature and the engine schema version. */
 uint64_t deviceSetKey();
 
 /** Shard cache key for one shader under @p setKey (from
@@ -132,16 +126,26 @@ std::string shardFileName(const corpus::CorpusShader &shader,
 std::string shardFileBytes(uint64_t key, const ShaderResult &r);
 
 /**
+ * The one shard parser: validate complete shard file @p bytes (format
+ * below) against @p key — the key, the body content hash, count caps,
+ * section tags and order, quarantine/measurement overlap, and that
+ * every producer-less variant is plan-referenced — and decode them
+ * into @p out. Returns false, never throws and leaves @p out untouched
+ * on any mismatch. loadShard runs it on a file's bytes; the
+ * coordinator runs it on a delivery before writing anything.
+ */
+bool parseShard(std::string_view bytes, uint64_t key, ShaderResult &out);
+
+/**
  * The store's one write: @p bytes go to `path + ".tmp"`, which is
- * atomically renamed onto @p path once @p accept (when set: the
- * coordinator's validation gate) accepts it, so readers never see a
- * half-written shard. Returns whether @p path now holds @p bytes. An
- * injected "shard.write" tear leaves the torn `.tmp` behind, as a
+ * atomically renamed onto @p path, so readers never see a half-written
+ * shard. Callers validate first (the coordinator parses a delivery
+ * before publishing it). Returns whether @p path now holds @p bytes.
+ * An injected "shard.write" tear leaves the torn `.tmp` behind, as a
  * writer dying mid-write would; other failures remove it. Write
  * failures warn through the support/diag sink.
  */
-bool publishShardFile(const std::string &path, const std::string &bytes,
-                      const std::function<bool(const std::string &)> &accept);
+bool publishShardFile(const std::string &path, const std::string &bytes);
 
 /** One shard directory, the store both schedulers share (a directory
  * either one wrote is valid for the other): one shard per shader,
@@ -181,16 +185,19 @@ class ShardStore
  * the arena/memoization refactor.
  *
  * Shard file format (shardFileBytes): [shard key u64][fnv1a(body)
- * u64][body bytes]. This file format is also the *wire format* of the
- * distributed campaign: a worker ships exactly these bytes back, and
- * the coordinator validates them with loadShard before publishing
- * (see tuner/distrib.h). Shards are published with publishShardFile's
- * tmp-rename protocol. loadShard verifies the key and the body content
- * hash, so any residual corruption is a cache miss (re-run), never bad
- * data. A shard whose key does not match — the key covers the schema
- * version, pass-registry signature, device set, and shader source, so
- * this is what an old-schema shard looks like — is a clean miss with a
- * support/diag warning, never a silent wrong-key hit.
+ * u64][body bytes], encoded with ipc::Pack and decoded with
+ * ipc::Unpack (host-order PODs, u64-length-prefixed strings) — one
+ * codec for frames and shards. This file format is also the *wire
+ * format* of the distributed campaign: a worker ships exactly these
+ * bytes back, and the coordinator validates them in memory with
+ * parseShard before publishing (see tuner/distrib.h). Shards are
+ * published with publishShardFile's tmp-rename protocol. parseShard
+ * verifies the key and the body content hash, so any residual
+ * corruption is a cache miss (re-run), never bad data. A shard file
+ * whose key does not match — the key covers the schema version,
+ * pass-registry signature, device set, and shader source, so this is
+ * what an old-schema shard looks like — is a clean loadShard miss with
+ * a support/diag warning, never a silent wrong-key hit.
  *
  * Schema 16 (tagged trailing sections): the body may end with optional
  * sections, each introduced by a one-byte tag, in this order, each at
@@ -319,14 +326,16 @@ class ExperimentEngine
     // worker split: a shard file is the campaign's checkpoint and
     // transfer unit) ------------------------------------------------------
 
-    /** Load and validate one shard. Returns false — never throws — on
-     * any mismatch or corruption (missing file, wrong key, bad content
-     * hash, truncated or garbled body): the caller re-runs the shard. */
+    /** Load and validate one shard: read the file (at most 2 GiB of
+     * body; evaluates the "shard.read" fault site) and parseShard it.
+     * Returns false — never throws — on any mismatch or corruption
+     * (missing file, wrong key, bad content hash, truncated or garbled
+     * body): the caller re-runs the shard. */
     static bool loadShard(const std::string &path, uint64_t key,
                           ShaderResult &out);
 
     /** Crash-safe checkpoint of one shard: publishShardFile of
-     * shardFileBytes(@p key, @p r), with no validation gate. */
+     * shardFileBytes(@p key, @p r). */
     static void saveShard(const std::string &path, uint64_t key,
                           const ShaderResult &r);
 

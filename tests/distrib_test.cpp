@@ -451,6 +451,26 @@ TEST(DistribFaults, GarbageAndWrongKeyDeliveriesRejected)
     EXPECT_EQ(dirDigest(dir.path()).size(), 1u);
 }
 
+/** A read fault on the coordinator's side is local, not the worker's:
+ * the merge gate parses the delivered bytes in memory and re-reads no
+ * file, so an always-firing shard.read rejects and re-queues nothing. */
+TEST(DistribFaults, LocalReadFaultIsNotARejectedDelivery)
+{
+    const auto &reference = referenceDigest();
+    const auto shaders = miniCorpus();
+    ScratchDir dir("local_read_fault");
+    fault::ScopedFaultPlan plan("shard.read:1:5");
+    distrib::Options opts;
+    opts.workers = 2;
+    distrib::CampaignCoordinator coord(shaders, dir.path(), opts);
+    const distrib::DistribHealth &h = coord.run();
+    EXPECT_TRUE(h.healthy()) << h.summary();
+    EXPECT_EQ(h.shardsRejected, 0u);
+    EXPECT_EQ(h.unitsRequeued, 0u);
+    EXPECT_EQ(h.unitsCompleted, shaders.size());
+    EXPECT_EQ(dirDigest(dir.path()), reference);
+}
+
 /** Duplicate delivery (a lease race resolved twice): merge-if-absent
  * keeps exactly one copy and counts the duplicate. */
 TEST(DistribFaults, DuplicateDeliveryDiscarded)

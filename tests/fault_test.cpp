@@ -393,6 +393,8 @@ TEST(ShardIO, CorruptionMatrixAlwaysLoadsFalse)
         EXPECT_FALSE(
             tuner::ExperimentEngine::loadShard(mutant, 77, out))
             << "truncated at " << len;
+        EXPECT_FALSE(tuner::parseShard(good.substr(0, len), 77, out))
+            << "truncated at " << len;
     }
 
     // Every single-byte flip must be caught (key, content hash, or
@@ -407,6 +409,8 @@ TEST(ShardIO, CorruptionMatrixAlwaysLoadsFalse)
         EXPECT_FALSE(
             tuner::ExperimentEngine::loadShard(mutant, 77, out))
             << "flipped byte " << pos;
+        EXPECT_FALSE(tuner::parseShard(bad, 77, out))
+            << "flipped byte " << pos;
     }
     testing::internal::GetCapturedStderr();
 
@@ -420,10 +424,13 @@ TEST(ShardIO, CorruptionMatrixAlwaysLoadsFalse)
         EXPECT_FALSE(
             tuner::ExperimentEngine::loadShard(mutant, 77, out))
             << "garbage iter " << i;
+        EXPECT_FALSE(tuner::parseShard(junk, 77, out))
+            << "garbage iter " << i;
     }
 
     // The unmodified file still loads (the matrix isn't vacuous).
     EXPECT_TRUE(tuner::ExperimentEngine::loadShard(path, 77, out));
+    EXPECT_TRUE(tuner::parseShard(good, 77, out));
 }
 
 /** tinyResult() plus the schema-15 plan section: one producer-less
@@ -546,6 +553,8 @@ TEST(ShardIO, PlanAnnotatedShardRoundTripsAndSurvivesTheMatrix)
         EXPECT_FALSE(
             tuner::ExperimentEngine::loadShard(mutant, 88, out))
             << "truncated at " << len;
+        EXPECT_FALSE(tuner::parseShard(good.substr(0, len), 88, out))
+            << "truncated at " << len;
     }
     // ...and every single-byte flip (key-byte flips warn as stale
     // shards; swallow the noise).
@@ -556,6 +565,8 @@ TEST(ShardIO, PlanAnnotatedShardRoundTripsAndSurvivesTheMatrix)
         write_mutant(bad);
         EXPECT_FALSE(
             tuner::ExperimentEngine::loadShard(mutant, 88, out))
+            << "flipped byte " << pos;
+        EXPECT_FALSE(tuner::parseShard(bad, 88, out))
             << "flipped byte " << pos;
     }
     testing::internal::GetCapturedStderr();
@@ -569,18 +580,22 @@ TEST(ShardIO, PlanAnnotatedShardRoundTripsAndSurvivesTheMatrix)
     orphan.exploration.variantOfPlan.clear();
     writeRawShard(mutant, 88, tuner::serializeShardBody(orphan));
     EXPECT_FALSE(tuner::ExperimentEngine::loadShard(mutant, 88, out));
+    EXPECT_FALSE(tuner::parseShard(readFile(mutant), 88, out));
     // (b) A plan annotation pointing past the variant table.
     tuner::ShaderResult dangling = planAnnotatedResult();
     dangling.exploration.variantOfPlan["unroll>hoist"] = 99;
     writeRawShard(mutant, 88, tuner::serializeShardBody(dangling));
     EXPECT_FALSE(tuner::ExperimentEngine::loadShard(mutant, 88, out));
+    EXPECT_FALSE(tuner::parseShard(readFile(mutant), 88, out));
     // (c) Trailing garbage after a well-formed plan section.
     writeRawShard(mutant, 88,
                   tuner::serializeShardBody(r) + std::string(7, 'x'));
     EXPECT_FALSE(tuner::ExperimentEngine::loadShard(mutant, 88, out));
+    EXPECT_FALSE(tuner::parseShard(readFile(mutant), 88, out));
 
     // The pristine shard still loads after all of that.
     EXPECT_TRUE(tuner::ExperimentEngine::loadShard(path, 88, out));
+    EXPECT_TRUE(tuner::parseShard(good, 88, out));
 }
 
 // -------------------------------------------- campaign resilience

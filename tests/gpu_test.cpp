@@ -153,69 +153,6 @@ TEST(Driver, CachedCompileEqualsUncachedOnWholeCorpus)
     clearDriverCache();
 }
 
-TEST(Driver, CompileCacheLruBoundEvictsColdEntries)
-{
-    // Exclusive use of the process-wide cache: start empty, restore
-    // the unbounded default on every exit path.
-    clearDriverCache();
-    struct Uncap
-    {
-        ~Uncap()
-        {
-            setDriverCacheCap(0);
-            clearDriverCache();
-        }
-    } uncap;
-
-    auto src = [](int i) {
-        return "in vec2 uv; out vec4 c; void main() { c = vec4(uv, " +
-               std::to_string(i) + ".0 / 8.0, 1.0); }";
-    };
-    const DeviceModel &nv = dev(DeviceId::Nvidia);
-
-    setDriverCacheCap(3);
-    EXPECT_EQ(driverCacheStats().capacity, 3u);
-
-    // Fill to the cap: 3 distinct texts, no evictions yet.
-    for (int i = 0; i < 3; ++i)
-        driverCompile(src(i), nv);
-    DriverCacheStats s = driverCacheStats();
-    EXPECT_EQ(s.entries, 3u);
-    EXPECT_EQ(s.evictions, 0u);
-
-    // Touch src(0) so src(1) becomes the LRU victim, then overflow.
-    driverCompile(src(0), nv);
-    driverCompile(src(3), nv);
-    s = driverCacheStats();
-    EXPECT_EQ(s.entries, 3u);
-    EXPECT_EQ(s.evictions, 1u);
-
-    // src(0) was kept warm (hit); src(1) was evicted (miss re-fills,
-    // evicting again).
-    const uint64_t hits_before = driverCacheStats().hits;
-    const uint64_t misses_before = driverCacheStats().misses;
-    driverCompile(src(0), nv);
-    EXPECT_EQ(driverCacheStats().hits, hits_before + 1);
-    driverCompile(src(1), nv);
-    s = driverCacheStats();
-    EXPECT_EQ(s.misses, misses_before + 1);
-    EXPECT_EQ(s.entries, 3u);
-    EXPECT_EQ(s.evictions, 2u);
-
-    // Shrinking the cap evicts immediately; 0 restores unbounded.
-    setDriverCacheCap(1);
-    s = driverCacheStats();
-    EXPECT_EQ(s.entries, 1u);
-    EXPECT_EQ(s.evictions, 4u);
-    setDriverCacheCap(0);
-    for (int i = 0; i < 8; ++i)
-        driverCompile(src(i), nv);
-    s = driverCacheStats();
-    EXPECT_EQ(s.entries, 8u);
-    EXPECT_EQ(s.evictions, 4u);
-    EXPECT_EQ(s.capacity, 0u);
-}
-
 TEST(Codegen, ScalarIsaPaysPerLane)
 {
     auto m = emit::compileToIr(

@@ -113,20 +113,20 @@ TEST(CampaignKey, OneUlpDeviceChangeChangesKey)
 {
     const gpu::DeviceModel &base =
         gpu::deviceModel(gpu::DeviceId::Arm);
-    EXPECT_EQ(tuner::deviceModelKey(base),
-              tuner::deviceModelKey(base));
+    EXPECT_EQ(gpu::deviceModelKey(base),
+              gpu::deviceModelKey(base));
 
     gpu::DeviceModel tweaked = base;
     tweaked.clockGhz = std::nextafter(tweaked.clockGhz, 2e9);
-    EXPECT_NE(tuner::deviceModelKey(base),
-              tuner::deviceModelKey(tweaked));
+    EXPECT_NE(gpu::deviceModelKey(base),
+              gpu::deviceModelKey(tweaked));
 
     // The old ostringstream path (6 significant digits) collided
     // exactly this class of change: past-the-6th-digit noise models.
     gpu::DeviceModel noise = base;
     noise.noiseSigma = base.noiseSigma * (1.0 + 1e-12);
-    EXPECT_NE(tuner::deviceModelKey(base),
-              tuner::deviceModelKey(noise));
+    EXPECT_NE(gpu::deviceModelKey(base),
+              gpu::deviceModelKey(noise));
 }
 
 TEST(CampaignKey, ShardKeyIsolatesShaders)
