@@ -24,7 +24,7 @@
 #include "bench_common.h"
 #include "corpus/corpus.h"
 #include "gpu/driver.h"
-#include "support/thread_pool.h"
+#include "support/env.h"
 
 using namespace gsopt;
 

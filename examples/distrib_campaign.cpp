@@ -9,14 +9,19 @@
  *      worker is a re-execution of this binary speaking the
  *      support/ipc frame protocol, which is why main() starts with
  *      maybeRunWorker().
- *   3. Print the health report (units completed, requeues, lease
- *      expiries...).
+ *   3. Print the health report (units and items completed, requeues,
+ *      lease expiries...).
  *   4. Run a second coordinator over the same directory: every unit
  *      is satisfied from the merged shards — the resume path.
  *
  * Knobs: GSOPT_DISTRIB_WORKERS, GSOPT_LEASE_MS, and the usual
- * campaign environment (GSOPT_FAULTS fault plans apply to workers
- * too — try GSOPT_FAULTS="worker.item:0.3:7" to watch requeues).
+ * campaign environment. GSOPT_FAULTS fault plans apply to workers
+ * too: try GSOPT_FAULTS="worker.item:0.3:8" to watch items retried
+ * and, when their retries run out, quarantined. A unit with a
+ * quarantined item still delivers its partial shard, which is kept but
+ * neither published nor re-queued (so the resume re-runs it, and the
+ * example exits 1). A worker death or a torn frame
+ * (GSOPT_FAULTS="ipc.send:0.2:5:tear") re-queues the unit instead.
  *
  * Build & run:  ./build/examples/example_distrib_campaign
  */

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
 
 namespace gsopt {
 
@@ -24,6 +25,14 @@ envInteger(const char *name, uint64_t fallback, uint64_t min)
         std::abort();
     }
     return static_cast<uint64_t>(v);
+}
+
+unsigned
+defaultThreadCount()
+{
+    const unsigned hw = std::thread::hardware_concurrency();
+    return static_cast<unsigned>(
+        envInteger("GSOPT_THREADS", hw > 0 ? hw : 1));
 }
 
 } // namespace gsopt

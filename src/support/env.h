@@ -7,6 +7,11 @@
  * anything else ("4x", "-1", "abc", " 4") prints the variable and its
  * value to stderr and aborts: a knob that is silently ignored would
  * let a CI leg prove nothing.
+ *
+ * defaultThreadCount() is GSOPT_THREADS resolved against the hardware:
+ * the worker count of ExperimentEngine's campaign, which runs as a
+ * CampaignCoordinator over in-process worker threads
+ * (tuner/distrib.h).
  */
 #ifndef GSOPT_SUPPORT_ENV_H
 #define GSOPT_SUPPORT_ENV_H
@@ -23,6 +28,13 @@ namespace gsopt {
  */
 uint64_t envInteger(const char *name, uint64_t fallback,
                     uint64_t min = 1);
+
+/**
+ * Campaign worker count: GSOPT_THREADS if set, otherwise
+ * std::thread::hardware_concurrency() (minimum 1). A value that is not
+ * a positive integer aborts.
+ */
+unsigned defaultThreadCount();
 
 } // namespace gsopt
 

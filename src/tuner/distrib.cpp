@@ -24,7 +24,6 @@
 #include "support/diag.h"
 #include "support/env.h"
 #include "support/fault.h"
-#include "support/governor.h"
 #include "support/ipc.h"
 #include "support/retry.h"
 #include "support/rng.h"
@@ -42,7 +41,7 @@ namespace {
 
 constexpr uint32_t kHello = 1;     ///< W->C: {u64 pid}
 constexpr uint32_t kUnit = 2;      ///< C->W: encoded WireUnit
-constexpr uint32_t kResult = 3;    ///< W->C: {u64 id, str shardBytes}
+constexpr uint32_t kResult = 3;    ///< W->C: {u64 id, str shardBytes, health}
 constexpr uint32_t kUnitError = 4; ///< W->C: {u64 id, str message}
 constexpr uint32_t kHeartbeat = 5; ///< W->C: {u64 id}
 constexpr uint32_t kShutdown = 6;  ///< C->W: {}
@@ -80,6 +79,57 @@ decodeUnit(std::string_view payload, WireUnit &u)
     return up.done();
 }
 
+/** A delivery's item health: the counters and the quarantined items
+ * (the coordinator knows the shader). */
+void
+encodeHealth(ipc::Pack &p, const CampaignHealth &h)
+{
+    p.u64(h.itemsCompleted).u64(h.itemRetries).u64(h.quarantined.size());
+    for (const QuarantinedItem &q : h.quarantined)
+        p.pod(static_cast<int>(q.device)).pod(q.attempts).str(q.error);
+}
+
+bool
+decodeHealth(ipc::Unpack &up, CampaignHealth &h)
+{
+    uint64_t n = 0;
+    if (!up.u64(h.itemsCompleted) || !up.u64(h.itemRetries) ||
+        !up.u64(n) || n > 1024)
+        return false;
+    h.quarantined.resize(n);
+    for (QuarantinedItem &q : h.quarantined) {
+        int dev = 0;
+        if (!up.pod(dev) || !up.pod(q.attempts) || !up.str(q.error))
+            return false;
+        q.device = static_cast<gpu::DeviceId>(dev);
+    }
+    h.itemsQuarantined = n;
+    return true;
+}
+
+/** Run one unit as a worker does (executeUnit), reporting its item
+ * health into @p health. */
+std::string
+deliverUnit(const corpus::CorpusShader &shader, uint64_t key,
+            CampaignHealth &health)
+{
+    const uint64_t expected = shardKey(shader, deviceSetKey());
+    if (expected != key) {
+        char msg[160];
+        std::snprintf(msg, sizeof(msg),
+                      "shard key mismatch for '%s': coordinator "
+                      "%016llx vs worker %016llx (pass registry, "
+                      "device set, or schema drift)",
+                      shader.name.c_str(),
+                      static_cast<unsigned long long>(key),
+                      static_cast<unsigned long long>(expected));
+        throw std::runtime_error(msg);
+    }
+    ShaderResult r;
+    health = runShaderUnit(shader, r);
+    return shardFileBytes(key, r);
+}
+
 // ---- knobs --------------------------------------------------------------
 
 unsigned
@@ -98,12 +148,9 @@ defaultLeaseMs()
 // ---- in-process transport ----------------------------------------------
 
 /**
- * Worker threads in this process. Deterministic (no processes, no
- * pipes), but it still funnels every delivered result through the
- * `ipc.send`/`ipc.recv` fault sites — a tear truncates the delivered
- * shard bytes (the coordinator's merge validation must reject them),
- * a throw surfaces as a unit error — so the same fault plans exercise
- * the coordinator's recovery paths without any subprocess machinery.
+ * Worker threads in this process: the engine's campaign. A delivery is
+ * a hand-off of the unit's bytes and item health, with no wire, so no
+ * ipc.* fault site is probed; a failed unit hands over its exception.
  *
  * Threads cannot be killed: reap() abandons the running thread (its
  * eventual delivery is tagged stale — the coordinator's duplicate
@@ -253,25 +300,12 @@ class InProcessTransport final : public WorkerTransport
             ev.worker = w;
             ev.unit = unit.id;
             try {
-                std::string bytes =
-                    executeUnit(unit.shader, unit.key, 1);
-                // Simulated wire: route the delivery through the same
-                // fault sites as the pipe transport. A tear truncates
-                // the shard bytes (merge validation must catch it); a
-                // throw becomes a unit error.
-                size_t n = fault::tearPoint("ipc.send", bytes.size());
-                fault::point("ipc.send");
-                if (n == bytes.size()) {
-                    n = fault::tearPoint("ipc.recv", bytes.size());
-                    fault::point("ipc.recv");
-                }
-                if (n != bytes.size())
-                    bytes.resize(n);
+                ev.bytes = deliverUnit(unit.shader, unit.key, ev.health);
                 ev.kind = TransportEvent::Kind::Result;
-                ev.bytes = std::move(bytes);
             } catch (const std::exception &e) {
                 ev.kind = TransportEvent::Kind::UnitError;
                 ev.bytes = e.what();
+                ev.error = std::current_exception();
             }
             {
                 std::lock_guard lock(qm_);
@@ -634,7 +668,7 @@ class SubprocessTransport final : public WorkerTransport
             case kResult:
                 ev.kind = TransportEvent::Kind::Result;
                 if (!up.u64(ev.unit) || !up.str(ev.bytes) ||
-                    !up.done()) {
+                    !decodeHealth(up, ev.health) || !up.done()) {
                     streamDead(w);
                     return;
                 }
@@ -732,9 +766,10 @@ workerLoop(int in, int out)
         });
 
         std::string resultBytes, errorMsg;
+        CampaignHealth health;
         bool ok = false;
         try {
-            resultBytes = executeUnit(unit.shader, unit.key, 1);
+            resultBytes = deliverUnit(unit.shader, unit.key, health);
             ok = true;
         } catch (const std::exception &e) {
             errorMsg = e.what();
@@ -745,6 +780,8 @@ workerLoop(int in, int out)
         ipc::Pack reply;
         reply.u64(unit.id);
         reply.str(ok ? resultBytes : errorMsg);
+        if (ok)
+            encodeHealth(reply, health);
         std::lock_guard lock(writeMutex);
         ipc::writeFrame(out, ok ? kResult : kUnitError, reply.bytes());
     }
@@ -780,52 +817,8 @@ std::string
 executeUnit(const corpus::CorpusShader &shader, uint64_t key,
             unsigned /*threads*/)
 {
-    const uint64_t expected = shardKey(shader, deviceSetKey());
-    if (expected != key) {
-        char msg[160];
-        std::snprintf(msg, sizeof(msg),
-                      "shard key mismatch for '%s': coordinator "
-                      "%016llx vs worker %016llx (pass registry, "
-                      "device set, or schema drift)",
-                      shader.name.c_str(),
-                      static_cast<unsigned long long>(key),
-                      static_cast<unsigned long long>(expected));
-        throw std::runtime_error(msg);
-    }
-
-    // One unit = one governed request: an ambient GSOPT_DEADLINE_MS /
-    // GSOPT_BUDGET_* bounds each unit, and the unit's per-item
-    // admission points defer to this outer budget.
-    governor::ScopedRequestBudget admission;
-
-    ShaderResult r;
-    const CampaignHealth health = runShaderUnit(shader, r);
-    // A worker never publishes a partial shard; surface the first
-    // structured reason and let the coordinator decide.
-    if (!health.healthy())
-        throw std::runtime_error("unit failed: " +
-                                 health.quarantined.front().error);
-    return shardFileBytes(key, r);
-}
-
-std::string
-DistribHealth::summary() const
-{
-    std::string out =
-        "distrib health: " + std::to_string(unitsTotal) + " units (" +
-        std::to_string(unitsFromCache) + " cached, " +
-        std::to_string(unitsCompleted) + " completed, " +
-        std::to_string(quarantined.size()) + " quarantined), " +
-        std::to_string(unitsRequeued) + " requeues, " +
-        std::to_string(shardsRejected) + " shards rejected, " +
-        std::to_string(duplicateDeliveries) + " duplicates, " +
-        std::to_string(leaseExpiries) + " lease expiries, " +
-        std::to_string(workersRestarted) + " worker restarts\n";
-    for (const QuarantinedUnit &q : quarantined)
-        out += "  quarantined " + q.shader + " after " +
-               std::to_string(q.assignments) +
-               " assignment(s): " + q.error + "\n";
-    return out;
+    CampaignHealth health;
+    return deliverUnit(shader, key, health);
 }
 
 // ---- coordinator --------------------------------------------------------
@@ -851,19 +844,19 @@ CampaignCoordinator::CampaignCoordinator(
         opts_.maxAssignments = 1;
 }
 
-const DistribHealth &
+const CampaignHealth &
 CampaignCoordinator::run()
 {
     return runOver(nullptr);
 }
 
-const DistribHealth &
+const CampaignHealth &
 CampaignCoordinator::run(WorkerTransport &transport)
 {
     return runOver(&transport);
 }
 
-const DistribHealth &
+const CampaignHealth &
 CampaignCoordinator::runOver(WorkerTransport *supplied)
 {
     // The transport owns OS resources (children, threads); make sure
@@ -884,17 +877,15 @@ CampaignCoordinator::runOver(WorkerTransport *supplied)
         }
     } guard{active};
 
-    health_ = DistribHealth{};
+    health_ = CampaignHealth{};
+    results_.assign(shaders_.size(), ShaderResult{});
     const bool strict = strictMode();
 
     // ---- enumerate units; resume over surviving shards ------------
     const ShardStore store(shardDir_, shaders_);
     std::vector<Unit> units;
-    {
-        std::vector<ShaderResult> existing(shaders_.size());
-        for (size_t i : store.load(existing))
-            units.push_back(Unit{i});
-    }
+    for (size_t i : store.load(results_))
+        units.push_back(Unit{i});
     health_.unitsTotal = shaders_.size();
     health_.unitsFromCache = shaders_.size() - units.size();
     // Retire shards no current unit claims (stale keys, dropped
@@ -904,85 +895,99 @@ CampaignCoordinator::runOver(WorkerTransport *supplied)
     if (units.empty())
         return health_;
     if (!active) {
+        const auto workers = static_cast<unsigned>(
+            std::min<size_t>(opts_.workers, units.size()));
         owned = opts_.transport == TransportKind::Subprocess
-                    ? makeSubprocessTransport(opts_.workers)
-                    : makeInProcessTransport(opts_.workers);
+                    ? makeSubprocessTransport(workers)
+                    : makeInProcessTransport(workers);
         active = owned.get();
     }
     WorkerTransport &transport = *active;
 
-    // ---- schedule: family representatives first --------------------
-    // Measuring one member of each übershader family before the tail
-    // gets every family's prior measured early — late arrivals can be
-    // seeded from it (TransferSeededSearch) instead of swept.
-    std::vector<size_t> reps, tail;
-    std::set<std::string> seenFamilies;
-    for (size_t ui = 0; ui < units.size(); ++ui) {
-        const std::string &family =
-            shaders_[units[ui].shaderIndex].family;
-        if (seenFamilies.insert(family).second)
-            reps.push_back(ui);
-        else
-            tail.push_back(ui);
-    }
+    // ---- schedule: input order, or one seeded shuffle ---------------
+    std::deque<size_t> pending;
+    for (size_t ui = 0; ui < units.size(); ++ui)
+        pending.push_back(ui);
     if (opts_.scheduleSeed != 0) {
-        auto shuffle = [&](std::vector<size_t> &v, uint64_t salt) {
-            Rng rng(hashCombine(opts_.scheduleSeed, salt));
-            for (size_t i = v.size(); i > 1; --i)
-                std::swap(v[i - 1], v[rng.below(i)]);
-        };
-        shuffle(reps, 0x5265u);
-        shuffle(tail, 0x7461u);
+        Rng rng(opts_.scheduleSeed);
+        for (size_t i = pending.size(); i > 1; --i)
+            std::swap(pending[i - 1], pending[rng.below(i)]);
     }
-    std::deque<size_t> pending(reps.begin(), reps.end());
-    pending.insert(pending.end(), tail.begin(), tail.end());
 
-    // ---- merge helpers ---------------------------------------------
-    enum class Merge { Published, Duplicate, Invalid };
-    auto merge_shard = [&](const Unit &u,
-                           const std::string &bytes) -> Merge {
-        const std::string &path = store.path(u.shaderIndex);
-        std::error_code ec;
-        if (fs::exists(path, ec))
-            return Merge::Duplicate; // copy only if the key is absent
-        // Verification gate: key, checksum and structural validation
-        // of the delivered bytes, in memory, through the parser every
-        // shard load uses. Nothing a worker sent is written until it
-        // parses.
-        ShaderResult parsed;
-        if (!parseShard(bytes, store.key(u.shaderIndex), parsed))
-            return Merge::Invalid;
-        // A failed write (an injected shard.write tear, say) is local
-        // and retried.
-        for (int attempt = 0; attempt < 3; ++attempt) {
-            if (publishShardFile(path, bytes))
-                return Merge::Published;
-        }
-        fs::remove(path + ".tmp", ec);
-        return Merge::Invalid;
-    };
-
-    auto requeue_or_quarantine = [&](size_t ui,
-                                     const std::string &err) {
+    // ---- failure policy ---------------------------------------------
+    // A unit that never delivers quarantines each of its device items.
+    auto quarantine = [&](size_t ui, const std::string &err) {
         Unit &u = units[ui];
-        if (u.assignments < opts_.maxAssignments) {
+        const std::string &name = shaders_[u.shaderIndex].name;
+        if (strict)
+            throw std::runtime_error("distrib: unit '" + name +
+                                     "' failed under GSOPT_STRICT=1: " +
+                                     err);
+        u.done = true; // retired; a late delivery is a duplicate
+        ShaderResult &r = results_[u.shaderIndex];
+        r.exploration.shaderName = name;
+        for (gpu::DeviceId dev : gpu::allDevices()) {
+            r.quarantined.insert(dev);
+            r.quarantineReason[dev] = err;
+            health_.quarantined.push_back({name, dev, err, u.assignments});
+        }
+        warn("distrib: quarantined unit " + name + " after " +
+             std::to_string(u.assignments) + " assignment(s): " + err);
+    };
+    // A delivery failure re-queues the unit while it has assignments
+    // left. Strict mode aborts on the first one, with the worker's own
+    // exception when it handed one over.
+    auto fail = [&](size_t ui, const std::string &err,
+                    std::exception_ptr cause = nullptr) {
+        if (strict && cause)
+            std::rethrow_exception(cause);
+        if (!strict && units[ui].assignments < opts_.maxAssignments) {
             pending.push_back(ui);
             health_.unitsRequeued++;
             return;
         }
-        QuarantinedUnit q;
-        q.shader = shaders_[u.shaderIndex].name;
-        q.error = err;
-        q.assignments = u.assignments;
-        u.done = true; // retired; a late valid delivery still merges
-        warn("distrib: quarantined unit " + q.shader + " after " +
-             std::to_string(q.assignments) + " assignment(s): " + err);
-        health_.quarantined.push_back(std::move(q));
-        if (strict)
+        quarantine(ui, err);
+    };
+    // Accept a delivery that parses and whose item health names exactly
+    // the items its shard quarantines. A clean shard is published; a
+    // failed write is local, so the result stays and the shard re-runs
+    // on resume.
+    auto merge = [&](Unit &u, TransportEvent &ev) {
+        const size_t i = u.shaderIndex;
+        const std::string &name = shaders_[i].name;
+        ShaderResult parsed;
+        std::set<gpu::DeviceId> reported;
+        for (const QuarantinedItem &q : ev.health.quarantined)
+            reported.insert(q.device);
+        if (!parseShard(ev.bytes, store.key(i), parsed) ||
+            reported != parsed.quarantined)
+            return false;
+        if (strict && !parsed.quarantined.empty())
             throw std::runtime_error(
-                "distrib: unit '" +
-                shaders_[u.shaderIndex].name +
-                "' quarantined under GSOPT_STRICT=1: " + err);
+                "distrib: unit '" + name +
+                "' quarantined items under GSOPT_STRICT=1: " +
+                ev.health.quarantined.front().error);
+        u.done = true;
+        health_.itemsCompleted += ev.health.itemsCompleted;
+        health_.itemRetries += ev.health.itemRetries;
+        for (QuarantinedItem &q : ev.health.quarantined) {
+            q.shader = name;
+            health_.quarantined.push_back(std::move(q));
+        }
+        if (parsed.quarantined.empty()) {
+            health_.unitsCompleted++;
+            bool published = shardDir_.empty();
+            for (int attempt = 0; attempt < 3 && !published; ++attempt)
+                published = publishShardFile(store.path(i), ev.bytes);
+            if (!published) {
+                std::error_code ec;
+                fs::remove(store.path(i) + ".tmp", ec);
+                warn("distrib: could not publish the shard for '" +
+                     name + "'; it re-runs on resume");
+            }
+        }
+        results_[i] = std::move(parsed);
+        return true;
     };
 
     // ---- main loop --------------------------------------------------
@@ -992,14 +997,21 @@ CampaignCoordinator::runOver(WorkerTransport *supplied)
         uint64_t deadlineNs;
     };
     std::map<unsigned, Outstanding> outstanding;
+    // Free the worker's slot when @p ev answers its current assignment.
+    auto settle = [&](const TransportEvent &ev) {
+        auto it = outstanding.find(ev.worker);
+        if (!ev.stale && it != outstanding.end() &&
+            it->second.unit == ev.unit)
+            outstanding.erase(it);
+    };
     const uint64_t leaseNs = opts_.leaseMs * 1'000'000ull;
     const uint64_t heartbeatMs =
         std::max<uint64_t>(10, opts_.leaseMs / 4);
     int stuckRounds = 0;
 
-    while (!pending.empty() || !outstanding.empty()) {
-        // Assign pending units to idle workers, reviving dead slots
-        // on demand while work remains.
+    // Hand pending units to idle workers, reviving dead slots on
+    // demand while work remains.
+    auto assign_idle = [&] {
         for (unsigned w = 0;
              w < transport.workerCount() && !pending.empty(); ++w) {
             if (outstanding.count(w))
@@ -1031,20 +1043,20 @@ CampaignCoordinator::runOver(WorkerTransport *supplied)
             units[ui].assignments++;
             outstanding[w] = Outstanding{ui, nowNs() + leaseNs};
         }
+    };
 
+    while (!pending.empty() || !outstanding.empty()) {
+        assign_idle();
         if (outstanding.empty()) {
             if (pending.empty())
                 break;
             // Nothing assignable: every slot is dead and revival
             // failed. Give it a few rounds, then give up loudly.
             if (++stuckRounds >= 3) {
-                while (!pending.empty()) {
-                    const size_t ui = pending.front();
-                    pending.pop_front();
-                    units[ui].assignments = opts_.maxAssignments;
-                    requeue_or_quarantine(
-                        ui, "no live workers (spawn/revive failed)");
-                }
+                for (size_t ui : pending)
+                    if (!units[ui].done)
+                        quarantine(ui,
+                                   "no live workers (spawn/revive failed)");
                 break;
             }
             std::this_thread::sleep_for(
@@ -1071,50 +1083,31 @@ CampaignCoordinator::runOver(WorkerTransport *supplied)
         case TransportEvent::Kind::Result: {
             if (ev.unit >= units.size())
                 break; // nonsense id from a hostile stream
+            settle(ev);
+            // Keep the worker busy while this thread merges; strict mode
+            // assigns nothing until the delivery has passed.
+            if (!strict)
+                assign_idle();
             Unit &u = units[ev.unit];
-            auto it = outstanding.find(ev.worker);
-            const bool current = !ev.stale &&
-                                 it != outstanding.end() &&
-                                 it->second.unit == ev.unit;
             if (u.done) {
                 // A unit completed twice (lease reassignment raced a
-                // slow worker): merge-if-absent discards the copy.
+                // slow worker): the first accepted copy stands.
                 health_.duplicateDeliveries++;
-            } else {
-                switch (merge_shard(u, ev.bytes)) {
-                case Merge::Published:
-                    u.done = true;
-                    health_.unitsCompleted++;
-                    break;
-                case Merge::Duplicate:
-                    u.done = true;
-                    health_.duplicateDeliveries++;
-                    break;
-                case Merge::Invalid:
-                    health_.shardsRejected++;
-                    warn("distrib: rejected shard for '" +
-                         shaders_[u.shaderIndex].name +
-                         "' (checksum/structural validation failed)");
-                    requeue_or_quarantine(
-                        ev.unit, "delivered shard failed validation");
-                    break;
-                }
+            } else if (!merge(u, ev)) {
+                health_.shardsRejected++;
+                warn("distrib: rejected shard for '" +
+                     shaders_[u.shaderIndex].name +
+                     "' (checksum/structural validation failed)");
+                fail(ev.unit, "delivered shard failed validation");
             }
-            if (current)
-                outstanding.erase(it);
             break;
         }
         case TransportEvent::Kind::UnitError: {
             if (ev.unit >= units.size())
                 break;
-            auto it = outstanding.find(ev.worker);
-            const bool current = !ev.stale &&
-                                 it != outstanding.end() &&
-                                 it->second.unit == ev.unit;
+            settle(ev);
             if (!units[ev.unit].done)
-                requeue_or_quarantine(ev.unit, ev.bytes);
-            if (current)
-                outstanding.erase(it);
+                fail(ev.unit, ev.bytes, ev.error);
             break;
         }
         case TransportEvent::Kind::Heartbeat: {
@@ -1129,8 +1122,7 @@ CampaignCoordinator::runOver(WorkerTransport *supplied)
                 const size_t ui = it->second.unit;
                 outstanding.erase(it);
                 if (!units[ui].done)
-                    requeue_or_quarantine(ui,
-                                          "worker died mid-unit");
+                    fail(ui, "worker died mid-unit");
             }
             break;
         }
@@ -1157,11 +1149,11 @@ CampaignCoordinator::runOver(WorkerTransport *supplied)
             transport.reap(w);
             it = outstanding.erase(it);
             if (!units[ui].done)
-                requeue_or_quarantine(ui,
-                                      "lease expired (worker stalled)");
+                fail(ui, "lease expired (worker stalled)");
         }
     }
 
+    health_.itemsQuarantined = health_.quarantined.size();
     if (!health_.healthy())
         std::fprintf(stderr, "%s", health_.summary().c_str());
     return health_;

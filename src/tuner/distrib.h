@@ -1,48 +1,53 @@
 /**
  * @file
- * Distributed campaign: a coordinator/worker fan-out of the campaign's
- * shader units — the second scheduler over the same unit and the same
- * store as ExperimentEngine (see tuner/experiment.h).
+ * The campaign scheduler: a coordinator/worker fan-out of the
+ * campaign's shader units (see tuner/experiment.h). ExperimentEngine
+ * runs it over in-process worker threads; a distributed campaign runs
+ * it over subprocesses. There is no other scheduler.
  *
  * The campaign is embarrassingly parallel across shaders: one work
  * unit = one shader x the whole configured device set = one shard
  * file in a ShardStore. The CampaignCoordinator scans the store for
- * missing shards, orders those units family-representatives-first
- * (one member of each übershader family is measured before the long
- * tail, so family priors exist early and late arrivals can be seeded
- * instead of swept), and hands them to N workers behind a
- * WorkerTransport. It builds the transport only when some unit is
- * pending, so resuming a complete directory starts no workers. A
- * worker runs tuner::runShaderUnit under a per-unit
- * governor::ScopedRequestBudget — an ambient GSOPT_DEADLINE_MS bounds
- * each unit — and ships the finished shard *file bytes*
- * (tuner::shardFileBytes) back: the shard file format is the wire
+ * missing shards and hands those units to N workers behind a
+ * WorkerTransport, in input order (Options::scheduleSeed shuffles that
+ * one list). It builds the transport only when some unit is pending,
+ * so resuming a complete directory starts no workers. A worker runs
+ * tuner::runShaderUnit — each item under its own request budget, so an
+ * ambient GSOPT_DEADLINE_MS bounds each item, not the unit — and
+ * always delivers the unit's shard *file bytes* (tuner::shardFileBytes)
+ * together with its item health: the shard file format is the wire
  * format (see experiment.h), so merge verification is free.
  *
- * The coordinator merges with "copy if key absent": every incoming
- * shard is first validated in memory by tuner::parseShard (key,
- * content hash, structural checks — the parser every shard load uses)
- * and only then goes through tuner::publishShardFile, the store's one
- * tmp-then-rename write; nothing re-reads a file it just wrote, so a
- * coordinator-side read fault is never blamed on a worker. A shard
- * that fails validation is rejected and its unit re-queued; a
- * duplicate delivery (a unit that was re-assigned after a lease
- * expiry and then completed twice) is discarded. The merged directory
- * is a valid ExperimentEngine cache — resuming is "construct the
- * engine over it", and a coordinator started over a partial directory
- * re-runs only the missing units.
+ * One policy for every transport:
+ *  - Every delivery is validated in memory by tuner::parseShard (key,
+ *    content hash, structural checks — the parser every shard load
+ *    uses), and its item health must name exactly the items its 'Q'
+ *    section quarantines. A delivery that fails is rejected.
+ *  - An accepted delivery's result joins results(). A clean shard is
+ *    then published through tuner::publishShardFile, the store's one
+ *    tmp-then-rename write; a write that still fails after three
+ *    attempts is local, not the worker's: the result is kept, a warning
+ *    goes to the support/diag sink, and the shard re-runs on resume.
+ *  - A partial shard (with a 'Q' section) is kept in results() but
+ *    never published, and never re-queued: its items were already
+ *    retried inside the unit. It re-runs on resume.
+ *  - Only delivery failures are re-queued: rejected bytes, worker death
+ *    (pipe EOF, corrupt frame stream), lease expiry (each assignment
+ *    carries a lease; subprocess workers heartbeat while executing) and
+ *    unit errors. After Options::maxAssignments the unit's device items
+ *    are quarantined with its last error.
+ *  - A duplicate delivery (a unit that was re-assigned after a lease
+ *    expiry and then completed twice) is discarded.
+ *  - GSOPT_STRICT=1 makes the first failure of any kind abort the run;
+ *    an in-process unit error rethrows the worker's own exception.
  *
- * Fault tolerance mirrors the in-process campaign: each assignment
- * carries a lease; workers heartbeat while executing; a worker that
- * dies (pipe EOF, corrupt frame stream) or stalls past its lease is
- * reaped and its unit re-queued, bounded by Options::maxAssignments
- * before the unit is quarantined into DistribHealth. The coordinator
- * completes on partial results; GSOPT_STRICT=1 turns the first unit
- * quarantine into a thrown error.
+ * The merged directory is a valid ExperimentEngine cache — resuming is
+ * "construct the engine over it", and a coordinator started over a
+ * partial directory re-runs only the missing units.
  *
  * Two transports implement WorkerTransport:
- *  - in-process threads (makeInProcessTransport): deterministic, no
- *    processes, used by tests and the bench;
+ *  - in-process threads (makeInProcessTransport): no processes, no
+ *    wire; ExperimentEngine's campaign, and tests;
  *  - spawned subprocesses over pipes (makeSubprocessTransport): the
  *    real distribution shape — each worker is a re-execution of
  *    /proc/self/exe speaking the support/ipc frame protocol on fds
@@ -59,6 +64,7 @@
 #define GSOPT_TUNER_DISTRIB_H
 
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <string>
 #include <vector>
@@ -77,48 +83,27 @@ enum class TransportKind {
 /** Coordinator configuration. */
 struct Options
 {
-    /** Worker count; 0 = GSOPT_DISTRIB_WORKERS, default 2. */
+    /** Worker count; 0 = GSOPT_DISTRIB_WORKERS, default 2. A run
+     * starts no more workers than it has pending units. */
     unsigned workers = 0;
     TransportKind transport = TransportKind::InProcess;
     /** Per-assignment lease in ms; 0 = GSOPT_LEASE_MS, default
      * 30000. A worker holding a unit past its lease (no heartbeat,
      * no result) is reaped and the unit re-queued. */
     uint64_t leaseMs = 0;
-    /** Times a unit may be assigned before it is quarantined. */
+    /** Times a unit may be assigned before its items are
+     * quarantined. */
     int maxAssignments = 3;
-    /** Non-zero: deterministically shuffle the assignment order
-     * (within the family-representative group and within the tail
-     * separately — representatives always go first). Merge is keyed,
-     * so any order produces byte-identical shard directories; tests
-     * sweep seeds to prove exactly that. */
+    /** Zero: assign units in input order. Non-zero: deterministically
+     * shuffle that one list. Merge is keyed, so any order produces
+     * byte-identical shard directories; tests sweep seeds to prove
+     * exactly that. */
     uint64_t scheduleSeed = 0;
 };
 
-/** One unit quarantined after exhausting its assignment bound. */
-struct QuarantinedUnit
-{
-    std::string shader;
-    std::string error; ///< the last failure observed for the unit
-    int assignments = 0;
-};
-
-/** Fault report of one coordinator run. */
-struct DistribHealth
-{
-    uint64_t unitsTotal = 0;       ///< enumerated units
-    uint64_t unitsFromCache = 0;   ///< satisfied by existing shards
-    uint64_t unitsCompleted = 0;   ///< shards published this run
-    uint64_t unitsRequeued = 0;    ///< re-assignments after failures
-    uint64_t shardsRejected = 0;   ///< deliveries failing validation
-    uint64_t duplicateDeliveries = 0; ///< late/duplicate results
-    uint64_t leaseExpiries = 0;    ///< assignments reaped by lease
-    uint64_t workersRestarted = 0; ///< dead/reaped workers revived
-    std::vector<QuarantinedUnit> quarantined;
-
-    bool healthy() const { return quarantined.empty(); }
-    /** One line per quarantined unit plus the counter summary. */
-    std::string summary() const;
-};
+/** The coordinator's fault report is the campaign's; the name stays
+ * for callers that spell it. */
+using DistribHealth = CampaignHealth;
 
 // ---- transport layer ----------------------------------------------------
 
@@ -150,6 +135,12 @@ struct TransportEvent
      * cannot be killed; their late results surface as stale). */
     bool stale = false;
     std::string bytes;
+    /** Result: the item health behind the bytes (runShaderUnit's
+     * report; QuarantinedItem::shader may be empty). */
+    CampaignHealth health;
+    /** UnitError from an in-process worker: the exception itself, so
+     * strict mode can rethrow it. */
+    std::exception_ptr error;
 };
 
 /**
@@ -182,7 +173,8 @@ class WorkerTransport
 };
 
 /** @p workers worker threads (0 = GSOPT_DISTRIB_WORKERS), each running
- * one unit at a time, serially (see executeUnit). */
+ * one unit at a time, serially. A thread hand-off has no wire, so no
+ * ipc.* fault site is probed. */
 std::unique_ptr<WorkerTransport>
 makeInProcessTransport(unsigned workers);
 
@@ -194,14 +186,12 @@ makeSubprocessTransport(unsigned workers);
 /**
  * Execute one unit exactly as a worker does: verify the shard key
  * (coordinator and worker must agree on registry/device/schema state —
- * a mismatch means environment drift and fails loudly), run
- * tuner::runShaderUnit under a per-unit request budget, and return the
- * complete shard file bytes (tuner::shardFileBytes). Throws on any
- * failure: a worker never publishes a partial shard, so a quarantined
- * item becomes std::runtime_error("unit failed: <the item's reason>")
- * and the coordinator re-queues. A unit runs serially on the calling
- * thread: @p threads has no effect and is kept for source
- * compatibility.
+ * a mismatch means environment drift and throws std::runtime_error),
+ * run tuner::runShaderUnit, and return the complete shard file bytes
+ * (tuner::shardFileBytes). A quarantined item does not throw: its
+ * device and reason ride in the shard's 'Q' section. A unit runs
+ * serially on the calling thread: @p threads has no effect and is kept
+ * for source compatibility.
  */
 std::string executeUnit(const corpus::CorpusShader &shader,
                         uint64_t key, unsigned threads);
@@ -226,35 +216,44 @@ bool maybeRunWorker();
 class CampaignCoordinator
 {
   public:
-    /** Plan a distributed campaign over @p shaders whose merged shard
-     * directory is @p shardDir (created if absent; surviving shards
-     * in it are loaded and their units skipped — resume). */
+    /** Plan a campaign over @p shaders whose merged shard directory is
+     * @p shardDir (created if absent; surviving shards in it are
+     * loaded and their units skipped — resume). An empty @p shardDir
+     * is no store: nothing is loaded, published or swept. */
     CampaignCoordinator(std::vector<corpus::CorpusShader> shaders,
                         std::string shardDir, Options opts = {});
 
     /** Run to completion with a transport built from the options.
      * Returns the health report (also kept on the coordinator). Under
-     * GSOPT_STRICT=1 the first quarantined unit throws instead. */
-    const DistribHealth &run();
+     * GSOPT_STRICT=1 the first failure throws instead. */
+    const CampaignHealth &run();
 
     /** Run over an externally supplied transport (tests script the
      * fault matrix through this). */
-    const DistribHealth &run(WorkerTransport &transport);
+    const CampaignHealth &run(WorkerTransport &transport);
 
-    const DistribHealth &health() const { return health_; }
+    const CampaignHealth &health() const { return health_; }
     const Options &options() const { return opts_; }
+
+    /** After run(): every shader's result, indexed like the shaders —
+     * loaded from the store, or parsed from its accepted delivery
+     * (partial ones included). A unit that never delivered has only
+     * its name and its quarantined devices. */
+    const std::vector<ShaderResult> &results() const { return results_; }
+    std::vector<ShaderResult> &results() { return results_; }
 
   private:
     struct Unit; // internal scheduling state
 
     /** Both run()s: @p transport is null when run() is to build its
      * own, which it does only once some unit is pending. */
-    const DistribHealth &runOver(WorkerTransport *transport);
+    const CampaignHealth &runOver(WorkerTransport *transport);
 
     std::vector<corpus::CorpusShader> shaders_;
     std::string shardDir_;
     Options opts_;
-    DistribHealth health_;
+    CampaignHealth health_;
+    std::vector<ShaderResult> results_;
 };
 
 } // namespace gsopt::tuner::distrib

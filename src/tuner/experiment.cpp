@@ -5,20 +5,20 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
 #include <set>
 #include <stdexcept>
 
 #include "passes/registry.h"
 #include "runtime/framework.h"
 #include "support/diag.h"
+#include "support/env.h"
 #include "support/fault.h"
 #include "support/governor.h"
 #include "support/ipc.h"
 #include "support/retry.h"
 #include "support/rng.h"
 #include "support/stats.h"
-#include "support/thread_pool.h"
+#include "tuner/distrib.h"
 
 namespace gsopt::tuner {
 
@@ -106,11 +106,18 @@ ShaderResult::measurement(gpu::DeviceId dev) const
 std::string
 CampaignHealth::summary() const
 {
-    std::string out = "campaign health: " +
-                      std::to_string(itemsCompleted) + " items ok, " +
-                      std::to_string(itemsQuarantined) +
-                      " quarantined, " + std::to_string(itemRetries) +
-                      " item retries\n";
+    std::string out =
+        "campaign health: " + std::to_string(unitsTotal) + " units (" +
+        std::to_string(unitsFromCache) + " cached, " +
+        std::to_string(unitsCompleted) + " completed), " +
+        std::to_string(itemsCompleted) + " items ok, " +
+        std::to_string(quarantined.size()) + " quarantined, " +
+        std::to_string(itemRetries) + " item retries, " +
+        std::to_string(unitsRequeued) + " requeues, " +
+        std::to_string(shardsRejected) + " shards rejected, " +
+        std::to_string(duplicateDeliveries) + " duplicates, " +
+        std::to_string(leaseExpiries) + " lease expiries, " +
+        std::to_string(workersRestarted) + " worker restarts\n";
     for (const QuarantinedItem &q : quarantined) {
         out += "  quarantined " + q.shader + " on device " +
                std::to_string(static_cast<int>(q.device)) + " after " +
@@ -184,31 +191,19 @@ ShaderResult::isolatedFlagSpeedup(gpu::DeviceId dev, int bit) const
 
 ExperimentEngine::ExperimentEngine(
     const std::vector<corpus::CorpusShader> &shaders, unsigned threads)
+    : ExperimentEngine(shaders, threads, std::string())
 {
-    results_.resize(shaders.size());
-    std::vector<size_t> all(shaders.size());
-    for (size_t i = 0; i < all.size(); ++i)
-        all[i] = i;
-    runShaders(shaders, all, threads);
 }
 
 ExperimentEngine::ExperimentEngine(
     const std::vector<corpus::CorpusShader> &shaders, unsigned threads,
     const std::string &cacheDir)
 {
-    results_.resize(shaders.size());
-    const ShardStore store(cacheDir, shaders);
-    const std::vector<size_t> missing = store.load(results_);
-    // Checkpoint each shard the moment its unit completes cleanly
-    // (called from worker threads; each shader writes a distinct
-    // file), so a killed campaign resumes from the shards it finished
-    // instead of re-running everything.
-    if (!missing.empty()) {
-        runShaders(shaders, missing, threads, [&](size_t i) {
-            saveShard(store.path(i), store.key(i), results_[i]);
-        });
-    }
-    store.sweep();
+    distrib::Options opts;
+    opts.workers = threads == 0 ? defaultThreadCount() : threads;
+    distrib::CampaignCoordinator coordinator(shaders, cacheDir, opts);
+    health_ = coordinator.run();
+    results_ = std::move(coordinator.results());
 }
 
 const ExperimentEngine &
@@ -313,34 +308,6 @@ runShaderUnit(const corpus::CorpusShader &shader, ShaderResult &r)
     health.itemsQuarantined =
         static_cast<uint64_t>(health.quarantined.size());
     return health;
-}
-
-void
-ExperimentEngine::runShaders(
-    const std::vector<corpus::CorpusShader> &shaders,
-    const std::vector<size_t> &indices, unsigned threads,
-    const std::function<void(size_t)> &checkpoint)
-{
-    std::mutex health_mutex;
-    // One runShaderUnit per shader. Each unit writes only its own
-    // ShaderResult, so the campaign output is identical for any thread
-    // count and completion order; only the health report is shared.
-    parallelFor(indices.size(), threads, [&](size_t si) {
-        const size_t i = indices[si];
-        CampaignHealth unit = runShaderUnit(shaders[i], results_[i]);
-        // Checkpoint only a shader whose items all completed cleanly.
-        if (unit.healthy() && checkpoint)
-            checkpoint(i);
-        std::lock_guard<std::mutex> lock(health_mutex);
-        health_.itemsCompleted += unit.itemsCompleted;
-        health_.itemsQuarantined += unit.itemsQuarantined;
-        health_.itemRetries += unit.itemRetries;
-        for (QuarantinedItem &q : unit.quarantined)
-            health_.quarantined.push_back(std::move(q));
-    });
-
-    if (!health_.healthy())
-        std::fprintf(stderr, "%s", health_.summary().c_str());
 }
 
 const ShaderResult &
@@ -547,6 +514,9 @@ parseShard(std::string_view bytes, uint64_t key, ShaderResult &out)
         n_variants > 100000)
         return false;
     ex.exploredFlagCount = flag_count;
+    // Only a unit whose exploration failed has no variants; it then
+    // has no combos, passthrough 0, no measurements and a 'Q' section.
+    const bool unexplored = n_variants == 0;
     auto is_variant = [&](int64_t index) {
         return index >= 0 && static_cast<uint64_t>(index) < n_variants;
     };
@@ -583,8 +553,9 @@ parseShard(std::string_view bytes, uint64_t key, ShaderResult &out)
     }
     uint64_t n_devices = 0;
     if (!in.pod(ex.passthroughVariant) ||
-        !is_variant(ex.passthroughVariant) || !in.u64(n_devices) ||
-        n_devices > 16)
+        !(unexplored ? ex.passthroughVariant == 0
+                     : is_variant(ex.passthroughVariant)) ||
+        !in.u64(n_devices) || n_devices > (unexplored ? 0 : 16))
         return false;
     for (uint64_t d = 0; d < n_devices; ++d) {
         int dev = 0;
@@ -646,6 +617,8 @@ parseShard(std::string_view bytes, uint64_t key, ShaderResult &out)
             return false; // unknown, duplicate or out-of-order section
         }
     }
+    if (unexplored && r.quarantined.empty())
+        return false;
     // Every producer-less variant must be reachable through some plan
     // annotation; otherwise the body is structurally corrupt.
     for (size_t vi : producerless) {
@@ -700,7 +673,8 @@ ShardStore::ShardStore(std::string dir,
     : dir_(std::move(dir))
 {
     std::error_code ec;
-    std::filesystem::create_directories(dir_, ec);
+    if (!dir_.empty())
+        std::filesystem::create_directories(dir_, ec);
     const uint64_t set_key = deviceSetKey();
     for (const corpus::CorpusShader &shader : shaders) {
         keys_.push_back(shardKey(shader, set_key));
@@ -713,7 +687,8 @@ ShardStore::load(std::vector<ShaderResult> &results) const
 {
     std::vector<size_t> missing;
     for (size_t i = 0; i < keys_.size(); ++i) {
-        if (!ExperimentEngine::loadShard(paths_[i], keys_[i], results[i]))
+        if (dir_.empty() ||
+            !ExperimentEngine::loadShard(paths_[i], keys_[i], results[i]))
             missing.push_back(i);
     }
     return missing;
@@ -723,6 +698,8 @@ void
 ShardStore::sweep() const
 {
     namespace fs = std::filesystem;
+    if (dir_.empty())
+        return;
     std::set<std::string> live;
     for (const std::string &p : paths_)
         live.insert(fs::path(p).filename().string());

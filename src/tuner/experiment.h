@@ -5,31 +5,36 @@
  * the 100-frame/5-repetition timing protocol — and exposes the derived
  * quantities every figure and table needs.
  *
- * The campaign's unit is one shader (runShaderUnit): explore it once,
- * then run its (shader x device) items in device order on one thread;
- * the item stays the unit of governance, retry and quarantine. Two
- * schedulers run that unit over one store (ShardStore, one shard file
- * per shader keyed by shader, device set, pass registry and schema):
- * this engine's thread pool (GSOPT_THREADS workers, default
- * hardware_concurrency) and the coordinator's workers (tuner/distrib.h).
- * Each shader's result is written by one thread only, so the output is
- * bit-identical for any thread or worker count. All the benches share
- * the campaign, so instance() caches it under ./experiment_cache/;
- * delete the directory (or set GSOPT_NO_CACHE=1) to force a re-run.
+ * One unit, one store, one scheduler. The campaign's unit is one
+ * shader (runShaderUnit): explore it once, then run its (shader x
+ * device) items in device order on one thread. The store is a
+ * ShardStore: one shard file per shader, keyed by shader, device set,
+ * pass registry and schema. The scheduler is tuner/distrib.h's
+ * CampaignCoordinator: this engine runs it over in-process worker
+ * threads (GSOPT_THREADS, default hardware_concurrency), and a
+ * distributed campaign runs it over subprocesses. Units are assigned in
+ * input order. Each shader's result is produced by one unit only, so
+ * the output is bit-identical for any thread or worker count. All the
+ * benches share the campaign, so instance() caches it under
+ * ./experiment_cache/; delete the directory (or set GSOPT_NO_CACHE=1)
+ * to force a re-run.
  *
- * Fault tolerance: per-item transient failures (support/fault sites on
- * the driver, the timing harness, and the work items themselves) are
- * retried with bounded backoff; items that still fail are quarantined
- * into the CampaignHealth report and the campaign completes with
- * partial results. GSOPT_STRICT=1 restores fail-fast (first error
- * aborts the run). Shards are checkpointed *incrementally* — each one
- * is written the moment its shader's unit completes cleanly — so a
- * killed campaign resumes from completed shards.
+ * Fault tolerance, one policy: the item is the unit of governance,
+ * retry and quarantine. Each item installs its own request budget (an
+ * ambient GSOPT_DEADLINE_MS bounds each item), and its transient
+ * failures (support/fault sites on the driver, the timing harness and
+ * the items themselves) are retried with bounded backoff; an item that
+ * still fails is quarantined into the CampaignHealth report, and the
+ * campaign completes with partial results. A unit always delivers its
+ * shard, with a 'Q' section when some item was quarantined. Only clean
+ * shards are checkpointed, each the moment its delivery is merged, so
+ * a killed campaign resumes from completed shards and re-runs the
+ * partial ones. GSOPT_STRICT=1 restores fail-fast: the first failure
+ * aborts the run.
  */
 #ifndef GSOPT_TUNER_EXPERIMENT_H
 #define GSOPT_TUNER_EXPERIMENT_H
 
-#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -69,10 +74,10 @@ struct ShaderResult
 
     /** Devices whose (shader, device) item was quarantined by the
      * fault-tolerant campaign (no measurement available). The campaign
-     * itself only checkpoints clean shards — a quarantined shader
-     * re-runs on resume — but saveShard/loadShard round-trip the set
-     * (with reasons) faithfully via the schema-16 'Q' section, for the
-     * coordinator/worker split. */
+     * only checkpoints clean shards — a quarantined shader re-runs on
+     * resume — but a unit delivers its partial shard with the set
+     * (and reasons) in the schema-16 'Q' section, which parseShard
+     * round-trips faithfully. */
     std::set<gpu::DeviceId> quarantined;
 
     /** Structured reason each device was quarantined: what() of the
@@ -147,10 +152,12 @@ bool parseShard(std::string_view bytes, uint64_t key, ShaderResult &out);
  */
 bool publishShardFile(const std::string &path, const std::string &bytes);
 
-/** One shard directory, the store both schedulers share (a directory
- * either one wrote is valid for the other): one shard per shader,
- * named shardFileName(shader, shardKey(shader, deviceSetKey())). The
- * constructor creates the directory if it is absent. */
+/** One shard directory, the campaign's store (an engine's cache and a
+ * distributed campaign's merged directory are the same thing): one
+ * shard per shader, named shardFileName(shader, shardKey(shader,
+ * deviceSetKey())). The constructor creates the directory if it is
+ * absent. An empty @p dir is no store: load() reports every shader
+ * missing, sweep() does nothing and there is nowhere to publish. */
 class ShardStore
 {
   public:
@@ -215,6 +222,11 @@ class ShardStore
  *    governor::ResourceExhausted message for budget/deadline kills).
  *    A quarantined device must not also carry a measurement.
  *
+ * A unit whose exploration failed has nothing to measure: its body has
+ * zero variants, zero combos, passthrough variant 0, no measurements
+ * and a non-empty 'Q'. That is the only body without variants that
+ * parseShard accepts.
+ *
  * A healthy pure flag-lattice campaign body — the paper's canonical
  * 2^N sweep — has neither section and stays byte-identical to schema
  * 14/15, so the golden md5 pins hold. The schema version is part of
@@ -228,15 +240,19 @@ struct QuarantinedItem
     std::string shader;
     gpu::DeviceId device;
     std::string error; ///< what() of the final failure
-    int attempts = 0;  ///< item-level attempts consumed
+    /** Item-level attempts consumed; for a unit that never delivered,
+     * the unit's assignments. */
+    int attempts = 0;
 };
 
 /**
- * Fault report of one campaign run: what was retried away, what had to
- * be quarantined. A healthy campaign has an empty quarantine list and
- * every derived figure sees complete data; an unhealthy one still
- * completes, with quarantined items surfaced here and on the affected
- * ShaderResult::quarantined sets.
+ * Fault report of one campaign run: what was retried away, re-queued or
+ * quarantined, for items ((shader, device) pairs) and units (shaders).
+ * A healthy campaign has an empty quarantine list and every derived
+ * figure sees complete data; an unhealthy one still completes, with
+ * quarantined items surfaced here and on the affected
+ * ShaderResult::quarantined sets. runShaderUnit fills the item counters
+ * of one unit; the coordinator sums them and counts the units.
  */
 struct CampaignHealth
 {
@@ -245,18 +261,28 @@ struct CampaignHealth
     uint64_t itemsQuarantined = 0; ///< == quarantined.size()
     uint64_t itemRetries = 0;      ///< extra item-level attempts used
 
+    uint64_t unitsTotal = 0;       ///< shaders in the campaign
+    uint64_t unitsFromCache = 0;   ///< satisfied by existing shards
+    uint64_t unitsCompleted = 0;   ///< clean deliveries merged this run
+    uint64_t unitsRequeued = 0;    ///< re-assignments after failures
+    uint64_t shardsRejected = 0;   ///< deliveries failing validation
+    uint64_t duplicateDeliveries = 0; ///< late/duplicate results
+    uint64_t leaseExpiries = 0;    ///< assignments reaped by lease
+    uint64_t workersRestarted = 0; ///< dead/reaped workers revived
+
     bool healthy() const { return quarantined.empty(); }
-    /** One line per quarantined item, for logs. */
+    /** The counters, then one line per quarantined item, for logs. */
     std::string summary() const;
 };
 
 /**
  * Run one shader unit, filling @p out: explore @p shader once, then
  * measure it on every device in device order on the calling thread.
- * Each (shader, device) item has its own governor::ScopedRequestBudget,
- * "worker.item" fault point and retryTransient; an item that still
- * fails is quarantined into @p out and the returned health, and the
- * unit goes on. Under strictMode() the first item error propagates.
+ * Each (shader, device) item has its own governor::ScopedRequestBudget
+ * (the campaign's only admission point), "worker.item" fault point and
+ * retryTransient; an item that still fails is quarantined into @p out
+ * and the returned health, and the unit goes on. Under strictMode() the
+ * first item error propagates.
  */
 CampaignHealth runShaderUnit(const corpus::CorpusShader &shader,
                              ShaderResult &out);
@@ -269,11 +295,11 @@ class ExperimentEngine
     static const ExperimentEngine &instance();
 
     /**
-     * Run fresh with explicit options (no caching). Used by tests and
-     * benches with a reduced corpus. @p threads sizes the worker pool
-     * (0 = GSOPT_THREADS / hardware_concurrency); shaders are the
-     * parallel unit, so a one-shader campaign runs serially whatever
-     * @p threads says.
+     * Run fresh with explicit options (no store: nothing is loaded or
+     * written). Used by tests and benches with a reduced corpus.
+     * @p threads is the coordinator's in-process worker count
+     * (0 = defaultThreadCount()); shaders are the parallel unit, so a
+     * one-shader campaign runs serially whatever @p threads says.
      */
     explicit ExperimentEngine(
         const std::vector<corpus::CorpusShader> &shaders,
@@ -281,8 +307,8 @@ class ExperimentEngine
 
     /**
      * Run with shard caching under @p cacheDir: existing valid shards
-     * are loaded, missing ones run and are checkpointed the moment
-     * their last device item completes — a campaign killed mid-run
+     * are loaded, missing ones run and clean ones are checkpointed the
+     * moment their delivery is merged — a campaign killed mid-run
      * resumes from every shard it finished. instance() uses this with
      * ./experiment_cache; tests use it for kill-resume coverage.
      */
@@ -340,18 +366,6 @@ class ExperimentEngine
                           const ShaderResult &r);
 
   private:
-    ExperimentEngine() = default;
-
-    /**
-     * Work-queue campaign over the listed shader indices: one
-     * runShaderUnit per shader, shaders spread over @p threads.
-     * @p checkpoint, when set, is invoked with a shader index on the
-     * unit's thread the moment its unit completed cleanly.
-     */
-    void runShaders(const std::vector<corpus::CorpusShader> &shaders,
-                    const std::vector<size_t> &indices, unsigned threads,
-                    const std::function<void(size_t)> &checkpoint = {});
-
     std::vector<ShaderResult> results_;
     CampaignHealth health_;
 };

@@ -19,6 +19,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <deque>
@@ -26,11 +27,13 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "corpus/corpus.h"
+#include "support/diag.h"
 #include "support/fault.h"
 #include "support/rng.h"
 #include "test_md5.h"
@@ -126,6 +129,17 @@ validUnitBytes(const corpus::CorpusShader &shader)
     return distrib::executeUnit(shader, key, 1);
 }
 
+/** Shaders with at least one quarantined item: the units that ended
+ * neither completed nor cached. */
+size_t
+shadersWithQuarantinedItems(const distrib::DistribHealth &h)
+{
+    std::set<std::string> shaders;
+    for (const tuner::QuarantinedItem &q : h.quarantined)
+        shaders.insert(q.shader);
+    return shaders.size();
+}
+
 /** Every published file must be byte-identical to the reference copy
  * of the same name (subset equality; full equality when the run was
  * healthy). */
@@ -196,7 +210,7 @@ class FakeTransport final : public distrib::WorkerTransport
     void shutdown() override {}
 
     void pushResult(unsigned w, uint64_t unit, std::string bytes,
-                    bool stale = false)
+                    bool stale = false, tuner::CampaignHealth health = {})
     {
         distrib::TransportEvent ev;
         ev.kind = distrib::TransportEvent::Kind::Result;
@@ -204,6 +218,7 @@ class FakeTransport final : public distrib::WorkerTransport
         ev.unit = unit;
         ev.bytes = std::move(bytes);
         ev.stale = stale;
+        ev.health = std::move(health);
         events.push_back(std::move(ev));
     }
     void pushError(unsigned w, uint64_t unit, std::string msg)
@@ -229,6 +244,56 @@ class FakeTransport final : public distrib::WorkerTransport
     int assignments = 0;
     int reaps = 0;
     bool reviveFails = false;
+};
+
+/** The pipe transport's wire, put back over in-process workers: every
+ * delivered shard crosses the ipc.send and ipc.recv fault sites. A
+ * tear truncates the bytes (merge validation must reject them); a
+ * throw turns the delivery into a unit error. */
+class WireFaults final : public distrib::WorkerTransport
+{
+  public:
+    explicit WireFaults(std::unique_ptr<distrib::WorkerTransport> inner)
+        : inner_(std::move(inner))
+    {
+    }
+
+    unsigned workerCount() const override
+    {
+        return inner_->workerCount();
+    }
+    bool live(unsigned w) const override { return inner_->live(w); }
+    bool assign(unsigned w, const distrib::WireUnit &unit) override
+    {
+        return inner_->assign(w, unit);
+    }
+
+    distrib::TransportEvent poll(int timeoutMs) override
+    {
+        distrib::TransportEvent ev = inner_->poll(timeoutMs);
+        if (ev.kind != distrib::TransportEvent::Kind::Result)
+            return ev;
+        try {
+            size_t n = fault::tearPoint("ipc.send", ev.bytes.size());
+            fault::point("ipc.send");
+            if (n == ev.bytes.size()) {
+                n = fault::tearPoint("ipc.recv", ev.bytes.size());
+                fault::point("ipc.recv");
+            }
+            ev.bytes.resize(n);
+        } catch (const std::exception &e) {
+            ev.kind = distrib::TransportEvent::Kind::UnitError;
+            ev.bytes = e.what();
+        }
+        return ev;
+    }
+
+    void reap(unsigned w) override { inner_->reap(w); }
+    bool revive(unsigned w) override { return inner_->revive(w); }
+    void shutdown() override { inner_->shutdown(); }
+
+  private:
+    std::unique_ptr<distrib::WorkerTransport> inner_;
 };
 
 // ----------------------------------------------------- equivalence
@@ -277,6 +342,87 @@ TEST(DistribEquivalence, SubprocessWorkersMatchSingleProcess)
         EXPECT_EQ(dirDigest(dir.path()), referenceDigest())
             << "workers=" << workers;
     }
+}
+
+/** Subprocess deliveries carry their item health, so a distributed
+ * campaign counts items like a local one. Children start without the
+ * ambient fault plan: a retry would be a real one. */
+TEST(DistribEquivalence, SubprocessHealthCountsItems)
+{
+    auto quiet = quiesce();
+    ScopedEnv noChildFaults("GSOPT_FAULTS", "");
+    const auto shaders = miniCorpus();
+    ScratchDir dir("subproc_health");
+    distrib::Options opts;
+    opts.workers = 2;
+    opts.transport = distrib::TransportKind::Subprocess;
+    distrib::CampaignCoordinator coord(shaders, dir.path(), opts);
+    const distrib::DistribHealth &h = coord.run();
+    EXPECT_TRUE(h.healthy()) << h.summary();
+    EXPECT_EQ(h.itemsCompleted, shaders.size() * gpu::allDevices().size());
+    EXPECT_EQ(h.itemRetries, 0u);
+    EXPECT_EQ(dirDigest(dir.path()), referenceDigest());
+}
+
+/** Units are assigned in input order; a schedule seed shuffles that
+ * one list. */
+TEST(DistribEquivalence, UnitsRunInInputOrderOrOneShuffle)
+{
+    auto quiet = quiesce();
+    const auto shaders = miniCorpus();
+    std::vector<std::string> input;
+    for (const corpus::CorpusShader &s : shaders)
+        input.push_back(s.name);
+    std::map<std::string, std::string> bytes;
+    for (const corpus::CorpusShader &s : shaders)
+        bytes[s.name] = validUnitBytes(s);
+    auto order = [&](uint64_t seed) {
+        ScratchDir dir("order_" + std::to_string(seed));
+        FakeTransport fake(1);
+        std::vector<std::string> assigned;
+        fake.onAssign = [&](unsigned w, const distrib::WireUnit &u) {
+            assigned.push_back(u.shader.name);
+            fake.pushResult(w, u.id, bytes[u.shader.name]);
+        };
+        distrib::Options opts;
+        opts.workers = 1;
+        opts.scheduleSeed = seed;
+        distrib::CampaignCoordinator coord(shaders, dir.path(), opts);
+        EXPECT_TRUE(coord.run(fake).healthy());
+        return assigned;
+    };
+    // simple/grayscale shares its family with simple/color_fill, so a
+    // representatives-first order would move it last.
+    EXPECT_EQ(order(0), input);
+    bool grayscaleNotLast = false;
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+        std::vector<std::string> shuffled = order(seed);
+        EXPECT_EQ(shuffled, order(seed)) << "seed " << seed;
+        grayscaleNotLast |= shuffled.back() != "simple/grayscale";
+        std::sort(shuffled.begin(), shuffled.end());
+        std::vector<std::string> sorted = input;
+        std::sort(sorted.begin(), sorted.end());
+        EXPECT_EQ(shuffled, sorted) << "seed " << seed;
+    }
+    EXPECT_TRUE(grayscaleNotLast);
+}
+
+/** The engine's in-process campaign hands deliveries over without a
+ * wire: with both ipc sites armed to always fire, it runs healthy and
+ * never probes them. */
+TEST(DistribEquivalence, EngineRunsNeverProbeIpc)
+{
+    const auto &reference = referenceDigest();
+    ScratchDir dir("engine_no_ipc");
+    fault::ScopedFaultPlan plan("ipc.send:1:1:tear,ipc.recv:1:2");
+    {
+        ExperimentEngine engine(miniCorpus(), /*threads=*/2, dir.path());
+        EXPECT_TRUE(engine.health().healthy())
+            << engine.health().summary();
+    }
+    EXPECT_EQ(fault::siteStats("ipc.send").evaluations, 0u);
+    EXPECT_EQ(fault::siteStats("ipc.recv").evaluations, 0u);
+    EXPECT_EQ(dirDigest(dir.path()), reference);
 }
 
 /** A coordinator started over a partial shard directory re-runs only
@@ -361,23 +507,27 @@ TEST(DistribEquivalence, SweepRemovesOnlyDeadShards)
     EXPECT_EQ(dirDigest(dir.path()), referenceDigest());
 }
 
-/** A worker's failed unit names the failing item's reason. */
+/** A worker's failed items ride in its shard's 'Q' section, each
+ * with the item's reason; the unit itself does not throw. */
 TEST(DistribFaults, FailedUnitCarriesTheItemReason)
 {
     const auto shaders = miniCorpus();
     const uint64_t key =
         tuner::shardKey(shaders[0], tuner::deviceSetKey());
-    fault::ScopedFaultPlan plan("worker.item:1:1");
-    try {
-        distrib::executeUnit(shaders[0], key, 1);
-        FAIL() << "a unit whose every item fails must throw";
-    } catch (const std::runtime_error &e) {
-        const std::string what = e.what();
-        EXPECT_EQ(what.rfind("unit failed: ", 0), 0u) << what;
-        EXPECT_NE(what.find("injected fault at worker.item"),
-                  std::string::npos)
-            << what;
+    std::string bytes;
+    {
+        fault::ScopedFaultPlan plan("worker.item:1:1");
+        bytes = distrib::executeUnit(shaders[0], key, 1);
     }
+    tuner::ShaderResult r;
+    ASSERT_TRUE(tuner::parseShard(bytes, key, r));
+    EXPECT_TRUE(r.byDevice.empty());
+    EXPECT_EQ(r.quarantined.size(), gpu::allDevices().size());
+    ASSERT_EQ(r.quarantineReason.size(), gpu::allDevices().size());
+    for (const auto &[dev, why] : r.quarantineReason)
+        EXPECT_NE(why.find("injected fault at worker.item"),
+                  std::string::npos)
+            << why;
 }
 
 // ---------------------------------------------------- fault matrix
@@ -413,8 +563,8 @@ TEST(DistribFaults, TruncatedDeliveryRejectedThenRetried)
     EXPECT_EQ(dirDigest(dir.path()).size(), 1u);
 }
 
-/** Garbage and wrong-key deliveries both die at merge verification —
- * nothing corrupt is ever published. */
+/** Garbage, wrong-key and misreported deliveries all die at merge
+ * verification — nothing corrupt is ever published. */
 TEST(DistribFaults, GarbageAndWrongKeyDeliveriesRejected)
 {
     auto quiet = quiesce();
@@ -435,6 +585,13 @@ TEST(DistribFaults, GarbageAndWrongKeyDeliveriesRejected)
             // Valid shard file for a *different* shader: checksum
             // passes, key check must not.
             fake.pushResult(w, u.id, wrongKey);
+        } else if (deliveries == 3) {
+            // The right bytes with an item report that quarantines an
+            // item the shard measured: worker and shard disagree.
+            tuner::CampaignHealth lie;
+            lie.quarantined.push_back(
+                {"", gpu::DeviceId::Intel, "not in the shard", 1});
+            fake.pushResult(w, u.id, good, false, lie);
         } else {
             fake.pushResult(w, u.id, good);
         }
@@ -445,7 +602,7 @@ TEST(DistribFaults, GarbageAndWrongKeyDeliveriesRejected)
     distrib::CampaignCoordinator coord(one, dir.path(), opts);
     const distrib::DistribHealth &h = coord.run(fake);
     EXPECT_TRUE(h.healthy()) << h.summary();
-    EXPECT_EQ(h.shardsRejected, 2u);
+    EXPECT_EQ(h.shardsRejected, 3u);
     EXPECT_EQ(h.unitsCompleted, 1u);
     expectSubsetOfReference(dir.path());
     EXPECT_EQ(dirDigest(dir.path()).size(), 1u);
@@ -471,8 +628,111 @@ TEST(DistribFaults, LocalReadFaultIsNotARejectedDelivery)
     EXPECT_EQ(dirDigest(dir.path()), reference);
 }
 
-/** Duplicate delivery (a lease race resolved twice): merge-if-absent
- * keeps exactly one copy and counts the duplicate. */
+/** A failed publish is the coordinator's own fault, not the worker's:
+ * the delivery is accepted and its result kept, nothing is rejected or
+ * re-queued, a warning names the shard, and the shard re-runs on
+ * resume. */
+TEST(DistribFaults, LocalWriteFailureIsNotARejectedDelivery)
+{
+    const auto shaders = miniCorpus();
+    const std::vector<corpus::CorpusShader> one{shaders[0]};
+    const std::string good = validUnitBytes(shaders[0]);
+    const uint64_t key = tuner::shardKey(shaders[0], tuner::deviceSetKey());
+    tuner::ShaderResult expected;
+    ASSERT_TRUE(tuner::parseShard(good, key, expected));
+
+    ScratchDir dir("local_write_fault");
+    FakeTransport fake(1);
+    fake.onAssign = [&](unsigned w, const distrib::WireUnit &u) {
+        fake.pushResult(w, u.id, good);
+    };
+    distrib::Options opts;
+    opts.workers = 1;
+    distrib::CampaignCoordinator coord(one, dir.path(), opts);
+    std::vector<std::string> warnings;
+    setWarningSink(
+        [&](const Diagnostic &d) { warnings.push_back(d.message); });
+    {
+        fault::ScopedFaultPlan plan("shard.write:1:5");
+        coord.run(fake);
+    }
+    setWarningSink(nullptr);
+    const distrib::DistribHealth &h = coord.health();
+    EXPECT_TRUE(h.healthy()) << h.summary();
+    EXPECT_EQ(h.shardsRejected, 0u);
+    EXPECT_EQ(h.unitsRequeued, 0u);
+    EXPECT_EQ(h.unitsCompleted, 1u);
+    EXPECT_EQ(fake.assignments, 1);
+    EXPECT_EQ(tuner::serializeShardBody(coord.results()[0]),
+              tuner::serializeShardBody(expected));
+    EXPECT_TRUE(dirDigest(dir.path()).empty());
+    EXPECT_TRUE(std::any_of(warnings.begin(), warnings.end(),
+                            [](const std::string &w) {
+                                return w.find("re-runs on resume") !=
+                                       std::string::npos;
+                            }));
+
+    auto quiet = quiesce();
+    distrib::CampaignCoordinator resumed(one, dir.path(), opts);
+    const distrib::DistribHealth &again = resumed.run(fake);
+    EXPECT_EQ(again.unitsFromCache, 0u);
+    EXPECT_EQ(again.unitsCompleted, 1u);
+    EXPECT_EQ(dirDigest(dir.path()).size(), 1u);
+    expectSubsetOfReference(dir.path());
+}
+
+/** A partial delivery (an item in 'Q') joins the results but is never
+ * published, and never re-queued: its items were already retried inside
+ * the unit. The next run re-runs the shader. */
+TEST(DistribFaults, PartialDeliveryIsNotPublished)
+{
+    auto quiet = quiesce();
+    const corpus::CorpusShader &shader =
+        *corpus::findShader("simple/color_fill");
+    const std::vector<corpus::CorpusShader> one{shader};
+    const uint64_t key = tuner::shardKey(shader, tuner::deviceSetKey());
+    tuner::ShaderResult partial;
+    ASSERT_TRUE(tuner::parseShard(validUnitBytes(shader), key, partial));
+    const gpu::DeviceId dev = partial.byDevice.begin()->first;
+    partial.byDevice.erase(dev);
+    partial.quarantined.insert(dev);
+    partial.quarantineReason[dev] = "injected item failure";
+    tuner::CampaignHealth items;
+    items.itemsCompleted = partial.byDevice.size();
+    items.quarantined.push_back({"", dev, "injected item failure", 3});
+
+    ScratchDir dir("partial");
+    FakeTransport fake(1);
+    fake.onAssign = [&](unsigned w, const distrib::WireUnit &u) {
+        fake.pushResult(w, u.id, tuner::shardFileBytes(key, partial),
+                        false, items);
+    };
+    distrib::Options opts;
+    opts.workers = 1;
+    distrib::CampaignCoordinator coord(one, dir.path(), opts);
+    const distrib::DistribHealth &h = coord.run(fake);
+    EXPECT_EQ(fake.assignments, 1);
+    EXPECT_EQ(h.unitsRequeued, 0u);
+    EXPECT_EQ(h.shardsRejected, 0u);
+    EXPECT_EQ(h.unitsCompleted, 0u);
+    EXPECT_EQ(h.itemsCompleted, gpu::allDevices().size() - 1);
+    ASSERT_EQ(h.quarantined.size(), 1u);
+    EXPECT_EQ(h.quarantined[0].shader, shader.name);
+    EXPECT_EQ(h.quarantined[0].device, dev);
+    EXPECT_EQ(h.quarantined[0].attempts, 3);
+    EXPECT_TRUE(dirDigest(dir.path()).empty());
+    EXPECT_EQ(coord.results()[0].quarantined, std::set<gpu::DeviceId>{dev});
+    EXPECT_EQ(tuner::serializeShardBody(coord.results()[0]),
+              tuner::serializeShardBody(partial));
+
+    ExperimentEngine resumed(one, /*threads=*/1, dir.path());
+    EXPECT_TRUE(resumed.health().healthy());
+    EXPECT_EQ(resumed.health().itemsCompleted, gpu::allDevices().size());
+    expectSubsetOfReference(dir.path());
+}
+
+/** Duplicate delivery (a lease race resolved twice): the first
+ * accepted copy stands and the duplicate is counted. */
 TEST(DistribFaults, DuplicateDeliveryDiscarded)
 {
     auto quiet = quiesce();
@@ -561,7 +821,8 @@ TEST(DistribFaults, LeaseExpiryReapsSilentWorker)
     expectSubsetOfReference(dir.path());
 }
 
-/** A unit that fails every assignment is quarantined after the bound,
+/** A unit that fails every assignment has each of its device items
+ * quarantined after the bound, with its assignments and last error,
  * and the campaign completes on the partial results — the healthy
  * units' shards are all published and correct. */
 TEST(DistribFaults, PoisonUnitQuarantinedCampaignCompletes)
@@ -583,9 +844,16 @@ TEST(DistribFaults, PoisonUnitQuarantinedCampaignCompletes)
     distrib::CampaignCoordinator coord(shaders, dir.path(), opts);
     const distrib::DistribHealth &h = coord.run(fake);
     EXPECT_FALSE(h.healthy());
-    ASSERT_EQ(h.quarantined.size(), 1u);
-    EXPECT_EQ(h.quarantined[0].shader, poison);
-    EXPECT_EQ(h.quarantined[0].assignments, 3);
+    ASSERT_EQ(h.quarantined.size(), gpu::allDevices().size());
+    for (const tuner::QuarantinedItem &q : h.quarantined) {
+        EXPECT_EQ(q.shader, poison);
+        EXPECT_EQ(q.attempts, 3);
+        EXPECT_EQ(q.error, "injected poison unit");
+    }
+    const tuner::ShaderResult &r = coord.results()[1];
+    EXPECT_EQ(r.exploration.shaderName, poison);
+    EXPECT_EQ(r.quarantined.size(), gpu::allDevices().size());
+    EXPECT_TRUE(r.byDevice.empty());
     EXPECT_EQ(h.unitsCompleted, shaders.size() - 1);
     expectSubsetOfReference(dir.path());
     EXPECT_EQ(dirDigest(dir.path()).size(), shaders.size() - 1);
@@ -610,6 +878,61 @@ TEST(DistribFaults, StrictModeFailsFastOnQuarantine)
     EXPECT_THROW(coord.run(fake), std::runtime_error);
 }
 
+/** Under GSOPT_STRICT=1 the first failure of any kind aborts the run:
+ * no unit is re-queued and no further unit is assigned. */
+TEST(DistribFaults, StrictModeAbortsOnTheFirstFailureOfAnyKind)
+{
+    auto quiet = quiesce();
+    ScopedEnv strict("GSOPT_STRICT", "1");
+    const auto shaders = miniCorpus();
+    const std::vector<corpus::CorpusShader> two{shaders[0], shaders[1]};
+    const uint64_t key = tuner::shardKey(shaders[0], tuner::deviceSetKey());
+    tuner::ShaderResult partial;
+    ASSERT_TRUE(
+        tuner::parseShard(validUnitBytes(shaders[0]), key, partial));
+    const gpu::DeviceId dev = partial.byDevice.begin()->first;
+    partial.byDevice.erase(dev);
+    partial.quarantined.insert(dev);
+    tuner::CampaignHealth items;
+    items.quarantined.push_back({"", dev, "", 1});
+    const std::string partialBytes = tuner::shardFileBytes(key, partial);
+
+    const std::vector<
+        std::pair<std::string, std::function<void(FakeTransport &,
+                                                  unsigned, uint64_t)>>>
+        failures = {
+            {"rejected bytes",
+             [](FakeTransport &f, unsigned w, uint64_t id) {
+                 f.pushResult(w, id, "garbage");
+             }},
+            {"unit error",
+             [](FakeTransport &f, unsigned w, uint64_t id) {
+                 f.pushError(w, id, "injected unit error");
+             }},
+            {"worker death",
+             [](FakeTransport &f, unsigned w, uint64_t) {
+                 f.pushDeath(w);
+             }},
+            {"partial delivery",
+             [&](FakeTransport &f, unsigned w, uint64_t id) {
+                 f.pushResult(w, id, partialBytes, false, items);
+             }},
+        };
+    for (const auto &[kind, inject] : failures) {
+        ScratchDir dir("strict_first");
+        FakeTransport fake(1);
+        fake.onAssign = [&](unsigned w, const distrib::WireUnit &u) {
+            inject(fake, w, u.id);
+        };
+        distrib::Options opts;
+        opts.workers = 1;
+        distrib::CampaignCoordinator coord(two, dir.path(), opts);
+        EXPECT_THROW(coord.run(fake), std::runtime_error) << kind;
+        EXPECT_EQ(fake.assignments, 1) << kind;
+        EXPECT_TRUE(dirDigest(dir.path()).empty()) << kind;
+    }
+}
+
 /** Every slot dead and unrevivable: the coordinator must terminate
  * (quarantining what it could not place), not spin. */
 TEST(DistribFaults, NoLiveWorkersTerminates)
@@ -625,7 +948,10 @@ TEST(DistribFaults, NoLiveWorkersTerminates)
     distrib::CampaignCoordinator coord(shaders, dir.path(), opts);
     const distrib::DistribHealth &h = coord.run(fake);
     EXPECT_FALSE(h.healthy());
-    EXPECT_EQ(h.quarantined.size(), shaders.size());
+    EXPECT_EQ(h.quarantined.size(),
+              shaders.size() * gpu::allDevices().size());
+    for (const tuner::QuarantinedItem &q : h.quarantined)
+        EXPECT_EQ(q.attempts, 0) << q.shader;
     EXPECT_TRUE(dirDigest(dir.path()).empty());
 }
 
@@ -697,10 +1023,11 @@ TEST(DistribSubprocess, KilledWorkerRevivesAndDelivers)
     transport->shutdown();
 }
 
-/** Randomized fault torture over the real transports: ipc tears and
- * failures, shard-write tears, worker faults. Whatever completes must
- * be byte-identical to the reference; a quiesced re-run over the same
- * directory finishes the job and converges to full equality. */
+/** Randomized fault torture over in-process workers behind the wire
+ * decorator: ipc tears and failures, shard-write tears, worker faults.
+ * Whatever completes must be byte-identical to the reference; a
+ * quiesced re-run over the same directory finishes the job and
+ * converges to full equality. */
 TEST(DistribFaults, TortureConvergesToReferenceBytes)
 {
     const auto shaders = miniCorpus();
@@ -723,9 +1050,10 @@ TEST(DistribFaults, TortureConvergesToReferenceBytes)
             opts.scheduleSeed = 0x7357 + iter;
             distrib::CampaignCoordinator coord(shaders, dir.path(),
                                                opts);
-            const distrib::DistribHealth &h = coord.run();
+            WireFaults wire(distrib::makeInProcessTransport(3));
+            const distrib::DistribHealth &h = coord.run(wire);
             EXPECT_EQ(h.unitsCompleted + h.unitsFromCache +
-                          h.quarantined.size(),
+                          shadersWithQuarantinedItems(h),
                       h.unitsTotal)
                 << h.summary();
         }
@@ -759,7 +1087,7 @@ TEST(DistribSubprocess, ChildFaultPlanNeverCorruptsMergedDir)
     distrib::CampaignCoordinator coord(shaders, dir.path(), opts);
     const distrib::DistribHealth &h = coord.run();
     EXPECT_EQ(h.unitsCompleted + h.unitsFromCache +
-                  h.quarantined.size(),
+                  shadersWithQuarantinedItems(h),
               h.unitsTotal)
         << h.summary();
     expectSubsetOfReference(dir.path());

@@ -368,15 +368,17 @@ TEST(ShardIO, InjectedReadFaultIsACacheMiss)
     EXPECT_FALSE(tuner::ExperimentEngine::loadShard(path, 1, out));
 }
 
-TEST(ShardIO, CorruptionMatrixAlwaysLoadsFalse)
+/** The corruption matrix: every mutant of shard file @p good (key
+ * @p key) must fail both loadShard (from a file in @p dir) and
+ * parseShard, while @p good itself still loads. */
+void
+expectEveryMutantRejected(const std::string &good, uint64_t key,
+                          const std::string &dir)
 {
-    const fault::ScopedFaultPlan noAmbientFaults = quiesce();
-    ScratchDir dir("corrupt");
-    const std::string path = dir.path() + "/tiny.bin";
-    const std::string mutant = dir.path() + "/mutant.bin";
-    tuner::ExperimentEngine::saveShard(path, 77, tinyResult());
-    const std::string good = readFile(path);
+    const std::string path = dir + "/good.bin";
+    const std::string mutant = dir + "/mutant.bin";
     ASSERT_GT(good.size(), 16u);
+    std::ofstream(path, std::ios::binary) << good;
 
     auto write_mutant = [&](const std::string &bytes) {
         std::ofstream f(mutant,
@@ -391,9 +393,9 @@ TEST(ShardIO, CorruptionMatrixAlwaysLoadsFalse)
     for (size_t len = 0; len < good.size(); ++len) {
         write_mutant(good.substr(0, len));
         EXPECT_FALSE(
-            tuner::ExperimentEngine::loadShard(mutant, 77, out))
+            tuner::ExperimentEngine::loadShard(mutant, key, out))
             << "truncated at " << len;
-        EXPECT_FALSE(tuner::parseShard(good.substr(0, len), 77, out))
+        EXPECT_FALSE(tuner::parseShard(good.substr(0, len), key, out))
             << "truncated at " << len;
     }
 
@@ -407,9 +409,9 @@ TEST(ShardIO, CorruptionMatrixAlwaysLoadsFalse)
         bad[pos] = static_cast<char>(bad[pos] ^ 0xff);
         write_mutant(bad);
         EXPECT_FALSE(
-            tuner::ExperimentEngine::loadShard(mutant, 77, out))
+            tuner::ExperimentEngine::loadShard(mutant, key, out))
             << "flipped byte " << pos;
-        EXPECT_FALSE(tuner::parseShard(bad, 77, out))
+        EXPECT_FALSE(tuner::parseShard(bad, key, out))
             << "flipped byte " << pos;
     }
     testing::internal::GetCapturedStderr();
@@ -422,15 +424,69 @@ TEST(ShardIO, CorruptionMatrixAlwaysLoadsFalse)
             c = static_cast<char>(rng.below(256));
         write_mutant(junk);
         EXPECT_FALSE(
-            tuner::ExperimentEngine::loadShard(mutant, 77, out))
+            tuner::ExperimentEngine::loadShard(mutant, key, out))
             << "garbage iter " << i;
-        EXPECT_FALSE(tuner::parseShard(junk, 77, out))
+        EXPECT_FALSE(tuner::parseShard(junk, key, out))
             << "garbage iter " << i;
     }
 
     // The unmodified file still loads (the matrix isn't vacuous).
-    EXPECT_TRUE(tuner::ExperimentEngine::loadShard(path, 77, out));
-    EXPECT_TRUE(tuner::parseShard(good, 77, out));
+    EXPECT_TRUE(tuner::ExperimentEngine::loadShard(path, key, out));
+    EXPECT_TRUE(tuner::parseShard(good, key, out));
+}
+
+TEST(ShardIO, CorruptionMatrixAlwaysLoadsFalse)
+{
+    const fault::ScopedFaultPlan noAmbientFaults = quiesce();
+    ScratchDir dir("corrupt");
+    expectEveryMutantRejected(tuner::shardFileBytes(77, tinyResult()), 77,
+                              dir.path());
+}
+
+/** A unit whose exploration failed still delivers a shard: zero
+ * variants, zero combos, no measurements, every item in 'Q'. It
+ * round-trips, survives the corruption matrix, and nothing looser
+ * parses. */
+TEST(ShardIO, FailedExplorationShardRoundTrips)
+{
+    const fault::ScopedFaultPlan noAmbientFaults = quiesce();
+    corpus::CorpusShader broken;
+    broken.name = "broken/unparseable";
+    broken.family = "broken";
+    broken.source = "this is not GLSL at all {";
+    tuner::ShaderResult r;
+    const tuner::CampaignHealth health = tuner::runShaderUnit(broken, r);
+    ASSERT_EQ(health.quarantined.size(), gpu::allDevices().size());
+    ASSERT_TRUE(r.exploration.variants.empty());
+    ASSERT_EQ(r.exploration.passthroughVariant, 0);
+
+    const std::string good = tuner::shardFileBytes(99, r);
+    tuner::ShaderResult out;
+    ASSERT_TRUE(tuner::parseShard(good, 99, out));
+    EXPECT_EQ(tuner::serializeShardBody(out),
+              tuner::serializeShardBody(r));
+    EXPECT_EQ(out.quarantined, r.quarantined);
+    EXPECT_EQ(out.quarantineReason, r.quarantineReason);
+
+    ScratchDir dir("failed_exploration");
+    expectEveryMutantRejected(good, 99, dir.path());
+
+    // Re-hashed bodies: without 'Q', with a measurement, or with a
+    // passthrough past the (empty) variant table, the shape is corrupt.
+    tuner::ShaderResult noQ = r;
+    noQ.quarantined.clear();
+    noQ.quarantineReason.clear();
+    EXPECT_FALSE(tuner::parseShard(tuner::shardFileBytes(99, noQ), 99, out));
+    tuner::ShaderResult measured = r;
+    const gpu::DeviceId dev = *measured.quarantined.begin();
+    measured.quarantined.erase(dev);
+    measured.byDevice[dev].originalMeanNs = 1.0;
+    EXPECT_FALSE(
+        tuner::parseShard(tuner::shardFileBytes(99, measured), 99, out));
+    tuner::ShaderResult pastEnd = r;
+    pastEnd.exploration.passthroughVariant = 1;
+    EXPECT_FALSE(
+        tuner::parseShard(tuner::shardFileBytes(99, pastEnd), 99, out));
 }
 
 /** tinyResult() plus the schema-15 plan section: one producer-less

@@ -1,16 +1,12 @@
 /**
  * @file
  * Unit tests for the support library: RNG determinism, statistics,
- * string utilities, table rendering, the thread pool and the
- * environment knobs.
+ * string utilities, table rendering and the environment knobs.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <future>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -21,7 +17,6 @@
 #include "support/stats.h"
 #include "support/strings.h"
 #include "support/table.h"
-#include "support/thread_pool.h"
 #include "test_scratch.h"
 
 namespace gsopt {
@@ -199,75 +194,6 @@ TEST(Table, RendersAlignedColumns)
     EXPECT_NE(s.find("longer_name"), std::string::npos);
     EXPECT_NE(s.find("+4.25%"), std::string::npos);
     EXPECT_NE(s.find("1.50"), std::string::npos);
-}
-
-TEST(ParallelFor, SerialFirstErrorPropagatesWithPosition)
-{
-    std::atomic<int> executed{0};
-    try {
-        parallelFor(10, 1, [&](size_t i) {
-            ++executed;
-            if (i == 3)
-                throw std::runtime_error("item 3 failed");
-        });
-        FAIL() << "expected runtime_error";
-    } catch (const std::runtime_error &e) {
-        EXPECT_STREQ(e.what(), "item 3 failed");
-    }
-    // Serial claims in order: items 4..9 were abandoned.
-    EXPECT_EQ(executed.load(), 4);
-}
-
-/** Fulfils its promise when its thread exits. */
-struct ReleaseOnThreadExit
-{
-    std::promise<void> *promise = nullptr;
-    ~ReleaseOnThreadExit()
-    {
-        if (promise)
-            promise->set_value();
-    }
-};
-
-TEST(ParallelFor, ThreadedErrorAbandonsTheQueue)
-{
-    // Any worker's failure must stop the others from claiming more
-    // work. The healthy items wait on a latch that opens only when the
-    // thrower's worker thread exits, which parallelFor lets it do only
-    // after recording the failure. So however the threads are
-    // scheduled, each worker runs at most the item it holds plus one
-    // claimed before it saw the failure, and the queue is abandoned.
-    constexpr size_t items = 10000;
-    constexpr unsigned threads = 4;
-    std::promise<void> recorded;
-    std::shared_future<void> latch = recorded.get_future().share();
-    std::atomic<size_t> executed{0};
-    EXPECT_THROW(parallelFor(items, threads,
-                             [&](size_t i) {
-                                 executed.fetch_add(1);
-                                 if (i == 0) {
-                                     thread_local ReleaseOnThreadExit
-                                         release;
-                                     release.promise = &recorded;
-                                     throw std::runtime_error("boom");
-                                 }
-                                 latch.wait();
-                             }),
-                 std::runtime_error);
-    EXPECT_LE(executed.load(), 2 * threads);
-}
-
-TEST(ParallelFor, RunsEachItemOnce)
-{
-    for (unsigned threads : {1u, 4u}) {
-        std::vector<std::atomic<int>> done(64);
-        for (auto &d : done)
-            d = 0;
-        parallelFor(done.size(), threads,
-                    [&](size_t i) { done[i].fetch_add(1); });
-        for (size_t i = 0; i < done.size(); ++i)
-            EXPECT_EQ(done[i].load(), 1) << "item " << i;
-    }
 }
 
 // ---- environment knobs ------------------------------------------------
