@@ -1,7 +1,6 @@
 #include "tuner/distrib.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <condition_variable>
 #include <cstdio>
@@ -9,6 +8,7 @@
 #include <cstring>
 #include <deque>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <set>
@@ -130,6 +130,50 @@ deliverUnit(const corpus::CorpusShader &shader, uint64_t key,
     return shardFileBytes(key, r);
 }
 
+/**
+ * A worker's proof of life while a unit executes, so the coordinator
+ * can tell a slow unit from a dead worker: calls @p beat every
+ * @p periodMs (0 = 1 s) on its own thread until destroyed, or until
+ * @p beat returns false.
+ */
+class Heartbeat
+{
+  public:
+    Heartbeat(uint64_t periodMs, std::function<bool()> beat)
+        : thread_([this, period = std::chrono::milliseconds(
+                             periodMs == 0 ? 1000 : periodMs),
+                   beat = std::move(beat)] {
+              std::unique_lock lock(m_);
+              while (!cv_.wait_for(lock, period, [&] { return stop_; })) {
+                  lock.unlock();
+                  if (!beat())
+                      return;
+                  lock.lock();
+              }
+          })
+    {
+    }
+
+    ~Heartbeat()
+    {
+        {
+            std::lock_guard lock(m_);
+            stop_ = true;
+        }
+        cv_.notify_all();
+        thread_.join();
+    }
+
+    Heartbeat(const Heartbeat &) = delete;
+    Heartbeat &operator=(const Heartbeat &) = delete;
+
+  private:
+    std::mutex m_;
+    std::condition_variable cv_;
+    bool stop_ = false;
+    std::thread thread_; ///< last: starts after the state it reads
+};
+
 // ---- knobs --------------------------------------------------------------
 
 unsigned
@@ -151,6 +195,10 @@ defaultLeaseMs()
  * Worker threads in this process: the engine's campaign. A delivery is
  * a hand-off of the unit's bytes and item health, with no wire, so no
  * ipc.* fault site is probed; a failed unit hands over its exception.
+ * While a unit runs its worker posts a heartbeat every
+ * WireUnit::heartbeatMs, as a subprocess worker does, so the lease
+ * measures the worker's liveness, not the unit's length: a slow item
+ * is bounded by its own request budget.
  *
  * Threads cannot be killed: reap() abandons the running thread (its
  * eventual delivery is tagged stale — the coordinator's duplicate
@@ -264,7 +312,7 @@ class InProcessTransport final : public WorkerTransport
         std::thread thread;
         uint64_t generation = 0; ///< guarded by qm_
         bool live = false;
-    std::vector<std::thread> abandoned;
+        std::vector<std::thread> abandoned;
     };
 
     void spawn(unsigned w)
@@ -299,26 +347,44 @@ class InProcessTransport final : public WorkerTransport
             TransportEvent ev;
             ev.worker = w;
             ev.unit = unit.id;
-            try {
-                ev.bytes = deliverUnit(unit.shader, unit.key, ev.health);
-                ev.kind = TransportEvent::Kind::Result;
-            } catch (const std::exception &e) {
-                ev.kind = TransportEvent::Kind::UnitError;
-                ev.bytes = e.what();
-                ev.error = std::current_exception();
-            }
             {
-                std::lock_guard lock(qm_);
-                ev.stale = slots_[w]->generation != gen;
-                events_.push_back(std::move(ev));
+                Heartbeat beat(unit.heartbeatMs, [&] {
+                    TransportEvent hb;
+                    hb.kind = TransportEvent::Kind::Heartbeat;
+                    hb.worker = w;
+                    hb.unit = unit.id;
+                    post(gen, std::move(hb));
+                    return true;
+                });
+                try {
+                    ev.bytes =
+                        deliverUnit(unit.shader, unit.key, ev.health);
+                    ev.kind = TransportEvent::Kind::Result;
+                } catch (const std::exception &e) {
+                    ev.kind = TransportEvent::Kind::UnitError;
+                    ev.bytes = e.what();
+                    ev.error = std::current_exception();
+                }
             }
-            qcv_.notify_one();
+            post(gen, std::move(ev));
             {
                 std::unique_lock lock(box.m);
                 if (box.quit && box.in.empty())
                     return;
             }
         }
+    }
+
+    /** Queue @p ev from worker ev.worker's generation @p gen: stale
+     * once that worker has been reaped. */
+    void post(uint64_t gen, TransportEvent ev)
+    {
+        {
+            std::lock_guard lock(qm_);
+            ev.stale = slots_[ev.worker]->generation != gen;
+            events_.push_back(std::move(ev));
+        }
+        qcv_.notify_one();
     }
 
     std::vector<std::unique_ptr<Slot>> slots_;
@@ -740,42 +806,28 @@ workerLoop(int in, int out)
             throw ipc::ProtocolError(
                 "distrib worker: malformed unit payload");
 
-        // Heartbeat while the unit executes, so the coordinator can
-        // tell a slow unit from a dead worker.
-        std::atomic<bool> done{false};
-        const uint64_t hbMs =
-            unit.heartbeatMs == 0 ? 1000 : unit.heartbeatMs;
-        std::thread heartbeat([&] {
-            uint64_t sinceBeat = 0;
-            while (!done.load(std::memory_order_relaxed)) {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(5));
-                sinceBeat += 5;
-                if (sinceBeat < hbMs)
-                    continue;
-                sinceBeat = 0;
-                try {
-                    ipc::Pack beat;
-                    beat.u64(unit.id);
-                    std::lock_guard lock(writeMutex);
-                    ipc::writeFrame(out, kHeartbeat, beat.bytes());
-                } catch (const std::exception &) {
-                    return; // coordinator gone; result send will fail
-                }
-            }
-        });
-
         std::string resultBytes, errorMsg;
         CampaignHealth health;
         bool ok = false;
-        try {
-            resultBytes = deliverUnit(unit.shader, unit.key, health);
-            ok = true;
-        } catch (const std::exception &e) {
-            errorMsg = e.what();
+        {
+            Heartbeat beat(unit.heartbeatMs, [&] {
+                try {
+                    ipc::Pack p;
+                    p.u64(unit.id);
+                    std::lock_guard lock(writeMutex);
+                    ipc::writeFrame(out, kHeartbeat, p.bytes());
+                    return true;
+                } catch (const std::exception &) {
+                    return false; // coordinator gone; result send fails
+                }
+            });
+            try {
+                resultBytes = deliverUnit(unit.shader, unit.key, health);
+                ok = true;
+            } catch (const std::exception &e) {
+                errorMsg = e.what();
+            }
         }
-        done.store(true, std::memory_order_relaxed);
-        heartbeat.join();
 
         ipc::Pack reply;
         reply.u64(unit.id);
@@ -948,19 +1000,31 @@ CampaignCoordinator::runOver(WorkerTransport *supplied)
         }
         quarantine(ui, err);
     };
-    // Accept a delivery that parses and whose item health names exactly
-    // the items its shard quarantines. A clean shard is published; a
+    // Accept a delivery that parses and whose item health accounts for
+    // each device once: the items its shard quarantines, each with at
+    // least one attempt, and the rest completed, with no more retries
+    // than the retry policy allows. A clean shard is published; a
     // failed write is local, so the result stays and the shard re-runs
     // on resume.
+    const uint64_t devices = gpu::allDevices().size();
+    const uint64_t maxRetries =
+        devices *
+        static_cast<uint64_t>(
+            std::max(defaultRetryPolicy().maxAttempts, 1) - 1);
     auto merge = [&](Unit &u, TransportEvent &ev) {
         const size_t i = u.shaderIndex;
         const std::string &name = shaders_[i].name;
-        ShaderResult parsed;
+        const CampaignHealth &report = ev.health;
         std::set<gpu::DeviceId> reported;
-        for (const QuarantinedItem &q : ev.health.quarantined)
-            reported.insert(q.device);
+        for (const QuarantinedItem &q : report.quarantined)
+            if (q.attempts >= 1)
+                reported.insert(q.device);
+        ShaderResult parsed;
         if (!parseShard(ev.bytes, store.key(i), parsed) ||
-            reported != parsed.quarantined)
+            reported != parsed.quarantined ||
+            reported.size() != report.quarantined.size() ||
+            report.itemsCompleted + reported.size() != devices ||
+            report.itemRetries > maxRetries)
             return false;
         if (strict && !parsed.quarantined.empty())
             throw std::runtime_error(
@@ -1084,10 +1148,6 @@ CampaignCoordinator::runOver(WorkerTransport *supplied)
             if (ev.unit >= units.size())
                 break; // nonsense id from a hostile stream
             settle(ev);
-            // Keep the worker busy while this thread merges; strict mode
-            // assigns nothing until the delivery has passed.
-            if (!strict)
-                assign_idle();
             Unit &u = units[ev.unit];
             if (u.done) {
                 // A unit completed twice (lease reassignment raced a
@@ -1111,8 +1171,11 @@ CampaignCoordinator::runOver(WorkerTransport *supplied)
             break;
         }
         case TransportEvent::Kind::Heartbeat: {
+            // Only the current assignee's beat for its current unit
+            // extends the lease; a reaped worker's beat is stale.
             auto it = outstanding.find(ev.worker);
-            if (it != outstanding.end())
+            if (!ev.stale && it != outstanding.end() &&
+                it->second.unit == ev.unit)
                 it->second.deadlineNs = nowNs() + leaseNs;
             break;
         }

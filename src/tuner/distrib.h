@@ -21,8 +21,10 @@
  * One policy for every transport:
  *  - Every delivery is validated in memory by tuner::parseShard (key,
  *    content hash, structural checks — the parser every shard load
- *    uses), and its item health must name exactly the items its 'Q'
- *    section quarantines. A delivery that fails is rejected.
+ *    uses), and its item health must account for each device once:
+ *    the items its 'Q' section quarantines, the rest completed, and no
+ *    more retries than the retry policy allows. A delivery that fails
+ *    is rejected.
  *  - An accepted delivery's result joins results(). A clean shard is
  *    then published through tuner::publishShardFile, the store's one
  *    tmp-then-rename write; a write that still fails after three
@@ -33,7 +35,8 @@
  *    retried inside the unit. It re-runs on resume.
  *  - Only delivery failures are re-queued: rejected bytes, worker death
  *    (pipe EOF, corrupt frame stream), lease expiry (each assignment
- *    carries a lease; subprocess workers heartbeat while executing) and
+ *    carries a lease; every worker heartbeats while executing, so a
+ *    slow unit keeps its lease and only a silent worker loses it) and
  *    unit errors. After Options::maxAssignments the unit's device items
  *    are quarantined with its last error.
  *  - A duplicate delivery (a unit that was re-assigned after a lease

@@ -160,6 +160,16 @@ expectSubsetOfReference(const std::string &dir)
  * a hook which typically queues canned deliveries; poll() drains the
  * queue. Lets the fault matrix hit coordinator edges (torn bytes,
  * duplicates, silent workers) deterministically, with no threads. */
+/** The item report of a unit whose every device item completed at the
+ * first attempt: what an honest worker sends with clean bytes. */
+tuner::CampaignHealth
+cleanReport()
+{
+    tuner::CampaignHealth h;
+    h.itemsCompleted = gpu::allDevices().size();
+    return h;
+}
+
 class FakeTransport final : public distrib::WorkerTransport
 {
   public:
@@ -210,7 +220,8 @@ class FakeTransport final : public distrib::WorkerTransport
     void shutdown() override {}
 
     void pushResult(unsigned w, uint64_t unit, std::string bytes,
-                    bool stale = false, tuner::CampaignHealth health = {})
+                    bool stale = false,
+                    tuner::CampaignHealth health = cleanReport())
     {
         distrib::TransportEvent ev;
         ev.kind = distrib::TransportEvent::Kind::Result;
@@ -589,6 +600,7 @@ TEST(DistribFaults, GarbageAndWrongKeyDeliveriesRejected)
             // The right bytes with an item report that quarantines an
             // item the shard measured: worker and shard disagree.
             tuner::CampaignHealth lie;
+            lie.itemsCompleted = gpu::allDevices().size() - 1;
             lie.quarantined.push_back(
                 {"", gpu::DeviceId::Intel, "not in the shard", 1});
             fake.pushResult(w, u.id, good, false, lie);
@@ -606,6 +618,70 @@ TEST(DistribFaults, GarbageAndWrongKeyDeliveriesRejected)
     EXPECT_EQ(h.unitsCompleted, 1u);
     expectSubsetOfReference(dir.path());
     EXPECT_EQ(dirDigest(dir.path()).size(), 1u);
+}
+
+/** A worker's item report is input from outside the process: one that
+ * lists a quarantined device twice, counts more items than the unit has,
+ * claims more retries than the retry policy allows, or quarantines an
+ * item it never attempted is rejected like bad bytes, and none of its
+ * counters reach the campaign's health. */
+TEST(DistribFaults, LyingItemReportsRejected)
+{
+    auto quiet = quiesce();
+    const corpus::CorpusShader &shader =
+        *corpus::findShader("simple/color_fill");
+    const std::vector<corpus::CorpusShader> one{shader};
+    const uint64_t key = tuner::shardKey(shader, tuner::deviceSetKey());
+    const std::string good = validUnitBytes(shader);
+    tuner::ShaderResult partial;
+    ASSERT_TRUE(tuner::parseShard(good, key, partial));
+    const gpu::DeviceId dev = partial.byDevice.begin()->first;
+    partial.byDevice.erase(dev);
+    partial.quarantined.insert(dev);
+    partial.quarantineReason[dev] = "injected item failure";
+    const std::string partialBytes = tuner::shardFileBytes(key, partial);
+    const uint64_t devices = gpu::allDevices().size();
+
+    tuner::CampaignHealth twice;
+    twice.itemsCompleted = devices - 2;
+    twice.quarantined.assign(2, {"", dev, "injected item failure", 1});
+    tuner::CampaignHealth inflated = cleanReport();
+    inflated.itemsCompleted = 1000;
+    tuner::CampaignHealth retried = cleanReport();
+    retried.itemRetries = 1'000'000;
+    tuner::CampaignHealth unattempted;
+    unattempted.itemsCompleted = devices - 1;
+    unattempted.quarantined.push_back({"", dev, "injected item failure", 0});
+    const std::vector<std::pair<std::string, tuner::CampaignHealth>> lies =
+        {{partialBytes, twice},
+         {good, inflated},
+         {good, retried},
+         {partialBytes, unattempted}};
+
+    ScratchDir dir("lying");
+    FakeTransport fake(1);
+    size_t deliveries = 0;
+    fake.onAssign = [&](unsigned w, const distrib::WireUnit &u) {
+        if (deliveries < lies.size())
+            fake.pushResult(w, u.id, lies[deliveries].first, false,
+                            lies[deliveries].second);
+        else
+            fake.pushResult(w, u.id, good);
+        deliveries++;
+    };
+    distrib::Options opts;
+    opts.workers = 1;
+    opts.maxAssignments = static_cast<int>(lies.size()) + 1;
+    distrib::CampaignCoordinator coord(one, dir.path(), opts);
+    const distrib::DistribHealth &h = coord.run(fake);
+    EXPECT_TRUE(h.healthy()) << h.summary();
+    EXPECT_EQ(h.shardsRejected, lies.size());
+    EXPECT_EQ(h.unitsCompleted, 1u);
+    EXPECT_EQ(h.itemsCompleted, devices);
+    EXPECT_EQ(h.itemRetries, 0u);
+    EXPECT_EQ(h.itemsQuarantined, 0u);
+    EXPECT_EQ(dirDigest(dir.path()).size(), 1u);
+    expectSubsetOfReference(dir.path());
 }
 
 /** A read fault on the coordinator's side is local, not the worker's:
@@ -894,6 +970,7 @@ TEST(DistribFaults, StrictModeAbortsOnTheFirstFailureOfAnyKind)
     partial.byDevice.erase(dev);
     partial.quarantined.insert(dev);
     tuner::CampaignHealth items;
+    items.itemsCompleted = partial.byDevice.size();
     items.quarantined.push_back({"", dev, "", 1});
     const std::string partialBytes = tuner::shardFileBytes(key, partial);
 
@@ -955,10 +1032,10 @@ TEST(DistribFaults, NoLiveWorkersTerminates)
     EXPECT_TRUE(dirDigest(dir.path()).empty());
 }
 
-/** In-process workers cannot heartbeat, so a stalled unit trips the
- * lease for real; its late (stale) delivery is still merged or
- * discarded safely, never corrupted. */
-TEST(DistribFaults, StalledInProcessUnitExpiresAndRecovers)
+/** An in-process worker heartbeats while its unit runs, so a unit far
+ * slower than the lease (every item stalls) is neither reaped nor
+ * re-queued: it completes on its first assignment. */
+TEST(DistribFaults, SlowInProcessUnitHeartbeatsThroughItsLease)
 {
     const auto shaders = miniCorpus();
     const std::vector<corpus::CorpusShader> one{shaders[0]};
@@ -968,10 +1045,14 @@ TEST(DistribFaults, StalledInProcessUnitExpiresAndRecovers)
     distrib::Options opts;
     opts.workers = 1;
     opts.leaseMs = 80;
-    opts.maxAssignments = 50; // stalls keep completing eventually
     distrib::CampaignCoordinator coord(one, dir.path(), opts);
+    const auto start = std::chrono::steady_clock::now();
     const distrib::DistribHealth &h = coord.run();
-    EXPECT_GE(h.leaseExpiries, 1u);
+    EXPECT_GT(std::chrono::steady_clock::now() - start,
+              std::chrono::milliseconds(4 * opts.leaseMs));
+    EXPECT_EQ(h.leaseExpiries, 0u);
+    EXPECT_EQ(h.unitsRequeued, 0u);
+    EXPECT_EQ(h.duplicateDeliveries, 0u);
     EXPECT_EQ(dirDigest(dir.path()).size(), h.healthy() ? 1u : 0u);
     {
         auto quiet = quiesce();
