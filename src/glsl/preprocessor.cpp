@@ -537,7 +537,12 @@ preprocess(const std::string &source,
         }
         if (!active())
             continue;
-        result.text += expandMacros(line, macros, diags, work);
+        // With no macro defined there is nothing to expand (nor to
+        // charge): expandMacros would rebuild the line unchanged.
+        if (macros.empty())
+            result.text += line;
+        else
+            result.text += expandMacros(line, macros, diags, work);
         result.text += '\n';
     }
     if (!conds.empty())

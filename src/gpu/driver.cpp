@@ -143,44 +143,46 @@ driverCompileUncached(const std::string &glslSource,
 namespace {
 
 ShaderBinary
-compileIr(ir::Module &moduleRef, const DeviceModel &device)
+compileIr(ir::Module &module, const DeviceModel &device)
 {
-    ir::Module *module = &moduleRef;
-
     // Vendor optimization set. Every real driver folds constants and
     // CSEs (canonicalize, already run by canonicalIr); the flags encode
     // what else this vendor's stack can do. Structural transforms
     // (unroll, hoist) apply the vendor's own heuristics' budgets —
-    // unlike the offline tool's unconditional versions.
+    // unlike the offline tool's unconditional versions. Each step
+    // follows the pipeline's step rule (passes::canonicalizeIfChanged):
+    // the module entering it is a canonicalize fixpoint, so a step that
+    // changes nothing needs no canonicalize after it.
     if (device.jitFlags.unroll && device.jitUnrollTrips > 0) {
-        passes::unroll(*module, device.jitUnrollTrips,
-                       device.jitUnrollInstrs);
-        passes::canonicalize(*module);
+        passes::canonicalizeIfChanged(
+            module, passes::unroll(module, device.jitUnrollTrips,
+                                   device.jitUnrollInstrs));
     }
     if (device.jitFlags.hoist && device.jitHoistArmInstrs > 0) {
-        passes::hoist(*module, device.jitHoistArmInstrs);
-        passes::canonicalize(*module);
+        passes::canonicalizeIfChanged(
+            module, passes::hoist(module, device.jitHoistArmInstrs));
     }
-    if (device.jitFlags.coalesce) {
-        passes::coalesce(*module);
-        passes::canonicalize(*module);
-    }
-    if (device.jitFlags.reassociate) {
-        passes::reassociate(*module);
-        passes::canonicalize(*module);
-    }
-    if (device.jitFlags.gvn) {
-        passes::gvn(*module);
-        passes::canonicalize(*module);
-    }
+    if (device.jitFlags.coalesce)
+        passes::canonicalizeIfChanged(module, passes::coalesce(module));
+    if (device.jitFlags.reassociate)
+        passes::canonicalizeIfChanged(module, passes::reassociate(module));
+    if (device.jitFlags.gvn)
+        passes::canonicalizeIfChanged(module, passes::gvn(module));
+    return driverBackEnd(module, device);
+}
 
+} // namespace
+
+ShaderBinary
+driverBackEnd(ir::Module &module, const DeviceModel &device)
+{
     // Every vendor back end list-schedules for register pressure before
     // allocation; without this, offline reassociation's end-of-block
     // reduction chains would look impossibly expensive.
-    passes::scheduleForPressure(*module, device.schedulerWindow);
+    passes::scheduleForPressure(module, device.schedulerWindow);
 
     ShaderBinary bin;
-    bin.cost = analyzeModule(*module, device);
+    bin.cost = analyzeModule(module, device);
 
     // Register allocation: spill anything over the hard threshold.
     bin.spilledRegs =
@@ -216,8 +218,6 @@ compileIr(ir::Module &moduleRef, const DeviceModel &device)
                             bin.texStallCycles + bin.icacheStallCycles;
     return bin;
 }
-
-} // namespace
 
 double
 drawTimeNs(const ShaderBinary &binary, const DeviceModel &device,

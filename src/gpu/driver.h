@@ -58,6 +58,12 @@ ShaderBinary driverCompile(const std::string &glslSource,
 ShaderBinary driverCompileUncached(const std::string &glslSource,
                                    const DeviceModel &device);
 
+/** The driver's back end on a module its vendor passes have run on:
+ * pressure scheduling, cost analysis, register allocation, occupancy
+ * and stall accounting. Exposed so tests can build reference vendor
+ * pipelines. Schedules @p module in place. */
+ShaderBinary driverBackEnd(ir::Module &module, const DeviceModel &device);
+
 /** Cumulative cache statistics since process start (or last reset). */
 struct DriverCacheStats
 {

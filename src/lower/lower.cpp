@@ -4,6 +4,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <unordered_map>
 
 #include "ir/builder.h"
 #include "ir/verifier.h"
@@ -214,9 +215,9 @@ class Lowerer
             if (g.type.isMatrix()) {
                 // Uniform matrices stay whole; columns are loaded via
                 // LoadElem and scalarised at each use.
-                module_->newVar(g.name, g.type, kind);
+                newVar(g.name, g.type, kind);
             } else {
-                module_->newVar(g.name, g.type, kind);
+                newVar(g.name, g.type, kind);
             }
             return;
         }
@@ -228,8 +229,8 @@ class Lowerer
             if (cv) {
                 constValues_[g.name] = *cv;
                 if (g.type.isArray()) {
-                    Var *var = module_->newVar(g.name, g.type,
-                                               VarKind::ConstArray);
+                    Var *var =
+                        newVar(g.name, g.type, VarKind::ConstArray);
                     var->constInit = *cv;
                     return;
                 }
@@ -250,6 +251,23 @@ class Lowerer
 
     // ===================== var management ==============================
 
+    /** Create a module var and index it by name (the first var with a
+     * name wins, as in Module::findVar). */
+    Var *newVar(const std::string &name, Type type, VarKind kind)
+    {
+        Var *v = module_->newVar(name, type, kind);
+        varsByName_.try_emplace(name, v);
+        return v;
+    }
+
+    /** Module::findVar through the name index: every var is created by
+     * newVar above, so this is that scan without the scan. */
+    Var *findVar(const std::string &name) const
+    {
+        auto it = varsByName_.find(name);
+        return it == varsByName_.end() ? nullptr : it->second;
+    }
+
     /**
      * Make a module-unique variable name. Source names are unique after
      * sema's alpha-renaming, but inlining the same function at several
@@ -257,14 +275,13 @@ class Lowerer
      */
     std::string uniqueVarName(const std::string &name)
     {
-        if (!module_->findVar(name) && !matrixVars_.count(name))
+        if (!findVar(name) && !matrixVars_.count(name))
             return name;
         int n = 1;
         std::string candidate;
         do {
             candidate = name + "_d" + std::to_string(n++);
-        } while (module_->findVar(candidate) ||
-                 matrixVars_.count(candidate));
+        } while (findVar(candidate) || matrixVars_.count(candidate));
         return candidate;
     }
 
@@ -276,10 +293,11 @@ class Lowerer
             std::vector<Var *> comps;
             for (int c = 0; c < type.cols; ++c) {
                 for (int r = 0; r < type.rows; ++r) {
-                    comps.push_back(module_->newVar(
-                        name + "_m" + std::to_string(c) +
-                            std::to_string(r),
-                        Type::floatTy(), VarKind::Local));
+                    comps.push_back(newVar(name + "_m" +
+                                               std::to_string(c) +
+                                               std::to_string(r),
+                                           Type::floatTy(),
+                                           VarKind::Local));
                 }
             }
             matrixVars_[name] = {type.cols, type.rows, comps};
@@ -287,16 +305,15 @@ class Lowerer
         }
         if (type.isArray() && type.arraySize < 0)
             fail(loc, "array '" + name + "' has unresolved size");
-        module_->newVar(name, type, VarKind::Local);
+        newVar(name, type, VarKind::Local);
     }
 
     Var *varFor(const std::string &name, SourceLoc loc)
     {
-        Var *v = module_->findVar(name);
+        Var *v = findVar(name);
         if (!v && name == "gl_FragCoord") {
             // The fragment-coordinate builtin materialises on first use.
-            return module_->newVar("gl_FragCoord", Type::vec(4),
-                                   VarKind::Input);
+            return newVar("gl_FragCoord", Type::vec(4), VarKind::Input);
         }
         if (!v)
             fail(loc, "lowering: unknown variable '" + name + "'");
@@ -1031,8 +1048,8 @@ class Lowerer
             auto cv = tryEvalConst(*s.rhs);
             if (cv && s.declType.isArray()) {
                 constValues_[s.name] = *cv;
-                Var *var = module_->newVar(actual, s.declType,
-                                           VarKind::ConstArray);
+                Var *var =
+                    newVar(actual, s.declType, VarKind::ConstArray);
                 var->constInit = *cv;
                 return;
             }
@@ -1303,8 +1320,8 @@ class Lowerer
             return false;
 
         const std::string counter_name = uniqueVarName(iv);
-        Var *counter = module_->newVar(counter_name, Type::intTy(),
-                                       VarKind::Local);
+        Var *counter =
+            newVar(counter_name, Type::intTy(), VarKind::Local);
         ir::LoopNode *loop = builder_.createLoop();
         loop->canonical = true;
         loop->counter = counter;
@@ -1412,6 +1429,9 @@ class Lowerer
     const glsl::CompiledShader &cs_;
     std::unique_ptr<ir::Module> module_;
     IrBuilder builder_;
+
+    /** Every var of module_ by name (see newVar). */
+    std::unordered_map<std::string, Var *> varsByName_;
 
     /** Scalarised storage for local matrix variables. */
     struct MatrixStorage

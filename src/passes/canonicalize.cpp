@@ -4,8 +4,8 @@
  * element simplification, store->load forwarding, dead store
  * elimination, block-local CSE, trivial DCE, and structural cleanup.
  */
+#include <algorithm>
 #include <map>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -411,27 +411,89 @@ isNumerable(const Instr &i)
     return true;
 }
 
+/**
+ * localCse's value table: open addressing with linear probing, one
+ * table per localCse call reused across its blocks. A slot is live only
+ * while its stamp equals the current block's epoch, so starting a block
+ * bumps the epoch instead of wiping the slots; the keys sit in a dense
+ * side array that a block start clears.
+ */
+class CseTable
+{
+  public:
+    /** Start a block of @p instrs instructions (at most that many
+     * inserts, so the load factor stays at or below one half). */
+    void beginBlock(size_t instrs)
+    {
+        entries_.clear();
+        size_t want = 16;
+        while (want < 2 * instrs)
+            want *= 2;
+        if (want > slots_.size()) {
+            slots_.assign(want, Slot{});
+            epoch_ = 0;
+        }
+        if (++epoch_ == 0) { // wrapped: old stamps would read live
+            std::fill(slots_.begin(), slots_.end(), Slot{});
+            epoch_ = 1;
+        }
+        mask_ = want - 1;
+    }
+
+    /** The block's first instruction keyed @p key, or nullptr after
+     * recording @p instr as that first instruction. */
+    Instr *findOrInsert(const ValueKey &key, Instr *instr)
+    {
+        const size_t hash = ValueKeyHash{}(key);
+        for (size_t s = hash & mask_;; s = (s + 1) & mask_) {
+            Slot &slot = slots_[s];
+            if (slot.epoch != epoch_) {
+                slot = {hash, epoch_,
+                        static_cast<uint32_t>(entries_.size())};
+                entries_.push_back({key, instr});
+                return nullptr;
+            }
+            if (slot.hash == hash && entries_[slot.entry].key == key)
+                return entries_[slot.entry].instr;
+        }
+    }
+
+  private:
+    struct Slot
+    {
+        size_t hash = 0;
+        uint32_t epoch = 0; ///< live iff equal to epoch_
+        uint32_t entry = 0; ///< index into entries_
+    };
+    struct Entry
+    {
+        ValueKey key;
+        Instr *instr;
+    };
+    std::vector<Slot> slots_;
+    std::vector<Entry> entries_;
+    size_t mask_ = 0;
+    uint32_t epoch_ = 0;
+};
+
 bool
 localCse(Module &module)
 {
     bool changed = false;
     Replacements repl(module);
+    CseTable table;
     ir::forEachNode(module.body, [&](Node &n) {
         auto *b = dyn_cast<Block>(&n);
         if (!b)
             return;
-        // One table per block, sized for it: clearing a shared table
-        // would cost the largest block's bucket count on every block.
-        std::unordered_map<ValueKey, Instr *, ValueKeyHash> table;
-        table.reserve(b->instrs.size());
+        table.beginBlock(b->instrs.size());
         for (Instr *ip : b->instrs) {
             Instr &i = *ip;
             repl.resolveOperands(i);
             if (!isNumerable(i))
                 continue;
-            auto [it, inserted] = table.emplace(valueKey(i), &i);
-            if (!inserted) {
-                repl.set(i, it->second);
+            if (Instr *first = table.findOrInsert(valueKey(i), &i)) {
+                repl.set(i, first);
                 changed = true;
             }
         }

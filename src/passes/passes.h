@@ -8,7 +8,7 @@
  *
  * Each flag pass is a standalone function Module -> changed?. The
  * `optimize` entry point applies a flag set in LunarGlass's fixed pass
- * order with canonicalisation interleaved.
+ * order with canonicalisation after each pass that changed something.
  */
 #ifndef GSOPT_PASSES_PASSES_H
 #define GSOPT_PASSES_PASSES_H
@@ -32,6 +32,29 @@ namespace gsopt::passes {
  * changed.
  */
 bool canonicalize(ir::Module &module);
+
+/**
+ * The step rule every pass step follows (registry stages, hence
+ * optimize() and the combination tree, and the driver's vendor steps):
+ * the trailing canonicalize runs only if the pass reported a change.
+ * Use as `canonicalizeIfChanged(m, pass(m))`; returns @p changed.
+ *
+ * Premise: the pass's input is a canonicalize fixpoint. Then a pass
+ * that reports no change has left the module as it found it, and
+ * canonicalize would change nothing either, so skipping it is exact.
+ * Every step's input is such a fixpoint: roots and the driver's
+ * front-end modules end in canonicalize, as does every step that
+ * changed something, and canonicalize iterates until a round changes
+ * nothing — unless it stops at its 32-round cap, which no corpus
+ * module reaches.
+ */
+inline bool
+canonicalizeIfChanged(ir::Module &module, bool changed)
+{
+    if (changed)
+        canonicalize(module);
+    return changed;
+}
 
 // -- the eight toggleable flags ------------------------------------------
 
@@ -196,10 +219,11 @@ struct OptFlags
 };
 
 /**
- * Apply the optimizer with the given flags. Canonicalisation always
- * runs (before, between, and after the flagged passes), mirroring the
- * paper's note that folding/CSE/load-store elimination "were necessary
- * passes to canonicalize instructions".
+ * Apply the optimizer with the given flags. Canonicalisation runs
+ * first and after every flagged pass that changed the module
+ * (canonicalizeIfChanged), mirroring the paper's note that
+ * folding/CSE/load-store elimination "were necessary passes to
+ * canonicalize instructions".
  */
 void optimize(ir::Module &module, const OptFlags &flags);
 

@@ -3,8 +3,10 @@
  * PassRegistry implementation plus the built-in registration of the
  * paper's eight LunarGlass flags. The stage functions here are the
  * former fixed kStages[] table: each apply() includes the trailing
- * canonicalisation the linear pipeline performs after the pass, so the
- * prefix-sharing combination tree replays exactly what optimize() does.
+ * canonicalisation the linear pipeline performs after the pass
+ * (canonicalizeIfChanged: only when the pass changed something), so
+ * the prefix-sharing combination tree replays exactly what optimize()
+ * does.
  */
 #include "passes/registry.h"
 
@@ -42,30 +44,26 @@ extraPassCatalog()
 {
     // Stage contract: like the built-ins, each apply() carries the
     // trailing canonicalisation so the prefix-sharing combination tree
-    // replays exactly what optimize() does.
+    // replays exactly what optimize() does. It follows the step rule
+    // (passes.h): canonicalize only if the pass reported a change,
+    // which is exact because every stage's input is a canonicalize
+    // fixpoint.
     static const std::vector<PassDescriptor> catalog = [] {
         std::vector<PassDescriptor> c;
         PassDescriptor d;
         d.id = "licm";
         d.name = "LICM";
-        d.apply = [](ir::Module &m) {
-            licm(m);
-            canonicalize(m);
-        };
+        d.apply = [](ir::Module &m) { canonicalizeIfChanged(m, licm(m)); };
         c.push_back(d);
         d.id = "strength_reduce";
         d.name = "Strength Reduce";
         d.apply = [](ir::Module &m) {
-            strengthReduce(m);
-            canonicalize(m);
+            canonicalizeIfChanged(m, strengthReduce(m));
         };
         c.push_back(d);
         d.id = "tex_batch";
         d.name = "Tex Batch";
-        d.apply = [](ir::Module &m) {
-            texBatch(m);
-            canonicalize(m);
-        };
+        d.apply = [](ir::Module &m) { canonicalizeIfChanged(m, texBatch(m)); };
         c.push_back(d);
         return c;
     }();
@@ -115,56 +113,33 @@ PassRegistry::PassRegistry()
     };
     const Builtin builtins[] = {
         {"adce", "ADCE",
-         [](ir::Module &m) {
-             adce(m);
-             canonicalize(m);
-         },
+         [](ir::Module &m) { canonicalizeIfChanged(m, adce(m)); },
          7},
         {"coalesce", "Coalesce",
-         [](ir::Module &m) {
-             coalesce(m);
-             canonicalize(m);
-         },
+         [](ir::Module &m) { canonicalizeIfChanged(m, coalesce(m)); },
          2},
         {"gvn", "GVN",
-         [](ir::Module &m) {
-             gvn(m);
-             canonicalize(m);
-         },
+         [](ir::Module &m) { canonicalizeIfChanged(m, gvn(m)); },
          6},
         {"reassociate", "Reassociate",
-         [](ir::Module &m) {
-             reassociate(m);
-             canonicalize(m);
-         },
+         [](ir::Module &m) { canonicalizeIfChanged(m, reassociate(m)); },
          3},
         {"unroll", "Unroll",
-         [](ir::Module &m) {
-             unroll(m);
-             canonicalize(m);
-         },
+         [](ir::Module &m) { canonicalizeIfChanged(m, unroll(m)); },
          0},
         {"hoist", "Hoist",
-         [](ir::Module &m) {
-             hoist(m);
-             canonicalize(m);
-         },
+         [](ir::Module &m) { canonicalizeIfChanged(m, hoist(m)); },
          1},
         {"fp_reassociate", "FP Reassociate",
          [](ir::Module &m) {
-             fpReassociate(m);
-             canonicalize(m);
+             canonicalizeIfChanged(m, fpReassociate(m));
              // A second application catches chains exposed by the
              // first (e.g. factorised groups whose inner sums fold).
-             fpReassociate(m);
-             canonicalize(m);
+             canonicalizeIfChanged(m, fpReassociate(m));
          },
          4},
         {"div_to_mul", "Div to Mul",
-         [](ir::Module &m) {
-             divToMul(m);
-             canonicalize(m);
-         },
+         [](ir::Module &m) { canonicalizeIfChanged(m, divToMul(m)); },
          5},
     };
     for (const Builtin &b : builtins) {

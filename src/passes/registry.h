@@ -33,7 +33,8 @@ struct PassDescriptor
     /**
      * Apply the pass to a module. The function must include whatever
      * trailing canonicalisation the linear pipeline performs after the
-     * pass (the built-ins all run passes::canonicalize), because the
+     * pass (the built-ins all follow passes::canonicalizeIfChanged:
+     * canonicalize only if the pass reported a change), because the
      * prefix-sharing combination tree replays these stage functions
      * verbatim to stay bit-identical with optimize().
      */

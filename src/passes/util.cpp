@@ -76,16 +76,12 @@ static_assert(std::has_unique_object_representations_v<ValueKey> &&
  * 19 digits (|d| >= 1e13) and non-finite ones are hashed instead.
  */
 uint64_t
-laneKey(double d, bool &negative, bool &hashed)
+renderLane(double d, bool &negative, bool &hashed)
 {
-    negative = std::signbit(d);
-    hashed = false;
-    // An integer prints as "<d>.000000" exactly.
-    if (d == std::trunc(d) && std::fabs(d) < 1e12)
-        return static_cast<uint64_t>(std::fabs(d)) * 1000000u;
     char buf[400];
     const int n = std::snprintf(buf, sizeof buf, "%f", d);
     negative = buf[0] == '-';
+    hashed = false;
     uint64_t digits = 0;
     int count = 0;
     for (const char *p = buf + negative; *p; ++p) {
@@ -98,6 +94,51 @@ laneKey(double d, bool &negative, bool &hashed)
         digits = digits * 10 + static_cast<uint64_t>(*p - '0');
     }
     return digits;
+}
+
+/** One cached renderLane result, for the lane whose bit pattern is
+ * @c bits. */
+struct LaneRendering
+{
+    uint64_t bits;
+    uint64_t digits;
+    bool negative;
+    bool hashed;
+};
+
+/** log2 of the lane cache's entry count. */
+constexpr unsigned kLaneCacheBits = 12;
+
+/**
+ * renderLane results by bit pattern, per thread (no lock), direct
+ * mapped and fixed in size: a pattern that lands on an occupied entry
+ * evicts it and is rendered again. The zero-initialised entries hold
+ * +0.0's pattern, which laneKey's integer path answers before it looks
+ * here, so an unused entry never matches.
+ */
+thread_local LaneRendering laneCache[1u << kLaneCacheBits];
+
+/** renderLane through the cache, with integers answered directly (an
+ * integer prints as "<d>.000000" exactly). */
+uint64_t
+laneKey(double d, bool &negative, bool &hashed)
+{
+    if (d == std::trunc(d) && std::fabs(d) < 1e12) {
+        negative = std::signbit(d);
+        hashed = false;
+        return static_cast<uint64_t>(std::fabs(d)) * 1000000u;
+    }
+    uint64_t bits;
+    std::memcpy(&bits, &d, sizeof bits);
+    LaneRendering &e =
+        laneCache[(bits * 0x9e3779b97f4a7c15ull) >> (64 - kLaneCacheBits)];
+    if (e.bits != bits) {
+        e.bits = bits;
+        e.digits = renderLane(d, e.negative, e.hashed);
+    }
+    negative = e.negative;
+    hashed = e.hashed;
+    return e.digits;
 }
 
 } // namespace

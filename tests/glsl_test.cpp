@@ -186,6 +186,36 @@ TEST(Preprocessor, UndefAndRedefine)
     EXPECT_EQ(ppOk(src), "no;\n");
 }
 
+TEST(Preprocessor, DirectiveFreeTextComesBackLineForLine)
+{
+    // No macro table: every line is copied as written, identifiers that
+    // look like macro calls included, and '\r' line ends are dropped.
+    const std::string src = "in vec2 uv;\r\n"
+                            "out vec4 c;\n"
+                            "\n"
+                            "void main() { c = vec4(SQ(uv.x), N, 0.0, 1.0); }";
+    EXPECT_EQ(ppOk(src), "in vec2 uv;\n"
+                         "out vec4 c;\n"
+                         "\n"
+                         "void main() { c = vec4(SQ(uv.x), N, 0.0, 1.0); }\n");
+}
+
+TEST(Preprocessor, DefinePartwayExpandsLaterLines)
+{
+    // Lines before the #define are copied untouched; the ones after it
+    // expand, and an #undef ends the expansion again.
+    const std::string src = "float a = N;\n"
+                            "#define N 4.0\n"
+                            "float b = N;\n"
+                            "float c = N * N;\n"
+                            "#undef N\n"
+                            "float d = N;";
+    EXPECT_EQ(ppOk(src), "float a = N;\n"
+                         "float b = 4.0;\n"
+                         "float c = 4.0 * 4.0;\n"
+                         "float d = N;\n");
+}
+
 TEST(Preprocessor, ErrorsOnUnterminatedIf)
 {
     DiagEngine diags;

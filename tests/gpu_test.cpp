@@ -7,13 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <map>
 
+#include "campaign_texts.h"
 #include "corpus/corpus.h"
 #include "emit/offline.h"
 #include "glsl/frontend.h"
 #include "gpu/codegen.h"
 #include "gpu/device.h"
 #include "gpu/driver.h"
+#include "ir/dump.h"
+#include "passes/passes.h"
 
 namespace gsopt::gpu {
 namespace {
@@ -148,6 +153,100 @@ TEST(Driver, CachedCompileEqualsUncachedOnWholeCorpus)
             const ShaderBinary cached = driverCompile(text, dev(id));
             expectSameBinary(cached, driverCompileUncached(text, dev(id)),
                              shader.name + " on " + dev(id).name);
+        }
+    }
+    clearDriverCache();
+}
+
+// -------------------------------------------------------- the step rule
+// compileIr canonicalizes after a vendor step only if the step changed
+// the module (passes::canonicalizeIfChanged); passes_test checks the
+// rule's premises for the registered passes.
+
+/** One vendor step with its device's parameters. */
+using VendorStep = std::function<bool(ir::Module &)>;
+
+/** Each device's enabled vendor steps in compileIr's order, with that
+ * device's parameters. */
+std::vector<std::pair<std::string, VendorStep>>
+vendorSteps(const DeviceModel &d)
+{
+    std::vector<std::pair<std::string, VendorStep>> steps;
+    if (d.jitFlags.unroll && d.jitUnrollTrips > 0) {
+        steps.emplace_back(
+            "unroll(" + std::to_string(d.jitUnrollTrips) + "," +
+                std::to_string(d.jitUnrollInstrs) + ")",
+            [&d](ir::Module &m) {
+                return passes::unroll(m, d.jitUnrollTrips, d.jitUnrollInstrs);
+            });
+    }
+    if (d.jitFlags.hoist && d.jitHoistArmInstrs > 0) {
+        steps.emplace_back(
+            "hoist(" + std::to_string(d.jitHoistArmInstrs) + ")",
+            [&d](ir::Module &m) {
+                return passes::hoist(m, d.jitHoistArmInstrs);
+            });
+    }
+    if (d.jitFlags.coalesce)
+        steps.emplace_back("coalesce", passes::coalesce);
+    if (d.jitFlags.reassociate)
+        steps.emplace_back("reassociate", passes::reassociate);
+    if (d.jitFlags.gvn)
+        steps.emplace_back("gvn", passes::gvn);
+    return steps;
+}
+
+/** The vendor pipeline as it ran before the step rule: a canonicalize
+ * after every vendor step, whether or not the step changed anything.
+ * The reference driverCompile must match bit for bit. */
+ShaderBinary
+alwaysCanonicalizeCompile(const std::string &text, const DeviceModel &d)
+{
+    auto m = emit::compileToIr(text);
+    passes::canonicalize(*m);
+    for (const auto &step : vendorSteps(d)) {
+        step.second(*m);
+        passes::canonicalize(*m);
+    }
+    return driverBackEnd(*m, d);
+}
+
+TEST(DriverStepRule, VendorStepReportingNoChangeLeavesModuleUnchanged)
+{
+    // Every distinct (step, parameters) any device runs, applied to
+    // every front-end module of a campaign.
+    std::map<std::string, VendorStep> steps;
+    for (DeviceId id : allDevices()) {
+        for (auto &step : vendorSteps(dev(id)))
+            steps.insert(std::move(step));
+    }
+    ASSERT_FALSE(steps.empty());
+    size_t unchanged = 0;
+    for (const auto &[where, text] : testutil::campaignTexts()) {
+        auto base = emit::compileToIr(text);
+        passes::canonicalize(*base);
+        const std::string before = ir::dump(*base);
+        for (const auto &[name, step] : steps) {
+            auto m = base->clone();
+            if (step(*m))
+                continue;
+            ++unchanged;
+            EXPECT_TRUE(ir::dump(*m) == before) << name << " on " << where;
+        }
+    }
+    EXPECT_GT(unchanged, 0u);
+}
+
+TEST(DriverStepRule, CompileMatchesAlwaysCanonicalizeReference)
+{
+    clearDriverCache();
+    const auto &texts = testutil::campaignTexts();
+    ASSERT_GE(texts.size(), 708u);
+    for (const auto &[where, text] : texts) {
+        for (DeviceId id : allDevices()) {
+            expectSameBinary(driverCompile(text, dev(id)),
+                             alwaysCanonicalizeCompile(text, dev(id)),
+                             where + " on " + dev(id).name);
         }
     }
     clearDriverCache();

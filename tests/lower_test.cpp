@@ -255,6 +255,34 @@ TEST(Lower, InlinedFunctionWithLoop)
     EXPECT_DOUBLE_EQ(outScalar(*m), 4.0 + 8.0);
 }
 
+TEST(Lower, InlinedLocalsGetNumberedSuffixes)
+{
+    // One helper inlined at three sites re-declares its locals each
+    // time: the first site keeps the source names, later ones take
+    // _d1, _d2 (uniqueVarName), and each site gets its own parameter
+    // and return slots.
+    auto m = lowerOk(R"(
+        in float x; out float c;
+        float scale(float v) {
+            float t = v * 2.0;
+            for (int i = 0; i < 2; i++) { t += v; }
+            return t;
+        }
+        void main() { c = scale(x) + scale(x + 1.0) + scale(3.0); }
+    )");
+    std::vector<std::string> names;
+    for (const ir::Var *v : m->vars)
+        names.push_back(v->name);
+    const std::vector<std::string> want = {
+        "x",      "c",          "v_inl0", "scale_ret0", "t",
+        "i",      "v_inl1",     "scale_ret1", "t_d1",   "i_d1",
+        "v_inl2", "scale_ret2", "t_d2",   "i_d2"};
+    EXPECT_EQ(names, want);
+    ir::InterpEnv env;
+    env.inputs["x"] = {1.0};
+    EXPECT_DOUBLE_EQ(outScalar(*m, env), 4.0 + 8.0 + 12.0);
+}
+
 TEST(Lower, RecursionRejected)
 {
     EXPECT_THROW(

@@ -8,11 +8,14 @@
 
 #include <cmath>
 #include <limits>
+#include <set>
 #include <unordered_map>
 
+#include "campaign_texts.h"
 #include "corpus/corpus.h"
 #include "emit/offline.h"
 #include "gpu/device.h"
+#include "ir/dump.h"
 #include "ir/interp.h"
 #include "ir/verifier.h"
 #include "ir/walk.h"
@@ -665,6 +668,118 @@ TEST(ValueKey, ConstLanesCompareAtToStringResolution)
         check.add(referenceCseKey(*i), passes::valueKey(*i));
     expectNoMismatch(check, "hand-built block");
     EXPECT_GT(check.merges(), 0u);
+}
+
+TEST(ValueKey, LaneCacheEvictionKeepsKeys)
+{
+    // laneKey caches non-integer renderings in a fixed direct-mapped
+    // table; three times its 4096 entries of distinct non-integers
+    // evict one another, and keying them again in reverse order (every
+    // lookup now a miss or a stale entry) must give the same keys.
+    ir::Module m;
+    ir::Block b;
+    const ir::Type f = ir::Type::floatTy();
+    const int count = 3 * 4096 + 1;
+    std::vector<passes::ValueKey> first;
+    for (int k = 0; k < count; ++k)
+        first.push_back(passes::valueKey(
+            *constInstr(m, b, f, {k / 7.0 + 0.5, -k * 1e-3 - 0.25})));
+    KeyEquivalence check;
+    for (int k = count - 1; k >= 0; --k) {
+        const ir::Instr &i = *b.instrs[static_cast<size_t>(k)];
+        const passes::ValueKey again = passes::valueKey(i);
+        ASSERT_EQ(again, first[static_cast<size_t>(k)]) << "constant " << k;
+        check.add(referenceCseKey(i), again);
+    }
+    // Every pair renders differently at %f, so no two keys merge.
+    expectNoMismatch(check, "evicted lanes");
+    EXPECT_EQ(check.merges(), 0u);
+}
+
+// -------------------------------------------------------- the step rule
+// Each pipeline step canonicalizes only when its pass reported a change
+// (passes::canonicalizeIfChanged). That is exact iff canonicalize ends
+// in a fixpoint and a pass that reports no change leaves the module as
+// it found it; both are checked here on every module a campaign feeds
+// the driver (gpu_test checks the vendor steps and the whole driver).
+
+/** Every pass the registry can register, as the raw Module -> changed?
+ * function its stage wraps. */
+const std::vector<std::pair<std::string, bool (*)(ir::Module &)>> &
+rawPasses()
+{
+    static const std::vector<std::pair<std::string, bool (*)(ir::Module &)>>
+        table = {
+            {"adce", +[](ir::Module &m) { return passes::adce(m); }},
+            {"coalesce", +[](ir::Module &m) { return passes::coalesce(m); }},
+            {"gvn", +[](ir::Module &m) { return passes::gvn(m); }},
+            {"reassociate",
+             +[](ir::Module &m) { return passes::reassociate(m); }},
+            {"unroll", +[](ir::Module &m) { return passes::unroll(m); }},
+            {"hoist", +[](ir::Module &m) { return passes::hoist(m); }},
+            {"fp_reassociate",
+             +[](ir::Module &m) { return passes::fpReassociate(m); }},
+            {"div_to_mul", +[](ir::Module &m) { return passes::divToMul(m); }},
+            {"licm", +[](ir::Module &m) { return passes::licm(m); }},
+            {"strength_reduce",
+             +[](ir::Module &m) { return passes::strengthReduce(m); }},
+            {"tex_batch", +[](ir::Module &m) { return passes::texBatch(m); }},
+        };
+    return table;
+}
+
+/** The driver's front-end module for @p text: lowered, canonicalized. */
+std::unique_ptr<ir::Module>
+frontEnd(const std::string &text)
+{
+    auto m = emit::compileToIr(text);
+    passes::canonicalize(*m);
+    return m;
+}
+
+TEST(StepRule, CanonicalizeEndsInAFixpoint)
+{
+    const auto &texts = testutil::campaignTexts();
+    ASSERT_GE(texts.size(), 708u);
+    for (const auto &[where, text] : texts) {
+        auto m = frontEnd(text);
+        const std::string before = ir::dump(*m);
+        EXPECT_FALSE(passes::canonicalize(*m)) << where;
+        EXPECT_TRUE(ir::dump(*m) == before) << where;
+    }
+}
+
+TEST(StepRule, PassReportingNoChangeLeavesModuleUnchanged)
+{
+    // The table covers every built-in and every catalog pass.
+    const passes::PassRegistry &reg = passes::PassRegistry::instance();
+    std::set<std::string> ids;
+    for (int bit = 0; bit < passes::kBuiltinPassCount; ++bit)
+        ids.insert(reg.pass(bit).id);
+    for (const passes::PassDescriptor &d : passes::extraPassCatalog())
+        ids.insert(d.id);
+    std::set<std::string> covered;
+    for (const auto &entry : rawPasses())
+        covered.insert(entry.first);
+    ASSERT_EQ(covered, ids);
+
+    size_t unchanged = 0, changed = 0;
+    for (const auto &[where, text] : testutil::campaignTexts()) {
+        const auto base = frontEnd(text);
+        const std::string before = ir::dump(*base);
+        for (const auto &[id, pass] : rawPasses()) {
+            auto m = base->clone();
+            if (pass(*m)) {
+                ++changed;
+                continue;
+            }
+            ++unchanged;
+            EXPECT_TRUE(ir::dump(*m) == before) << id << " on " << where;
+        }
+    }
+    // Most steps change nothing (the paper's Fig 4c); both sides run.
+    EXPECT_GT(unchanged, changed);
+    EXPECT_GT(changed, 0u);
 }
 
 // ------------------------------------------------------------ reassociate
