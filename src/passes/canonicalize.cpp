@@ -415,8 +415,11 @@ isNumerable(const Instr &i)
  * localCse's value table: open addressing with linear probing, one
  * table per localCse call reused across its blocks. A slot is live only
  * while its stamp equals the current block's epoch, so starting a block
- * bumps the epoch instead of wiping the slots; the keys sit in a dense
- * side array that a block start clears.
+ * bumps the epoch instead of wiping the slots. A slot holds the first
+ * instruction with a value, not the value's key: a tag match recomputes
+ * that instruction's key, which is still the key it was inserted under
+ * because localCse resolves an instruction's operands before inserting
+ * it and writes nothing to it afterwards.
  */
 class CseTable
 {
@@ -425,7 +428,6 @@ class CseTable
      * inserts, so the load factor stays at or below one half). */
     void beginBlock(size_t instrs)
     {
-        entries_.clear();
         size_t want = 16;
         while (want < 2 * instrs)
             want *= 2;
@@ -440,38 +442,32 @@ class CseTable
         mask_ = want - 1;
     }
 
-    /** The block's first instruction keyed @p key, or nullptr after
-     * recording @p instr as that first instruction. */
-    Instr *findOrInsert(const ValueKey &key, Instr *instr)
+    /** The block's first instruction with @p instr's value key, or
+     * nullptr after recording @p instr as that first instruction. */
+    Instr *findOrInsert(Instr &instr)
     {
+        const ValueKey key = valueKey(instr);
         const size_t hash = ValueKeyHash{}(key);
+        const auto tag = static_cast<uint32_t>(hash >> 32);
         for (size_t s = hash & mask_;; s = (s + 1) & mask_) {
             Slot &slot = slots_[s];
             if (slot.epoch != epoch_) {
-                slot = {hash, epoch_,
-                        static_cast<uint32_t>(entries_.size())};
-                entries_.push_back({key, instr});
+                slot = {tag, epoch_, &instr};
                 return nullptr;
             }
-            if (slot.hash == hash && entries_[slot.entry].key == key)
-                return entries_[slot.entry].instr;
+            if (slot.tag == tag && valueKey(*slot.first) == key)
+                return slot.first;
         }
     }
 
   private:
     struct Slot
     {
-        size_t hash = 0;
+        uint32_t tag = 0;   ///< high hash bits of first's key
         uint32_t epoch = 0; ///< live iff equal to epoch_
-        uint32_t entry = 0; ///< index into entries_
-    };
-    struct Entry
-    {
-        ValueKey key;
-        Instr *instr;
+        Instr *first = nullptr;
     };
     std::vector<Slot> slots_;
-    std::vector<Entry> entries_;
     size_t mask_ = 0;
     uint32_t epoch_ = 0;
 };
@@ -492,7 +488,7 @@ localCse(Module &module)
             repl.resolveOperands(i);
             if (!isNumerable(i))
                 continue;
-            if (Instr *first = table.findOrInsert(valueKey(i), &i)) {
+            if (Instr *first = table.findOrInsert(i)) {
                 repl.set(i, first);
                 changed = true;
             }

@@ -107,7 +107,7 @@ struct LaneRendering
 };
 
 /** log2 of the lane cache's entry count. */
-constexpr unsigned kLaneCacheBits = 12;
+constexpr unsigned kLaneCacheBits = 10;
 
 /**
  * renderLane results by bit pattern, per thread (no lock), direct

@@ -673,9 +673,9 @@ TEST(ValueKey, ConstLanesCompareAtToStringResolution)
 TEST(ValueKey, LaneCacheEvictionKeepsKeys)
 {
     // laneKey caches non-integer renderings in a fixed direct-mapped
-    // table; three times its 4096 entries of distinct non-integers
-    // evict one another, and keying them again in reverse order (every
-    // lookup now a miss or a stale entry) must give the same keys.
+    // table of 1024 entries; 12,289 distinct non-integer pairs evict one
+    // another, and keying them again in reverse order (lookups that
+    // miss or find another pattern's entry) must give the same keys.
     ir::Module m;
     ir::Block b;
     const ir::Type f = ir::Type::floatTy();
