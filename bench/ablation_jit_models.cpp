@@ -42,10 +42,9 @@ isolated(const corpus::CorpusShader &shader, const gpu::DeviceModel &dev,
          tuner::FlagSet flags)
 {
     std::string base = emit::optimizeShaderSource(
-        shader.source, tuner::FlagSet::none().toOptFlags(),
-        shader.defines);
-    std::string with = emit::optimizeShaderSource(
-        shader.source, flags.toOptFlags(), shader.defines);
+        shader.source, tuner::FlagSet::none(), shader.defines);
+    std::string with =
+        emit::optimizeShaderSource(shader.source, flags, shader.defines);
     auto t_base = runtime::measureShader(base, dev, shader.name + "/b");
     auto t_with = runtime::measureShader(with, dev, shader.name + "/w");
     return runtime::speedupPercent(t_base, t_with);
@@ -54,7 +53,7 @@ isolated(const corpus::CorpusShader &shader, const gpu::DeviceModel &dev,
 gpu::DeviceModel
 noJit(gpu::DeviceModel d)
 {
-    d.jitFlags = passes::OptFlags{};
+    d.jitFlags = passes::FlagSet::none();
     d.jitUnrollTrips = 0;
     d.jitHoistArmInstrs = 0;
     return d;

@@ -29,7 +29,7 @@ main()
     std::printf("---- Listing 1 (before optimization) ----\n%s\n",
                 corpus::motivatingExample().source.c_str());
     std::string optimized = emit::optimizeShaderSource(
-        corpus::motivatingExample().source, passes::OptFlags::all(),
+        corpus::motivatingExample().source, passes::FlagSet::all(),
         corpus::motivatingExample().defines);
     std::printf("---- Listing 2 (after optimization, all passes) "
                 "----\n%s\n",

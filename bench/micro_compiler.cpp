@@ -102,7 +102,7 @@ BM_FullPipelineAllFlags(benchmark::State &state)
     const auto &s = heavyShader();
     for (auto _ : state) {
         std::string out = emit::optimizeShaderSource(
-            s.source, passes::OptFlags::all(), s.defines);
+            s.source, passes::FlagSet::all(), s.defines);
         benchmark::DoNotOptimize(out.size());
     }
 }

@@ -45,10 +45,9 @@ lowered(const char *name, bool unrollHoist)
     glsl::CompiledShader cs = glsl::compileShader(s.source, s.defines);
     auto m = lower::lowerShader(cs);
     if (unrollHoist) {
-        passes::OptFlags f;
-        f.unroll = true;
-        f.hoist = true;
-        passes::optimize(*m, f);
+        passes::optimize(*m, passes::FlagSet::none()
+                                 .with(passes::kUnroll)
+                                 .with(passes::kHoist));
     } else {
         passes::canonicalize(*m);
     }

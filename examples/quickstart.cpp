@@ -44,10 +44,11 @@ void main() {
 )";
 
     // -- 1. the offline optimizer (GLSL in, GLSL out) -------------------
-    passes::OptFlags flags;
-    flags.unroll = true;        // flatten the constant loop
-    flags.fpReassociate = true; // unsafe float reassociation
-    flags.divToMul = true;      // /total -> * (1/total)
+    const passes::FlagSet flags =
+        passes::FlagSet::none()
+            .with(passes::kUnroll)        // flatten the constant loop
+            .with(passes::kFpReassociate) // unsafe float reassociation
+            .with(passes::kDivToMul);     // /total -> * (1/total)
     std::string optimized = emit::optimizeShaderSource(source, flags);
     std::printf("---- optimized GLSL ----\n%s\n", optimized.c_str());
 

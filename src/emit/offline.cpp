@@ -16,7 +16,7 @@ compileToIr(const std::string &source,
 
 std::string
 optimizeShaderSource(const std::string &source,
-                     const passes::OptFlags &flags,
+                     passes::FlagSet flags,
                      const std::map<std::string, std::string> &predefines)
 {
     auto module = compileToIr(source, predefines);

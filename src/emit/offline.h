@@ -32,7 +32,7 @@ std::unique_ptr<ir::Module> compileToIr(
  * malformed input.
  */
 std::string optimizeShaderSource(
-    const std::string &source, const passes::OptFlags &flags,
+    const std::string &source, passes::FlagSet flags,
     const std::map<std::string, std::string> &predefines = {});
 
 } // namespace gsopt::emit

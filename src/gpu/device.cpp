@@ -29,6 +29,8 @@ deviceVendor(DeviceId id)
 
 namespace {
 
+using passes::FlagSet;
+
 DeviceModel
 makeIntel()
 {
@@ -55,11 +57,11 @@ makeIntel()
     d.maxWaves = 10.0;
     d.noiseSigma = 0.003;
     d.trianglesPerFrame = 1000;
-    d.jitFlags = passes::OptFlags{};
-    d.jitFlags.unroll = true;
-    d.jitFlags.gvn = true;
-    d.jitFlags.hoist = true;
-    d.jitFlags.reassociate = true;
+    d.jitFlags = FlagSet::none()
+                     .with(passes::kUnroll)
+                     .with(passes::kGvn)
+                     .with(passes::kHoist)
+                     .with(passes::kReassociate);
     d.jitUnrollTrips = 32;
     d.jitUnrollInstrs = 1200;
     d.jitHoistArmInstrs = 10;
@@ -92,9 +94,8 @@ makeAmd()
     d.maxWaves = 10.0;
     d.noiseSigma = 0.008;
     d.trianglesPerFrame = 1000;
-    d.jitFlags = passes::OptFlags{};
-    d.jitFlags.gvn = true;
-    d.jitFlags.reassociate = true;
+    d.jitFlags =
+        FlagSet::none().with(passes::kGvn).with(passes::kReassociate);
     return d;
 }
 
@@ -125,11 +126,11 @@ makeNvidia()
     d.maxWaves = 16.0;
     d.noiseSigma = 0.008;
     d.trianglesPerFrame = 1000;
-    d.jitFlags = passes::OptFlags{};
-    d.jitFlags.unroll = true;
-    d.jitFlags.gvn = true;
-    d.jitFlags.hoist = true;
-    d.jitFlags.reassociate = true;
+    d.jitFlags = FlagSet::none()
+                     .with(passes::kUnroll)
+                     .with(passes::kGvn)
+                     .with(passes::kHoist)
+                     .with(passes::kReassociate);
     d.jitUnrollTrips = 32;
     d.jitUnrollInstrs = 1500;
     d.jitHoistArmInstrs = 14;
@@ -168,8 +169,7 @@ makeArm()
     d.schedulerWindow = 120; // in-order VLIW: limited reordering
     d.noiseSigma = 0.015;
     d.trianglesPerFrame = 100; // paper: 100 triangles on mobile
-    d.jitFlags = passes::OptFlags{};
-    d.jitFlags.coalesce = true;
+    d.jitFlags = FlagSet::none().with(passes::kCoalesce);
     return d;
 }
 
@@ -202,13 +202,12 @@ makeQualcomm()
     d.icachePenalty = 0.45;
     d.noiseSigma = 0.02;
     d.trianglesPerFrame = 100;
-    d.jitFlags = passes::OptFlags{};
     // Adreno's compiler unrolls small loops itself but refuses large
     // ones (code growth risks its small i-cache). Offline unrolling
     // therefore only *adds* the big loops — which is exactly where it
     // backfires (the paper's -8% case and its exclusion from the
     // Qualcomm best static flags).
-    d.jitFlags.unroll = true;
+    d.jitFlags = FlagSet::none().with(passes::kUnroll);
     d.jitUnrollTrips = 16;
     d.jitUnrollInstrs = 800;
     return d;
@@ -261,7 +260,7 @@ deviceModelKey(const DeviceModel &device)
     key = hashCombine(key, static_cast<uint64_t>(device.shaderUnits));
     key = hashCombine(key,
                       static_cast<uint64_t>(device.trianglesPerFrame));
-    key = hashCombine(key, device.jitFlags.mask());
+    key = hashCombine(key, device.jitFlags.bits);
     key = hashCombine(key,
                       static_cast<uint64_t>(device.jitUnrollTrips));
     key = hashCombine(key,

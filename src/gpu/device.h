@@ -105,7 +105,7 @@ struct DeviceModel
     int trianglesPerFrame = 1000; ///< paper: 1000 desktop, 100 mobile
 
     /** What the vendor's in-driver compiler does on its own. */
-    passes::OptFlags jitFlags;
+    passes::FlagSet jitFlags;
 
     /**
      * The JIT's transformation heuristics. Real drivers unroll and

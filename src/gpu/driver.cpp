@@ -145,33 +145,61 @@ namespace {
 ShaderBinary
 compileIr(ir::Module &module, const DeviceModel &device)
 {
-    // Vendor optimization set. Every real driver folds constants and
-    // CSEs (canonicalize, already run by canonicalIr); the flags encode
-    // what else this vendor's stack can do. Structural transforms
-    // (unroll, hoist) apply the vendor's own heuristics' budgets —
-    // unlike the offline tool's unconditional versions. Each step
-    // follows the pipeline's step rule (passes::canonicalizeIfChanged):
-    // the module entering it is a canonicalize fixpoint, so a step that
-    // changes nothing needs no canonicalize after it.
-    if (device.jitFlags.unroll && device.jitUnrollTrips > 0) {
-        passes::canonicalizeIfChanged(
-            module, passes::unroll(module, device.jitUnrollTrips,
-                                   device.jitUnrollInstrs));
+    // Each step follows the pipeline's step rule: the module entering
+    // it is a canonicalize fixpoint, so a step that changes nothing
+    // needs no canonicalize after it.
+    for (const VendorStep &step : vendorSteps()) {
+        if (step.enabled(device))
+            passes::canonicalizeIfChanged(module, step.run(module, device));
     }
-    if (device.jitFlags.hoist && device.jitHoistArmInstrs > 0) {
-        passes::canonicalizeIfChanged(
-            module, passes::hoist(module, device.jitHoistArmInstrs));
-    }
-    if (device.jitFlags.coalesce)
-        passes::canonicalizeIfChanged(module, passes::coalesce(module));
-    if (device.jitFlags.reassociate)
-        passes::canonicalizeIfChanged(module, passes::reassociate(module));
-    if (device.jitFlags.gvn)
-        passes::canonicalizeIfChanged(module, passes::gvn(module));
     return driverBackEnd(module, device);
 }
 
 } // namespace
+
+const std::vector<VendorStep> &
+vendorSteps()
+{
+    // Vendor optimization set. Every real driver folds constants and
+    // CSEs (canonicalize, already run by canonicalIr); the flags encode
+    // what else this vendor's stack can do. Structural transforms
+    // (unroll, hoist) apply the vendor's own heuristics' budgets —
+    // unlike the offline tool's unconditional versions.
+    static const std::vector<VendorStep> steps = {
+        {"unroll",
+         [](const DeviceModel &d) {
+             return d.jitFlags.has(passes::kUnroll) && d.jitUnrollTrips > 0;
+         },
+         [](ir::Module &m, const DeviceModel &d) {
+             return passes::unroll(m, d.jitUnrollTrips, d.jitUnrollInstrs);
+         }},
+        {"hoist",
+         [](const DeviceModel &d) {
+             return d.jitFlags.has(passes::kHoist) && d.jitHoistArmInstrs > 0;
+         },
+         [](ir::Module &m, const DeviceModel &d) {
+             return passes::hoist(m, d.jitHoistArmInstrs);
+         }},
+        {"coalesce",
+         [](const DeviceModel &d) {
+             return d.jitFlags.has(passes::kCoalesce);
+         },
+         [](ir::Module &m, const DeviceModel &) {
+             return passes::coalesce(m);
+         }},
+        {"reassociate",
+         [](const DeviceModel &d) {
+             return d.jitFlags.has(passes::kReassociate);
+         },
+         [](ir::Module &m, const DeviceModel &) {
+             return passes::reassociate(m);
+         }},
+        {"gvn",
+         [](const DeviceModel &d) { return d.jitFlags.has(passes::kGvn); },
+         [](ir::Module &m, const DeviceModel &) { return passes::gvn(m); }},
+    };
+    return steps;
+}
 
 ShaderBinary
 driverBackEnd(ir::Module &module, const DeviceModel &device)

@@ -6,7 +6,7 @@
  * optimizations that vendor ships, allocates registers, and produces a
  * machine binary. This module reproduces that contract:
  *
- *   text -> front end -> vendor pass set (DeviceModel::jitFlags)
+ *   text -> front end -> vendor steps (vendorSteps, DeviceModel::jitFlags)
  *        -> code generation cost model -> occupancy/spill accounting
  *        -> per-fragment cycle estimate
  *
@@ -19,6 +19,7 @@
 #define GSOPT_GPU_DRIVER_H
 
 #include <string>
+#include <vector>
 
 #include "gpu/codegen.h"
 #include "gpu/device.h"
@@ -57,6 +58,26 @@ ShaderBinary driverCompile(const std::string &glslSource,
  * for benchmarks that need to price a cold compile. */
 ShaderBinary driverCompileUncached(const std::string &glslSource,
                                    const DeviceModel &device);
+
+/**
+ * One step of the vendor pass pipeline. A device runs the step when
+ * @p enabled says so: its jitFlags bit is set, and for the structural
+ * steps its heuristic budget is nonzero. @p run applies the pass with
+ * that device's parameters and reports whether it changed the module;
+ * the driver then canonicalizes only after a change
+ * (passes::canonicalizeIfChanged).
+ */
+struct VendorStep
+{
+    const char *name;
+    bool (*enabled)(const DeviceModel &device);
+    bool (*run)(ir::Module &module, const DeviceModel &device);
+};
+
+/** The vendor pipeline, in the order every driver model applies it:
+ * unroll, hoist, coalesce, reassociate, gvn. It follows the front
+ * end's first canonicalize and precedes driverBackEnd. */
+const std::vector<VendorStep> &vendorSteps();
 
 /** The driver's back end on a module its vendor passes have run on:
  * pressure scheduling, cost analysis, register allocation, occupancy

@@ -6,8 +6,10 @@
  * trivial DCE) that LunarGlass inherits from LLVM and does not expose as
  * flags.
  *
- * Each flag pass is a standalone function Module -> changed?. The
- * `optimize` entry point applies a flag set in LunarGlass's fixed pass
+ * Each flag pass is a standalone function Module -> changed?. A
+ * `FlagSet` (declared here, one bit per registered pass) is the one
+ * type that says which passes run, from `optimize` to the tuner's
+ * search space. `optimize` applies one in LunarGlass's fixed pass
  * order with canonicalisation after each pass that changed something.
  */
 #ifndef GSOPT_PASSES_PASSES_H
@@ -149,73 +151,72 @@ bool scheduleForPressure(ir::Module &module, size_t minSpan = 48);
 
 // -- pipeline -------------------------------------------------------------
 
-/** Flag-bit positions of the built-in passes (the registry assigns
- * these at start-up in this historical order; tuner::FlagBit mirrors
- * the same values). */
+/** Flag-bit positions of the built-in passes: the paper's eight, in
+ * the historical order the registry assigns them at start-up. Passes
+ * registered beyond them take bits 8, 9, ... */
 enum BuiltinPassBit : int {
-    kPassBitAdce = 0,
-    kPassBitCoalesce = 1,
-    kPassBitGvn = 2,
-    kPassBitReassociate = 3,
-    kPassBitUnroll = 4,
-    kPassBitHoist = 5,
-    kPassBitFpReassociate = 6,
-    kPassBitDivToMul = 7,
+    kAdce = 0,
+    kCoalesce = 1,
+    kGvn = 2,
+    kReassociate = 3,
+    kUnroll = 4,
+    kHoist = 5,
+    kFpReassociate = 6,
+    kDivToMul = 7,
     kBuiltinPassCount = 8,
 };
 
 /**
- * Selection of gated passes to apply. The paper's eight flags keep
- * their named bools (bit order per BuiltinPassBit); passes registered
- * beyond the built-ins live in extraMask at bit (b - 8). Use
- * test()/set()/mask() for registry-generic code.
+ * One selection of gated passes: bit b selects the registered pass
+ * owning flag bit b. It is the one pass-selection type, from optimize()
+ * and the driver models' JIT sets to the tuner's 2^N combinations.
+ * With the default registration it is the paper's 8-bit encoding of
+ * the exhaustive 256-combination search (paper Section III-A), bit
+ * for bit; registering more passes widens the space transparently.
  */
-struct OptFlags
+struct FlagSet
 {
-    bool adce = false;
-    bool coalesce = false;
-    bool gvn = false;
-    bool reassociate = false;
-    bool unroll = false;
-    bool hoist = false;
-    bool fpReassociate = false;
-    bool divToMul = false;
+    uint64_t bits = 0;
 
-    /** Registered passes beyond the built-in eight, bit (b - 8). */
-    uint64_t extraMask = 0;
+    constexpr FlagSet() = default;
+    constexpr explicit FlagSet(uint64_t b) : bits(b) {}
 
-    /** Is registry bit @p bit selected? */
-    bool test(int bit) const;
-    /** Select/deselect registry bit @p bit. */
-    void set(int bit, bool on = true);
-    /** Full selection as a registry-bit-ordered mask. */
-    uint64_t mask() const;
-    /** Inverse of mask(). */
-    static OptFlags fromMask(uint64_t mask);
-
-    bool operator==(const OptFlags &o) const
+    bool has(int bit) const { return (bits >> bit) & 1; }
+    FlagSet with(int bit) const
     {
-        return mask() == o.mask();
+        return FlagSet(bits | (1ull << bit));
+    }
+    FlagSet without(int bit) const
+    {
+        return FlagSet(bits & ~(1ull << bit));
     }
 
-    /** The passes LunarGlass enables by default (paper Table I text). */
-    static OptFlags lunarGlassDefaults()
-    {
-        OptFlags f;
-        f.adce = true;
-        f.coalesce = true;
-        f.gvn = true;
-        f.reassociate = true;
-        f.unroll = true;
-        f.hoist = true;
-        return f;
-    }
+    /** Number of set flags. */
+    int count() const { return __builtin_popcountll(bits); }
 
+    bool operator==(const FlagSet &o) const { return bits == o.bits; }
+    bool operator!=(const FlagSet &o) const { return bits != o.bits; }
+
+    /** The passes LunarGlass enables by default (paper Table I text):
+     * the custom unsafe passes stay off. */
+    static FlagSet lunarGlassDefaults()
+    {
+        return none()
+            .with(kAdce)
+            .with(kCoalesce)
+            .with(kGvn)
+            .with(kReassociate)
+            .with(kUnroll)
+            .with(kHoist);
+    }
     /** Every registered pass on. */
-    static OptFlags all();
-
+    static FlagSet all();
     /** Everything off (the LunarGlass passthrough baseline of Fig 9). */
-    static OptFlags none() { return OptFlags{}; }
+    static FlagSet none() { return FlagSet(0); }
+
+    /** Compact spelling from the registry's display names, like
+     * "{Unroll,Div to Mul}"; "{none}" when empty. */
+    std::string str() const;
 };
 
 /**
@@ -225,7 +226,7 @@ struct OptFlags
  * folding/CSE/load-store elimination "were necessary passes to
  * canonicalize instructions".
  */
-void optimize(ir::Module &module, const OptFlags &flags);
+void optimize(ir::Module &module, FlagSet flags);
 
 /**
  * Phase accounting for one forEachFlagCombination() walk. The caller
@@ -276,15 +277,9 @@ struct FlagTreeStats
  */
 void forEachFlagCombination(
     const ir::Module &base,
-    const std::function<void(const OptFlags &, const ir::Module &,
+    const std::function<void(FlagSet, const ir::Module &,
                              uint64_t fingerprint)> &sink,
     FlagTreeStats *stats = nullptr);
-
-/** Fingerprint-free convenience overload. */
-void forEachFlagCombination(
-    const ir::Module &base,
-    const std::function<void(const OptFlags &, const ir::Module &)>
-        &sink);
 
 struct PassPlan; // registry.h — an ordered sequence of pass bits
 

@@ -2,7 +2,8 @@
  * @file
  * The LunarGlass-style pass pipeline, driven by the pass registry:
  * canonicalisation always runs; each registered gated pass applies in
- * registry pipeline order when its flag bit is selected. The registry
+ * registry pipeline order when its bit of the FlagSet is selected
+ * (FlagSet's registry-sized members live here too). The registry
  * is the single source of truth for that order — optimize() and the
  * prefix-sharing forEachFlagCombination() both walk it, which is what
  * guarantees the tree walk reproduces the linear pipeline bit-for-bit
@@ -25,70 +26,28 @@
 
 namespace gsopt::passes {
 
-bool
-OptFlags::test(int bit) const
-{
-    switch (bit) {
-      case kPassBitAdce: return adce;
-      case kPassBitCoalesce: return coalesce;
-      case kPassBitGvn: return gvn;
-      case kPassBitReassociate: return reassociate;
-      case kPassBitUnroll: return unroll;
-      case kPassBitHoist: return hoist;
-      case kPassBitFpReassociate: return fpReassociate;
-      case kPassBitDivToMul: return divToMul;
-      default:
-        return bit >= kBuiltinPassCount && bit < 64 + kBuiltinPassCount
-                   ? (extraMask >> (bit - kBuiltinPassCount)) & 1
-                   : false;
-    }
-}
-
-void
-OptFlags::set(int bit, bool on)
-{
-    switch (bit) {
-      case kPassBitAdce: adce = on; return;
-      case kPassBitCoalesce: coalesce = on; return;
-      case kPassBitGvn: gvn = on; return;
-      case kPassBitReassociate: reassociate = on; return;
-      case kPassBitUnroll: unroll = on; return;
-      case kPassBitHoist: hoist = on; return;
-      case kPassBitFpReassociate: fpReassociate = on; return;
-      case kPassBitDivToMul: divToMul = on; return;
-      default:
-        if (bit >= kBuiltinPassCount && bit < 64 + kBuiltinPassCount) {
-            const uint64_t b = 1ull << (bit - kBuiltinPassCount);
-            extraMask = on ? (extraMask | b) : (extraMask & ~b);
-        }
-        return;
-    }
-}
-
-uint64_t
-OptFlags::mask() const
-{
-    uint64_t m = extraMask << kBuiltinPassCount;
-    for (int bit = 0; bit < kBuiltinPassCount; ++bit)
-        m |= static_cast<uint64_t>(test(bit)) << bit;
-    return m;
-}
-
-OptFlags
-OptFlags::fromMask(uint64_t mask)
-{
-    OptFlags f;
-    for (int bit = 0; bit < kBuiltinPassCount; ++bit)
-        f.set(bit, (mask >> bit) & 1);
-    f.extraMask = mask >> kBuiltinPassCount;
-    return f;
-}
-
-OptFlags
-OptFlags::all()
+FlagSet
+FlagSet::all()
 {
     const size_t n = PassRegistry::instance().count();
-    return fromMask(n >= 64 ? ~0ull : (1ull << n) - 1);
+    return FlagSet(n >= 64 ? ~0ull : (1ull << n) - 1);
+}
+
+std::string
+FlagSet::str() const
+{
+    if (bits == 0)
+        return "{none}";
+    const PassRegistry &reg = PassRegistry::instance();
+    std::string out = "{";
+    for (int b = 0; b < static_cast<int>(reg.count()); ++b) {
+        if (!has(b))
+            continue;
+        if (out.size() > 1)
+            out += ",";
+        out += reg.pass(b).name;
+    }
+    return out + "}";
 }
 
 namespace {
@@ -229,12 +188,11 @@ namespace {
 struct CombinationWalker
 {
     const std::vector<const PassDescriptor *> &pipeline;
-    const std::function<void(const OptFlags &, const ir::Module &,
-                             uint64_t)> &sink;
+    const std::function<void(FlagSet, const ir::Module &, uint64_t)>
+        &sink;
     PlanApplier &applier;
 
-    void walk(const PlanApplier::Node &node, size_t stage,
-              const OptFlags &flags)
+    void walk(const PlanApplier::Node &node, size_t stage, FlagSet flags)
     {
         if (stage == pipeline.size()) {
             sink(flags, *node.module, node.fingerprint);
@@ -247,21 +205,19 @@ struct CombinationWalker
         // Apply branch: memoized inside the applier.
         const PassDescriptor *pass = pipeline[stage];
         const PlanApplier::Node next = applier.apply(node, pass->bit);
-        OptFlags with = flags;
-        with.set(pass->bit);
-        walk(next, stage + 1, with);
+        walk(next, stage + 1, flags.with(pass->bit));
     }
 };
 
 } // namespace
 
 void
-optimize(ir::Module &module, const OptFlags &flags)
+optimize(ir::Module &module, FlagSet flags)
 {
     canonicalize(module);
     for (const PassDescriptor *pass :
          PassRegistry::instance().pipeline()) {
-        if (flags.test(pass->bit)) {
+        if (flags.has(pass->bit)) {
             governor::charge(governor::Dim::PassSteps, 1, "passes");
             governor::checkDeadline("passes");
             pass->apply(module);
@@ -273,15 +229,14 @@ optimize(ir::Module &module, const OptFlags &flags)
 void
 forEachFlagCombination(
     const ir::Module &base,
-    const std::function<void(const OptFlags &, const ir::Module &,
-                             uint64_t)> &sink,
+    const std::function<void(FlagSet, const ir::Module &, uint64_t)> &sink,
     FlagTreeStats *stats)
 {
     PlanApplier applier;
     const PlanApplier::Node root = applier.root(base);
     CombinationWalker walker{PassRegistry::instance().pipeline(), sink,
                              applier};
-    walker.walk(root, 0, OptFlags{});
+    walker.walk(root, 0, FlagSet::none());
     if (stats)
         *stats = applier.stats();
 }
@@ -308,19 +263,6 @@ forEachPlan(const ir::Module &base, const std::vector<PassPlan> &plans,
     }
     if (stats)
         *stats = applier.stats();
-}
-
-void
-forEachFlagCombination(
-    const ir::Module &base,
-    const std::function<void(const OptFlags &, const ir::Module &)>
-        &sink)
-{
-    forEachFlagCombination(
-        base,
-        [&sink](const OptFlags &flags, const ir::Module &module,
-                uint64_t) { sink(flags, module); },
-        nullptr);
 }
 
 } // namespace gsopt::passes

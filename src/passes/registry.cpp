@@ -101,7 +101,7 @@ PassRegistry::PassRegistry()
     // and the c_str()s flagName() hands out — stable across add().
     passes_.reserve(63);
     // The paper's eight flags, in their historical *bit* order
-    // (tuner::FlagBit). Pipeline positions encode the independent
+    // (BuiltinPassBit). Pipeline positions encode the independent
     // historical *application* order: Unroll, Hoist, Coalesce,
     // Reassociate, FP Reassociate, Div to Mul, GVN, ADCE.
     struct Builtin

@@ -9,7 +9,7 @@
  * every 256-combination semantic (bit encodings, display names,
  * variant partitions) is bit-compatible with the fixed-table code this
  * replaces. New passes register on top — `optimize()`,
- * `forEachFlagCombination()`, the tuner's `FlagSet`, exploration, the
+ * `forEachFlagCombination()`, `FlagSet`, exploration, the
  * search strategies, and the experiment engine all size themselves
  * from the registry, so a ninth pass needs no changes anywhere else.
  */
@@ -40,7 +40,7 @@ struct PassDescriptor
      */
     std::function<void(ir::Module &)> apply;
 
-    /** Flag bit this pass owns (tuner::FlagSet bit position). Assigned
+    /** Flag bit this pass owns (its FlagSet bit position). Assigned
      * by the registry in registration order. */
     int bit = -1;
 

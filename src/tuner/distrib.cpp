@@ -1000,10 +1000,14 @@ CampaignCoordinator::runOver(WorkerTransport *supplied)
         }
         quarantine(ui, err);
     };
-    // Accept a delivery that parses and whose item health accounts for
-    // each device once: the items its shard quarantines, each with at
-    // least one attempt, and the rest completed, with no more retries
-    // than the retry policy allows. A clean shard is published; a
+    // Accept a delivery that parses, whose shard accounts for every
+    // configured device exactly once (measured or quarantined), and
+    // whose item health does too: the items its shard quarantines,
+    // each with at least one attempt, and the rest completed, with no
+    // more retries than the retry policy allows. parseShard admits
+    // only configured, distinct device ids and keeps the quarantined
+    // apart from the measured, so a shard naming as many devices as
+    // are configured names each once. A clean shard is published; a
     // failed write is local, so the result stays and the shard re-runs
     // on resume.
     const uint64_t devices = gpu::allDevices().size();
@@ -1021,6 +1025,8 @@ CampaignCoordinator::runOver(WorkerTransport *supplied)
                 reported.insert(q.device);
         ShaderResult parsed;
         if (!parseShard(ev.bytes, store.key(i), parsed) ||
+            parsed.byDevice.size() + parsed.quarantined.size() !=
+                devices ||
             reported != parsed.quarantined ||
             reported.size() != report.quarantined.size() ||
             report.itemsCompleted + reported.size() != devices ||

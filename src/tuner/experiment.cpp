@@ -557,19 +557,33 @@ parseShard(std::string_view bytes, uint64_t key, ShaderResult &out)
                      : is_variant(ex.passthroughVariant)) ||
         !in.u64(n_devices) || n_devices > (unexplored ? 0 : 16))
         return false;
+    // Every device id must name a configured device. Whether the shard
+    // covers all of them is the caller's check: the coordinator's
+    // merge gate requires it, a hand-built result may hold fewer.
+    const std::vector<gpu::DeviceId> configured = gpu::allDevices();
+    auto known_device = [&configured](int dev) {
+        return std::find(configured.begin(), configured.end(),
+                         static_cast<gpu::DeviceId>(dev)) !=
+               configured.end();
+    };
     for (uint64_t d = 0; d < n_devices; ++d) {
         int dev = 0;
         DeviceMeasurement m;
         uint64_t n_times = 0;
-        if (!in.pod(dev) || !in.pod(m.originalMeanNs) ||
-            !in.u64(n_times) || n_times != n_variants)
+        if (!in.pod(dev) || !known_device(dev) ||
+            !in.pod(m.originalMeanNs) || !in.u64(n_times) ||
+            n_times != n_variants)
             return false;
         m.variantMeanNs.resize(n_times);
         for (double &t : m.variantMeanNs) {
             if (!in.pod(t))
                 return false;
         }
-        r.byDevice.emplace(static_cast<gpu::DeviceId>(dev), std::move(m));
+        // A device measured twice is corrupt too.
+        if (!r.byDevice
+                 .emplace(static_cast<gpu::DeviceId>(dev), std::move(m))
+                 .second)
+            return false;
     }
     // Optional tagged trailing sections (schema 16): 'P' plans then
     // 'Q' quarantine, each at most once, in that order. Absent for a
@@ -602,7 +616,8 @@ parseShard(std::string_view bytes, uint64_t key, ShaderResult &out)
             for (uint64_t i = 0; i < n_q; ++i) {
                 int dev_int = 0;
                 std::string reason;
-                if (!in.pod(dev_int) || !in.str(reason))
+                if (!in.pod(dev_int) || !known_device(dev_int) ||
+                    !in.str(reason))
                     return false;
                 const auto dev = static_cast<gpu::DeviceId>(dev_int);
                 // A quarantined device has no measurement, and the

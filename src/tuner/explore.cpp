@@ -144,11 +144,10 @@ exploreShader(const corpus::CorpusShader &shader)
     const uint64_t tree_t0 = nowNs();
     passes::forEachFlagCombination(
         *base,
-        [&](const passes::OptFlags &flags, const ir::Module &module,
-            uint64_t fp) {
+        [&](FlagSet flags, const ir::Module &module, uint64_t fp) {
             counters.pipelineRuns.fetch_add(1,
                                             std::memory_order_relaxed);
-            combo_fp[FlagSet::fromOptFlags(flags).bits] = fp;
+            combo_fp[flags.bits] = fp;
             if (!text_of_fp.count(fp)) {
                 const uint64_t t = nowNs();
                 text_of_fp.emplace(fp, emit::emitGlsl(module));

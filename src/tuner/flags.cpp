@@ -27,49 +27,6 @@ flagName(int bit)
     return reg.pass(bit).name.c_str();
 }
 
-passes::OptFlags
-FlagSet::toOptFlags() const
-{
-    return passes::OptFlags::fromMask(bits);
-}
-
-FlagSet
-FlagSet::fromOptFlags(const passes::OptFlags &flags)
-{
-    return FlagSet(flags.mask());
-}
-
-FlagSet
-FlagSet::lunarGlassDefaults()
-{
-    return fromOptFlags(passes::OptFlags::lunarGlassDefaults());
-}
-
-FlagSet
-FlagSet::all()
-{
-    return fromOptFlags(passes::OptFlags::all());
-}
-
-std::string
-FlagSet::str() const
-{
-    if (bits == 0)
-        return "{none}";
-    std::string out = "{";
-    bool first = true;
-    const int n = static_cast<int>(flagCount());
-    for (int b = 0; b < n; ++b) {
-        if (!has(b))
-            continue;
-        if (!first)
-            out += ",";
-        out += flagName(b);
-        first = false;
-    }
-    return out + "}";
-}
-
 std::vector<FlagSet>
 allFlagSets()
 {

@@ -1,35 +1,30 @@
 /**
  * @file
- * FlagSet: the N-bit encoding of the gated pass flags, sized from the
- * pass registry. With the default built-in registration this is the
- * paper's 8-bit encoding used for the exhaustive 256-combination
- * search (paper Section III-A), bit-for-bit; registering more passes
- * widens the space transparently.
+ * The tuner's view of the 2^N flag space: its size, flag display
+ * names, and enumeration over passes::FlagSet, the N-bit encoding of
+ * the gated pass flags sized from the pass registry.
  */
 #ifndef GSOPT_TUNER_FLAGS_H
 #define GSOPT_TUNER_FLAGS_H
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "passes/passes.h"
 
 namespace gsopt::tuner {
 
-/** Bit positions of the built-in passes, in the order used throughout
- * the experiments (mirrors passes::BuiltinPassBit). */
-enum FlagBit {
-    kAdce = 0,
-    kCoalesce = 1,
-    kGvn = 2,
-    kReassociate = 3,
-    kUnroll = 4,
-    kHoist = 5,
-    kFpReassociate = 6,
-    kDivToMul = 7,
-    kFlagCount = 8, ///< the built-in eight; see flagCount() for all
-};
+// The pass-selection vocabulary is passes' own: one flag-set type
+// and one bit enum.
+using passes::FlagSet;
+using passes::kAdce;
+using passes::kCoalesce;
+using passes::kGvn;
+using passes::kReassociate;
+using passes::kUnroll;
+using passes::kHoist;
+using passes::kFpReassociate;
+using passes::kDivToMul;
 
 /** Number of registered gated passes (N bits of the flag space). */
 size_t flagCount();
@@ -42,47 +37,6 @@ uint64_t comboCount();
  * while the owning pass remains registered — built-in names live for
  * the process, but don't cache a ScopedPass name past its scope. */
 const char *flagName(int bit);
-
-/** One of the 2^N flag combinations. */
-struct FlagSet
-{
-    uint64_t bits = 0;
-
-    constexpr FlagSet() = default;
-    constexpr explicit FlagSet(uint64_t b) : bits(b) {}
-
-    bool has(int bit) const { return (bits >> bit) & 1; }
-    FlagSet with(int bit) const
-    {
-        return FlagSet(bits | (1ull << bit));
-    }
-    FlagSet without(int bit) const
-    {
-        return FlagSet(bits & ~(1ull << bit));
-    }
-
-    /** Number of set flags. */
-    int count() const { return __builtin_popcountll(bits); }
-
-    bool operator==(const FlagSet &o) const { return bits == o.bits; }
-    bool operator!=(const FlagSet &o) const { return bits != o.bits; }
-
-    /** Convert to the pass pipeline's flag struct. */
-    passes::OptFlags toOptFlags() const;
-
-    /** Inverse of toOptFlags(). */
-    static FlagSet fromOptFlags(const passes::OptFlags &flags);
-
-    /** The LunarGlass default set (defaults on, custom passes off). */
-    static FlagSet lunarGlassDefaults();
-    /** Every registered pass on. */
-    static FlagSet all();
-    /** Everything off (passthrough baseline). */
-    static FlagSet none() { return FlagSet(0); }
-
-    /** Compact spelling like "{Coalesce,Unroll,FPReassoc,DivToMul}". */
-    std::string str() const;
-};
 
 /** All 2^N combinations in numeric order (256 by default). Throws
  * std::length_error when the registered pass count makes exhaustive

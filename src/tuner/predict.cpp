@@ -62,7 +62,7 @@ predictFlags(gpu::DeviceId device, const ShaderFeatures &f)
     // the invariant subtree really recomputes every trip.
     const int licmBit = reg.bitOf("licm");
     if (licmBit >= 0 && f.loopInvariantInstrs > 0 &&
-        (!dm.jitFlags.unroll ||
+        (!dm.jitFlags.has(kUnroll) ||
          unrolledSize(f) > dm.jitUnrollInstrs))
         flags = flags.with(licmBit);
     // Strength reduction: a pow->multiply chain trades a
@@ -72,12 +72,12 @@ predictFlags(gpu::DeviceId device, const ShaderFeatures &f)
     const int srBit = reg.bitOf("strength_reduce");
     if (srBit >= 0 &&
         (f.powConstChains > 0 ||
-         (f.intMulPow2 > 0 && !dm.jitFlags.reassociate)))
+         (f.intMulPow2 > 0 && !dm.jitFlags.has(kReassociate))))
         flags = flags.with(srBit);
     // Fetch batching is the mobile win: the tile-based parts run no
     // JIT GVN, so a cross-block duplicate fetch really issues twice.
     const int tbBit = reg.bitOf("tex_batch");
-    if (tbBit >= 0 && f.dupFetches > 0 && !dm.jitFlags.gvn)
+    if (tbBit >= 0 && f.dupFetches > 0 && !dm.jitFlags.has(kGvn))
         flags = flags.with(tbBit);
     return flags;
 }
@@ -167,7 +167,7 @@ predictPlanCandidates(gpu::DeviceId device, const ShaderFeatures &f)
     // iterations where the dominance-scoped pass must prove a lot more
     // to collapse them.
     const int tbBit = reg.bitOf("tex_batch");
-    if (tbBit >= 0 && f.dupFetches > 0 && !dm.jitFlags.gvn) {
+    if (tbBit >= 0 && f.dupFetches > 0 && !dm.jitFlags.has(kGvn)) {
         pushUnique(out,
                    withPassFirst(PassPlan::canonicalOf(
                                      lattice.front().with(tbBit).bits),

@@ -107,7 +107,7 @@ TEST(InlineVec, VectorSurface)
 // ---------------------------------------------------- IR lifetimes
 
 std::unique_ptr<ir::Module>
-lowerCorpusShader(const char *name, const passes::OptFlags &flags)
+lowerCorpusShader(const char *name, passes::FlagSet flags)
 {
     const corpus::CorpusShader &s = *corpus::findShader(name);
     glsl::CompiledShader cs = glsl::compileShader(s.source, s.defines);
@@ -120,7 +120,7 @@ TEST(ArenaLifetime, CloneOutlivesSourceModule)
 {
     for (const char *name :
          {"simple/grayscale", "blur/weighted9", "uber/car_chase"}) {
-        passes::OptFlags flags = passes::OptFlags::lunarGlassDefaults();
+        passes::FlagSet flags = passes::FlagSet::lunarGlassDefaults();
         auto source = lowerCorpusShader(name, flags);
         const uint64_t source_fp = ir::fingerprint(*source);
         const std::string source_text = emit::emitGlsl(*source);
@@ -147,7 +147,7 @@ TEST(ArenaLifetime, CloneOutlivesSourceModule)
 TEST(ArenaLifetime, UnlinkedInstructionsKeepStableAddresses)
 {
     auto m = lowerCorpusShader("simple/grayscale",
-                               passes::OptFlags::none());
+                               passes::FlagSet::none());
     // Collect the addresses of everything, then DCE-style unlink every
     // pure instruction from the blocks.
     std::vector<const ir::Instr *> all;
@@ -167,7 +167,7 @@ TEST(ArenaLifetime, UnlinkedInstructionsKeepStableAddresses)
 TEST(ArenaLifetime, ModuleReportsArenaFootprint)
 {
     auto m = lowerCorpusShader("blur/weighted9",
-                               passes::OptFlags::none());
+                               passes::FlagSet::none());
     const size_t bytes = m->arenaBytes();
     EXPECT_GT(bytes, m->instructionCount() * sizeof(ir::Instr) / 2);
     auto c = m->clone();
@@ -192,7 +192,7 @@ TEST(ArenaInterp, InterpretBitIdenticalToReferenceOverArenaIr)
         ir::InterpEnv env = runtime::defaultEnvironment(cs.interface);
 
         auto source = lowerCorpusShader(
-            name, passes::OptFlags::lunarGlassDefaults());
+            name, passes::FlagSet::lunarGlassDefaults());
         auto m = source->clone();
         source.reset();
 

@@ -126,7 +126,7 @@ TEST_P(CorpusEach, SurvivesFullOptimizationPipeline)
 {
     const CorpusShader &s = corpus()[GetParam()];
     std::string text = emit::optimizeShaderSource(
-        s.source, passes::OptFlags::all(), s.defines);
+        s.source, passes::FlagSet::all(), s.defines);
     // Driver path must accept the optimized output.
     auto module = emit::compileToIr(text);
     EXPECT_GT(module->instructionCount(), 0u) << s.name;

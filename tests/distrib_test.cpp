@@ -684,6 +684,45 @@ TEST(DistribFaults, LyingItemReportsRejected)
     expectSubsetOfReference(dir.path());
 }
 
+/** A shard must account for every configured device, measured or
+ * quarantined. A delivery that lacks one device's measurement, with a
+ * report claiming every item completed, is rejected and re-queued;
+ * only the full retry is published. */
+TEST(DistribFaults, DeliveryMissingADeviceRejectedThenRetried)
+{
+    auto quiet = quiesce();
+    const corpus::CorpusShader &shader =
+        *corpus::findShader("simple/color_fill");
+    const std::vector<corpus::CorpusShader> one{shader};
+    const uint64_t key = tuner::shardKey(shader, tuner::deviceSetKey());
+    const std::string good = validUnitBytes(shader);
+    tuner::ShaderResult missing;
+    ASSERT_TRUE(tuner::parseShard(good, key, missing));
+    missing.byDevice.erase(gpu::DeviceId::Qualcomm);
+    const std::string missingBytes = tuner::shardFileBytes(key, missing);
+    tuner::ShaderResult parsed; // coverage is the merge gate's check
+    ASSERT_TRUE(tuner::parseShard(missingBytes, key, parsed));
+
+    ScratchDir dir("missing_device");
+    FakeTransport fake(1);
+    int deliveries = 0;
+    fake.onAssign = [&](unsigned w, const distrib::WireUnit &u) {
+        deliveries++;
+        fake.pushResult(w, u.id, deliveries == 1 ? missingBytes : good);
+    };
+    distrib::Options opts;
+    opts.workers = 1;
+    distrib::CampaignCoordinator coord(one, dir.path(), opts);
+    const distrib::DistribHealth &h = coord.run(fake);
+    EXPECT_TRUE(h.healthy()) << h.summary();
+    EXPECT_EQ(h.shardsRejected, 1u);
+    EXPECT_EQ(h.unitsRequeued, 1u);
+    EXPECT_EQ(h.unitsCompleted, 1u);
+    EXPECT_EQ(deliveries, 2);
+    EXPECT_EQ(dirDigest(dir.path()).size(), 1u);
+    expectSubsetOfReference(dir.path());
+}
+
 /** A read fault on the coordinator's side is local, not the worker's:
  * the merge gate parses the delivered bytes in memory and re-reads no
  * file, so an always-firing shard.read rejects and re-queues nothing. */

@@ -15,7 +15,7 @@
 namespace gsopt {
 namespace {
 
-using passes::OptFlags;
+using passes::FlagSet;
 
 const char *kShaders[] = {
     R"(
@@ -125,9 +125,8 @@ TEST(Emit, OptimizedRoundTripPreservesSemantics)
 {
     for (const char *src : kShaders) {
         auto reference = emit::compileToIr(src);
-        for (OptFlags flags :
-             {OptFlags::none(), OptFlags::lunarGlassDefaults(),
-              OptFlags::all()}) {
+        for (FlagSet flags : {FlagSet::none(), FlagSet::lunarGlassDefaults(),
+                              FlagSet::all()}) {
             std::string text = emit::optimizeShaderSource(src, flags);
             auto m2 = emit::compileToIr(text);
             expectSameOutputs(*reference, *m2);
@@ -139,9 +138,9 @@ TEST(Emit, Deterministic)
 {
     for (const char *src : kShaders) {
         std::string a =
-            emit::optimizeShaderSource(src, OptFlags::all());
+            emit::optimizeShaderSource(src, FlagSet::all());
         std::string b =
-            emit::optimizeShaderSource(src, OptFlags::all());
+            emit::optimizeShaderSource(src, FlagSet::all());
         EXPECT_EQ(a, b);
     }
 }
@@ -155,11 +154,11 @@ TEST(Emit, SecondRoundTripIsStable)
     // is sound either way — this test pins the convergence behaviour.
     for (const char *src : kShaders) {
         std::string once =
-            emit::optimizeShaderSource(src, OptFlags::none());
+            emit::optimizeShaderSource(src, FlagSet::none());
         std::string twice =
-            emit::optimizeShaderSource(once, OptFlags::none());
+            emit::optimizeShaderSource(once, FlagSet::none());
         std::string thrice =
-            emit::optimizeShaderSource(twice, OptFlags::none());
+            emit::optimizeShaderSource(twice, FlagSet::none());
         EXPECT_EQ(twice, thrice) << src;
     }
 }
@@ -167,7 +166,7 @@ TEST(Emit, SecondRoundTripIsStable)
 TEST(Emit, KeepsInterfaceDeclarations)
 {
     auto m = emit::compileToIr(kShaders[0]);
-    passes::optimize(*m, OptFlags::all());
+    passes::optimize(*m, FlagSet::all());
     std::string text = emit::emitGlsl(*m);
     EXPECT_NE(text.find("uniform sampler2D tex;"), std::string::npos);
     EXPECT_NE(text.find("uniform vec4 ambient;"), std::string::npos);
@@ -177,10 +176,8 @@ TEST(Emit, KeepsInterfaceDeclarations)
 
 TEST(Emit, UnrolledShaderHasNoLoops)
 {
-    auto flags = OptFlags::none();
-    flags.unroll = true;
-    std::string text =
-        emit::optimizeShaderSource(kShaders[0], flags);
+    std::string text = emit::optimizeShaderSource(
+        kShaders[0], FlagSet::none().with(passes::kUnroll));
     EXPECT_EQ(text.find("for ("), std::string::npos);
     EXPECT_EQ(text.find("while ("), std::string::npos);
 }
@@ -188,7 +185,7 @@ TEST(Emit, UnrolledShaderHasNoLoops)
 TEST(Emit, DynamicLoopEmitsWhile)
 {
     std::string text =
-        emit::optimizeShaderSource(kShaders[3], OptFlags::none());
+        emit::optimizeShaderSource(kShaders[3], FlagSet::none());
     EXPECT_NE(text.find("while ("), std::string::npos);
     // And it must re-parse + keep meaning.
     auto m1 = emit::compileToIr(kShaders[3]);
@@ -200,12 +197,10 @@ TEST(Emit, UniqueVariantsDedupByText)
 {
     // Flag combos that do nothing must produce byte-identical text.
     auto base = emit::optimizeShaderSource(kShaders[2],
-                                           OptFlags::none());
-    auto unrolled = [&] {
-        OptFlags f;
-        f.unroll = true; // no loops in shader 2: no effect
-        return emit::optimizeShaderSource(kShaders[2], f);
-    }();
+                                           FlagSet::none());
+    // No loops in shader 2: unroll has no effect.
+    auto unrolled = emit::optimizeShaderSource(
+        kShaders[2], FlagSet::none().with(passes::kUnroll));
     EXPECT_EQ(base, unrolled);
 }
 

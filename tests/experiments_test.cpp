@@ -294,7 +294,7 @@ TEST(Fig9, UnrollIsArmsBestFlag)
     // Paper: unrolling is the best single flag on ARM.
     auto unroll = isolatedSpeedups(DeviceId::Arm, tuner::kUnroll);
     double unroll_mean = mean(unroll);
-    for (int bit = 0; bit < tuner::kFlagCount; ++bit) {
+    for (int bit = 0; bit < passes::kBuiltinPassCount; ++bit) {
         if (bit == tuner::kUnroll)
             continue;
         EXPECT_GE(unroll_mean, mean(isolatedSpeedups(DeviceId::Arm,

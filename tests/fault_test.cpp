@@ -25,6 +25,7 @@
 #include "runtime/framework.h"
 #include "support/diag.h"
 #include "support/fault.h"
+#include "support/ipc.h"
 #include "support/retry.h"
 #include "support/rng.h"
 #include "test_scratch.h"
@@ -487,6 +488,53 @@ TEST(ShardIO, FailedExplorationShardRoundTrips)
     pastEnd.exploration.passthroughVariant = 1;
     EXPECT_FALSE(
         tuner::parseShard(tuner::shardFileBytes(99, pastEnd), 99, out));
+}
+
+/** Every device id a shard names must be a configured device, named at
+ * most once across its measurements and its 'Q' section. These bodies
+ * carry a correct hash, so only that validation can reject them. */
+TEST(ShardIO, UnknownOrDuplicateDeviceIdsRejected)
+{
+    const fault::ScopedFaultPlan noAmbientFaults = quiesce();
+    const gpu::DeviceId unknown = static_cast<gpu::DeviceId>(42);
+    const tuner::ShaderResult good = tinyResult();
+    tuner::ShaderResult out;
+    ASSERT_TRUE(tuner::parseShard(tuner::shardFileBytes(5, good), 5, out));
+
+    tuner::ShaderResult measured = good;
+    measured.byDevice.emplace(unknown,
+                              good.byDevice.at(gpu::DeviceId::Arm));
+    EXPECT_FALSE(
+        tuner::parseShard(tuner::shardFileBytes(5, measured), 5, out));
+
+    tuner::ShaderResult quarantined = good;
+    quarantined.quarantined.insert(unknown);
+    quarantined.quarantineReason[unknown] = "no such device";
+    EXPECT_FALSE(
+        tuner::parseShard(tuner::shardFileBytes(5, quarantined), 5, out));
+
+    // A map cannot hold a device twice, so relabel one entry in the
+    // bytes: the bodies with Arm and with the unknown id differ only in
+    // that entry's id, which becomes Intel's, the other entry's.
+    tuner::ShaderResult relabelled = good;
+    relabelled.byDevice.erase(gpu::DeviceId::Arm);
+    relabelled.byDevice.emplace(unknown,
+                                good.byDevice.at(gpu::DeviceId::Arm));
+    const std::string body = tuner::serializeShardBody(good);
+    const std::string other = tuner::serializeShardBody(relabelled);
+    ASSERT_EQ(body.size(), other.size());
+    std::string duplicate = body;
+    size_t patched = 0;
+    for (size_t i = 0; i < body.size(); ++i) {
+        if (body[i] != other[i]) {
+            duplicate[i] = static_cast<char>(gpu::DeviceId::Intel);
+            ++patched;
+        }
+    }
+    ASSERT_EQ(patched, 1u);
+    EXPECT_FALSE(tuner::parseShard(
+        ipc::Pack().u64(5).u64(fnv1a(duplicate)).take() + duplicate, 5,
+        out));
 }
 
 /** tinyResult() plus the schema-15 plan section: one producer-less

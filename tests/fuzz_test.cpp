@@ -292,13 +292,13 @@ TEST_P(RandomShader, FullRegistryTreePreservesSemantics)
     std::unordered_set<uint64_t> seen;
     passes::forEachFlagCombination(
         *reference,
-        [&](const passes::OptFlags &flags, const ir::Module &module,
+        [&](passes::FlagSet flags, const ir::Module &module,
             uint64_t fingerprint) {
             ++combos;
             if (!seen.insert(fingerprint).second)
                 return; // distinct modules only: the walk memoizes
             SCOPED_TRACE("flags mask " +
-                         std::to_string(flags.mask()));
+                         std::to_string(flags.bits));
 
             // (1) semantics vs the unoptimised reference run: one
             // batched interpretation covers all 8 environments.

@@ -260,7 +260,7 @@ TEST(GovernorDims, PassStepCapTripsMidPipeline)
     auto module = emit::compileToIr(kTinyShader);
     governor::ScopedBudget scope(only(Dim::PassSteps, 1));
     expectExhausted(Dim::PassSteps, "passes", [&] {
-        passes::optimize(*module, passes::OptFlags::fromMask(0x3));
+        passes::optimize(*module, passes::FlagSet(0x3));
     });
 }
 

@@ -6,9 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
-#include <functional>
-#include <map>
 
 #include "campaign_texts.h"
 #include "corpus/corpus.h"
@@ -18,7 +17,9 @@
 #include "gpu/device.h"
 #include "gpu/driver.h"
 #include "ir/dump.h"
+#include "lower/lower.h"
 #include "passes/passes.h"
+#include "runtime/framework.h"
 
 namespace gsopt::gpu {
 namespace {
@@ -84,7 +85,7 @@ TEST(Driver, CompileCacheHitsOnRepeatedTextDevicePairs)
     DriverCacheStats s0 = driverCacheStats();
     driverCompile(src, dev(DeviceId::Arm));
     DeviceModel tweaked = nv;
-    tweaked.jitFlags = passes::OptFlags{};
+    tweaked.jitFlags = passes::FlagSet::none();
     tweaked.jitUnrollTrips = 0;
     ShaderBinary t = driverCompile(src, tweaked);
     DriverCacheStats s1 = driverCacheStats();
@@ -163,39 +164,6 @@ TEST(Driver, CachedCompileEqualsUncachedOnWholeCorpus)
 // the module (passes::canonicalizeIfChanged); passes_test checks the
 // rule's premises for the registered passes.
 
-/** One vendor step with its device's parameters. */
-using VendorStep = std::function<bool(ir::Module &)>;
-
-/** Each device's enabled vendor steps in compileIr's order, with that
- * device's parameters. */
-std::vector<std::pair<std::string, VendorStep>>
-vendorSteps(const DeviceModel &d)
-{
-    std::vector<std::pair<std::string, VendorStep>> steps;
-    if (d.jitFlags.unroll && d.jitUnrollTrips > 0) {
-        steps.emplace_back(
-            "unroll(" + std::to_string(d.jitUnrollTrips) + "," +
-                std::to_string(d.jitUnrollInstrs) + ")",
-            [&d](ir::Module &m) {
-                return passes::unroll(m, d.jitUnrollTrips, d.jitUnrollInstrs);
-            });
-    }
-    if (d.jitFlags.hoist && d.jitHoistArmInstrs > 0) {
-        steps.emplace_back(
-            "hoist(" + std::to_string(d.jitHoistArmInstrs) + ")",
-            [&d](ir::Module &m) {
-                return passes::hoist(m, d.jitHoistArmInstrs);
-            });
-    }
-    if (d.jitFlags.coalesce)
-        steps.emplace_back("coalesce", passes::coalesce);
-    if (d.jitFlags.reassociate)
-        steps.emplace_back("reassociate", passes::reassociate);
-    if (d.jitFlags.gvn)
-        steps.emplace_back("gvn", passes::gvn);
-    return steps;
-}
-
 /** The vendor pipeline as it ran before the step rule: a canonicalize
  * after every vendor step, whether or not the step changed anything.
  * The reference driverCompile must match bit for bit. */
@@ -204,8 +172,10 @@ alwaysCanonicalizeCompile(const std::string &text, const DeviceModel &d)
 {
     auto m = emit::compileToIr(text);
     passes::canonicalize(*m);
-    for (const auto &step : vendorSteps(d)) {
-        step.second(*m);
+    for (const VendorStep &step : vendorSteps()) {
+        if (!step.enabled(d))
+            continue;
+        step.run(*m, d);
         passes::canonicalize(*m);
     }
     return driverBackEnd(*m, d);
@@ -213,25 +183,31 @@ alwaysCanonicalizeCompile(const std::string &text, const DeviceModel &d)
 
 TEST(DriverStepRule, VendorStepReportingNoChangeLeavesModuleUnchanged)
 {
-    // Every distinct (step, parameters) any device runs, applied to
-    // every front-end module of a campaign.
-    std::map<std::string, VendorStep> steps;
-    for (DeviceId id : allDevices()) {
-        for (auto &step : vendorSteps(dev(id)))
-            steps.insert(std::move(step));
+    // Every vendor step, with each device's parameters that runs it,
+    // applied to every front-end module of a campaign.
+    for (const VendorStep &step : vendorSteps()) {
+        bool runs = false;
+        for (DeviceId id : allDevices())
+            runs = runs || step.enabled(dev(id));
+        EXPECT_TRUE(runs) << step.name << " runs on no device";
     }
-    ASSERT_FALSE(steps.empty());
     size_t unchanged = 0;
     for (const auto &[where, text] : testutil::campaignTexts()) {
         auto base = emit::compileToIr(text);
         passes::canonicalize(*base);
         const std::string before = ir::dump(*base);
-        for (const auto &[name, step] : steps) {
-            auto m = base->clone();
-            if (step(*m))
-                continue;
-            ++unchanged;
-            EXPECT_TRUE(ir::dump(*m) == before) << name << " on " << where;
+        for (DeviceId id : allDevices()) {
+            for (const VendorStep &step : vendorSteps()) {
+                if (!step.enabled(dev(id)))
+                    continue;
+                auto m = base->clone();
+                if (step.run(*m, dev(id)))
+                    continue;
+                ++unchanged;
+                EXPECT_TRUE(ir::dump(*m) == before)
+                    << step.name << " (" << dev(id).name << ") on "
+                    << where;
+            }
         }
     }
     EXPECT_GT(unchanged, 0u);
@@ -250,6 +226,60 @@ TEST(DriverStepRule, CompileMatchesAlwaysCanonicalizeReference)
         }
     }
     clearDriverCache();
+}
+
+// ------------------------------------------------ vendor-step semantics
+
+TEST(DriverVendorSteps, ComputeTheOriginalsOutputs)
+{
+    // Each corpus original's canonicalized front-end module, through
+    // each device's vendor steps and pressure scheduler, must shade a
+    // 4x4 tile as the original does: the same fragment and discard
+    // counts, and every output sum within the fuzz harness's
+    // tolerance. Two NaN sums agree: tonemap/aces_dither and
+    // tonemap/filmic_dither yield NaN in fragColor[2] on every device.
+    runtime::TileOptions tile;
+    tile.width = 4;
+    tile.height = 4;
+    size_t compared = 0;
+    for (const corpus::CorpusShader &shader : corpus::corpus()) {
+        const glsl::CompiledShader cs =
+            glsl::compileShader(shader.source, shader.defines);
+        const runtime::TileResult want = runtime::interpretTile(
+            *lower::lowerShader(cs), cs.interface, tile);
+        auto base = lower::lowerShader(cs);
+        passes::canonicalize(*base);
+        for (DeviceId id : allDevices()) {
+            const DeviceModel &d = dev(id);
+            auto m = base->clone();
+            for (const VendorStep &step : vendorSteps()) {
+                if (step.enabled(d))
+                    passes::canonicalizeIfChanged(*m, step.run(*m, d));
+            }
+            passes::scheduleForPressure(*m, d.schedulerWindow);
+            const runtime::TileResult got =
+                runtime::interpretTile(*m, cs.interface, tile);
+            const std::string where = shader.name + " on " + d.name;
+            EXPECT_EQ(got.fragments, want.fragments) << where;
+            EXPECT_EQ(got.discardedFragments, want.discardedFragments)
+                << where;
+            ASSERT_EQ(got.outputSums.size(), want.outputSums.size())
+                << where;
+            for (const auto &[name, sums] : want.outputSums) {
+                const ir::LaneVector &g = got.outputSums.at(name);
+                ASSERT_EQ(g.size(), sums.size()) << where << " " << name;
+                for (size_t c = 0; c < sums.size(); ++c) {
+                    if (std::isnan(g[c]) && std::isnan(sums[c]))
+                        continue;
+                    EXPECT_NEAR(g[c], sums[c],
+                                1e-6 * (1.0 + std::fabs(sums[c])))
+                        << where << " " << name << "[" << c << "]";
+                }
+            }
+            ++compared;
+        }
+    }
+    EXPECT_EQ(compared, corpus::corpus().size() * allDevices().size());
 }
 
 TEST(Codegen, ScalarIsaPaysPerLane)
@@ -400,9 +430,8 @@ void main() {
     c = s;
 }
 )";
-    passes::OptFlags unroll_only;
-    unroll_only.unroll = true;
-    std::string unrolled = emit::optimizeShaderSource(src, unroll_only);
+    std::string unrolled = emit::optimizeShaderSource(
+        src, passes::FlagSet::none().with(passes::kUnroll));
 
     const DeviceModel &nv = dev(DeviceId::Nvidia);
     double t_orig = driverCompile(src, nv).cyclesPerFragment;

@@ -45,7 +45,7 @@ sampleFlagSets()
         tuner::FlagSet::lunarGlassDefaults(),
         tuner::FlagSet::all(),
     };
-    for (int bit = 0; bit < tuner::kFlagCount; ++bit)
+    for (int bit = 0; bit < passes::kBuiltinPassCount; ++bit)
         out.push_back(tuner::FlagSet::none().with(bit));
     out.push_back(tuner::FlagSet(0b01010101));
     out.push_back(tuner::FlagSet(0b10101010));
@@ -96,7 +96,7 @@ TEST(InterpGolden, InterpretMatchesMapReferenceAcrossCorpus)
 
         for (const tuner::FlagSet &flags : sampleFlagSets()) {
             auto module = lower::lowerShader(cs);
-            passes::optimize(*module, flags.toOptFlags());
+            passes::optimize(*module, flags);
             for (const ir::InterpEnv &env : envs) {
                 auto fast = ir::interpret(*module, env);
                 auto gold = ir::interpretReference(*module, env);
@@ -146,7 +146,7 @@ TEST(InterpGolden, BatchedMatchesScalarOnEveryCorpusShaderAllCombos)
 
         std::unordered_set<uint64_t> seen;
         passes::forEachFlagCombination(
-            *base, [&](const passes::OptFlags &, const ir::Module &m,
+            *base, [&](passes::FlagSet, const ir::Module &m,
                        uint64_t fp) {
                 if (!seen.insert(fp).second)
                     return; // distinct modules only
@@ -180,7 +180,7 @@ TEST(InterpGolden, ExploredVariantsMatchOnClonedModules)
     auto want = ir::interpretReference(*base, env);
     for (const tuner::FlagSet &flags : sampleFlagSets()) {
         auto clone = base->clone();
-        passes::optimize(*clone, flags.toOptFlags());
+        passes::optimize(*clone, flags);
         auto got = ir::interpret(*clone, env);
         // Optimised clones keep semantics up to FP reassociation;
         // the *unsafe* flags may legitimately change bits, so compare

@@ -492,18 +492,17 @@ TEST(ElevenPassSpace, TreeMatchesLinearOnEveryCorpusShader)
         uint64_t walked = 0;
         std::map<uint64_t, std::string> tree_text;
         passes::forEachFlagCombination(
-            *base, [&](const passes::OptFlags &flags,
-                       const ir::Module &module) {
+            *base, [&](FlagSet flags, const ir::Module &module, uint64_t) {
                 ++walked;
-                if (combos.count(flags.mask()))
-                    tree_text[flags.mask()] = emit::emitGlsl(module);
+                if (combos.count(flags.bits))
+                    tree_text[flags.bits] = emit::emitGlsl(module);
             });
         ASSERT_EQ(walked, reg.comboCount()) << shader.name;
         ASSERT_EQ(tree_text.size(), combos.size()) << shader.name;
 
         for (uint64_t bits : combos) {
             auto linear = base->clone();
-            passes::optimize(*linear, FlagSet(bits).toOptFlags());
+            passes::optimize(*linear, FlagSet(bits));
             ASSERT_EQ(emit::emitGlsl(*linear), tree_text.at(bits))
                 << shader.name << " " << FlagSet(bits).str();
         }
@@ -524,15 +523,14 @@ TEST(ElevenPassSpace, TreeMatchesLinearOverTheFullRegistry)
 
         std::map<uint64_t, std::string> tree_text;
         passes::forEachFlagCombination(
-            *base, [&](const passes::OptFlags &flags,
-                       const ir::Module &module) {
-                tree_text[flags.mask()] = emit::emitGlsl(module);
+            *base, [&](FlagSet flags, const ir::Module &module, uint64_t) {
+                tree_text[flags.bits] = emit::emitGlsl(module);
             });
         ASSERT_EQ(tree_text.size(), 2048u) << name;
 
         for (const tuner::FlagSet &flags : tuner::allFlagSets()) {
             auto linear = base->clone();
-            passes::optimize(*linear, flags.toOptFlags());
+            passes::optimize(*linear, flags);
             ASSERT_EQ(emit::emitGlsl(*linear), tree_text.at(flags.bits))
                 << name << " " << flags.str();
         }

@@ -14,7 +14,7 @@
 #include "campaign_texts.h"
 #include "corpus/corpus.h"
 #include "emit/offline.h"
-#include "gpu/device.h"
+#include "gpu/driver.h"
 #include "ir/dump.h"
 #include "ir/interp.h"
 #include "ir/verifier.h"
@@ -28,7 +28,6 @@ namespace gsopt {
 namespace {
 
 using ir::InterpEnv;
-using passes::OptFlags;
 
 std::unique_ptr<ir::Module>
 build(const std::string &src)
@@ -560,7 +559,7 @@ expectNoMismatch(const KeyEquivalence &check, const std::string &what)
 TEST(ValueKey, MatchesStringKeysOnCorpusAndDriverStages)
 {
     // Every corpus shader, lowered, then through every vendor driver
-    // stage on all five devices (gpu/driver.cpp's compileIr order).
+    // step on all five devices (gpu::vendorSteps).
     KeyEquivalence cse, gvn;
     for (const auto &shader : corpus::corpus()) {
         auto base = emit::compileToIr(shader.source, shader.defines);
@@ -570,26 +569,14 @@ TEST(ValueKey, MatchesStringKeysOnCorpusAndDriverStages)
         for (gpu::DeviceId id : gpu::allDevices()) {
             const gpu::DeviceModel &d = gpu::deviceModel(id);
             auto m = base->clone();
-            auto stage = [&](bool enabled, auto &&pass) {
-                if (!enabled)
-                    return;
-                pass(*m);
+            for (const gpu::VendorStep &step : gpu::vendorSteps()) {
+                if (!step.enabled(d))
+                    continue;
+                step.run(*m, d);
                 addModuleKeys(*m, cse, gvn);
                 passes::canonicalize(*m);
                 addModuleKeys(*m, cse, gvn);
-            };
-            stage(d.jitFlags.unroll && d.jitUnrollTrips > 0,
-                  [&](ir::Module &x) {
-                      passes::unroll(x, d.jitUnrollTrips,
-                                     d.jitUnrollInstrs);
-                  });
-            stage(d.jitFlags.hoist && d.jitHoistArmInstrs > 0,
-                  [&](ir::Module &x) {
-                      passes::hoist(x, d.jitHoistArmInstrs);
-                  });
-            stage(d.jitFlags.coalesce, passes::coalesce);
-            stage(d.jitFlags.reassociate, passes::reassociate);
-            stage(d.jitFlags.gvn, passes::gvn);
+            }
             passes::scheduleForPressure(*m, d.schedulerWindow);
             addModuleKeys(*m, cse, gvn);
         }
@@ -1128,7 +1115,7 @@ TEST_P(FlagEquivalence, AllFlagCombosPreserveSemantics)
     const uint64_t combos =
         passes::PassRegistry::instance().comboCount();
     for (uint64_t bits = 0; bits < combos; ++bits) {
-        const passes::OptFlags flags = passes::OptFlags::fromMask(bits);
+        const passes::FlagSet flags(bits);
 
         auto m = build(src);
         passes::optimize(*m, flags);

@@ -63,8 +63,8 @@ TEST(PassPlan, StrParseRoundTripAndRejection)
     // Round trip for canonical and non-canonical plans alike.
     for (const PassPlan &plan :
          {PassPlan::canonicalOf(0xff), PassPlan::canonicalOf(0),
-          PassPlan{{passes::kPassBitGvn, passes::kPassBitUnroll}},
-          PassPlan{{passes::kPassBitAdce}}}) {
+          PassPlan{{passes::kGvn, passes::kUnroll}},
+          PassPlan{{passes::kAdce}}}) {
         PassPlan parsed;
         ASSERT_TRUE(PassPlan::parse(plan.str(), parsed))
             << plan.str();
@@ -78,7 +78,7 @@ TEST(PassPlan, StrParseRoundTripAndRejection)
 
     // Unknown ids, duplicates, and empty segments are rejected and
     // leave the output untouched.
-    PassPlan out{{passes::kPassBitAdce}};
+    PassPlan out{{passes::kAdce}};
     const PassPlan before = out;
     EXPECT_FALSE(PassPlan::parse("unroll>nosuchpass", out));
     EXPECT_FALSE(PassPlan::parse("unroll>unroll", out));
@@ -90,7 +90,7 @@ TEST(PassPlan, ValidNamesTheOffendingBit)
 {
     // Duplicate bit.
     std::string why;
-    const PassPlan dup{{passes::kPassBitGvn, passes::kPassBitGvn}};
+    const PassPlan dup{{passes::kGvn, passes::kGvn}};
     EXPECT_FALSE(dup.valid(&why));
     EXPECT_NE(why.find("gvn"), std::string::npos) << why;
 
@@ -104,7 +104,7 @@ TEST(PassPlan, ValidNamesTheOffendingBit)
     // Ordering alone never invalidates: any permutation of
     // registered bits is a valid plan.
     const PassPlan reversed{
-        {passes::kPassBitAdce, passes::kPassBitUnroll}};
+        {passes::kAdce, passes::kUnroll}};
     EXPECT_TRUE(reversed.valid());
 }
 
@@ -137,8 +137,7 @@ TEST(PlanWalk, CanonicalPlansMatchLinearPipelineByteForByte)
 
     for (uint64_t mask = 0; mask < combos; ++mask) {
         auto linear = base->clone();
-        passes::optimize(
-            *linear, passes::OptFlags::fromMask(mask));
+        passes::optimize(*linear, passes::FlagSet(mask));
         EXPECT_EQ(emit::emitGlsl(*linear), plan_text.at(mask))
             << PassPlan::canonicalOf(mask).str();
     }
@@ -157,9 +156,9 @@ TEST(PlanWalk, PermutationsShareDistinctEdgesThroughTheMemo)
     auto base = emit::compileToIr(shader.source, shader.defines);
 
     // All 6 orderings of {unroll, gvn, fp_reassociate}.
-    const int u = passes::kPassBitUnroll;
-    const int g = passes::kPassBitGvn;
-    const int f = passes::kPassBitFpReassociate;
+    const int u = passes::kUnroll;
+    const int g = passes::kGvn;
+    const int f = passes::kFpReassociate;
     std::vector<PassPlan> plans = {
         PassPlan{{u, g, f}}, PassPlan{{u, f, g}}, PassPlan{{g, u, f}},
         PassPlan{{g, f, u}}, PassPlan{{f, u, g}}, PassPlan{{f, g, u}},
@@ -216,7 +215,7 @@ TEST(PlanExplorer, NonCanonicalPlansDedupAnnotateAndCache)
     // on grayscale both fire on nothing, so the walk converges to the
     // canonical {adce, gvn} text and dedups against it — a plan
     // annotation, not a new variant.
-    const PassPlan plan{{passes::kPassBitAdce, passes::kPassBitGvn}};
+    const PassPlan plan{{passes::kAdce, passes::kGvn}};
     ASSERT_FALSE(plan.isCanonical());
     const int v = planner.ensure(plan);
     EXPECT_EQ(v, ex.variantOf(tuner::FlagSet(plan.mask())));
@@ -233,13 +232,13 @@ TEST(PlanExplorer, NonCanonicalPlansDedupAnnotateAndCache)
 
     // Unknown plans still throw from the bare Exploration.
     const PassPlan unknown{
-        {passes::kPassBitDivToMul, passes::kPassBitUnroll}};
+        {passes::kDivToMul, passes::kUnroll}};
     EXPECT_THROW(ex.variantOf(unknown), std::out_of_range);
 
     // Invalid plans are rejected up front.
     EXPECT_THROW(
         planner.ensure(PassPlan{
-            {passes::kPassBitGvn, passes::kPassBitGvn}}),
+            {passes::kGvn, passes::kGvn}}),
         std::invalid_argument);
 }
 
@@ -262,7 +261,7 @@ TEST(PlanExplorer, OrderingCanReachTextNoFlagSubsetProduces)
     const size_t unique_before = ex.uniqueCount();
 
     tuner::PlanExplorer planner(shader, ex);
-    const PassPlan plan{{licm, passes::kPassBitUnroll}};
+    const PassPlan plan{{licm, passes::kUnroll}};
     ASSERT_FALSE(plan.isCanonical());
     const int v = planner.ensure(plan);
     ASSERT_GE(v, 0);

@@ -89,9 +89,8 @@ TEST(PipelineEquivalence, TreeMatchesLinearOnCorpusShaders)
 
         std::map<uint64_t, std::string> tree_text;
         passes::forEachFlagCombination(
-            *base, [&](const passes::OptFlags &flags,
-                       const ir::Module &module) {
-                tree_text[flags.mask()] = emit::emitGlsl(module);
+            *base, [&](FlagSet flags, const ir::Module &module, uint64_t) {
+                tree_text[flags.bits] = emit::emitGlsl(module);
             });
         ASSERT_EQ(tree_text.size(),
                   PassRegistry::instance().comboCount())
@@ -99,7 +98,7 @@ TEST(PipelineEquivalence, TreeMatchesLinearOnCorpusShaders)
 
         for (const FlagSet &flags : tuner::allFlagSets()) {
             auto linear = base->clone();
-            passes::optimize(*linear, flags.toOptFlags());
+            passes::optimize(*linear, flags);
             EXPECT_EQ(emit::emitGlsl(*linear),
                       tree_text.at(flags.bits))
                 << name << " " << flags.str();
@@ -212,13 +211,6 @@ TEST(Registry, NinthPassEndToEndWithoutTouchingOtherLayers)
     EXPECT_FALSE(FlagSet::lunarGlassDefaults().has(8));
     EXPECT_EQ(FlagSet::none().with(8).str(), "{Sink}");
 
-    // OptFlags plumbing carries the extra bit through masks.
-    passes::OptFlags with_ninth =
-        FlagSet::none().with(8).toOptFlags();
-    EXPECT_TRUE(with_ninth.test(8));
-    EXPECT_EQ(with_ninth.mask(), 1ull << 8);
-    EXPECT_EQ(FlagSet::fromOptFlags(with_ninth).bits, 1ull << 8);
-
     // Exploration sizes itself from the registry: 512 combinations,
     // every one mapped (exploreShader code untouched).
     corpus::CorpusShader s;
@@ -247,7 +239,7 @@ TEST(Registry, NinthPassEndToEndWithoutTouchingOtherLayers)
     auto base = emit::compileToIr(s.source);
     for (uint64_t bits : {1ull << 8, (1ull << 9) - 1, 0x155ull}) {
         auto linear = base->clone();
-        passes::optimize(*linear, FlagSet(bits).toOptFlags());
+        passes::optimize(*linear, FlagSet(bits));
         const int variant = ex.variantOf(FlagSet(bits));
         EXPECT_EQ(emit::emitGlsl(*linear),
                   ex.variants[static_cast<size_t>(variant)].source)
@@ -328,10 +320,6 @@ TEST(Catalog, FlagSetPlumbingCarriesCatalogBits)
     ASSERT_GE(tb, 8);
     const FlagSet set = FlagSet::none().with(tb);
     EXPECT_EQ(set.str(), "{Tex Batch}");
-    passes::OptFlags flags = set.toOptFlags();
-    EXPECT_TRUE(flags.test(tb));
-    EXPECT_EQ(flags.mask(), 1ull << tb);
-    EXPECT_EQ(FlagSet::fromOptFlags(flags), set);
     EXPECT_TRUE(FlagSet::all().has(tb));
     EXPECT_FALSE(FlagSet::lunarGlassDefaults().has(tb));
 }

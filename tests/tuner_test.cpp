@@ -14,14 +14,6 @@
 namespace gsopt::tuner {
 namespace {
 
-TEST(FlagSet, RoundTripsOptFlags)
-{
-    for (uint64_t bits = 0; bits < 256; ++bits) {
-        FlagSet f(bits);
-        EXPECT_EQ(FlagSet::fromOptFlags(f.toOptFlags()).bits, f.bits);
-    }
-}
-
 TEST(FlagSet, DefaultsMatchPaper)
 {
     // LunarGlass defaults: the six stock passes on, the two custom
