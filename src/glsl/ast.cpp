@@ -1,126 +1,96 @@
 #include "glsl/ast.h"
 
+#include <cstring>
+
+#include "support/rng.h"
+
 namespace gsopt::glsl {
 
-ExprPtr
-Expr::makeFloat(double v, SourceLoc loc)
+size_t
+NameTable::slotOf(std::string_view spelling) const
 {
-    auto e = std::make_unique<Expr>();
-    e->kind = ExprKind::FloatLit;
-    e->loc = loc;
-    e->floatValue = v;
-    e->type = Type::floatTy();
-    return e;
+    const size_t mask = slots_.size() - 1;
+    for (size_t s = fnv1a(spelling) & mask;; s = (s + 1) & mask) {
+        if (slots_[s] == kNoName || spellings_[slots_[s]] == spelling)
+            return s;
+    }
 }
 
-ExprPtr
-Expr::makeInt(long v, SourceLoc loc)
+void
+NameTable::grow()
 {
-    auto e = std::make_unique<Expr>();
-    e->kind = ExprKind::IntLit;
-    e->loc = loc;
-    e->intValue = v;
-    e->floatValue = static_cast<double>(v);
-    e->type = Type::intTy();
-    return e;
+    slots_.assign(slots_.empty() ? 256 : slots_.size() * 2, kNoName);
+    for (NameId id = 0; id < spellings_.size(); ++id)
+        slots_[slotOf(spellings_[id])] = id;
 }
 
-ExprPtr
-Expr::makeBool(bool v, SourceLoc loc)
+NameId
+NameTable::intern(std::string_view spelling)
 {
-    auto e = std::make_unique<Expr>();
-    e->kind = ExprKind::BoolLit;
-    e->loc = loc;
-    e->boolValue = v;
-    e->type = Type::boolTy();
-    return e;
+    if (2 * (spellings_.size() + 1) > slots_.size())
+        grow();
+    const size_t s = slotOf(spelling);
+    if (slots_[s] != kNoName)
+        return slots_[s];
+    char *chars = static_cast<char *>(chars_.allocate(spelling.size(), 1));
+    if (!spelling.empty())
+        std::memcpy(chars, spelling.data(), spelling.size());
+    slots_[s] = static_cast<NameId>(spellings_.size());
+    spellings_.emplace_back(chars, spelling.size());
+    return slots_[s];
 }
 
-ExprPtr
-Expr::makeVarRef(std::string name, SourceLoc loc)
+NameId
+NameTable::find(std::string_view spelling) const
 {
-    auto e = std::make_unique<Expr>();
-    e->kind = ExprKind::VarRef;
-    e->loc = loc;
-    e->name = std::move(name);
-    return e;
+    return slots_.empty() ? kNoName : slots_[slotOf(spelling)];
 }
 
-ExprPtr
-Expr::clone() const
+NameTable
+NameTable::extension() const
 {
-    auto e = std::make_unique<Expr>();
+    NameTable t;
+    t.spellings_ = spellings_;
+    t.slots_ = slots_;
+    return t;
+}
+
+std::optional<long>
+literalIntOf(const Expr &e)
+{
+    if (e.kind == ExprKind::IntLit)
+        return e.intValue;
+    if (e.kind == ExprKind::Unary && e.unaryOp == UnaryOp::Neg) {
+        if (auto inner = literalIntOf(*e.args[0]))
+            return -*inner;
+    }
+    return std::nullopt;
+}
+
+Expr *
+Shader::newExpr(ExprKind kind, SourceLoc loc)
+{
+    Expr *e = arena.create<Expr>();
     e->kind = kind;
     e->loc = loc;
-    e->type = type;
-    e->floatValue = floatValue;
-    e->intValue = intValue;
-    e->boolValue = boolValue;
-    e->name = name;
-    e->unaryOp = unaryOp;
-    e->binaryOp = binaryOp;
-    e->ctorType = ctorType;
-    e->args.reserve(args.size());
-    for (const auto &a : args)
-        e->args.push_back(a->clone());
     return e;
 }
 
-StmtPtr
-Stmt::make(StmtKind kind, SourceLoc loc)
+Stmt *
+Shader::newStmt(StmtKind kind, SourceLoc loc)
 {
-    auto s = std::make_unique<Stmt>();
+    Stmt *s = arena.create<Stmt>();
     s->kind = kind;
     s->loc = loc;
-    return s;
-}
-
-StmtPtr
-Stmt::clone() const
-{
-    auto s = std::make_unique<Stmt>();
-    s->kind = kind;
-    s->loc = loc;
-    s->declType = declType;
-    s->name = name;
-    s->isConst = isConst;
-    s->transparent = transparent;
-    s->assignOp = assignOp;
-    if (lhs)
-        s->lhs = lhs->clone();
-    if (rhs)
-        s->rhs = rhs->clone();
-    if (cond)
-        s->cond = cond->clone();
-    if (init)
-        s->init = init->clone();
-    if (step)
-        s->step = step->clone();
-    s->body.reserve(body.size());
-    for (const auto &b : body)
-        s->body.push_back(b->clone());
-    s->elseBody.reserve(elseBody.size());
-    for (const auto &b : elseBody)
-        s->elseBody.push_back(b->clone());
     return s;
 }
 
 const FunctionDecl *
-Shader::findFunction(const std::string &name) const
+Shader::findFunction(NameId name) const
 {
     for (const auto &f : functions) {
         if (f.name == name)
             return &f;
-    }
-    return nullptr;
-}
-
-const GlobalDecl *
-Shader::findGlobal(const std::string &name) const
-{
-    for (const auto &g : globals) {
-        if (g.name == name)
-            return &g;
     }
     return nullptr;
 }

@@ -19,10 +19,11 @@ tryCompileShader(const std::string &source,
     PreprocessResult pp = preprocess(source, predefines, diags);
     if (diags.hasErrors())
         return nullptr;
-    out->preprocessedText = pp.text;
+    out->preprocessedText = std::move(pp.text);
     out->version = pp.version;
 
-    auto tokens = lex(pp.text, diags);
+    // The tokens view preprocessedText; the AST copies what it keeps.
+    auto tokens = lex(out->preprocessedText, diags);
     if (diags.hasErrors())
         return nullptr;
 

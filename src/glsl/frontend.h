@@ -18,7 +18,10 @@
 
 namespace gsopt::glsl {
 
-/** A fully checked shader plus its interface and preprocessed text. */
+/**
+ * A fully checked shader plus its interface and preprocessed text.
+ * Move-only: the AST owns its arena and NameTable.
+ */
 struct CompiledShader
 {
     Shader ast;

@@ -2,53 +2,93 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <iterator>
+#include <string>
 
 #include "support/governor.h"
+#include "support/rng.h"
 
 namespace gsopt::glsl {
+
+namespace {
+
+/** Spellings of the reserved words, in Keyword order. */
+constexpr std::string_view kKeywordSpellings[] = {
+    "", "void", "float", "int", "bool", "sampler2D", "vec2", "vec3",
+    "vec4", "ivec2", "ivec3", "ivec4", "bvec2", "bvec3", "bvec4", "mat2",
+    "mat3", "mat4", "highp", "mediump", "lowp", "flat", "smooth",
+    "noperspective", "invariant", "in", "out", "inout", "uniform",
+    "varying", "const", "layout", "precision", "if", "else", "for",
+    "while", "return", "discard", "break", "continue", "true", "false",
+};
+static_assert(std::size(kKeywordSpellings) ==
+              static_cast<size_t>(Keyword::False) + 1);
+
+/** The reserved words in an open-addressed table the compiler builds:
+ * keywordOf hashes a word once and compares it with one or two
+ * spellings. */
+constexpr size_t kKeywordSlots = 128;
+struct KeywordTable
+{
+    Keyword slots[kKeywordSlots] = {};
+};
+
+constexpr KeywordTable
+buildKeywordTable()
+{
+    KeywordTable t;
+    for (size_t k = 1; k < std::size(kKeywordSpellings); ++k) {
+        size_t s = fnv1a(kKeywordSpellings[k]) & (kKeywordSlots - 1);
+        while (t.slots[s] != Keyword::None)
+            s = (s + 1) & (kKeywordSlots - 1);
+        t.slots[s] = static_cast<Keyword>(k);
+    }
+    return t;
+}
+
+constexpr KeywordTable kKeywordTable = buildKeywordTable();
+
+} // namespace
+
+Keyword
+keywordOf(std::string_view word)
+{
+    for (size_t s = fnv1a(word) & (kKeywordSlots - 1);;
+         s = (s + 1) & (kKeywordSlots - 1)) {
+        const Keyword k = kKeywordTable.slots[s];
+        if (k == Keyword::None ||
+            kKeywordSpellings[static_cast<size_t>(k)] == word)
+            return k;
+    }
+}
+
+Type
+typeFromKeyword(Keyword k)
+{
+    static constexpr Type kTypes[] = {
+        Type::voidTy(), Type::floatTy(), Type::intTy(), Type::boolTy(),
+        Type::sampler2D(), Type::vec(2), Type::vec(3), Type::vec(4),
+        Type::ivec(2), Type::ivec(3), Type::ivec(4), Type::bvec(2),
+        Type::bvec(3), Type::bvec(4), Type::mat(2), Type::mat(3),
+        Type::mat(4),
+    };
+    if (!isTypeKeyword(k))
+        return Type::voidTy();
+    return kTypes[static_cast<int>(k) - static_cast<int>(Keyword::Void)];
+}
 
 const char *
 tokKindName(TokKind kind)
 {
-    switch (kind) {
-      case TokKind::End: return "end of input";
-      case TokKind::Identifier: return "identifier";
-      case TokKind::IntLit: return "integer literal";
-      case TokKind::FloatLit: return "float literal";
-      case TokKind::LParen: return "'('";
-      case TokKind::RParen: return "')'";
-      case TokKind::LBrace: return "'{'";
-      case TokKind::RBrace: return "'}'";
-      case TokKind::LBracket: return "'['";
-      case TokKind::RBracket: return "']'";
-      case TokKind::Comma: return "','";
-      case TokKind::Semicolon: return "';'";
-      case TokKind::Dot: return "'.'";
-      case TokKind::Question: return "'?'";
-      case TokKind::Colon: return "':'";
-      case TokKind::Plus: return "'+'";
-      case TokKind::Minus: return "'-'";
-      case TokKind::Star: return "'*'";
-      case TokKind::Slash: return "'/'";
-      case TokKind::Percent: return "'%'";
-      case TokKind::PlusPlus: return "'++'";
-      case TokKind::MinusMinus: return "'--'";
-      case TokKind::Assign: return "'='";
-      case TokKind::PlusAssign: return "'+='";
-      case TokKind::MinusAssign: return "'-='";
-      case TokKind::StarAssign: return "'*='";
-      case TokKind::SlashAssign: return "'/='";
-      case TokKind::EqEq: return "'=='";
-      case TokKind::NotEq: return "'!='";
-      case TokKind::Less: return "'<'";
-      case TokKind::Greater: return "'>'";
-      case TokKind::LessEq: return "'<='";
-      case TokKind::GreaterEq: return "'>='";
-      case TokKind::AmpAmp: return "'&&'";
-      case TokKind::PipePipe: return "'||'";
-      case TokKind::Bang: return "'!'";
-    }
-    return "?";
+    static const char *const names[] = {
+        "end of input", "identifier", "integer literal", "float literal",
+        "'('", "')'", "'{'", "'}'", "'['", "']'", "','", "';'", "'.'",
+        "'?'", "':'", "'+'", "'-'", "'*'", "'/'", "'%'", "'++'", "'--'",
+        "'='", "'+='", "'-='", "'*='", "'/='", "'=='", "'!='", "'<'",
+        "'>'", "'<='", "'>='", "'&&'", "'||'", "'!'",
+    };
+    static_assert(std::size(names) == static_cast<size_t>(TokKind::Bang) + 1);
+    return names[static_cast<size_t>(kind)];
 }
 
 namespace {
@@ -57,7 +97,7 @@ namespace {
 class Cursor
 {
   public:
-    Cursor(const std::string &src) : src_(src) {}
+    explicit Cursor(std::string_view src) : src_(src) {}
 
     bool atEnd() const { return pos_ >= src_.size(); }
     char peek(size_t ahead = 0) const
@@ -76,9 +116,10 @@ class Cursor
         return c;
     }
     SourceLoc loc() const { return {line_, col_}; }
+    size_t pos() const { return pos_; }
 
   private:
-    const std::string &src_;
+    std::string_view src_;
     size_t pos_ = 0;
     int line_ = 1;
     int col_ = 1;
@@ -87,21 +128,23 @@ class Cursor
 } // namespace
 
 std::vector<Token>
-lex(const std::string &source, DiagEngine &diags)
+lex(std::string_view source, DiagEngine &diags)
 {
     std::vector<Token> out;
+    out.reserve(source.size() / 4 + 1);
     Cursor cur(source);
 
     // Every emitted token is charged to the ambient budget (the charge
     // path also re-checks the deadline periodically, so a giant source
     // cannot outrun a governed deadline between tokens).
-    auto push = [&](TokKind kind, SourceLoc loc, std::string text = "") {
+    auto push = [&](TokKind kind, SourceLoc loc,
+                    std::string_view text = {}) -> Token & {
         governor::charge(governor::Dim::Tokens, 1, "lex");
-        Token t;
+        Token &t = out.emplace_back();
         t.kind = kind;
         t.loc = loc;
-        t.text = std::move(text);
-        out.push_back(std::move(t));
+        t.text = text;
+        return t;
     };
 
     while (!cur.atEnd()) {
@@ -135,177 +178,132 @@ lex(const std::string &source, DiagEngine &diags)
         }
         // Identifiers and keywords.
         if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-            std::string word;
+            const size_t start = cur.pos();
             while (!cur.atEnd() &&
                    (std::isalnum(static_cast<unsigned char>(cur.peek())) ||
                     cur.peek() == '_')) {
-                word += cur.advance();
+                cur.advance();
             }
-            push(TokKind::Identifier, loc, std::move(word));
+            const auto word = source.substr(start, cur.pos() - start);
+            push(TokKind::Identifier, loc, word).keyword = keywordOf(word);
             continue;
         }
         // Numeric literals: ints, floats (with '.', exponent, 'f' suffix).
         if (std::isdigit(static_cast<unsigned char>(c)) ||
             (c == '.' &&
              std::isdigit(static_cast<unsigned char>(cur.peek(1))))) {
-            std::string num;
+            const size_t start = cur.pos();
             bool is_float = false;
             while (!cur.atEnd() &&
                    std::isdigit(static_cast<unsigned char>(cur.peek())))
-                num += cur.advance();
+                cur.advance();
             if (cur.peek() == '.') {
                 is_float = true;
-                num += cur.advance();
+                cur.advance();
                 while (!cur.atEnd() &&
                        std::isdigit(
                            static_cast<unsigned char>(cur.peek())))
-                    num += cur.advance();
+                    cur.advance();
             }
             if (cur.peek() == 'e' || cur.peek() == 'E') {
                 is_float = true;
-                num += cur.advance();
+                cur.advance();
                 if (cur.peek() == '+' || cur.peek() == '-')
-                    num += cur.advance();
+                    cur.advance();
                 if (!std::isdigit(static_cast<unsigned char>(cur.peek())))
                     diags.error(cur.loc(), "missing exponent digits");
                 while (!cur.atEnd() &&
                        std::isdigit(
                            static_cast<unsigned char>(cur.peek())))
-                    num += cur.advance();
+                    cur.advance();
             }
+            const auto num = source.substr(start, cur.pos() - start);
             if (cur.peek() == 'f' || cur.peek() == 'F') {
                 is_float = true;
                 cur.advance();
             } else if (cur.peek() == 'u' || cur.peek() == 'U') {
                 cur.advance(); // treat uint literals as int
             }
-            governor::charge(governor::Dim::Tokens, 1, "lex");
-            Token t;
-            t.loc = loc;
-            t.text = num;
+            // The text is not NUL-terminated: convert a terminated copy,
+            // so the values (and overflow saturation) are strtod's and
+            // strtol's.
+            const std::string digits(num);
             if (is_float) {
-                t.kind = TokKind::FloatLit;
-                t.floatValue = std::strtod(num.c_str(), nullptr);
+                push(TokKind::FloatLit, loc, num).floatValue =
+                    std::strtod(digits.c_str(), nullptr);
             } else {
-                t.kind = TokKind::IntLit;
-                t.intValue = std::strtol(num.c_str(), nullptr, 10);
+                Token &t = push(TokKind::IntLit, loc, num);
+                t.intValue = std::strtol(digits.c_str(), nullptr, 10);
                 t.floatValue = static_cast<double>(t.intValue);
+                if (t.intValue > 0xFFFFFFFFL)
+                    diags.error(loc, "integer literal " + std::string(num) +
+                                         " does not fit in 32 bits");
             }
-            out.push_back(std::move(t));
             continue;
         }
 
         cur.advance();
+        // Consume the next character if it is @p n.
+        auto next = [&cur](char n) {
+            if (cur.peek() != n)
+                return false;
+            cur.advance();
+            return true;
+        };
+        TokKind kind;
         switch (c) {
-          case '(': push(TokKind::LParen, loc); break;
-          case ')': push(TokKind::RParen, loc); break;
-          case '{': push(TokKind::LBrace, loc); break;
-          case '}': push(TokKind::RBrace, loc); break;
-          case '[': push(TokKind::LBracket, loc); break;
-          case ']': push(TokKind::RBracket, loc); break;
-          case ',': push(TokKind::Comma, loc); break;
-          case ';': push(TokKind::Semicolon, loc); break;
-          case '.': push(TokKind::Dot, loc); break;
-          case '?': push(TokKind::Question, loc); break;
-          case ':': push(TokKind::Colon, loc); break;
-          case '%': push(TokKind::Percent, loc); break;
+          case '(': kind = TokKind::LParen; break;
+          case ')': kind = TokKind::RParen; break;
+          case '{': kind = TokKind::LBrace; break;
+          case '}': kind = TokKind::RBrace; break;
+          case '[': kind = TokKind::LBracket; break;
+          case ']': kind = TokKind::RBracket; break;
+          case ',': kind = TokKind::Comma; break;
+          case ';': kind = TokKind::Semicolon; break;
+          case '.': kind = TokKind::Dot; break;
+          case '?': kind = TokKind::Question; break;
+          case ':': kind = TokKind::Colon; break;
+          case '%': kind = TokKind::Percent; break;
           case '+':
-            if (cur.peek() == '+') {
-                cur.advance();
-                push(TokKind::PlusPlus, loc);
-            } else if (cur.peek() == '=') {
-                cur.advance();
-                push(TokKind::PlusAssign, loc);
-            } else {
-                push(TokKind::Plus, loc);
-            }
+            kind = next('+')   ? TokKind::PlusPlus
+                   : next('=') ? TokKind::PlusAssign
+                               : TokKind::Plus;
             break;
           case '-':
-            if (cur.peek() == '-') {
-                cur.advance();
-                push(TokKind::MinusMinus, loc);
-            } else if (cur.peek() == '=') {
-                cur.advance();
-                push(TokKind::MinusAssign, loc);
-            } else {
-                push(TokKind::Minus, loc);
-            }
+            kind = next('-')   ? TokKind::MinusMinus
+                   : next('=') ? TokKind::MinusAssign
+                               : TokKind::Minus;
             break;
           case '*':
-            if (cur.peek() == '=') {
-                cur.advance();
-                push(TokKind::StarAssign, loc);
-            } else {
-                push(TokKind::Star, loc);
-            }
+            kind = next('=') ? TokKind::StarAssign : TokKind::Star;
             break;
           case '/':
-            if (cur.peek() == '=') {
-                cur.advance();
-                push(TokKind::SlashAssign, loc);
-            } else {
-                push(TokKind::Slash, loc);
-            }
+            kind = next('=') ? TokKind::SlashAssign : TokKind::Slash;
             break;
-          case '=':
-            if (cur.peek() == '=') {
-                cur.advance();
-                push(TokKind::EqEq, loc);
-            } else {
-                push(TokKind::Assign, loc);
-            }
-            break;
-          case '!':
-            if (cur.peek() == '=') {
-                cur.advance();
-                push(TokKind::NotEq, loc);
-            } else {
-                push(TokKind::Bang, loc);
-            }
-            break;
-          case '<':
-            if (cur.peek() == '=') {
-                cur.advance();
-                push(TokKind::LessEq, loc);
-            } else {
-                push(TokKind::Less, loc);
-            }
-            break;
+          case '=': kind = next('=') ? TokKind::EqEq : TokKind::Assign; break;
+          case '!': kind = next('=') ? TokKind::NotEq : TokKind::Bang; break;
+          case '<': kind = next('=') ? TokKind::LessEq : TokKind::Less; break;
           case '>':
-            if (cur.peek() == '=') {
-                cur.advance();
-                push(TokKind::GreaterEq, loc);
-            } else {
-                push(TokKind::Greater, loc);
-            }
+            kind = next('=') ? TokKind::GreaterEq : TokKind::Greater;
             break;
           case '&':
-            if (cur.peek() == '&') {
-                cur.advance();
-                push(TokKind::AmpAmp, loc);
-            } else {
-                diags.error(loc, "bitwise '&' is not supported");
-            }
-            break;
           case '|':
-            if (cur.peek() == '|') {
-                cur.advance();
-                push(TokKind::PipePipe, loc);
-            } else {
-                diags.error(loc, "bitwise '|' is not supported");
+            if (!next(c)) {
+                diags.error(loc, std::string("bitwise '") + c +
+                                     "' is not supported");
+                continue;
             }
+            kind = c == '&' ? TokKind::AmpAmp : TokKind::PipePipe;
             break;
           default:
             diags.error(loc, std::string("unexpected character '") + c +
                                  "'");
-            break;
+            continue;
         }
+        push(kind, loc);
     }
 
-    Token end;
-    end.kind = TokKind::End;
-    end.loc = cur.loc();
-    out.push_back(std::move(end));
+    out.emplace_back().loc = cur.loc();
     return out;
 }
 

@@ -1,6 +1,6 @@
 #include "glsl/parser.h"
 
-#include <optional>
+#include <string>
 
 #include "support/governor.h"
 
@@ -8,34 +8,21 @@ namespace gsopt::glsl {
 
 namespace {
 
-bool
-isPrecisionWord(const std::string &w)
-{
-    return w == "highp" || w == "mediump" || w == "lowp";
-}
-
-bool
-isInterpolationWord(const std::string &w)
-{
-    return w == "flat" || w == "smooth" || w == "noperspective" ||
-           w == "invariant";
-}
-
 /** The recursive-descent parser proper. */
 class Parser
 {
   public:
-    Parser(const std::vector<Token> &tokens, DiagEngine &diags)
-        : toks_(tokens), diags_(diags)
+    Parser(const std::vector<Token> &tokens, DiagEngine &diags,
+           Shader &shader)
+        : toks_(tokens), diags_(diags), shader_(shader)
     {
     }
 
-    Shader parse()
+    void parse()
     {
-        Shader shader;
         while (!peek().is(TokKind::End)) {
             size_t before = pos_;
-            parseTopLevel(shader);
+            parseTopLevel();
             if (pos_ == before) {
                 // Defensive: never loop without progress.
                 error("unexpected token");
@@ -44,7 +31,6 @@ class Parser
             if (diags_.hasErrors())
                 break;
         }
-        return shader;
     }
 
   private:
@@ -76,12 +62,28 @@ class Parser
             error(std::string("expected ") + tokKindName(kind) + " " +
                   ctx + ", got " + tokKindName(peek().kind) +
                   (peek().kind == TokKind::Identifier
-                       ? " '" + peek().text + "'"
+                       ? " '" + std::string(peek().text) + "'"
                        : ""));
         }
         return advance();
     }
     void error(const std::string &msg) { diags_.error(peek().loc, msg); }
+    NameId name(const Token &t) { return shader_.names.intern(t.text); }
+    NameId expectName(const char *ctx)
+    {
+        return name(expect(TokKind::Identifier, ctx));
+    }
+
+    /** Arena copy of the items pushed on @p stack since @p mark. */
+    template <typename T>
+    Span<T> popSpan(std::vector<T> &stack, size_t mark)
+    {
+        Span<T> s =
+            shader_.newSpan(stack.data() + mark, stack.size() - mark);
+        stack.resize(mark);
+        return s;
+    }
+    Span<Stmt *> one(Stmt *s) { return shader_.newSpan(&s, 1); }
 
     // -- nesting governance ----------------------------------------------
     // Recursive descent turns input nesting into C++ stack depth. The
@@ -121,18 +123,14 @@ class Parser
     // -- qualifiers / types ---------------------------------------------
     void skipPrecisionAndInterp()
     {
-        while (check(TokKind::Identifier) &&
-               (isPrecisionWord(peek().text) ||
-                isInterpolationWord(peek().text))) {
+        while (isIgnoredQualifier(peek().keyword))
             advance();
-        }
     }
 
     /** Skip a layout(...) qualifier if present. */
     void skipLayout()
     {
-        if (check(TokKind::Identifier) && peek().text == "layout" &&
-            peek(1).is(TokKind::LParen)) {
+        if (peek().is(Keyword::Layout) && peek(1).is(TokKind::LParen)) {
             advance();
             advance();
             int depth = 1;
@@ -150,8 +148,7 @@ class Parser
     /** True if the current identifier token names a type. */
     bool atType(size_t ahead = 0) const
     {
-        return peek(ahead).is(TokKind::Identifier) &&
-               isTypeKeyword(peek(ahead).text);
+        return isTypeKeyword(peek(ahead).keyword);
     }
 
     /**
@@ -163,29 +160,45 @@ class Parser
     {
         skipPrecisionAndInterp();
         const Token &t = expect(TokKind::Identifier, "as type");
-        Type ty = typeFromKeyword(t.text);
-        if (ty.isVoid() && t.text != "void")
-            diags_.error(t.loc, "unknown type '" + t.text + "'");
-        if (check(TokKind::LBracket)) {
-            advance();
-            if (check(TokKind::IntLit)) {
-                ty = ty.array(static_cast<int>(advance().intValue));
-            } else {
-                ty = ty.array(-1); // unsized; resolved from initialiser
-            }
-            expect(TokKind::RBracket, "after array size");
+        Type ty = typeFromKeyword(t.keyword);
+        if (ty.isVoid() && !t.is(Keyword::Void))
+            diags_.error(t.loc,
+                         "unknown type '" + std::string(t.text) + "'");
+        if (check(TokKind::LBracket))
+            ty = parseArraySuffix(ty, -1, "after array size");
+        return ty;
+    }
+
+    /**
+     * The `[N]` or `[]` at the cursor, applied to @p ty; `[]` gives an
+     * array of size @p unsized (negative: resolved from the
+     * initialiser). N must lie in 1..kMaxArraySize.
+     */
+    Type parseArraySuffix(Type ty, int unsized, const char *ctx)
+    {
+        advance(); // [
+        if (check(TokKind::IntLit)) {
+            const Token &n = advance();
+            if (n.intValue < 1 || n.intValue > kMaxArraySize)
+                diags_.error(n.loc, "array size " + std::string(n.text) +
+                                        " is outside 1.." +
+                                        std::to_string(kMaxArraySize));
+            ty = ty.array(static_cast<int>(n.intValue));
+        } else {
+            ty = ty.array(unsized);
         }
+        expect(TokKind::RBracket, ctx);
         return ty;
     }
 
     // -- top level --------------------------------------------------------
-    void parseTopLevel(Shader &shader)
+    void parseTopLevel()
     {
         skipLayout();
         skipPrecisionAndInterp();
 
         // `precision highp float;` statements.
-        if (peek().isIdent("precision")) {
+        if (peek().is(Keyword::Precision)) {
             while (!check(TokKind::Semicolon) && !check(TokKind::End))
                 advance();
             accept(TokKind::Semicolon);
@@ -194,21 +207,20 @@ class Parser
 
         Qualifier qual = Qualifier::Global;
         for (;;) {
-            if (peek().isIdent("in") || peek().isIdent("varying")) {
+            const Keyword k = peek().keyword;
+            if (k == Keyword::In || k == Keyword::Varying) {
                 qual = Qualifier::In;
                 advance();
-            } else if (peek().isIdent("out")) {
+            } else if (k == Keyword::Out) {
                 qual = Qualifier::Out;
                 advance();
-            } else if (peek().isIdent("uniform")) {
+            } else if (k == Keyword::Uniform) {
                 qual = Qualifier::Uniform;
                 advance();
-            } else if (peek().isIdent("const")) {
+            } else if (k == Keyword::Const) {
                 qual = Qualifier::Const;
                 advance();
-            } else if (check(TokKind::Identifier) &&
-                       (isPrecisionWord(peek().text) ||
-                        isInterpolationWord(peek().text))) {
+            } else if (isIgnoredQualifier(k)) {
                 advance();
             } else {
                 break;
@@ -218,10 +230,10 @@ class Parser
         Type type = parseType();
         const Token &name_tok =
             expect(TokKind::Identifier, "as declaration name");
-        std::string name = name_tok.text;
+        NameId id = name(name_tok);
 
         if (check(TokKind::LParen)) {
-            parseFunction(shader, type, name, name_tok.loc);
+            parseFunction(type, id, name_tok.loc);
             return;
         }
 
@@ -230,24 +242,15 @@ class Parser
             GlobalDecl g;
             g.qual = qual;
             g.type = type;
-            g.name = name;
+            g.name = id;
             g.loc = name_tok.loc;
-            if (check(TokKind::LBracket)) {
-                advance();
-                if (check(TokKind::IntLit))
-                    g.type = g.type.array(
-                        static_cast<int>(advance().intValue));
-                else
-                    g.type = g.type.array(-1);
-                expect(TokKind::RBracket, "after array size");
-            }
+            if (check(TokKind::LBracket))
+                g.type = parseArraySuffix(g.type, -1, "after array size");
             if (accept(TokKind::Assign))
                 g.init = parseAssignmentSource();
-            shader.globals.push_back(std::move(g));
+            shader_.globals.push_back(g);
             if (accept(TokKind::Comma)) {
-                name = expect(TokKind::Identifier,
-                              "in declarator list")
-                           .text;
+                id = expectName("in declarator list");
                 continue;
             }
             break;
@@ -255,40 +258,34 @@ class Parser
         expect(TokKind::Semicolon, "after declaration");
     }
 
-    void parseFunction(Shader &shader, Type ret, std::string name,
-                       SourceLoc loc)
+    void parseFunction(Type ret, NameId id, SourceLoc loc)
     {
         FunctionDecl fn;
         fn.returnType = ret;
-        fn.name = std::move(name);
+        fn.name = id;
         fn.loc = loc;
+        std::vector<ParamDecl> params;
         expect(TokKind::LParen, "in function declaration");
         if (!check(TokKind::RParen)) {
             for (;;) {
                 skipPrecisionAndInterp();
-                if (peek().isIdent("in"))
+                if (peek().is(Keyword::In))
                     advance();
-                else if (peek().isIdent("out") ||
-                         peek().isIdent("inout"))
+                else if (peek().is(Keyword::Out) ||
+                         peek().is(Keyword::Inout))
                     error("out/inout parameters are not supported");
-                if (peek().isIdent("void") &&
+                if (peek().is(Keyword::Void) &&
                     peek(1).is(TokKind::RParen)) {
                     advance();
                     break;
                 }
                 ParamDecl p;
                 p.type = parseType();
-                p.name = expect(TokKind::Identifier,
-                                "as parameter name")
-                             .text;
-                if (check(TokKind::LBracket)) {
-                    advance();
-                    if (check(TokKind::IntLit))
-                        p.type = p.type.array(
-                            static_cast<int>(advance().intValue));
-                    expect(TokKind::RBracket, "after array size");
-                }
-                fn.params.push_back(std::move(p));
+                p.name = expectName("as parameter name");
+                if (check(TokKind::LBracket))
+                    p.type = parseArraySuffix(p.type, p.type.arraySize,
+                                              "after array size");
+                params.push_back(p);
                 if (!accept(TokKind::Comma))
                     break;
             }
@@ -296,65 +293,69 @@ class Parser
         expect(TokKind::RParen, "after parameters");
         if (accept(TokKind::Semicolon))
             return; // forward declaration: body comes later
+        fn.params = shader_.newSpan(params.data(), params.size());
         fn.body = parseBlock();
-        shader.functions.push_back(std::move(fn));
+        shader_.functions.push_back(fn);
     }
 
     // -- statements -------------------------------------------------------
-    StmtPtr parseBlock()
+    Stmt *parseBlock()
     {
-        auto block = Stmt::make(StmtKind::Block, peek().loc);
+        Stmt *block = shader_.newStmt(StmtKind::Block, peek().loc);
         expect(TokKind::LBrace, "to open block");
+        const size_t mark = stmts_.size();
         while (!check(TokKind::RBrace) && !check(TokKind::End)) {
             size_t before = pos_;
-            block->body.push_back(parseStatement());
+            Stmt *s = parseStatement();
+            stmts_.push_back(s);
             if (diags_.hasErrors())
                 break;
             if (pos_ == before)
                 ++pos_;
         }
+        block->body = popSpan(stmts_, mark);
         expect(TokKind::RBrace, "to close block");
         return block;
     }
 
-    StmtPtr parseStatement()
+    Stmt *parseStatement()
     {
         NestingGuard guard(*this);
         const SourceLoc loc = peek().loc;
         if (guard.tooDeep())
-            return Stmt::make(StmtKind::Block, loc);
+            return stmt(StmtKind::Block, loc);
         if (check(TokKind::LBrace))
             return parseBlock();
-        if (peek().isIdent("if"))
+        if (peek().is(Keyword::If))
             return parseIf();
-        if (peek().isIdent("for"))
+        if (peek().is(Keyword::For))
             return parseFor();
-        if (peek().isIdent("while"))
+        if (peek().is(Keyword::While))
             return parseWhile();
-        if (peek().isIdent("return")) {
+        if (peek().is(Keyword::Return)) {
             advance();
-            auto s = Stmt::make(StmtKind::Return, loc);
+            Stmt *s = stmt(StmtKind::Return, loc);
             if (!check(TokKind::Semicolon))
                 s->rhs = parseExpr();
             expect(TokKind::Semicolon, "after return");
             return s;
         }
-        if (peek().isIdent("discard")) {
+        if (peek().is(Keyword::Discard)) {
             advance();
             expect(TokKind::Semicolon, "after discard");
-            return Stmt::make(StmtKind::Discard, loc);
+            return stmt(StmtKind::Discard, loc);
         }
-        if (peek().isIdent("break") || peek().isIdent("continue")) {
+        if (peek().is(Keyword::Break) || peek().is(Keyword::Continue)) {
             error("break/continue are not supported in this subset");
             advance();
             accept(TokKind::Semicolon);
-            return Stmt::make(StmtKind::Block, loc);
+            return stmt(StmtKind::Block, loc);
         }
         // Declaration?
         bool is_const = false;
         size_t save = pos_;
         skipPrecisionAndInterp();
-        if (peek().isIdent("const")) {
+        if (peek().is(Keyword::Const)) {
             is_const = true;
             advance();
             skipPrecisionAndInterp();
@@ -371,8 +372,7 @@ class Parser
                     ++a;
                 ahead = a + 1;
             }
-            if (peek(ahead).is(TokKind::Identifier) &&
-                !isTypeKeyword(peek(ahead).text)) {
+            if (peek(ahead).is(TokKind::Identifier) && !atType(ahead)) {
                 return parseDecl(is_const, loc);
             }
         }
@@ -380,77 +380,72 @@ class Parser
         return parseExprOrAssign(loc);
     }
 
-    StmtPtr parseDecl(bool is_const, SourceLoc loc)
+    Stmt *parseDecl(bool is_const, SourceLoc loc)
     {
         Type type = parseType();
-        auto first = parseSingleDeclarator(type, is_const, loc);
+        Stmt *first = parseSingleDeclarator(type, is_const, loc);
         if (!check(TokKind::Comma)) {
             expect(TokKind::Semicolon, "after declaration");
             return first;
         }
         // Multiple declarators expand into a scope-transparent block.
-        auto block = Stmt::make(StmtKind::Block, loc);
+        Stmt *block = stmt(StmtKind::Block, loc);
         block->transparent = true;
-        block->body.push_back(std::move(first));
-        while (accept(TokKind::Comma))
-            block->body.push_back(
-                parseSingleDeclarator(type, is_const, peek().loc));
+        const size_t mark = stmts_.size();
+        stmts_.push_back(first);
+        while (accept(TokKind::Comma)) {
+            Stmt *s = parseSingleDeclarator(type, is_const, peek().loc);
+            stmts_.push_back(s);
+        }
+        block->body = popSpan(stmts_, mark);
         expect(TokKind::Semicolon, "after declaration");
         return block;
     }
 
-    StmtPtr parseSingleDeclarator(Type type, bool is_const, SourceLoc loc)
+    Stmt *parseSingleDeclarator(Type type, bool is_const, SourceLoc loc)
     {
-        auto s = Stmt::make(StmtKind::Decl, loc);
+        Stmt *s = stmt(StmtKind::Decl, loc);
         s->isConst = is_const;
         s->declType = type;
-        s->name = expect(TokKind::Identifier, "as variable name").text;
-        if (check(TokKind::LBracket)) {
-            advance();
-            if (check(TokKind::IntLit))
-                s->declType = s->declType.array(
-                    static_cast<int>(advance().intValue));
-            else
-                s->declType = s->declType.array(-1);
-            expect(TokKind::RBracket, "after array size");
-        }
+        s->name = expectName("as variable name");
+        if (check(TokKind::LBracket))
+            s->declType =
+                parseArraySuffix(s->declType, -1, "after array size");
         if (accept(TokKind::Assign))
             s->rhs = parseAssignmentSource();
         return s;
     }
 
     /** Initialiser value: a normal expression (array ctors included). */
-    ExprPtr parseAssignmentSource() { return parseExpr(); }
+    Expr *parseAssignmentSource() { return parseExpr(); }
 
-    StmtPtr parseIf()
+    Stmt *parseIf()
     {
         const SourceLoc loc = peek().loc;
         advance(); // if
         expect(TokKind::LParen, "after 'if'");
-        auto s = Stmt::make(StmtKind::If, loc);
+        Stmt *s = stmt(StmtKind::If, loc);
         s->cond = parseExpr();
         expect(TokKind::RParen, "after if condition");
-        s->body.push_back(parseStatement());
-        if (peek().isIdent("else")) {
+        s->body = one(parseStatement());
+        if (peek().is(Keyword::Else)) {
             advance();
-            s->elseBody.push_back(parseStatement());
+            s->elseBody = one(parseStatement());
         }
         return s;
     }
 
-    StmtPtr parseFor()
+    Stmt *parseFor()
     {
         const SourceLoc loc = peek().loc;
         advance(); // for
         expect(TokKind::LParen, "after 'for'");
-        auto s = Stmt::make(StmtKind::For, loc);
+        Stmt *s = stmt(StmtKind::For, loc);
         if (!accept(TokKind::Semicolon)) {
-            if (atType() ||
-                (peek().isIdent("const")) ||
-                (check(TokKind::Identifier) &&
-                 isPrecisionWord(peek().text))) {
+            if (atType() || peek().is(Keyword::Const) ||
+                isPrecisionKeyword(peek().keyword)) {
                 bool is_const = false;
-                if (peek().isIdent("const")) {
+                if (peek().is(Keyword::Const)) {
                     is_const = true;
                     advance();
                 }
@@ -465,44 +460,44 @@ class Parser
         if (!check(TokKind::RParen))
             s->step = parseExprOrAssignNoSemi(peek().loc);
         expect(TokKind::RParen, "after for header");
-        s->body.push_back(parseStatement());
+        s->body = one(parseStatement());
         return s;
     }
 
-    StmtPtr parseWhile()
+    Stmt *parseWhile()
     {
         const SourceLoc loc = peek().loc;
         advance(); // while
         expect(TokKind::LParen, "after 'while'");
-        auto s = Stmt::make(StmtKind::While, loc);
+        Stmt *s = stmt(StmtKind::While, loc);
         s->cond = parseExpr();
         expect(TokKind::RParen, "after while condition");
-        s->body.push_back(parseStatement());
+        s->body = one(parseStatement());
         return s;
     }
 
-    StmtPtr parseExprOrAssign(SourceLoc loc)
+    Stmt *parseExprOrAssign(SourceLoc loc)
     {
         auto s = parseExprOrAssignNoSemi(loc);
         expect(TokKind::Semicolon, "after statement");
         return s;
     }
 
-    StmtPtr parseExprOrAssignNoSemi(SourceLoc loc)
+    Stmt *parseExprOrAssignNoSemi(SourceLoc loc)
     {
         // Prefix increment/decrement.
         if (check(TokKind::PlusPlus) || check(TokKind::MinusMinus)) {
             bool inc = advance().is(TokKind::PlusPlus);
-            ExprPtr target = parseUnary();
-            return makeIncDec(std::move(target), inc, loc);
+            Expr *target = parseUnary();
+            return makeIncDec(target, inc, loc);
         }
-        ExprPtr e = parseExpr();
+        Expr *e = parseExpr();
         if (check(TokKind::Assign) || check(TokKind::PlusAssign) ||
             check(TokKind::MinusAssign) || check(TokKind::StarAssign) ||
             check(TokKind::SlashAssign)) {
             TokKind k = advance().kind;
-            auto s = Stmt::make(StmtKind::Assign, loc);
-            s->lhs = std::move(e);
+            Stmt *s = stmt(StmtKind::Assign, loc);
+            s->lhs = e;
             s->assignOp = k == TokKind::Assign        ? AssignOp::Assign
                           : k == TokKind::PlusAssign  ? AssignOp::AddAssign
                           : k == TokKind::MinusAssign ? AssignOp::SubAssign
@@ -513,163 +508,124 @@ class Parser
         }
         if (check(TokKind::PlusPlus) || check(TokKind::MinusMinus)) {
             bool inc = advance().is(TokKind::PlusPlus);
-            return makeIncDec(std::move(e), inc, loc);
+            return makeIncDec(e, inc, loc);
         }
-        auto s = Stmt::make(StmtKind::ExprStmt, loc);
-        s->rhs = std::move(e);
+        Stmt *s = stmt(StmtKind::ExprStmt, loc);
+        s->rhs = e;
         return s;
     }
 
-    StmtPtr makeIncDec(ExprPtr target, bool inc, SourceLoc loc)
+    Stmt *makeIncDec(Expr *target, bool inc, SourceLoc loc)
     {
-        auto s = Stmt::make(StmtKind::Assign, loc);
+        Stmt *s = stmt(StmtKind::Assign, loc);
         s->assignOp = inc ? AssignOp::AddAssign : AssignOp::SubAssign;
-        s->lhs = std::move(target);
-        s->rhs = Expr::makeInt(1, loc);
+        s->lhs = target;
+        s->rhs = intLit(1, loc);
         return s;
     }
 
     // -- expressions ------------------------------------------------------
-    ExprPtr parseExpr() { return parseTernary(); }
+    Expr *parseExpr() { return parseTernary(); }
 
-    ExprPtr parseTernary()
+    Expr *parseTernary()
     {
-        ExprPtr cond = parseLogicalOr();
+        Expr *cond = parseBinary(1);
         if (!accept(TokKind::Question))
             return cond;
-        auto e = std::make_unique<Expr>();
-        e->kind = ExprKind::Ternary;
-        e->loc = cond->loc;
-        e->args.push_back(std::move(cond));
-        e->args.push_back(parseExpr());
+        Expr *args[3] = {cond, parseExpr(), nullptr};
         expect(TokKind::Colon, "in ternary expression");
-        e->args.push_back(parseExpr());
+        args[2] = parseExpr();
+        return node(ExprKind::Ternary, cond->loc, args, 3);
+    }
+
+    Stmt *stmt(StmtKind kind, SourceLoc loc)
+    {
+        return shader_.newStmt(kind, loc);
+    }
+
+    Expr *intLit(long v, SourceLoc loc)
+    {
+        Expr *e = shader_.newExpr(ExprKind::IntLit, loc);
+        e->intValue = v;
+        e->floatValue = static_cast<double>(v);
         return e;
     }
 
-    ExprPtr makeBinary(BinaryOp op, ExprPtr a, ExprPtr b)
+    Expr *floatLit(double v, SourceLoc loc)
     {
-        auto e = std::make_unique<Expr>();
-        e->kind = ExprKind::Binary;
+        Expr *e = shader_.newExpr(ExprKind::FloatLit, loc);
+        e->floatValue = v;
+        return e;
+    }
+
+    /** A node of @p kind over @p n children. */
+    Expr *node(ExprKind kind, SourceLoc loc, Expr *const *args, size_t n)
+    {
+        Expr *e = shader_.newExpr(kind, loc);
+        e->args = shader_.newSpan(args, n);
+        return e;
+    }
+
+    Expr *makeBinary(BinaryOp op, Expr *a, Expr *b)
+    {
+        Expr *args[2] = {a, b};
+        Expr *e = node(ExprKind::Binary, a->loc, args, 2);
         e->binaryOp = op;
-        e->loc = a->loc;
-        e->args.push_back(std::move(a));
-        e->args.push_back(std::move(b));
         return e;
     }
 
-    ExprPtr parseLogicalOr()
+    /** Precedence (higher binds tighter) of a binary operator token;
+     * 0 for any other token. */
+    static int binaryPrecedence(TokKind k, BinaryOp &op)
     {
-        ExprPtr e = parseLogicalAnd();
-        while (accept(TokKind::PipePipe))
-            e = makeBinary(BinaryOp::LogicalOr, std::move(e),
-                           parseLogicalAnd());
-        return e;
+        switch (k) {
+          case TokKind::PipePipe: op = BinaryOp::LogicalOr; return 1;
+          case TokKind::AmpAmp: op = BinaryOp::LogicalAnd; return 2;
+          case TokKind::EqEq: op = BinaryOp::Eq; return 3;
+          case TokKind::NotEq: op = BinaryOp::Ne; return 3;
+          case TokKind::Less: op = BinaryOp::Lt; return 4;
+          case TokKind::Greater: op = BinaryOp::Gt; return 4;
+          case TokKind::LessEq: op = BinaryOp::Le; return 4;
+          case TokKind::GreaterEq: op = BinaryOp::Ge; return 4;
+          case TokKind::Plus: op = BinaryOp::Add; return 5;
+          case TokKind::Minus: op = BinaryOp::Sub; return 5;
+          case TokKind::Star: op = BinaryOp::Mul; return 6;
+          case TokKind::Slash: op = BinaryOp::Div; return 6;
+          case TokKind::Percent: op = BinaryOp::Mod; return 6;
+          default: return 0;
+        }
     }
 
-    ExprPtr parseLogicalAnd()
+    /** Left-associative binary operators binding at least as tightly as
+     * @p min_prec, by precedence climbing. */
+    Expr *parseBinary(int min_prec)
     {
-        ExprPtr e = parseEquality();
-        while (accept(TokKind::AmpAmp))
-            e = makeBinary(BinaryOp::LogicalAnd, std::move(e),
-                           parseEquality());
-        return e;
-    }
-
-    ExprPtr parseEquality()
-    {
-        ExprPtr e = parseRelational();
-        for (;;) {
-            if (accept(TokKind::EqEq))
-                e = makeBinary(BinaryOp::Eq, std::move(e),
-                               parseRelational());
-            else if (accept(TokKind::NotEq))
-                e = makeBinary(BinaryOp::Ne, std::move(e),
-                               parseRelational());
-            else
-                break;
+        Expr *e = parseUnary();
+        BinaryOp op{};
+        int prec;
+        while ((prec = binaryPrecedence(peek().kind, op)) >= min_prec) {
+            advance();
+            Expr *rhs = parseBinary(prec + 1);
+            e = makeBinary(op, e, rhs);
         }
         return e;
     }
 
-    ExprPtr parseRelational()
-    {
-        ExprPtr e = parseAdditive();
-        for (;;) {
-            if (accept(TokKind::Less))
-                e = makeBinary(BinaryOp::Lt, std::move(e),
-                               parseAdditive());
-            else if (accept(TokKind::Greater))
-                e = makeBinary(BinaryOp::Gt, std::move(e),
-                               parseAdditive());
-            else if (accept(TokKind::LessEq))
-                e = makeBinary(BinaryOp::Le, std::move(e),
-                               parseAdditive());
-            else if (accept(TokKind::GreaterEq))
-                e = makeBinary(BinaryOp::Ge, std::move(e),
-                               parseAdditive());
-            else
-                break;
-        }
-        return e;
-    }
-
-    ExprPtr parseAdditive()
-    {
-        ExprPtr e = parseMultiplicative();
-        for (;;) {
-            if (accept(TokKind::Plus))
-                e = makeBinary(BinaryOp::Add, std::move(e),
-                               parseMultiplicative());
-            else if (accept(TokKind::Minus))
-                e = makeBinary(BinaryOp::Sub, std::move(e),
-                               parseMultiplicative());
-            else
-                break;
-        }
-        return e;
-    }
-
-    ExprPtr parseMultiplicative()
-    {
-        ExprPtr e = parseUnary();
-        for (;;) {
-            if (accept(TokKind::Star))
-                e = makeBinary(BinaryOp::Mul, std::move(e), parseUnary());
-            else if (accept(TokKind::Slash))
-                e = makeBinary(BinaryOp::Div, std::move(e), parseUnary());
-            else if (accept(TokKind::Percent))
-                e = makeBinary(BinaryOp::Mod, std::move(e), parseUnary());
-            else
-                break;
-        }
-        return e;
-    }
-
-    ExprPtr parseUnary()
+    Expr *parseUnary()
     {
         NestingGuard guard(*this);
         const SourceLoc loc = peek().loc;
         if (guard.tooDeep())
-            return Expr::makeFloat(0.0, loc);
-        if (accept(TokKind::Minus)) {
-            auto e = std::make_unique<Expr>();
-            e->kind = ExprKind::Unary;
-            e->unaryOp = UnaryOp::Neg;
-            e->loc = loc;
-            e->args.push_back(parseUnary());
+            return floatLit(0.0, loc);
+        if (check(TokKind::Minus) || check(TokKind::Bang)) {
+            const bool is_not = advance().is(TokKind::Bang);
+            Expr *operand = parseUnary();
+            Expr *e = node(ExprKind::Unary, loc, &operand, 1);
+            e->unaryOp = is_not ? UnaryOp::Not : UnaryOp::Neg;
             return e;
         }
         if (accept(TokKind::Plus))
             return parseUnary();
-        if (accept(TokKind::Bang)) {
-            auto e = std::make_unique<Expr>();
-            e->kind = ExprKind::Unary;
-            e->unaryOp = UnaryOp::Not;
-            e->loc = loc;
-            e->args.push_back(parseUnary());
-            return e;
-        }
         if (check(TokKind::PlusPlus) || check(TokKind::MinusMinus)) {
             error("increment/decrement is only supported as a statement");
             advance();
@@ -678,29 +634,20 @@ class Parser
         return parsePostfix();
     }
 
-    ExprPtr parsePostfix()
+    Expr *parsePostfix()
     {
-        ExprPtr e = parsePrimary();
+        Expr *e = parsePrimary();
         for (;;) {
             if (check(TokKind::LBracket)) {
                 advance();
-                auto idx = std::make_unique<Expr>();
-                idx->kind = ExprKind::Index;
-                idx->loc = e->loc;
-                idx->args.push_back(std::move(e));
-                idx->args.push_back(parseExpr());
+                Expr *args[2] = {e, parseExpr()};
                 expect(TokKind::RBracket, "after index");
-                e = std::move(idx);
+                e = node(ExprKind::Index, e->loc, args, 2);
             } else if (check(TokKind::Dot)) {
                 advance();
-                auto mem = std::make_unique<Expr>();
-                mem->kind = ExprKind::Member;
-                mem->loc = e->loc;
-                mem->name = expect(TokKind::Identifier,
-                                   "after '.'")
-                                .text;
-                mem->args.push_back(std::move(e));
-                e = std::move(mem);
+                const NameId member = expectName("after '.'");
+                e = node(ExprKind::Member, e->loc, &e, 1);
+                e->name = member;
             } else {
                 break;
             }
@@ -708,94 +655,85 @@ class Parser
         return e;
     }
 
-    ExprPtr parsePrimary()
+    Expr *parsePrimary()
     {
         const Token &t = peek();
         const SourceLoc loc = t.loc;
         if (t.is(TokKind::IntLit)) {
             advance();
-            return Expr::makeInt(t.intValue, loc);
+            return intLit(t.intValue, loc);
         }
         if (t.is(TokKind::FloatLit)) {
             advance();
-            return Expr::makeFloat(t.floatValue, loc);
+            return floatLit(t.floatValue, loc);
         }
         if (t.is(TokKind::LParen)) {
             advance();
-            ExprPtr e = parseExpr();
+            Expr *e = parseExpr();
             expect(TokKind::RParen, "to close parenthesis");
             return e;
         }
         if (t.is(TokKind::Identifier)) {
-            if (t.text == "true") {
+            if (t.is(Keyword::True) || t.is(Keyword::False)) {
                 advance();
-                return Expr::makeBool(true, loc);
+                Expr *e = shader_.newExpr(ExprKind::BoolLit, loc);
+                e->boolValue = t.is(Keyword::True);
+                return e;
             }
-            if (t.text == "false") {
-                advance();
-                return Expr::makeBool(false, loc);
-            }
-            if (isPrecisionWord(t.text)) {
+            if (isPrecisionKeyword(t.keyword)) {
                 advance();
                 return parsePrimary();
             }
-            if (isTypeKeyword(t.text) && t.text != "void") {
+            if (isTypeKeyword(t.keyword) && !t.is(Keyword::Void)) {
                 return parseConstructor();
             }
             advance();
             if (check(TokKind::LParen)) {
-                advance();
-                auto call = std::make_unique<Expr>();
-                call->kind = ExprKind::Call;
-                call->name = t.text;
-                call->loc = loc;
-                if (!check(TokKind::RParen)) {
-                    for (;;) {
-                        call->args.push_back(parseExpr());
-                        if (!accept(TokKind::Comma))
-                            break;
-                    }
-                }
-                expect(TokKind::RParen, "after call arguments");
+                Expr *call = shader_.newExpr(ExprKind::Call, loc);
+                call->name = name(t);
+                call->args = parseArgs("after call arguments");
                 return call;
             }
-            return Expr::makeVarRef(t.text, loc);
+            Expr *ref = shader_.newExpr(ExprKind::VarRef, loc);
+            ref->name = name(t);
+            return ref;
         }
         error(std::string("unexpected token ") + tokKindName(t.kind) +
               " in expression");
         advance();
-        return Expr::makeFloat(0.0, loc);
+        return floatLit(0.0, loc);
+    }
+
+    /** `( a, b, ... )` at the cursor. */
+    Span<Expr *> parseArgs(const char *close_ctx)
+    {
+        expect(TokKind::LParen, "in constructor");
+        const size_t mark = exprs_.size();
+        if (!check(TokKind::RParen)) {
+            for (;;) {
+                Expr *arg = parseExpr();
+                exprs_.push_back(arg);
+                if (!accept(TokKind::Comma))
+                    break;
+            }
+        }
+        expect(TokKind::RParen, close_ctx);
+        return popSpan(exprs_, mark);
     }
 
     /**
      * Constructor expression: `vec4(...)`, `mat3(...)`, `float(...)`,
      * or array constructors `vec4[](...)` / `vec4[9](...)`.
      */
-    ExprPtr parseConstructor()
+    Expr *parseConstructor()
     {
         const Token &t = advance();
-        Type ty = typeFromKeyword(t.text);
-        if (check(TokKind::LBracket)) {
-            advance();
-            if (check(TokKind::IntLit))
-                ty = ty.array(static_cast<int>(advance().intValue));
-            else
-                ty = ty.array(-1);
-            expect(TokKind::RBracket, "in array constructor");
-        }
-        auto e = std::make_unique<Expr>();
-        e->kind = ExprKind::Construct;
+        Type ty = typeFromKeyword(t.keyword);
+        if (check(TokKind::LBracket))
+            ty = parseArraySuffix(ty, -1, "in array constructor");
+        Expr *e = shader_.newExpr(ExprKind::Construct, t.loc);
         e->ctorType = ty;
-        e->loc = t.loc;
-        expect(TokKind::LParen, "in constructor");
-        if (!check(TokKind::RParen)) {
-            for (;;) {
-                e->args.push_back(parseExpr());
-                if (!accept(TokKind::Comma))
-                    break;
-            }
-        }
-        expect(TokKind::RParen, "after constructor arguments");
+        e->args = parseArgs("after constructor arguments");
         if (e->ctorType.isArray() && e->ctorType.arraySize < 0)
             e->ctorType.arraySize = static_cast<int>(e->args.size());
         return e;
@@ -803,6 +741,10 @@ class Parser
 
     const std::vector<Token> &toks_;
     DiagEngine &diags_;
+    Shader &shader_;
+    /** Children of the lists being parsed, innermost last. */
+    std::vector<Stmt *> stmts_;
+    std::vector<Expr *> exprs_;
     size_t pos_ = 0;
     int depth_ = 0;
     bool deepDiagnosed_ = false;
@@ -813,8 +755,9 @@ class Parser
 Shader
 parseShader(const std::vector<Token> &tokens, DiagEngine &diags)
 {
-    Parser parser(tokens, diags);
-    return parser.parse();
+    Shader shader;
+    Parser(tokens, diags, shader).parse();
+    return shader;
 }
 
 } // namespace gsopt::glsl

@@ -16,8 +16,13 @@
 
 namespace gsopt::glsl {
 
+/** Largest array size a declaration or constructor may spell. */
+constexpr long kMaxArraySize = 65536;
+
 /**
- * Parse a token stream into a Shader AST.
+ * Parse a token stream into a Shader AST. Nodes go to the returned
+ * Shader's arena and identifiers to its NameTable; the tokens are not
+ * referenced afterwards.
  *
  * Errors are reported to @p diags; the returned AST is only meaningful if
  * `!diags.hasErrors()`.

@@ -1,7 +1,5 @@
 #include "glsl/printer.h"
 
-
-
 #include "support/strings.h"
 
 namespace gsopt::glsl {
@@ -61,7 +59,8 @@ binOpSpelling(BinaryOp op)
 }
 
 void
-printExprInto(const Expr &e, StringBuilder &os, int parent_prec)
+printExprInto(const NameTable &names, const Expr &e, StringBuilder &os,
+              int parent_prec)
 {
     const int prec = precedence(e);
     const bool parens = prec < parent_prec;
@@ -78,32 +77,32 @@ printExprInto(const Expr &e, StringBuilder &os, int parent_prec)
         os << (e.boolValue ? "true" : "false");
         break;
       case ExprKind::VarRef:
-        os << e.name;
+        os << names.str(e.name);
         break;
       case ExprKind::Unary:
         os << (e.unaryOp == UnaryOp::Not ? "!" : "-");
-        printExprInto(*e.args[0], os, prec + 1);
+        printExprInto(names, *e.args[0], os, prec + 1);
         break;
       case ExprKind::Binary:
-        printExprInto(*e.args[0], os, prec);
+        printExprInto(names, *e.args[0], os, prec);
         os << " " << binOpSpelling(e.binaryOp) << " ";
         // Right operand binds tighter to preserve evaluation order of
         // non-associative operators (a - (b - c) keeps its parens).
-        printExprInto(*e.args[1], os, prec + 1);
+        printExprInto(names, *e.args[1], os, prec + 1);
         break;
       case ExprKind::Ternary:
-        printExprInto(*e.args[0], os, prec + 1);
+        printExprInto(names, *e.args[0], os, prec + 1);
         os << " ? ";
-        printExprInto(*e.args[1], os, prec);
+        printExprInto(names, *e.args[1], os, prec);
         os << " : ";
-        printExprInto(*e.args[2], os, prec);
+        printExprInto(names, *e.args[2], os, prec);
         break;
       case ExprKind::Call: {
-        os << e.name << "(";
+        os << names.str(e.name) << "(";
         for (size_t i = 0; i < e.args.size(); ++i) {
             if (i)
                 os << ", ";
-            printExprInto(*e.args[i], os, 0);
+            printExprInto(names, *e.args[i], os, 0);
         }
         os << ")";
         break;
@@ -117,20 +116,20 @@ printExprInto(const Expr &e, StringBuilder &os, int parent_prec)
         for (size_t i = 0; i < e.args.size(); ++i) {
             if (i)
                 os << ", ";
-            printExprInto(*e.args[i], os, 0);
+            printExprInto(names, *e.args[i], os, 0);
         }
         os << ")";
         break;
       }
       case ExprKind::Index:
-        printExprInto(*e.args[0], os, prec);
+        printExprInto(names, *e.args[0], os, prec);
         os << "[";
-        printExprInto(*e.args[1], os, 0);
+        printExprInto(names, *e.args[1], os, 0);
         os << "]";
         break;
       case ExprKind::Member:
-        printExprInto(*e.args[0], os, prec);
-        os << "." << e.name;
+        printExprInto(names, *e.args[0], os, prec);
+        os << "." << names.str(e.name);
         break;
     }
     if (parens)
@@ -138,22 +137,23 @@ printExprInto(const Expr &e, StringBuilder &os, int parent_prec)
 }
 
 void
-printStmtInto(const Stmt &s, StringBuilder &os, int indent);
+printStmtInto(const NameTable &names, const Stmt &s, StringBuilder &os,
+              int indent);
 
 void
-printBody(const std::vector<StmtPtr> &body, StringBuilder &os,
+printBody(const NameTable &names, Span<Stmt *> body, StringBuilder &os,
           int indent)
 {
     // Flatten a body that is a single brace-block so that `if (c) { .. }`
     // does not print doubled braces and round-trips byte-identically.
     if (body.size() == 1 && body[0]->kind == StmtKind::Block &&
         !body[0]->transparent) {
-        printBody(body[0]->body, os, indent);
+        printBody(names, body[0]->body, os, indent);
         return;
     }
     os << "{\n";
-    for (const auto &b : body)
-        printStmtInto(*b, os, indent + 1);
+    for (const Stmt *b : body)
+        printStmtInto(names, *b, os, indent + 1);
     os.append(static_cast<size_t>(indent) * 4, ' ');
     os << "}";
 }
@@ -173,17 +173,18 @@ assignSpelling(AssignOp op)
 
 /** Declaration spelling with GLSL's postfix array syntax. */
 std::string
-declSpelling(const Type &ty, const std::string &name)
+declSpelling(const Type &ty, std::string_view name)
 {
     if (ty.isArray()) {
-        return ty.elementType().str() + " " + name + "[" +
+        return ty.elementType().str() + " " + std::string(name) + "[" +
                std::to_string(ty.arraySize) + "]";
     }
-    return ty.str() + " " + name;
+    return ty.str() + " " + std::string(name);
 }
 
 void
-printStmtInto(const Stmt &s, StringBuilder &os, int indent)
+printStmtInto(const NameTable &names, const Stmt &s, StringBuilder &os,
+              int indent)
 {
     const auto pad = [&os, indent] {
         os.append(static_cast<size_t>(indent) * 4, ' ');
@@ -191,86 +192,81 @@ printStmtInto(const Stmt &s, StringBuilder &os, int indent)
     switch (s.kind) {
       case StmtKind::Block:
         if (s.transparent) {
-            for (const auto &b : s.body)
-                printStmtInto(*b, os, indent);
+            for (const Stmt *b : s.body)
+                printStmtInto(names, *b, os, indent);
             break;
         }
         pad();
-        printBody(s.body, os, indent);
+        printBody(names, s.body, os, indent);
         os << "\n";
         break;
       case StmtKind::Decl:
         pad();
         if (s.isConst)
             os << "const ";
-        os << declSpelling(s.declType, s.name);
+        os << declSpelling(s.declType, names.str(s.name));
         if (s.rhs) {
             os << " = ";
-            printExprInto(*s.rhs, os, 0);
+            printExprInto(names, *s.rhs, os, 0);
         }
         os << ";\n";
         break;
       case StmtKind::Assign:
         pad();
-        printExprInto(*s.lhs, os, 0);
+        printExprInto(names, *s.lhs, os, 0);
         os << " " << assignSpelling(s.assignOp) << " ";
-        printExprInto(*s.rhs, os, 0);
+        printExprInto(names, *s.rhs, os, 0);
         os << ";\n";
         break;
       case StmtKind::ExprStmt:
         pad();
-        printExprInto(*s.rhs, os, 0);
+        printExprInto(names, *s.rhs, os, 0);
         os << ";\n";
         break;
       case StmtKind::If:
         pad();
         os << "if (";
-        printExprInto(*s.cond, os, 0);
+        printExprInto(names, *s.cond, os, 0);
         os << ") ";
-        printBody(s.body, os, indent);
+        printBody(names, s.body, os, indent);
         if (!s.elseBody.empty()) {
             os << " else ";
-            printBody(s.elseBody, os, indent);
+            printBody(names, s.elseBody, os, indent);
         }
         os << "\n";
         break;
       case StmtKind::For: {
+        // The init and step render inline, without newline and ';'.
+        const auto inline_stmt = [&names, &os](const Stmt *part) {
+            if (!part)
+                return;
+            StringBuilder tmp;
+            printStmtInto(names, *part, tmp, 0);
+            std::string text = tmp.take();
+            while (!text.empty() &&
+                   (text.back() == '\n' || text.back() == ';'))
+                text.pop_back();
+            os << text;
+        };
         pad();
         os << "for (";
-        if (s.init) {
-            // Render the init inline without its newline/indent.
-            StringBuilder tmp;
-            printStmtInto(*s.init, tmp, 0);
-            std::string text = tmp.take();
-            while (!text.empty() &&
-                   (text.back() == '\n' || text.back() == ';'))
-                text.pop_back();
-            os << text;
-        }
+        inline_stmt(s.init);
         os << "; ";
         if (s.cond)
-            printExprInto(*s.cond, os, 0);
+            printExprInto(names, *s.cond, os, 0);
         os << "; ";
-        if (s.step) {
-            StringBuilder tmp;
-            printStmtInto(*s.step, tmp, 0);
-            std::string text = tmp.take();
-            while (!text.empty() &&
-                   (text.back() == '\n' || text.back() == ';'))
-                text.pop_back();
-            os << text;
-        }
+        inline_stmt(s.step);
         os << ") ";
-        printBody(s.body, os, indent);
+        printBody(names, s.body, os, indent);
         os << "\n";
         break;
       }
       case StmtKind::While:
         pad();
         os << "while (";
-        printExprInto(*s.cond, os, 0);
+        printExprInto(names, *s.cond, os, 0);
         os << ") ";
-        printBody(s.body, os, indent);
+        printBody(names, s.body, os, indent);
         os << "\n";
         break;
       case StmtKind::Return:
@@ -278,7 +274,7 @@ printStmtInto(const Stmt &s, StringBuilder &os, int indent)
         os << "return";
         if (s.rhs) {
             os << " ";
-            printExprInto(*s.rhs, os, 0);
+            printExprInto(names, *s.rhs, os, 0);
         }
         os << ";\n";
         break;
@@ -305,44 +301,47 @@ qualSpelling(Qualifier q)
 } // namespace
 
 std::string
-printExpr(const Expr &e)
+printExpr(const Shader &shader, const Expr &e)
 {
     StringBuilder os;
-    printExprInto(e, os, 0);
+    printExprInto(shader.names, e, os, 0);
     return os.take();
 }
 
 std::string
-printStmt(const Stmt &s, int indent)
+printStmt(const Shader &shader, const Stmt &s, int indent)
 {
     StringBuilder os;
-    printStmtInto(s, os, indent);
+    printStmtInto(shader.names, s, os, indent);
     return os.take();
 }
 
 std::string
 printShader(const Shader &shader)
 {
+    const NameTable &names = shader.names;
     StringBuilder os;
     if (shader.version)
         os << "#version " << shader.version << "\n";
     for (const auto &g : shader.globals) {
-        os << qualSpelling(g.qual) << declSpelling(g.type, g.name);
+        os << qualSpelling(g.qual)
+           << declSpelling(g.type, names.str(g.name));
         if (g.init) {
             os << " = ";
-            printExprInto(*g.init, os, 0);
+            printExprInto(names, *g.init, os, 0);
         }
         os << ";\n";
     }
     for (const auto &f : shader.functions) {
-        os << f.returnType.str() << " " << f.name << "(";
+        os << f.returnType.str() << " " << names.str(f.name) << "(";
         for (size_t i = 0; i < f.params.size(); ++i) {
             if (i)
                 os << ", ";
-            os << declSpelling(f.params[i].type, f.params[i].name);
+            os << declSpelling(f.params[i].type,
+                               names.str(f.params[i].name));
         }
         os << ") ";
-        printBody(f.body->body, os, 0);
+        printBody(names, f.body->body, os, 0);
         os << "\n";
     }
     return os.take();

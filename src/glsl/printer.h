@@ -16,11 +16,11 @@ namespace gsopt::glsl {
 /** Render a full shader (version line, globals, functions). */
 std::string printShader(const Shader &shader);
 
-/** Render a single expression (used in tests and debugging). */
-std::string printExpr(const Expr &e);
+/** Render a single expression of @p shader (tests and debugging). */
+std::string printExpr(const Shader &shader, const Expr &e);
 
-/** Render a single statement at the given indent level. */
-std::string printStmt(const Stmt &s, int indent = 0);
+/** Render a single statement of @p shader at the given indent level. */
+std::string printStmt(const Shader &shader, const Stmt &s, int indent = 0);
 
 } // namespace gsopt::glsl
 

@@ -1,8 +1,7 @@
 #include "glsl/sema.h"
 
-#include <map>
 #include <optional>
-#include <set>
+#include <string>
 
 #include "support/governor.h"
 
@@ -34,7 +33,7 @@ isFloatScalarOrVector(const Type &t)
 } // namespace
 
 bool
-isBuiltinFunction(const std::string &name)
+isBuiltinFunction(std::string_view name)
 {
     static const char *names[] = {
         "radians", "degrees", "sin", "cos", "tan", "asin", "acos",
@@ -52,7 +51,7 @@ isBuiltinFunction(const std::string &name)
 }
 
 Type
-builtinResultType(const std::string &name, const std::vector<Type> &args)
+builtinResultType(std::string_view name, const std::vector<Type> &args)
 {
     const size_t n = args.size();
 
@@ -193,20 +192,8 @@ builtinResultType(const std::string &name, const std::vector<Type> &args)
     return Type::voidTy();
 }
 
-namespace {
-
-/** A declared name visible in some scope. */
-struct Symbol
-{
-    Type type;
-    Qualifier qual = Qualifier::Global;
-    bool isConst = false;
-    std::string uniqueName; ///< post-alpha-renaming spelling
-};
-
-/** Decode a swizzle like "xyz" / "rgb" / "stp"; empty on failure. */
 std::optional<std::vector<int>>
-decodeSwizzle(const std::string &name, int source_rows)
+decodeSwizzle(std::string_view name, int source_rows)
 {
     if (name.empty() || name.size() > 4)
         return std::nullopt;
@@ -227,6 +214,18 @@ decodeSwizzle(const std::string &name, int source_rows)
     return idx;
 }
 
+namespace {
+
+/** A declared name. */
+struct Symbol
+{
+    Type type;
+    Qualifier qual = Qualifier::Global;
+    bool isConst = false;
+    NameId uniqueName = kNoName; ///< post-alpha-renaming spelling
+    size_t depth = 0;            ///< scope depth it was declared at
+};
+
 class Checker
 {
   public:
@@ -237,13 +236,14 @@ class Checker
 
     ShaderInterface run()
     {
+        growTables();
         pushScope();
         declareBuiltins();
         for (auto &g : shader_.globals)
             checkGlobal(g);
         for (auto &f : shader_.functions)
             checkFunction(f);
-        if (!shader_.findFunction("main"))
+        if (!shader_.findFunction(shader_.names.find("main")))
             diags_.error({}, "shader has no main() function");
         popScope();
         return iface_;
@@ -251,40 +251,71 @@ class Checker
 
   private:
     // -- scopes -----------------------------------------------------------
-    void pushScope() { scopes_.emplace_back(); }
-    void popScope() { scopes_.pop_back(); }
-
-    Symbol *lookup(const std::string &name)
+    // One binding per source name: visible_[name] is the innermost
+    // symbol spelled so. Declaring logs the binding it hides; leaving a
+    // scope undoes its log entries.
+    void pushScope() { scopeMarks_.push_back(undo_.size()); }
+    void popScope()
     {
-        for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-            auto f = it->find(name);
-            if (f != it->end())
-                return &f->second;
+        for (size_t mark = scopeMarks_.back(); undo_.size() > mark;
+             undo_.pop_back()) {
+            const auto [name, hidden] = undo_.back();
+            byUnique_[symbols_[visible_[name]].uniqueName] = -1;
+            visible_[name] = hidden;
         }
-        return nullptr;
+        scopeMarks_.pop_back();
+    }
+
+    /** Size the name-indexed tables for every interned name. */
+    void growTables()
+    {
+        const size_t n = shader_.names.size();
+        visible_.resize(n, -1);
+        byUnique_.resize(n, -1);
+        used_.resize(n, 0);
+    }
+
+    std::string spelling(NameId id) const
+    {
+        return std::string(shader_.names.str(id));
+    }
+    /** @p id's spelling in quotes, for diagnostics. */
+    std::string quoted(NameId id) const { return "'" + spelling(id) + "'"; }
+
+    Symbol *lookup(NameId name)
+    {
+        const int i = visible_[name];
+        return i < 0 ? nullptr : &symbols_[static_cast<size_t>(i)];
     }
 
     /**
      * Declare a name in the innermost scope, alpha-renaming if the
      * spelling was ever used before in this shader.
      */
-    std::string declare(const std::string &name, Symbol sym,
-                        SourceLoc loc)
+    NameId declare(NameId name, Symbol sym, SourceLoc loc)
     {
-        if (scopes_.back().count(name)) {
-            diags_.error(loc, "redefinition of '" + name + "'");
+        const Symbol *shadowed = lookup(name);
+        if (shadowed && shadowed->depth == scopeMarks_.size()) {
+            diags_.error(loc, "redefinition of " + quoted(name));
             return name;
         }
-        std::string unique = name;
-        if (usedNames_.count(name)) {
+        NameId unique = name;
+        if (used_[name]) {
             int n = 1;
             do {
-                unique = name + "_s" + std::to_string(n++);
-            } while (usedNames_.count(unique));
+                unique = shader_.names.intern(spelling(name) + "_s" +
+                                              std::to_string(n++));
+                growTables();
+            } while (used_[unique]);
         }
-        usedNames_.insert(unique);
         sym.uniqueName = unique;
-        scopes_.back().emplace(name, std::move(sym));
+        sym.depth = scopeMarks_.size();
+        const int i = static_cast<int>(symbols_.size());
+        symbols_.push_back(sym);
+        used_[unique] = 1;
+        undo_.emplace_back(name, visible_[name]);
+        visible_[name] = i;
+        byUnique_[unique] = i;
         return unique;
     }
 
@@ -293,14 +324,14 @@ class Checker
         Symbol frag_coord;
         frag_coord.type = Type::vec(4);
         frag_coord.qual = Qualifier::In;
-        frag_coord.uniqueName = "gl_FragCoord";
-        scopes_.back().emplace("gl_FragCoord", frag_coord);
-        usedNames_.insert("gl_FragCoord");
+        const NameId name = shader_.names.intern("gl_FragCoord");
+        growTables();
+        declare(name, frag_coord, {});
     }
 
     // -- conversions ------------------------------------------------------
     /** Wrap @p e in an int->float conversion if needed to match @p want. */
-    bool coerce(ExprPtr &e, const Type &want)
+    bool coerce(Expr *&e, const Type &want)
     {
         if (e->type == want)
             return true;
@@ -314,20 +345,18 @@ class Checker
                 e->type = want;
                 return true;
             }
-            auto conv = std::make_unique<Expr>();
-            conv->kind = ExprKind::Construct;
+            Expr *conv = shader_.newExpr(ExprKind::Construct, e->loc);
             conv->ctorType = want;
             conv->type = want;
-            conv->loc = e->loc;
-            conv->args.push_back(std::move(e));
-            e = std::move(conv);
+            conv->args = shader_.newSpan(&e, 1);
+            e = conv;
             return true;
         }
         return false;
     }
 
     /** Numeric usual-arithmetic conversion across two operands. */
-    void balance(ExprPtr &a, ExprPtr &b)
+    void balance(Expr *&a, Expr *&b)
     {
         if (a->type.isFloat() && b->type.isInt())
             coerce(b, Type{BaseType::Float, b->type.cols, b->type.rows, 0});
@@ -336,28 +365,33 @@ class Checker
     }
 
     // -- globals / functions ----------------------------------------------
+    /** Check the initialiser (if any) of a declaration of @p name,
+     * sizing an unsized array @p type from it. */
+    void checkInitialiser(Type &type, Expr *&init, NameId name,
+                          SourceLoc loc)
+    {
+        if (init) {
+            checkExpr(init);
+            if (type.isArray() && type.arraySize < 0 &&
+                init->type.isArray())
+                type.arraySize = init->type.arraySize;
+            if (!coerce(init, type) && init->type != type) {
+                diags_.error(loc, "initialiser type " + init->type.str() +
+                                      " does not match " + type.str() +
+                                      " for " + quoted(name));
+            }
+        } else if (type.isArray() && type.arraySize < 0) {
+            diags_.error(loc, "unsized array " + quoted(name) +
+                                  " needs an initialiser");
+        }
+    }
+
     void checkGlobal(GlobalDecl &g)
     {
-        if (g.init) {
-            checkExpr(g.init);
-            if (g.type.isArray() && g.type.arraySize < 0 &&
-                g.init->type.isArray()) {
-                g.type.arraySize = g.init->type.arraySize;
-            }
-            if (!coerce(g.init, g.type) && g.init->type != g.type) {
-                diags_.error(g.loc, "initialiser type " +
-                                        g.init->type.str() +
-                                        " does not match " + g.type.str() +
-                                        " for '" + g.name + "'");
-            }
-        } else if (g.type.isArray() && g.type.arraySize < 0) {
-            diags_.error(g.loc,
-                         "unsized array '" + g.name +
-                             "' needs an initialiser");
-        }
+        checkInitialiser(g.type, g.init, g.name, g.loc);
         if (g.qual == Qualifier::Const && !g.init)
-            diags_.error(g.loc, "const '" + g.name +
-                                    "' needs an initialiser");
+            diags_.error(g.loc,
+                         "const " + quoted(g.name) + " needs an initialiser");
         if (g.type.isSampler() && g.qual != Qualifier::Uniform)
             diags_.error(g.loc, "samplers must be uniforms");
 
@@ -367,7 +401,7 @@ class Checker
         sym.isConst = g.qual == Qualifier::Const;
         g.name = declare(g.name, sym, g.loc);
 
-        InterfaceVar iv{g.name, g.type, g.qual};
+        InterfaceVar iv{spelling(g.name), g.type, g.qual};
         switch (g.qual) {
           case Qualifier::In:
             iface_.inputs.push_back(iv);
@@ -429,7 +463,7 @@ class Checker
     };
 
     // -- statements ---------------------------------------------------------
-    void checkStmt(StmtPtr &s)
+    void checkStmt(Stmt *s)
     {
         DepthGuard guard(*this);
         if (guard.tooDeep(s->loc))
@@ -438,31 +472,14 @@ class Checker
           case StmtKind::Block: {
             if (!s->transparent)
                 pushScope();
-            for (auto &b : s->body)
+            for (Stmt *b : s->body)
                 checkStmt(b);
             if (!s->transparent)
                 popScope();
             break;
           }
           case StmtKind::Decl: {
-            if (s->rhs) {
-                checkExpr(s->rhs);
-                if (s->declType.isArray() && s->declType.arraySize < 0 &&
-                    s->rhs->type.isArray())
-                    s->declType.arraySize = s->rhs->type.arraySize;
-                if (!coerce(s->rhs, s->declType) &&
-                    s->rhs->type != s->declType) {
-                    diags_.error(s->loc,
-                                 "initialiser type " + s->rhs->type.str() +
-                                     " does not match " +
-                                     s->declType.str() + " for '" +
-                                     s->name + "'");
-                }
-            } else if (s->declType.isArray() &&
-                       s->declType.arraySize < 0) {
-                diags_.error(s->loc, "unsized array '" + s->name +
-                                         "' needs an initialiser");
-            }
+            checkInitialiser(s->declType, s->rhs, s->name, s->loc);
             Symbol sym;
             sym.type = s->declType;
             sym.isConst = s->isConst;
@@ -509,11 +526,11 @@ class Checker
                 diags_.error(s->loc, "if condition must be bool, got " +
                                          s->cond->type.str());
             pushScope();
-            for (auto &b : s->body)
+            for (Stmt *b : s->body)
                 checkStmt(b);
             popScope();
             pushScope();
-            for (auto &b : s->elseBody)
+            for (Stmt *b : s->elseBody)
                 checkStmt(b);
             popScope();
             break;
@@ -532,7 +549,7 @@ class Checker
             if (s->step)
                 checkStmt(s->step);
             pushScope();
-            for (auto &b : s->body)
+            for (Stmt *b : s->body)
                 checkStmt(b);
             popScope();
             popScope();
@@ -543,7 +560,7 @@ class Checker
             if (s->cond->type != Type::boolTy())
                 diags_.error(s->loc, "loop condition must be bool");
             pushScope();
-            for (auto &b : s->body)
+            for (Stmt *b : s->body)
                 checkStmt(b);
             popScope();
             break;
@@ -578,8 +595,8 @@ class Checker
                 return; // undefined already reported
             }
             if (sym->isConst)
-                diags_.error(e.loc, "cannot assign to const '" + e.name +
-                                        "'");
+                diags_.error(e.loc, "cannot assign to const " +
+                                        quoted(e.name));
             if (sym->qual == Qualifier::In ||
                 sym->qual == Qualifier::Uniform)
                 diags_.error(e.loc, "cannot assign to " +
@@ -587,7 +604,7 @@ class Checker
                                                             Qualifier::In
                                                         ? "input"
                                                         : "uniform") +
-                                        " '" + e.name + "'");
+                                        " " + quoted(e.name));
             break;
           }
           case ExprKind::Index:
@@ -596,7 +613,7 @@ class Checker
             if (e.kind == ExprKind::Member) {
                 // swizzle lvalues must not repeat components
                 std::string seen;
-                for (char c : e.name) {
+                for (char c : shader_.names.str(e.name)) {
                     if (seen.find(c) != std::string::npos)
                         diags_.error(e.loc,
                                      "duplicate component in swizzle "
@@ -610,19 +627,14 @@ class Checker
         }
     }
 
-    Symbol *findByUnique(const std::string &unique)
+    Symbol *findByUnique(NameId unique)
     {
-        for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-            for (auto &[k, v] : *it) {
-                if (v.uniqueName == unique)
-                    return &v;
-            }
-        }
-        return nullptr;
+        const int i = byUnique_[unique];
+        return i < 0 ? nullptr : &symbols_[static_cast<size_t>(i)];
     }
 
     // -- expressions ----------------------------------------------------
-    void checkExpr(ExprPtr &e)
+    void checkExpr(Expr *&e)
     {
         DepthGuard guard(*this);
         if (guard.tooDeep(e->loc)) {
@@ -642,8 +654,8 @@ class Checker
           case ExprKind::VarRef: {
             Symbol *sym = lookup(e->name);
             if (!sym) {
-                diags_.error(e->loc, "use of undeclared identifier '" +
-                                         e->name + "'");
+                diags_.error(e->loc, "use of undeclared identifier " +
+                                         quoted(e->name));
                 e->type = Type::floatTy();
                 break;
             }
@@ -695,17 +707,26 @@ class Checker
                 !e->args[1]->type.isScalar())
                 diags_.error(e->loc, "index must be an int");
             const Type &base = e->args[0]->type;
+            long extent = 0; // constant indices must lie in [0, extent)
             if (base.isArray()) {
                 e->type = base.elementType();
+                extent = base.arraySize;
             } else if (base.isMatrix()) {
                 e->type = Type::vec(base.rows);
+                extent = base.cols;
             } else if (base.isVector()) {
                 e->type = base.scalarType();
+                extent = base.rows;
             } else {
                 diags_.error(e->loc, "type " + base.str() +
                                          " is not indexable");
                 e->type = Type::floatTy();
             }
+            const auto index = literalIntOf(*e->args[1]);
+            if (extent > 0 && index && (*index < 0 || *index >= extent))
+                diags_.error(e->loc, "index " + std::to_string(*index) +
+                                         " is out of range for " +
+                                         base.str());
             break;
           }
           case ExprKind::Member: {
@@ -717,10 +738,11 @@ class Checker
                 e->type = Type::floatTy();
                 break;
             }
-            auto sw = decodeSwizzle(e->name, base.rows);
+            auto sw = decodeSwizzle(shader_.names.str(e->name), base.rows);
             if (!sw) {
-                diags_.error(e->loc, "invalid swizzle '." + e->name +
-                                         "' on " + base.str());
+                diags_.error(e->loc, "invalid swizzle '." +
+                                         spelling(e->name) + "' on " +
+                                         base.str());
                 e->type = Type::floatTy();
                 break;
             }
@@ -732,12 +754,12 @@ class Checker
         }
     }
 
-    void checkBinary(ExprPtr &e)
+    void checkBinary(Expr *e)
     {
         checkExpr(e->args[0]);
         checkExpr(e->args[1]);
-        ExprPtr &a = e->args[0];
-        ExprPtr &b = e->args[1];
+        Expr *&a = e->args[0];
+        Expr *&b = e->args[1];
         const BinaryOp op = e->binaryOp;
 
         if (op == BinaryOp::LogicalAnd || op == BinaryOp::LogicalOr) {
@@ -844,16 +866,17 @@ class Checker
         fail();
     }
 
-    void checkCall(ExprPtr &e)
+    void checkCall(Expr *e)
     {
         std::vector<Type> arg_types;
-        for (auto &a : e->args) {
+        for (Expr *&a : e->args) {
             checkExpr(a);
             arg_types.push_back(a->type);
         }
+        const std::string_view name = shader_.names.str(e->name);
         // Builtin?
-        if (isBuiltinFunction(e->name)) {
-            Type r = builtinResultType(e->name, arg_types);
+        if (isBuiltinFunction(name)) {
+            Type r = builtinResultType(name, arg_types);
             if (r.isVoid()) {
                 // Try int->float promoting every int arg.
                 bool promoted = false;
@@ -869,14 +892,15 @@ class Checker
                     }
                 }
                 if (promoted)
-                    r = builtinResultType(e->name, arg_types);
+                    r = builtinResultType(name, arg_types);
             }
             if (r.isVoid()) {
                 std::string sig;
                 for (const auto &t : arg_types)
                     sig += (sig.empty() ? "" : ", ") + t.str();
                 diags_.error(e->loc, "no matching overload for " +
-                                         e->name + "(" + sig + ")");
+                                         spelling(e->name) + "(" + sig +
+                                         ")");
                 e->type = Type::floatTy();
                 return;
             }
@@ -886,13 +910,13 @@ class Checker
         // User function.
         const FunctionDecl *fn = shader_.findFunction(e->name);
         if (!fn) {
-            diags_.error(e->loc, "call to undefined function '" +
-                                     e->name + "'");
+            diags_.error(e->loc,
+                         "call to undefined function " + quoted(e->name));
             e->type = Type::floatTy();
             return;
         }
         if (fn->params.size() != e->args.size()) {
-            diags_.error(e->loc, "'" + e->name + "' expects " +
+            diags_.error(e->loc, quoted(e->name) + " expects " +
                                      std::to_string(fn->params.size()) +
                                      " arguments, got " +
                                      std::to_string(e->args.size()));
@@ -904,7 +928,7 @@ class Checker
                 e->args[i]->type != fn->params[i].type) {
                 diags_.error(e->loc,
                              "argument " + std::to_string(i + 1) +
-                                 " of '" + e->name + "': expected " +
+                                 " of " + quoted(e->name) + ": expected " +
                                  fn->params[i].type.str() + ", got " +
                                  e->args[i]->type.str());
             }
@@ -912,9 +936,9 @@ class Checker
         e->type = fn->returnType;
     }
 
-    void checkConstruct(ExprPtr &e)
+    void checkConstruct(Expr *e)
     {
-        for (auto &a : e->args)
+        for (Expr *&a : e->args)
             checkExpr(a);
         const Type ty = e->ctorType;
         e->type = ty;
@@ -928,7 +952,7 @@ class Checker
                                  std::to_string(e->args.size()));
                 return;
             }
-            for (auto &a : e->args) {
+            for (Expr *&a : e->args) {
                 if (!coerce(a, ty.elementType()) &&
                     a->type != ty.elementType()) {
                     diags_.error(a->loc,
@@ -950,7 +974,7 @@ class Checker
         }
         if (ty.isVector()) {
             int total = 0;
-            for (auto &a : e->args) {
+            for (const Expr *a : e->args) {
                 if (a->type.isArray() || a->type.isSampler() ||
                     a->type.isMatrix()) {
                     diags_.error(a->loc, "bad vector constructor "
@@ -981,7 +1005,7 @@ class Checker
                 return; // matrix resize
             int total = 0;
             bool columns = true;
-            for (auto &a : e->args) {
+            for (const Expr *a : e->args) {
                 if (!a->type.isScalar() && !a->type.isVector()) {
                     diags_.error(a->loc, "bad matrix constructor "
                                          "argument");
@@ -1004,8 +1028,13 @@ class Checker
 
     Shader &shader_;
     DiagEngine &diags_;
-    std::vector<std::map<std::string, Symbol>> scopes_;
-    std::set<std::string> usedNames_;
+    std::vector<Symbol> symbols_; ///< every symbol declared
+    std::vector<int> visible_;    ///< by source name: symbol or -1
+    std::vector<int> byUnique_;   ///< by unique name: visible symbol
+    std::vector<char> used_;      ///< by name: taken as a unique name
+    /** (name, the binding its declaration hid), per declaration. */
+    std::vector<std::pair<NameId, int>> undo_;
+    std::vector<size_t> scopeMarks_; ///< undo_ size at each scope entry
     ShaderInterface iface_;
     FunctionDecl *currentFunction_ = nullptr;
     int depth_ = 0;

@@ -8,15 +8,23 @@
  *  - insert implicit int->float conversions as Construct nodes;
  *  - alpha-rename shadowed locals so that, post-sema, every variable name
  *    in a function is unique (this is what lets the lowering stage treat
- *    names as identities without re-implementing scoping);
+ *    names as identities without re-implementing scoping); a renamed
+ *    spelling (`x_s1`) is interned in the shader's NameTable;
+ *  - diagnose constant indices outside a vector, matrix or sized array;
  *  - collect the shader's interface (inputs, outputs, uniforms/samplers),
  *    which the runtime uses for introspection-driven auto-initialisation
  *    exactly as described in the paper (Section IV-B).
+ *
+ * Scopes key by NameId: one binding per name plus an undo log that
+ * leaving a scope unwinds, so a lookup is an index, not a string search
+ * through nested maps.
  */
 #ifndef GSOPT_GLSL_SEMA_H
 #define GSOPT_GLSL_SEMA_H
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "glsl/ast.h"
@@ -52,11 +60,18 @@ ShaderInterface analyze(Shader &shader, DiagEngine &diags);
  * @p name is not a builtin / the argument types do not match. Exposed for
  * reuse by the lowering stage and tests.
  */
-Type builtinResultType(const std::string &name,
+Type builtinResultType(std::string_view name,
                        const std::vector<Type> &args);
 
+/**
+ * Lanes of a swizzle like "xyz" / "rgb" / "stp" of a vector with
+ * @p source_rows lanes; nullopt if @p name is not one.
+ */
+std::optional<std::vector<int>> decodeSwizzle(std::string_view name,
+                                              int source_rows);
+
 /** True if @p name names a builtin function of the subset. */
-bool isBuiltinFunction(const std::string &name);
+bool isBuiltinFunction(std::string_view name);
 
 } // namespace gsopt::glsl
 

@@ -8,93 +8,17 @@ Type::str() const
     if (isArray())
         return elementType().str() + "[" + std::to_string(arraySize) +
                "]";
-    std::string name;
-    if (isVoid()) {
-        name = "void";
-    } else if (isSampler()) {
-        name = "sampler2D";
-    } else if (isMatrix()) {
-        name = "mat" + std::to_string(cols);
-    } else if (isVector()) {
-        switch (base) {
-          case BaseType::Float:
-            name = "vec" + std::to_string(rows);
-            break;
-          case BaseType::Int:
-            name = "ivec" + std::to_string(rows);
-            break;
-          case BaseType::Bool:
-            name = "bvec" + std::to_string(rows);
-            break;
-          default:
-            name = "vec?";
-            break;
-        }
-    } else {
-        switch (base) {
-          case BaseType::Float:
-            name = "float";
-            break;
-          case BaseType::Int:
-            name = "int";
-            break;
-          case BaseType::Bool:
-            name = "bool";
-            break;
-          default:
-            name = "void";
-            break;
-        }
-    }
-    return name;
-}
-
-Type
-typeFromKeyword(const std::string &word)
-{
-    if (word == "void")
-        return Type::voidTy();
-    if (word == "float")
-        return Type::floatTy();
-    if (word == "int")
-        return Type::intTy();
-    if (word == "bool")
-        return Type::boolTy();
-    if (word == "sampler2D")
-        return Type::sampler2D();
-    if (word == "vec2")
-        return Type::vec(2);
-    if (word == "vec3")
-        return Type::vec(3);
-    if (word == "vec4")
-        return Type::vec(4);
-    if (word == "ivec2")
-        return Type::ivec(2);
-    if (word == "ivec3")
-        return Type::ivec(3);
-    if (word == "ivec4")
-        return Type::ivec(4);
-    if (word == "bvec2")
-        return Type::bvec(2);
-    if (word == "bvec3")
-        return Type::bvec(3);
-    if (word == "bvec4")
-        return Type::bvec(4);
-    if (word == "mat2")
-        return Type::mat(2);
-    if (word == "mat3")
-        return Type::mat(3);
-    if (word == "mat4")
-        return Type::mat(4);
-    return Type::voidTy();
-}
-
-bool
-isTypeKeyword(const std::string &word)
-{
-    return word == "void" || word == "float" || word == "int" ||
-           word == "bool" || word == "sampler2D" ||
-           typeFromKeyword(word).base != BaseType::Void;
+    if (isMatrix())
+        return "mat" + std::to_string(cols);
+    // By BaseType: Void, Float, Int, Bool, Sampler2D.
+    static const char *const kScalars[] = {"void", "float", "int", "bool",
+                                           "sampler2D"};
+    static const char *const kVectorPrefixes[] = {"?", "", "i", "b", "?"};
+    const auto b = static_cast<size_t>(base);
+    if (isVector())
+        return std::string(kVectorPrefixes[b]) + "vec" +
+               std::to_string(rows);
+    return kScalars[b];
 }
 
 } // namespace gsopt::glsl

@@ -38,15 +38,15 @@ struct Type
     int arraySize = 0;
 
     // -- Factories ------------------------------------------------------
-    static Type voidTy() { return {BaseType::Void, 1, 1, 0}; }
-    static Type floatTy() { return {BaseType::Float, 1, 1, 0}; }
-    static Type intTy() { return {BaseType::Int, 1, 1, 0}; }
-    static Type boolTy() { return {BaseType::Bool, 1, 1, 0}; }
-    static Type sampler2D() { return {BaseType::Sampler2D, 1, 1, 0}; }
-    static Type vec(int n) { return {BaseType::Float, 1, n, 0}; }
-    static Type ivec(int n) { return {BaseType::Int, 1, n, 0}; }
-    static Type bvec(int n) { return {BaseType::Bool, 1, n, 0}; }
-    static Type mat(int n) { return {BaseType::Float, n, n, 0}; }
+    static constexpr Type voidTy() { return {BaseType::Void, 1, 1, 0}; }
+    static constexpr Type floatTy() { return {BaseType::Float, 1, 1, 0}; }
+    static constexpr Type intTy() { return {BaseType::Int, 1, 1, 0}; }
+    static constexpr Type boolTy() { return {BaseType::Bool, 1, 1, 0}; }
+    static constexpr Type sampler2D() { return {BaseType::Sampler2D, 1, 1, 0}; }
+    static constexpr Type vec(int n) { return {BaseType::Float, 1, n, 0}; }
+    static constexpr Type ivec(int n) { return {BaseType::Int, 1, n, 0}; }
+    static constexpr Type bvec(int n) { return {BaseType::Bool, 1, n, 0}; }
+    static constexpr Type mat(int n) { return {BaseType::Float, n, n, 0}; }
 
     /** Same type with a different array dimension. */
     Type array(int n) const
@@ -102,12 +102,6 @@ struct Type
     /** GLSL spelling, e.g. "vec3", "mat4", "float", "int[9]". */
     std::string str() const;
 };
-
-/** Parse a GLSL type keyword ("vec3", "mat2", ...); Void on failure. */
-Type typeFromKeyword(const std::string &word);
-
-/** True if @p word names a type (usable as constructor name too). */
-bool isTypeKeyword(const std::string &word);
 
 } // namespace gsopt::glsl
 

@@ -131,15 +131,6 @@ clearDriverCache()
     frontEndRuns = 0;
 }
 
-ShaderBinary
-driverCompileUncached(const std::string &glslSource,
-                      const DeviceModel &device)
-{
-    // Front end: the driver parses whatever text it is given.
-    auto module = canonicalIr(glslSource);
-    return compileIr(*module, device);
-}
-
 namespace {
 
 ShaderBinary

@@ -54,11 +54,6 @@ struct ShaderBinary
 ShaderBinary driverCompile(const std::string &glslSource,
                            const DeviceModel &device);
 
-/** The raw uncached compile path (the cache's fill function). Exposed
- * for benchmarks that need to price a cold compile. */
-ShaderBinary driverCompileUncached(const std::string &glslSource,
-                                   const DeviceModel &device);
-
 /**
  * One step of the vendor pass pipeline. A device runs the step when
  * @p enabled says so: its jitFlags bit is set, and for the structural

@@ -1,7 +1,6 @@
 #include "ir/verifier.h"
 
 #include <stdexcept>
-#include <unordered_set>
 
 #include "ir/dump.h"
 
@@ -19,8 +18,8 @@ class Verifier
         for (const auto &v : module_.vars) {
             if (v->kind == VarKind::ConstArray && v->constInit.empty())
                 problem("const array @" + v->name + " has no data");
-            vars_.insert(v);
         }
+        defined_.assign(static_cast<size_t>(module_.idBound()), nullptr);
         checkRegion(module_.body);
         return std::move(problems_);
     }
@@ -34,7 +33,7 @@ class Verifier
             problem("null operand in: " + dumpInstr(user));
             return;
         }
-        if (!defined_.count(op)) {
+        if (!isDefined(op)) {
             problem("operand %" + std::to_string(op->id) +
                     " not defined before use in: " + dumpInstr(user));
         }
@@ -50,7 +49,7 @@ class Verifier
                 if (!f->cond) {
                     problem("if node without condition");
                 } else {
-                    if (!defined_.count(f->cond))
+                    if (!isDefined(f->cond))
                         problem("if condition %" +
                                 std::to_string(f->cond->id) +
                                 " not defined before the if");
@@ -59,16 +58,16 @@ class Verifier
                 }
                 // Values from the branches do not escape: passes must
                 // communicate through vars. Enforce by scoping.
-                auto saved = defined_;
+                const size_t scope = definedLog_.size();
                 checkRegion(f->thenRegion);
-                defined_ = saved;
+                undefineSince(scope);
                 checkRegion(f->elseRegion);
-                defined_ = std::move(saved);
+                undefineSince(scope);
             } else if (const auto *l = dyn_cast<LoopNode>(node.get())) {
                 if (l->canonical) {
                     if (!l->counter) {
                         problem("canonical loop without counter var");
-                    } else if (!vars_.count(l->counter)) {
+                    } else if (!ownsVar(l->counter)) {
                         problem("loop counter not owned by module");
                     }
                     if (l->step <= 0)
@@ -76,20 +75,20 @@ class Verifier
                 } else if (!l->condValue) {
                     problem("generic loop without condition value");
                 }
-                auto saved = defined_;
+                const size_t scope = definedLog_.size();
                 if (!l->canonical) {
                     checkRegion(l->condRegion);
-                    if (l->condValue && !defined_.count(l->condValue))
+                    if (l->condValue && !isDefined(l->condValue))
                         problem("loop condition value not defined in "
                                 "cond region");
                     // Cond-region values are NOT visible to the body:
                     // the GLSL back end re-evaluates the condition at a
                     // different program point, so any cross-reference
                     // would change meaning after a round trip.
-                    defined_ = saved;
+                    undefineSince(scope);
                 }
                 checkRegion(l->body);
-                defined_ = std::move(saved);
+                undefineSince(scope);
             }
         }
     }
@@ -192,13 +191,44 @@ class Verifier
             break;
         }
         if (!isVoidOp(i.op))
-            defined_.insert(&i);
+            define(i);
+    }
+
+    // The values visible at the current point, by Instr::id: a scope's
+    // definitions are logged, and leaving the scope undoes them.
+    bool isDefined(const Instr *i) const
+    {
+        const auto id = static_cast<size_t>(i->id);
+        return i->id >= 0 && id < defined_.size() && defined_[id] == i;
+    }
+    void define(const Instr &i)
+    {
+        const auto id = static_cast<size_t>(i.id);
+        if (i.id < 0)
+            return; // never visible: every use reports it
+        if (id >= defined_.size()) // not the module's: keep it checkable
+            defined_.resize(id + 1);
+        definedLog_.emplace_back(id, defined_[id]);
+        defined_[id] = &i;
+    }
+    void undefineSince(size_t scope)
+    {
+        for (; definedLog_.size() > scope; definedLog_.pop_back())
+            defined_[definedLog_.back().first] = definedLog_.back().second;
+    }
+
+    bool ownsVar(const Var *v) const
+    {
+        const auto id = static_cast<size_t>(v->id);
+        return v->id >= 0 && id < module_.vars.size() &&
+               module_.vars[id] == v;
     }
 
     const Module &module_;
     std::vector<std::string> problems_;
-    std::unordered_set<const Instr *> defined_;
-    std::unordered_set<const Var *> vars_;
+    std::vector<const Instr *> defined_;
+    /** (id, what defined_[id] held before), per definition. */
+    std::vector<std::pair<size_t, const Instr *>> definedLog_;
 };
 
 } // namespace

@@ -1,10 +1,8 @@
 #include "lower/lower.h"
 
 #include <cmath>
-#include <map>
 #include <optional>
-#include <set>
-#include <unordered_map>
+#include <string>
 
 #include "ir/builder.h"
 #include "ir/verifier.h"
@@ -15,6 +13,8 @@ using glsl::AssignOp;
 using glsl::BinaryOp;
 using glsl::Expr;
 using glsl::ExprKind;
+using glsl::kNoName;
+using glsl::NameId;
 using glsl::Qualifier;
 using glsl::Stmt;
 using glsl::StmtKind;
@@ -58,8 +58,9 @@ class Lowerer
 {
   public:
     explicit Lowerer(const glsl::CompiledShader &cs)
-        : cs_(cs), module_(std::make_unique<ir::Module>()),
-          builder_(*module_)
+        : cs_(cs), names_(cs.ast.names.extension()),
+          fragCoord_(names_.intern("gl_FragCoord")),
+          module_(std::make_unique<ir::Module>()), builder_(*module_)
     {
     }
 
@@ -67,10 +68,11 @@ class Lowerer
     {
         for (const auto &g : cs_.ast.globals)
             lowerGlobal(g);
-        const glsl::FunctionDecl *main = cs_.ast.findFunction("main");
+        const glsl::FunctionDecl *main =
+            cs_.ast.findFunction(names_.find("main"));
         if (!main)
             fail({}, "no main function");
-        for (const auto &s : main->body->body)
+        for (const Stmt *s : main->body->body)
             lowerStmt(*s);
         ir::verifyOrDie(*module_, "after lowering");
         return std::move(module_);
@@ -90,10 +92,7 @@ class Lowerer
           case ExprKind::BoolLit:
             return std::vector<double>{e.boolValue ? 1.0 : 0.0};
           case ExprKind::VarRef: {
-            auto it = constValues_.find(e.name);
-            if (it != constValues_.end())
-                return it->second;
-            return std::nullopt;
+            return info(e.name).constValue;
           }
           case ExprKind::Unary: {
             auto a = tryEvalConst(*e.args[0]);
@@ -135,7 +134,7 @@ class Lowerer
             if (e.ctorType.isMatrix())
                 return std::nullopt;
             std::vector<double> out;
-            for (const auto &arg : e.args) {
+            for (const Expr *arg : e.args) {
                 auto v = tryEvalConst(*arg);
                 if (!v)
                     return std::nullopt;
@@ -172,16 +171,13 @@ class Lowerer
             auto base = tryEvalConst(*e.args[0]);
             if (!base)
                 return std::nullopt;
+            auto lanes = glsl::decodeSwizzle(
+                str(e.name), static_cast<int>(base->size()));
+            if (!lanes)
+                return std::nullopt;
             std::vector<double> out;
-            for (char c : e.name) {
-                int i = c == 'x' || c == 'r' || c == 's'   ? 0
-                        : c == 'y' || c == 'g' || c == 't' ? 1
-                        : c == 'z' || c == 'b' || c == 'p' ? 2
-                                                           : 3;
-                if (static_cast<size_t>(i) >= base->size())
-                    return std::nullopt;
+            for (int i : *lanes)
                 out.push_back((*base)[static_cast<size_t>(i)]);
-            }
             return out;
           }
           default:
@@ -212,13 +208,9 @@ class Lowerer
         }
 
         if (kind != VarKind::Local) {
-            if (g.type.isMatrix()) {
-                // Uniform matrices stay whole; columns are loaded via
-                // LoadElem and scalarised at each use.
-                newVar(g.name, g.type, kind);
-            } else {
-                newVar(g.name, g.type, kind);
-            }
+            // Uniform matrices stay whole too; columns are loaded via
+            // LoadElem and scalarised at each use.
+            newVar(g.name, g.type, kind);
             return;
         }
 
@@ -227,7 +219,7 @@ class Lowerer
         if (g.init && g.qual == Qualifier::Const) {
             auto cv = tryEvalConst(*g.init);
             if (cv) {
-                constValues_[g.name] = *cv;
+                info(g.name).constValue = cv;
                 if (g.type.isArray()) {
                     Var *var =
                         newVar(g.name, g.type, VarKind::ConstArray);
@@ -237,8 +229,8 @@ class Lowerer
                 // Constant scalar/vector: materialise as a module-entry
                 // store (forwarding will propagate it).
                 declareLocal(g.name, g.type, g.loc);
-                storeTo(g.name, g.type,
-                        makeConst(g.type, *cv));
+                Value value{makeConst(g.type, *cv), std::nullopt};
+                storeValue(g.name, g.type, value, {});
                 return;
             }
         }
@@ -251,21 +243,61 @@ class Lowerer
 
     // ===================== var management ==============================
 
-    /** Create a module var and index it by name (the first var with a
-     * name wins, as in Module::findVar). */
-    Var *newVar(const std::string &name, Type type, VarKind kind)
+    /** Scalarised storage for a local matrix variable. */
+    struct MatrixStorage
     {
-        Var *v = module_->newVar(name, type, kind);
-        varsByName_.try_emplace(name, v);
+        int cols = 0;
+        int rows = 0;
+        std::vector<Var *> comps;
+    };
+
+    /** What the lowerer knows about one name. */
+    struct NameInfo
+    {
+        Var *var = nullptr;      ///< first module var so named
+        int matrix = -1;         ///< matrices_ index: scalarised storage
+        /** Known constant value (const globals/locals, arrays). */
+        std::optional<std::vector<double>> constValue;
+        NameId subst = kNoName;  ///< active substitution, if any
+        bool inlining = false;   ///< a function on the inline stack
+    };
+
+    /** The entry of @p id; a reference valid until the next intern. */
+    NameInfo &info(NameId id)
+    {
+        if (id >= infos_.size())
+            infos_.resize(names_.size());
+        return infos_[id];
+    }
+
+    std::string_view str(NameId id) const { return names_.str(id); }
+    /** @p id's spelling in quotes, for diagnostics. */
+    std::string quoted(NameId id) const
+    {
+        return "'" + std::string(str(id)) + "'";
+    }
+
+    /** @p base's spelling plus @p suffix, interned. */
+    NameId derived(NameId base, const std::string &suffix)
+    {
+        return names_.intern(std::string(str(base)) + suffix);
+    }
+
+    /** Create a module var and index it by name (the first var with a
+     * name wins, as in Module::findVar, which this index replaces:
+     * every var is created here). */
+    Var *newVar(NameId name, Type type, VarKind kind)
+    {
+        Var *v = module_->newVar(std::string(str(name)), type, kind);
+        if (!info(name).var)
+            info(name).var = v;
         return v;
     }
 
-    /** Module::findVar through the name index: every var is created by
-     * newVar above, so this is that scan without the scan. */
-    Var *findVar(const std::string &name) const
+    /** Is @p name a var or a scalarised matrix already? */
+    bool taken(NameId name)
     {
-        auto it = varsByName_.find(name);
-        return it == varsByName_.end() ? nullptr : it->second;
+        return info(name).var || info(name).matrix >= 0;
     }
 
     /**
@@ -273,50 +305,57 @@ class Lowerer
      * sema's alpha-renaming, but inlining the same function at several
      * sites re-declares its locals; those get a numeric suffix here.
      */
-    std::string uniqueVarName(const std::string &name)
+    NameId uniqueVarName(NameId name)
     {
-        if (!findVar(name) && !matrixVars_.count(name))
+        if (!taken(name))
             return name;
         int n = 1;
-        std::string candidate;
+        NameId candidate;
         do {
-            candidate = name + "_d" + std::to_string(n++);
-        } while (findVar(candidate) || matrixVars_.count(candidate));
+            candidate = derived(name, "_d" + std::to_string(n++));
+        } while (taken(candidate));
         return candidate;
     }
 
     /** Create the storage for a local of any type (matrix-aware). */
-    void declareLocal(const std::string &name, Type type, SourceLoc loc)
+    void declareLocal(NameId name, Type type, SourceLoc loc)
     {
         if (type.isMatrix()) {
             // Scalarised storage: one float var per component.
-            std::vector<Var *> comps;
+            MatrixStorage m{type.cols, type.rows, {}};
             for (int c = 0; c < type.cols; ++c) {
                 for (int r = 0; r < type.rows; ++r) {
-                    comps.push_back(newVar(name + "_m" +
-                                               std::to_string(c) +
-                                               std::to_string(r),
-                                           Type::floatTy(),
-                                           VarKind::Local));
+                    m.comps.push_back(newVar(
+                        derived(name, "_m" + std::to_string(c) +
+                                          std::to_string(r)),
+                        Type::floatTy(), VarKind::Local));
                 }
             }
-            matrixVars_[name] = {type.cols, type.rows, comps};
+            info(name).matrix = static_cast<int>(matrices_.size());
+            matrices_.push_back(std::move(m));
             return;
         }
         if (type.isArray() && type.arraySize < 0)
-            fail(loc, "array '" + name + "' has unresolved size");
+            fail(loc, "array " + quoted(name) + " has unresolved size");
         newVar(name, type, VarKind::Local);
     }
 
-    Var *varFor(const std::string &name, SourceLoc loc)
+    /** The scalarised storage of @p name, or nullptr. */
+    const MatrixStorage *matrixOf(NameId name)
     {
-        Var *v = findVar(name);
-        if (!v && name == "gl_FragCoord") {
+        const int m = info(name).matrix;
+        return m < 0 ? nullptr : &matrices_[static_cast<size_t>(m)];
+    }
+
+    Var *varFor(NameId name, SourceLoc loc)
+    {
+        Var *v = info(name).var;
+        if (!v && name == fragCoord_) {
             // The fragment-coordinate builtin materialises on first use.
-            return newVar("gl_FragCoord", Type::vec(4), VarKind::Input);
+            return newVar(fragCoord_, Type::vec(4), VarKind::Input);
         }
         if (!v)
-            fail(loc, "lowering: unknown variable '" + name + "'");
+            fail(loc, "lowering: unknown variable " + quoted(name));
         return v;
     }
 
@@ -392,17 +431,14 @@ class Lowerer
     Value lowerVarRef(const Expr &e)
     {
         // Inlined-function parameter substitution.
-        auto pit = paramSubst_.find(e.name);
-        const std::string &name =
-            pit != paramSubst_.end() ? pit->second : e.name;
+        const NameId name = substName(e.name);
 
         if (e.type.isMatrix()) {
-            auto mit = matrixVars_.find(name);
-            if (mit != matrixVars_.end()) {
+            if (const MatrixStorage *m = matrixOf(name)) {
                 MatValue mv;
-                mv.cols = mit->second.cols;
-                mv.rows = mit->second.rows;
-                for (Var *comp : mit->second.comps)
+                mv.cols = m->cols;
+                mv.rows = m->rows;
+                for (Var *comp : m->comps)
                     mv.scalars.push_back(builder_.load(comp));
                 return {nullptr, mv};
             }
@@ -422,8 +458,8 @@ class Lowerer
         }
         Var *var = varFor(name, e.loc);
         if (var->type.isArray())
-            fail(e.loc, "array '" + name +
-                            "' can only be used with an index");
+            fail(e.loc, "array " + quoted(name) +
+                            " can only be used with an index");
         return {builder_.load(var), std::nullopt};
     }
 
@@ -449,42 +485,19 @@ class Lowerer
         if (av.isMatrix() || bv.isMatrix())
             return lowerMatrixBinary(e, av, bv);
 
+        // By BinaryOp.
+        static constexpr Opcode kOpcodes[] = {
+            Opcode::Add, Opcode::Sub, Opcode::Mul, Opcode::Div,
+            Opcode::Mod, Opcode::Lt,  Opcode::Le,  Opcode::Gt,
+            Opcode::Ge,  Opcode::Eq,  Opcode::Ne,  Opcode::LogicalAnd,
+            Opcode::LogicalOr,
+        };
         Instr *a = av.v;
         Instr *b = bv.v;
-        switch (op) {
-          case BinaryOp::Add:
-          case BinaryOp::Sub:
-          case BinaryOp::Mul:
-          case BinaryOp::Div: {
+        if (op <= BinaryOp::Div)
             matchShapes(a, b);
-            Opcode o = op == BinaryOp::Add   ? Opcode::Add
-                       : op == BinaryOp::Sub ? Opcode::Sub
-                       : op == BinaryOp::Mul ? Opcode::Mul
-                                             : Opcode::Div;
-            return {builder_.binary(o, a, b), std::nullopt};
-          }
-          case BinaryOp::Mod:
-            return {builder_.binary(Opcode::Mod, a, b), std::nullopt};
-          case BinaryOp::Lt:
-            return {builder_.binary(Opcode::Lt, a, b), std::nullopt};
-          case BinaryOp::Le:
-            return {builder_.binary(Opcode::Le, a, b), std::nullopt};
-          case BinaryOp::Gt:
-            return {builder_.binary(Opcode::Gt, a, b), std::nullopt};
-          case BinaryOp::Ge:
-            return {builder_.binary(Opcode::Ge, a, b), std::nullopt};
-          case BinaryOp::Eq:
-            return {builder_.binary(Opcode::Eq, a, b), std::nullopt};
-          case BinaryOp::Ne:
-            return {builder_.binary(Opcode::Ne, a, b), std::nullopt};
-          case BinaryOp::LogicalAnd:
-            return {builder_.binary(Opcode::LogicalAnd, a, b),
-                    std::nullopt};
-          case BinaryOp::LogicalOr:
-            return {builder_.binary(Opcode::LogicalOr, a, b),
-                    std::nullopt};
-        }
-        fail(e.loc, "unhandled binary op");
+        return {builder_.binary(kOpcodes[static_cast<int>(op)], a, b),
+                std::nullopt};
     }
 
     Value lowerMatrixBinary(const Expr &e, Value &av, Value &bv)
@@ -627,7 +640,7 @@ class Lowerer
         // Vector constructor.
         std::vector<Instr *> parts;
         int have = 0;
-        for (const auto &arg : e.args) {
+        for (const Expr *arg : e.args) {
             Instr *v = lowerScalarOrVector(*arg);
             // Component base conversion (int literals in vec ctor, ...).
             if (v->type.isScalar() && v->type.base != ty.base)
@@ -712,7 +725,7 @@ class Lowerer
         }
         // Flatten all args to scalars, column-major fill.
         std::vector<Instr *> scalars;
-        for (const auto &arg : e.args) {
+        for (const Expr *arg : e.args) {
             Instr *v = lowerScalarOrVector(*arg);
             if (v->type.isScalar()) {
                 scalars.push_back(v);
@@ -739,8 +752,7 @@ class Lowerer
 
         // Array element access goes straight to the var.
         if (base.kind == ExprKind::VarRef && base.type.isArray()) {
-            std::string name = substName(base.name);
-            Var *var = varFor(name, base.loc);
+            Var *var = varFor(substName(base.name), base.loc);
             Instr *i = lowerScalarOrVector(idx);
             Instr *elem = builder_.loadElem(var, i);
             return {elem, std::nullopt};
@@ -748,7 +760,7 @@ class Lowerer
         // Matrix column access.
         if (base.type.isMatrix()) {
             Value m = lowerExpr(base);
-            auto ci = constIntOf(idx);
+            auto ci = glsl::literalIntOf(idx);
             if (!ci)
                 fail(e.loc, "dynamic matrix column index is not "
                             "supported on scalarised matrices");
@@ -761,7 +773,7 @@ class Lowerer
         }
         // Vector component access.
         Instr *vec = lowerScalarOrVector(base);
-        auto ci = constIntOf(idx);
+        auto ci = glsl::literalIntOf(idx);
         if (ci)
             return {builder_.extract(vec, static_cast<int>(*ci)),
                     std::nullopt};
@@ -778,19 +790,6 @@ class Lowerer
         return {result, std::nullopt};
     }
 
-    /** Literal int value of an expression, if it is one. */
-    std::optional<long> constIntOf(const Expr &e)
-    {
-        if (e.kind == ExprKind::IntLit)
-            return e.intValue;
-        if (e.kind == ExprKind::Unary && e.unaryOp == UnaryOp::Neg) {
-            auto inner = constIntOf(*e.args[0]);
-            if (inner)
-                return -*inner;
-        }
-        return std::nullopt;
-    }
-
     Value lowerMember(const Expr &e)
     {
         Instr *base = lowerScalarOrVector(*e.args[0]);
@@ -800,64 +799,58 @@ class Lowerer
         return {builder_.swizzle(base, idx), std::nullopt};
     }
 
-    static std::vector<int> swizzleIndices(const std::string &name)
+    /** The lanes of a swizzle sema accepted. */
+    std::vector<int> swizzleIndices(NameId name) const
     {
-        std::vector<int> idx;
-        for (char c : name) {
-            switch (c) {
-              case 'x': case 'r': case 's': idx.push_back(0); break;
-              case 'y': case 'g': case 't': idx.push_back(1); break;
-              case 'z': case 'b': case 'p': idx.push_back(2); break;
-              default: idx.push_back(3); break;
-            }
-        }
-        return idx;
+        return *glsl::decodeSwizzle(str(name), 4);
     }
 
     // ========================= calls ===================================
 
     Value lowerCall(const Expr &e)
     {
-        const std::string &name = e.name;
-        if (glsl::isBuiltinFunction(name))
+        const NameId name = e.name;
+        if (glsl::isBuiltinFunction(str(name)))
             return lowerBuiltin(e);
 
         const glsl::FunctionDecl *fn = cs_.ast.findFunction(name);
         if (!fn)
-            fail(e.loc, "call to unknown function '" + name + "'");
-        if (inlineStack_.count(name))
-            fail(e.loc, "recursive call to '" + name +
-                            "' cannot be inlined");
+            fail(e.loc, "call to unknown function " + quoted(name));
+        if (info(name).inlining)
+            fail(e.loc, "recursive call to " + quoted(name) +
+                            " cannot be inlined");
 
-        // Inline: bind arguments to fresh locals.
+        // Inline: bind arguments to fresh locals. The arguments lower
+        // under the caller's substitutions; the callee's apply after.
         const int site = inlineCounter_++;
-        std::map<std::string, std::string> subst_save = paramSubst_;
-        std::map<std::string, std::string> new_subst = paramSubst_;
+        std::vector<std::pair<NameId, NameId>> params;
         for (size_t i = 0; i < fn->params.size(); ++i) {
             const auto &p = fn->params[i];
-            std::string local_name = uniqueVarName(
-                p.name + "_inl" + std::to_string(site));
+            const NameId local_name =
+                uniqueVarName(derived(p.name, "_inl" + std::to_string(site)));
             Value arg = lowerExpr(*e.args[i]);
             declareLocal(local_name, p.type, e.loc);
             storeValue(local_name, p.type, arg, e.loc);
-            new_subst[p.name] = local_name;
+            params.emplace_back(p.name, local_name);
         }
         // Return slot.
-        std::string ret_name;
+        NameId ret_name = kNoName;
         if (!fn->returnType.isVoid()) {
-            ret_name = uniqueVarName(name + "_ret" +
-                                     std::to_string(site));
+            ret_name =
+                uniqueVarName(derived(name, "_ret" + std::to_string(site)));
             declareLocal(ret_name, fn->returnType, e.loc);
         }
 
-        inlineStack_.insert(name);
-        paramSubst_ = new_subst;
+        info(name).inlining = true;
+        const size_t scope = substLog_.size();
+        for (const auto &[param, local] : params)
+            substitute(param, local);
         returnSlots_.push_back(ret_name);
-        for (const auto &s : fn->body->body)
+        for (const Stmt *s : fn->body->body)
             lowerStmt(*s);
         returnSlots_.pop_back();
-        paramSubst_ = subst_save;
-        inlineStack_.erase(name);
+        undoSubstitutions(scope);
+        info(name).inlining = false;
 
         if (fn->returnType.isVoid())
             return {nullptr, std::nullopt};
@@ -873,7 +866,7 @@ class Lowerer
 
     Value lowerBuiltin(const Expr &e)
     {
-        const std::string &name = e.name;
+        const std::string_view name = str(e.name);
 
         if (name == "texture" || name == "texture2D" ||
             name == "textureLod") {
@@ -897,7 +890,7 @@ class Lowerer
         }
 
         std::vector<Instr *> args;
-        for (const auto &a : e.args)
+        for (const Expr *a : e.args)
             args.push_back(lowerScalarOrVector(*a));
 
         auto splat_to_first = [&](size_t from) {
@@ -982,7 +975,7 @@ class Lowerer
                                   {args[0], args[1], args[2]}),
                     std::nullopt};
         }
-        fail(e.loc, "builtin '" + name + "' not lowered");
+        fail(e.loc, "builtin '" + std::string(name) + "' not lowered");
     }
 
     Var *samplerOf(const Expr &e)
@@ -991,14 +984,29 @@ class Lowerer
             fail(e.loc, "sampler argument must be a uniform name");
         Var *v = varFor(substName(e.name), e.loc);
         if (v->kind != VarKind::Sampler)
-            fail(e.loc, "'" + e.name + "' is not a sampler");
+            fail(e.loc, quoted(e.name) + " is not a sampler");
         return v;
     }
 
-    std::string substName(const std::string &name) const
+    NameId substName(NameId name)
     {
-        auto it = paramSubst_.find(name);
-        return it != paramSubst_.end() ? it->second : name;
+        const NameId to = info(name).subst;
+        return to != kNoName ? to : name;
+    }
+
+    /** Substitute @p to for @p from until undoSubstitutions passes this
+     * entry of the log. */
+    void substitute(NameId from, NameId to)
+    {
+        substLog_.emplace_back(from, info(from).subst);
+        info(from).subst = to;
+    }
+
+    /** Undo the substitutions made since the log had @p size entries. */
+    void undoSubstitutions(size_t size)
+    {
+        for (; substLog_.size() > size; substLog_.pop_back())
+            info(substLog_.back().first).subst = substLog_.back().second;
     }
 
     // ========================== statements ============================
@@ -1007,7 +1015,7 @@ class Lowerer
     {
         switch (s.kind) {
           case StmtKind::Block:
-            for (const auto &b : s.body)
+            for (const Stmt *b : s.body)
                 lowerStmt(*b);
             break;
           case StmtKind::Decl:
@@ -1039,22 +1047,22 @@ class Lowerer
 
     void lowerDecl(const Stmt &s)
     {
-        const std::string actual = uniqueVarName(s.name);
+        const NameId actual = uniqueVarName(s.name);
         if (actual != s.name)
-            paramSubst_[s.name] = actual;
+            substitute(s.name, actual);
 
         // const with fully constant initialiser: keep as data.
         if (s.rhs && s.isConst) {
             auto cv = tryEvalConst(*s.rhs);
             if (cv && s.declType.isArray()) {
-                constValues_[s.name] = *cv;
+                info(s.name).constValue = cv;
                 Var *var =
                     newVar(actual, s.declType, VarKind::ConstArray);
                 var->constInit = *cv;
                 return;
             }
             if (cv && s.isConst)
-                constValues_[s.name] = *cv;
+                info(s.name).constValue = cv;
         }
         declareLocal(actual, s.declType, s.loc);
         if (!s.rhs)
@@ -1078,26 +1086,19 @@ class Lowerer
     }
 
     /** Store a Value (matrix-aware) into a named variable. */
-    void storeValue(const std::string &name, Type type, Value &v,
-                    SourceLoc loc)
+    void storeValue(NameId name, Type type, Value &v, SourceLoc loc)
     {
         if (type.isMatrix()) {
-            auto mit = matrixVars_.find(name);
-            if (mit == matrixVars_.end())
-                fail(loc, "matrix variable '" + name + "' not lowered");
+            const MatrixStorage *m = matrixOf(name);
+            if (!m)
+                fail(loc, "matrix variable " + quoted(name) + " not lowered");
             if (!v.isMatrix())
-                fail(loc, "expected matrix value for '" + name + "'");
-            for (size_t i = 0; i < mit->second.comps.size(); ++i)
-                builder_.store(mit->second.comps[i], v.mat->scalars[i]);
+                fail(loc, "expected matrix value for " + quoted(name));
+            for (size_t i = 0; i < m->comps.size(); ++i)
+                builder_.store(m->comps[i], v.mat->scalars[i]);
             return;
         }
         builder_.store(varFor(name, loc), v.v);
-    }
-
-    void storeTo(const std::string &name, Type type, Instr *v)
-    {
-        Value val{v, std::nullopt};
-        storeValue(name, type, val, {});
     }
 
     void lowerAssign(const Stmt &s)
@@ -1144,7 +1145,7 @@ class Lowerer
     {
         switch (lhs.kind) {
           case ExprKind::VarRef: {
-            std::string name = substName(lhs.name);
+            const NameId name = substName(lhs.name);
             if (lhs.type.isMatrix()) {
                 storeValue(name, lhs.type, v, loc);
                 return;
@@ -1165,7 +1166,7 @@ class Lowerer
                 return;
             }
             if (base.kind == ExprKind::VarRef && base.type.isVector()) {
-                auto ci = constIntOf(*lhs.args[1]);
+                auto ci = glsl::literalIntOf(*lhs.args[1]);
                 if (!ci)
                     fail(loc, "dynamic vector component stores are not "
                               "supported");
@@ -1177,21 +1178,19 @@ class Lowerer
                 return;
             }
             if (base.kind == ExprKind::VarRef && base.type.isMatrix()) {
-                auto ci = constIntOf(*lhs.args[1]);
+                auto ci = glsl::literalIntOf(*lhs.args[1]);
                 if (!ci)
                     fail(loc, "dynamic matrix column stores are not "
                               "supported");
-                auto mit = matrixVars_.find(substName(base.name));
-                if (mit == matrixVars_.end())
+                const MatrixStorage *m = matrixOf(substName(base.name));
+                if (!m)
                     fail(loc, "cannot store column of a non-local "
                               "matrix");
                 int c = static_cast<int>(*ci);
-                for (int r = 0; r < mit->second.rows; ++r) {
+                for (int r = 0; r < m->rows; ++r) {
                     Instr *comp = builder_.extract(v.v, r);
                     builder_.store(
-                        mit->second
-                            .comps[static_cast<size_t>(
-                                c * mit->second.rows + r)],
+                        m->comps[static_cast<size_t>(c * m->rows + r)],
                         comp);
                 }
                 return;
@@ -1203,17 +1202,8 @@ class Lowerer
             std::vector<int> idx = swizzleIndices(lhs.name);
             if (base.kind == ExprKind::VarRef && base.type.isVector()) {
                 Var *var = varFor(substName(base.name), loc);
-                Instr *cur = builder_.load(var);
-                if (idx.size() == 1) {
-                    cur = builder_.insert(cur, v.v, idx[0]);
-                } else {
-                    for (size_t i = 0; i < idx.size(); ++i) {
-                        Instr *lane = builder_.extract(
-                            v.v, static_cast<int>(i));
-                        cur = builder_.insert(cur, lane, idx[i]);
-                    }
-                }
-                builder_.store(var, cur);
+                builder_.store(var,
+                               insertLanes(builder_.load(var), v.v, idx));
                 return;
             }
             if (base.kind == ExprKind::Index) {
@@ -1225,16 +1215,8 @@ class Lowerer
                     Instr *index =
                         lowerScalarOrVector(*base.args[1]);
                     Instr *cur = builder_.loadElem(var, index);
-                    if (idx.size() == 1) {
-                        cur = builder_.insert(cur, v.v, idx[0]);
-                    } else {
-                        for (size_t i = 0; i < idx.size(); ++i) {
-                            Instr *lane = builder_.extract(
-                                v.v, static_cast<int>(i));
-                            cur = builder_.insert(cur, lane, idx[i]);
-                        }
-                    }
-                    builder_.storeElem(var, index, cur);
+                    builder_.storeElem(var, index,
+                                       insertLanes(cur, v.v, idx));
                     return;
                 }
             }
@@ -1245,16 +1227,29 @@ class Lowerer
         }
     }
 
+    /** @p cur with its lanes @p idx replaced by @p value's lanes (by
+     * @p value itself for one lane). */
+    Instr *insertLanes(Instr *cur, Instr *value, const std::vector<int> &idx)
+    {
+        if (idx.size() == 1)
+            return builder_.insert(cur, value, idx[0]);
+        for (size_t i = 0; i < idx.size(); ++i) {
+            Instr *lane = builder_.extract(value, static_cast<int>(i));
+            cur = builder_.insert(cur, lane, idx[i]);
+        }
+        return cur;
+    }
+
     void lowerIf(const Stmt &s)
     {
         Instr *cond = lowerScalarOrVector(*s.cond);
         ir::IfNode *node = builder_.createIf(cond);
         builder_.pushRegion(&node->thenRegion);
-        for (const auto &b : s.body)
+        for (const Stmt *b : s.body)
             lowerStmt(*b);
         builder_.popRegion();
         builder_.pushRegion(&node->elseRegion);
-        for (const auto &b : s.elseBody)
+        for (const Stmt *b : s.elseBody)
             lowerStmt(*b);
         builder_.popRegion();
     }
@@ -1268,14 +1263,14 @@ class Lowerer
         if (!s.init || !s.cond || !s.step)
             return false;
         // init: Decl int name = IntLit
-        const Stmt *init = s.init.get();
+        const Stmt *init = s.init;
         if (init->kind != StmtKind::Decl ||
             init->declType != Type::intTy() || !init->rhs)
             return false;
-        auto init_val = constIntOf(*init->rhs);
+        auto init_val = glsl::literalIntOf(*init->rhs);
         if (!init_val)
             return false;
-        const std::string &iv = init->name;
+        const NameId iv = init->name;
         // cond: iv < IntLit  |  iv <= IntLit
         const Expr &cond = *s.cond;
         if (cond.kind != ExprKind::Binary)
@@ -1286,7 +1281,7 @@ class Lowerer
         if (cond.args[0]->kind != ExprKind::VarRef ||
             cond.args[0]->name != iv)
             return false;
-        auto limit = constIntOf(*cond.args[1]);
+        auto limit = glsl::literalIntOf(*cond.args[1]);
         if (!limit)
             return false;
         long lim = *limit + (cond.binaryOp == BinaryOp::Le ? 1 : 0);
@@ -1297,7 +1292,7 @@ class Lowerer
             return false;
         long step_val = 0;
         if (step.assignOp == AssignOp::AddAssign) {
-            auto c = constIntOf(*step.rhs);
+            auto c = glsl::literalIntOf(*step.rhs);
             if (!c)
                 return false;
             step_val = *c;
@@ -1306,7 +1301,7 @@ class Lowerer
                    step.rhs->binaryOp == BinaryOp::Add &&
                    step.rhs->args[0]->kind == ExprKind::VarRef &&
                    step.rhs->args[0]->name == iv) {
-            auto c = constIntOf(*step.rhs->args[1]);
+            auto c = glsl::literalIntOf(*step.rhs->args[1]);
             if (!c)
                 return false;
             step_val = *c;
@@ -1316,10 +1311,12 @@ class Lowerer
         if (step_val <= 0)
             return false;
         // Body must not write the counter.
-        if (writesVar(s.body, iv))
-            return false;
+        for (const Stmt *b : s.body) {
+            if (writesVar(b, iv))
+                return false;
+        }
 
-        const std::string counter_name = uniqueVarName(iv);
+        const NameId counter_name = uniqueVarName(iv);
         Var *counter =
             newVar(counter_name, Type::intTy(), VarKind::Local);
         ir::LoopNode *loop = builder_.createLoop();
@@ -1328,41 +1325,34 @@ class Lowerer
         loop->init = *init_val;
         loop->limit = lim;
         loop->step = step_val;
-        auto subst_save = paramSubst_;
+        const size_t scope = substLog_.size();
         if (counter_name != iv)
-            paramSubst_[iv] = counter_name;
+            substitute(iv, counter_name);
         builder_.pushRegion(&loop->body);
-        for (const auto &b : s.body)
+        for (const Stmt *b : s.body)
             lowerStmt(*b);
         builder_.popRegion();
-        paramSubst_ = std::move(subst_save);
+        undoSubstitutions(scope);
         return true;
     }
 
-    static bool writesVar(const std::vector<glsl::StmtPtr> &body,
-                          const std::string &name)
+    /** Does @p s (or a statement inside it) assign @p name? */
+    static bool writesVar(const Stmt *s, NameId name)
     {
-        for (const auto &s : body) {
-            if (s->kind == StmtKind::Assign &&
-                s->lhs->kind == ExprKind::VarRef && s->lhs->name == name)
-                return true;
-            if (writesVar(s->body, name) || writesVar(s->elseBody, name))
-                return true;
-            if (s->init && writesVar0(*s->init, name))
-                return true;
-            if (s->step && writesVar0(*s->step, name))
+        if (!s)
+            return false;
+        if (s->kind == StmtKind::Assign &&
+            s->lhs->kind == ExprKind::VarRef && s->lhs->name == name)
+            return true;
+        for (const Stmt *b : s->body) {
+            if (writesVar(b, name))
                 return true;
         }
-        return false;
-    }
-
-    static bool writesVar0(const Stmt &s, const std::string &name)
-    {
-        std::vector<glsl::StmtPtr> tmp;
-        if (s.kind == StmtKind::Assign &&
-            s.lhs->kind == ExprKind::VarRef && s.lhs->name == name)
-            return true;
-        return writesVar(s.body, name) || writesVar(s.elseBody, name);
+        for (const Stmt *b : s->elseBody) {
+            if (writesVar(b, name))
+                return true;
+        }
+        return writesVar(s->init, name) || writesVar(s->step, name);
     }
 
     void lowerFor(const Stmt &s)
@@ -1380,7 +1370,7 @@ class Lowerer
                                  : builder_.constBool(true);
         builder_.popRegion();
         builder_.pushRegion(&loop->body);
-        for (const auto &b : s.body)
+        for (const Stmt *b : s.body)
             lowerStmt(*b);
         if (s.step)
             lowerStmt(*s.step);
@@ -1395,7 +1385,7 @@ class Lowerer
         loop->condValue = lowerScalarOrVector(*s.cond);
         builder_.popRegion();
         builder_.pushRegion(&loop->body);
-        for (const auto &b : s.body)
+        for (const Stmt *b : s.body)
             lowerStmt(*b);
         builder_.popRegion();
     }
@@ -1414,9 +1404,9 @@ class Lowerer
         }
         // Copy, not reference: lowering the return expression may inline
         // further calls, growing returnSlots_ and invalidating refs.
-        const std::string slot = returnSlots_.back();
+        const NameId slot = returnSlots_.back();
         if (!s.rhs) {
-            if (!slot.empty())
+            if (slot != kNoName)
                 fail(s.loc, "missing return value");
             return;
         }
@@ -1427,28 +1417,18 @@ class Lowerer
 
     // ------------------------------------------------------------------
     const glsl::CompiledShader &cs_;
+    /** The shader's names plus the var names lowering makes up. */
+    glsl::NameTable names_;
+    const NameId fragCoord_;
     std::unique_ptr<ir::Module> module_;
     IrBuilder builder_;
 
-    /** Every var of module_ by name (see newVar). */
-    std::unordered_map<std::string, Var *> varsByName_;
+    std::vector<MatrixStorage> matrices_;
 
-    /** Scalarised storage for local matrix variables. */
-    struct MatrixStorage
-    {
-        int cols = 0;
-        int rows = 0;
-        std::vector<Var *> comps;
-    };
-    std::map<std::string, MatrixStorage> matrixVars_;
-
-    /** Known constant values (const globals/locals, const arrays). */
-    std::map<std::string, std::vector<double>> constValues_;
-
-    /** Active parameter substitutions while inlining. */
-    std::map<std::string, std::string> paramSubst_;
-    std::set<std::string> inlineStack_;
-    std::vector<std::string> returnSlots_;
+    std::vector<NameInfo> infos_; ///< by NameId
+    /** (name, the substitution it replaced), per substitution made. */
+    std::vector<std::pair<NameId, NameId>> substLog_;
+    std::vector<NameId> returnSlots_; ///< kNoName for void functions
     int inlineCounter_ = 0;
 };
 

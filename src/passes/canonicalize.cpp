@@ -5,8 +5,6 @@
  * elimination, block-local CSE, trivial DCE, and structural cleanup.
  */
 #include <algorithm>
-#include <map>
-#include <unordered_set>
 #include <vector>
 
 #include "ir/walk.h"
@@ -200,32 +198,105 @@ foldConstants(Module &module)
 // ------------------------------------------------------------------
 // Store->load forwarding with region-aware invalidation.
 // ------------------------------------------------------------------
-struct MemEnv
+/**
+ * What forwarding knows about memory, in tables indexed by Var::id: each
+ * var's whole value and its known constant-index elements. A branch or
+ * loop body forwards from the enclosing knowledge and its own
+ * discoveries do not survive it; rather than forwarding from a copy,
+ * every change is logged, and leaving the region undoes its changes.
+ */
+class MemEnv
 {
-    /** Whole-var known values. */
-    std::map<Var *, Instr *> whole;
-    /** Known array elements: (var, const index) -> value. */
-    std::map<std::pair<Var *, long>, Instr *> elems;
+  public:
+    explicit MemEnv(size_t vars) : whole_(vars, nullptr), elems_(vars) {}
 
-    void invalidate(Var *v)
+    Instr *whole(const Var *v) const { return whole_[slot(v)]; }
+    void setWhole(const Var *v, Instr *value)
     {
-        whole.erase(v);
-        for (auto it = elems.begin(); it != elems.end();) {
-            if (it->first.first == v)
-                it = elems.erase(it);
+        log_.push_back({slot(v), false, 0, whole_[slot(v)]});
+        whole_[slot(v)] = value;
+    }
+
+    Instr *elem(const Var *v, long idx) const
+    {
+        for (const auto &[i, value] : elems_[slot(v)]) {
+            if (i == idx)
+                return value;
+        }
+        return nullptr;
+    }
+    void setElem(const Var *v, long idx, Instr *value)
+    {
+        log_.push_back({slot(v), true, idx, elem(v, idx)});
+        put(slot(v), idx, value);
+    }
+
+    /** Forget everything known about @p v. */
+    void invalidate(const Var *v)
+    {
+        if (whole(v))
+            setWhole(v, nullptr);
+        auto &elems = elems_[slot(v)];
+        for (const auto &[idx, value] : elems)
+            log_.push_back({slot(v), true, idx, value});
+        elems.clear();
+    }
+
+    /** The point to undo() back to. */
+    size_t mark() const { return log_.size(); }
+    void undo(size_t mark)
+    {
+        for (; log_.size() > mark; log_.pop_back()) {
+            const Change &c = log_.back();
+            if (!c.isElem)
+                whole_[c.var] = c.old;
             else
-                ++it;
+                put(c.var, c.idx, c.old);
         }
     }
+
+  private:
+    struct Change
+    {
+        size_t var;
+        bool isElem;
+        long idx;
+        Instr *old; ///< nullptr: nothing was known
+    };
+
+    static size_t slot(const Var *v) { return static_cast<size_t>(v->id); }
+
+    /** Set (or, for nullptr, erase) one element entry. */
+    void put(size_t var, long idx, Instr *value)
+    {
+        auto &elems = elems_[var];
+        for (size_t i = 0; i < elems.size(); ++i) {
+            if (elems[i].first != idx)
+                continue;
+            if (value) {
+                elems[i].second = value;
+            } else {
+                elems[i] = elems.back();
+                elems.pop_back();
+            }
+            return;
+        }
+        if (value)
+            elems.emplace_back(idx, value);
+    }
+
+    std::vector<Instr *> whole_;
+    std::vector<std::vector<std::pair<long, Instr *>>> elems_;
+    std::vector<Change> log_;
 };
 
-/** Collect every var stored anywhere inside a region. */
+/** Forget, in @p env, every var stored anywhere inside @p region. */
 void
-collectStoredVars(const Region &region, std::unordered_set<Var *> &out)
+invalidateStoredVars(const Region &region, MemEnv &env)
 {
-    ir::forEachInstr(region, [&out](const Instr &i) {
+    ir::forEachInstr(region, [&env](const Instr &i) {
         if (i.op == Opcode::StoreVar || i.op == Opcode::StoreElem)
-            out.insert(i.var);
+            env.invalidate(i.var);
     });
 }
 
@@ -241,33 +312,30 @@ forwardRegion(Region &region, MemEnv &env, Replacements &repl)
                 repl.resolveOperands(i);
                 switch (i.op) {
                   case Opcode::LoadVar: {
-                    auto it = env.whole.find(i.var);
-                    if (it != env.whole.end()) {
-                        repl.set(i, it->second);
+                    if (Instr *known = env.whole(i.var)) {
+                        repl.set(i, known);
                         changed = true;
                     } else if (!i.var->type.isArray() &&
                                !i.var->type.isMatrix()) {
                         // Remember the loaded value: later loads with no
                         // intervening store forward to this one.
-                        env.whole[i.var] = &i;
+                        env.setWhole(i.var, &i);
                     }
                     break;
                   }
                   case Opcode::StoreVar:
                     env.invalidate(i.var);
-                    env.whole[i.var] = i.operands[0];
+                    env.setWhole(i.var, i.operands[0]);
                     break;
                   case Opcode::LoadElem: {
                     if (i.operands[0]->op == Opcode::Const) {
                         long idx = static_cast<long>(
                             i.operands[0]->scalarConst());
-                        auto key = std::make_pair(i.var, idx);
-                        auto it = env.elems.find(key);
-                        if (it != env.elems.end()) {
-                            repl.set(i, it->second);
+                        if (Instr *known = env.elem(i.var, idx)) {
+                            repl.set(i, known);
                             changed = true;
                         } else {
-                            env.elems[key] = &i;
+                            env.setElem(i.var, idx, &i);
                         }
                     }
                     break;
@@ -277,8 +345,9 @@ forwardRegion(Region &region, MemEnv &env, Replacements &repl)
                         long idx = static_cast<long>(
                             i.operands[0]->scalarConst());
                         // Invalidate whole-var view plus this element.
-                        env.whole.erase(i.var);
-                        env.elems[{i.var, idx}] = i.operands[1];
+                        if (env.whole(i.var))
+                            env.setWhole(i.var, nullptr);
+                        env.setElem(i.var, idx, i.operands[1]);
                     } else {
                         env.invalidate(i.var);
                     }
@@ -290,32 +359,27 @@ forwardRegion(Region &region, MemEnv &env, Replacements &repl)
             }
         } else if (auto *f = dyn_cast<IfNode>(node.get())) {
             f->cond = repl.resolve(f->cond);
-            MemEnv then_env = env;
-            MemEnv else_env = env;
-            changed |= forwardRegion(f->thenRegion, then_env, repl);
-            changed |= forwardRegion(f->elseRegion, else_env, repl);
-            std::unordered_set<Var *> stored;
-            collectStoredVars(f->thenRegion, stored);
-            collectStoredVars(f->elseRegion, stored);
-            for (Var *v : stored)
-                env.invalidate(v);
-            // Loads cached inside branches don't survive (they are
-            // conditioned); keep only the pre-if knowledge minus stores.
+            // Each branch starts from the pre-if knowledge. Loads cached
+            // inside branches don't survive (they are conditioned); keep
+            // only the pre-if knowledge minus stores.
+            const size_t mark = env.mark();
+            changed |= forwardRegion(f->thenRegion, env, repl);
+            env.undo(mark);
+            changed |= forwardRegion(f->elseRegion, env, repl);
+            env.undo(mark);
+            invalidateStoredVars(f->thenRegion, env);
+            invalidateStoredVars(f->elseRegion, env);
         } else if (auto *l = dyn_cast<LoopNode>(node.get())) {
-            std::unordered_set<Var *> stored;
-            collectStoredVars(l->condRegion, stored);
-            collectStoredVars(l->body, stored);
+            invalidateStoredVars(l->condRegion, env);
+            invalidateStoredVars(l->body, env);
             if (l->counter)
-                stored.insert(l->counter);
-            for (Var *v : stored)
-                env.invalidate(v);
-            MemEnv cond_env = env;
-            changed |= forwardRegion(l->condRegion, cond_env, repl);
+                env.invalidate(l->counter);
+            const size_t mark = env.mark();
+            changed |= forwardRegion(l->condRegion, env, repl);
+            env.undo(mark);
             l->condValue = repl.resolve(l->condValue);
-            MemEnv body_env = env;
-            changed |= forwardRegion(l->body, body_env, repl);
-            for (Var *v : stored)
-                env.invalidate(v);
+            changed |= forwardRegion(l->body, env, repl);
+            env.undo(mark);
         }
     }
     return changed;
@@ -324,7 +388,7 @@ forwardRegion(Region &region, MemEnv &env, Replacements &repl)
 bool
 storeLoadForwarding(Module &module)
 {
-    MemEnv env;
+    MemEnv env(module.vars.size());
     Replacements repl(module);
     bool changed = forwardRegion(module.body, env, repl);
     repl.apply(module);
@@ -358,32 +422,31 @@ deadStoreElim(Module &module)
     });
 
     // 2. Same-block overwritten stores with no intervening load.
+    std::vector<Instr *> pending(module.vars.size(), nullptr); // by Var::id
+    std::vector<size_t> touched; // pending slots the block set
     ir::forEachNode(module.body, [&](Node &n) {
         auto *b = dyn_cast<Block>(&n);
         if (!b)
             return;
-        std::map<Var *, Instr *> pending; // whole-var stores
         for (Instr *ip : b->instrs) {
             Instr &i = *ip;
-            switch (i.op) {
-              case Opcode::StoreVar: {
-                auto it = pending.find(i.var);
-                if (it != pending.end())
-                    kill(*it->second);
-                pending[i.var] = &i;
-                break;
-              }
-              case Opcode::LoadVar:
-              case Opcode::LoadElem:
-                pending.erase(i.var);
-                break;
-              case Opcode::StoreElem:
-                pending.erase(i.var);
-                break;
-              default:
-                break;
+            if (i.op != Opcode::StoreVar && i.op != Opcode::LoadVar &&
+                i.op != Opcode::LoadElem && i.op != Opcode::StoreElem)
+                continue;
+            Instr *&store = pending[static_cast<size_t>(i.var->id)];
+            if (i.op != Opcode::StoreVar) {
+                store = nullptr;
+                continue;
             }
+            if (store)
+                kill(*store);
+            else
+                touched.push_back(static_cast<size_t>(i.var->id));
+            store = &i;
         }
+        for (size_t v : touched)
+            pending[v] = nullptr;
+        touched.clear();
     });
 
     if (changed) {

@@ -4,17 +4,6 @@
 
 namespace gsopt {
 
-uint64_t
-fnv1a(std::string_view data)
-{
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char c : data) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
 static uint64_t
 splitmix64(uint64_t &state)
 {

@@ -13,8 +13,16 @@
 
 namespace gsopt {
 
-/** 64-bit FNV-1a hash, used for seeding and for source dedup keys. */
-uint64_t fnv1a(std::string_view data);
+/** 64-bit FNV-1a hash, used for seeding, for source dedup keys and
+ * (at compile time too) for the front end's keyword and name tables. */
+constexpr uint64_t
+fnv1a(std::string_view data)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (char c : data)
+        h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+    return h;
+}
 
 /** Mix an extra word into a hash/seed (splitmix64 finalizer). */
 uint64_t hashCombine(uint64_t seed, uint64_t value);

@@ -47,11 +47,13 @@
 
 #include <unistd.h>
 
+#include "campaign_texts.h"
 #include "emit/emit.h"
 #include "emit/offline.h"
 #include "glsl/frontend.h"
 #include "ir/interp.h"
 #include "ir/interp_batch.h"
+#include "ir/verifier.h"
 #include "lower/lower.h"
 #include "passes/passes.h"
 #include "passes/registry.h"
@@ -59,6 +61,7 @@
 #include "support/ipc.h"
 #include "support/rng.h"
 #include "support/time.h"
+#include "tuner/flags.h"
 
 namespace gsopt {
 namespace {
@@ -610,6 +613,58 @@ TEST(HostileGen, IsDeterministicAndCoversEveryShape)
     EXPECT_NE(hostileShader(5).find("while (x < "), std::string::npos);
     EXPECT_NE(hostileShader(6).find("float s4999"), std::string::npos);
     EXPECT_NE(hostileShader(7).find("aaaaaaaa"), std::string::npos);
+}
+
+// ------------------------------------------------ front-end mutants
+
+/** Where @p text spells `[N]`, N a decimal literal: (offset, length)
+ * of each. */
+std::vector<std::pair<size_t, size_t>>
+indexLiterals(const std::string &text)
+{
+    std::vector<std::pair<size_t, size_t>> out;
+    for (size_t i = 0; i < text.size(); ++i) {
+        size_t j = i + 1;
+        while (text[i] == '[' && j < text.size() &&
+               std::isdigit(static_cast<unsigned char>(text[j])))
+            ++j;
+        if (j > i + 1 && j < text.size() && text[j] == ']')
+            out.emplace_back(i, j + 1 - i);
+    }
+    return out;
+}
+
+TEST(FrontEndMutants, ConstantIndicesEndInDiagnosticsOrValidIr)
+{
+    // Every `[N]` literal of every 7th campaign text, spelled 0, 7, -1
+    // and 2^32 + 2 in turn: out-of-range indices and sizes once crashed
+    // the lowerer, failed IR verification, or were truncated silently.
+    // Each mutant must compile to verified IR or be rejected with a
+    // CompileError; anything else (another exception, a crash) fails.
+    const auto &texts = testutil::campaignTexts();
+    size_t mutants = 0, rejected = 0;
+    for (size_t t = 0; t < texts.size(); t += 7) {
+        const std::string &text = texts[t].text;
+        for (const auto &[at, len] : indexLiterals(text)) {
+            for (const char *value : {"0", "7", "-1", "4294967298"}) {
+                const std::string src = text.substr(0, at) + "[" + value +
+                                        "]" + text.substr(at + len);
+                ++mutants;
+                SCOPED_TRACE(texts[t].where + " with " +
+                             text.substr(at, len) + " -> [" + value + "]");
+                try {
+                    auto module = emit::compileToIr(src);
+                    EXPECT_TRUE(ir::verify(*module).empty());
+                } catch (const CompileError &) {
+                    ++rejected;
+                }
+            }
+        }
+    }
+    if (tuner::flagCount() == 8) {
+        EXPECT_EQ(mutants, 172u); // the paper's eight passes' texts
+    }
+    EXPECT_GT(rejected, 0u);
 }
 
 TEST(RandomShaderGen, IsDeterministic)

@@ -32,11 +32,14 @@ TEST(Type, KeywordRoundTrip)
     for (const char *name :
          {"float", "int", "bool", "vec2", "vec3", "vec4", "ivec3",
           "bvec2", "mat2", "mat3", "mat4", "sampler2D"}) {
-        EXPECT_TRUE(isTypeKeyword(name)) << name;
-        EXPECT_EQ(typeFromKeyword(name).str(), name);
+        EXPECT_TRUE(isTypeKeyword(keywordOf(name))) << name;
+        EXPECT_EQ(typeFromKeyword(keywordOf(name)).str(), name);
     }
-    EXPECT_FALSE(isTypeKeyword("vec5"));
-    EXPECT_FALSE(isTypeKeyword("banana"));
+    EXPECT_FALSE(isTypeKeyword(keywordOf("vec5")));
+    EXPECT_FALSE(isTypeKeyword(keywordOf("banana")));
+    EXPECT_EQ(keywordOf("highp"), Keyword::Highp);
+    EXPECT_EQ(keywordOf("discard"), Keyword::Discard);
+    EXPECT_EQ(keywordOf("vec"), Keyword::None);
 }
 
 TEST(Type, ComponentCounts)
@@ -52,8 +55,10 @@ TEST(Type, ComponentCounts)
 
 // ---------------------------------------------------------------- lexer
 
+/** Tokens view @p src: the test sources are literals, which outlive
+ * them. */
 std::vector<Token>
-lexOk(const std::string &src)
+lexOk(std::string_view src)
 {
     DiagEngine diags;
     auto toks = lex(src, diags);
@@ -243,7 +248,7 @@ TEST(Parser, MinimalShader)
 {
     auto cs = feOk(kMinimal);
     ASSERT_EQ(cs.ast.functions.size(), 1u);
-    EXPECT_EQ(cs.ast.functions[0].name, "main");
+    EXPECT_EQ(cs.ast.names.str(cs.ast.functions[0].name), "main");
     ASSERT_EQ(cs.ast.globals.size(), 1u);
     EXPECT_EQ(cs.ast.globals[0].qual, Qualifier::Out);
 }
@@ -254,7 +259,7 @@ TEST(Parser, Precedence)
                    "3.0; c = vec4(x); }");
     const Stmt &decl = *cs.ast.functions[0].body->body[0];
     ASSERT_EQ(decl.kind, StmtKind::Decl);
-    EXPECT_EQ(printExpr(*decl.rhs), "1.0 + 2.0 * 3.0");
+    EXPECT_EQ(printExpr(cs.ast, *decl.rhs), "1.0 + 2.0 * 3.0");
 }
 
 TEST(Parser, ParensPreserved)
@@ -262,7 +267,7 @@ TEST(Parser, ParensPreserved)
     auto cs = feOk("out vec4 c; void main() { float x = (1.0 + 2.0) * "
                    "3.0; c = vec4(x); }");
     const Stmt &decl = *cs.ast.functions[0].body->body[0];
-    EXPECT_EQ(printExpr(*decl.rhs), "(1.0 + 2.0) * 3.0");
+    EXPECT_EQ(printExpr(cs.ast, *decl.rhs), "(1.0 + 2.0) * 3.0");
 }
 
 TEST(Parser, ForLoopWithIncrement)
@@ -323,7 +328,7 @@ TEST(Parser, TernaryAndSwizzle)
     )");
     const Stmt &assign = *cs.ast.functions[0].body->body[1];
     EXPECT_EQ(assign.rhs->kind, ExprKind::Member);
-    EXPECT_EQ(assign.rhs->name, "zyxw");
+    EXPECT_EQ(cs.ast.names.str(assign.rhs->name), "zyxw");
     EXPECT_EQ(assign.rhs->type.str(), "vec4");
 }
 
@@ -349,7 +354,7 @@ TEST(Parser, UserFunctions)
         void main() { c = vec4(half_of(3.0)); }
     )");
     ASSERT_EQ(cs.ast.functions.size(), 2u);
-    EXPECT_EQ(cs.ast.functions[0].name, "half_of");
+    EXPECT_EQ(cs.ast.names.str(cs.ast.functions[0].name), "half_of");
 }
 
 TEST(Parser, MultipleDeclarators)
@@ -506,7 +511,7 @@ TEST(Sema, ShadowedLocalsAreRenamed)
     const auto &then_block = *ifstmt.body[0];
     const Stmt &inner = *then_block.body[0];
     ASSERT_EQ(inner.kind, StmtKind::Decl);
-    EXPECT_NE(inner.name, "x"); // alpha-renamed
+    EXPECT_NE(cs.ast.names.str(inner.name), "x"); // alpha-renamed
 }
 
 TEST(Sema, GlFragCoordAvailable)
@@ -531,6 +536,105 @@ TEST(Sema, InterfaceCollected)
     EXPECT_EQ(cs.interface.uniforms.size(), 2u);
     ASSERT_EQ(cs.interface.outputs.size(), 1u);
     EXPECT_EQ(cs.interface.outputs[0].name, "color");
+}
+
+// ------------------------------------- constant indices and array sizes
+// Each of these once crashed, failed IR verification, or compiled to
+// something else than the source says.
+
+/** The diagnostics of a source the front end must reject. */
+std::string
+feErrors(const std::string &src)
+{
+    DiagEngine diags;
+    EXPECT_EQ(tryCompileShader(src, {}, diags), nullptr) << src;
+    return diags.str();
+}
+
+TEST(Sema, ConstantMatrixColumnOutOfRangeIsDiagnosed)
+{
+    // Lowering read these columns past the scalarised matrix.
+    for (const char *col : {"2", "7", "-1"}) {
+        const std::string errs = feErrors(
+            std::string("out vec4 c; void main() { mat2 m = mat2(1.0); "
+                        "c = vec4(m[") +
+            col + "], 0.0, 1.0); }");
+        EXPECT_NE(errs.find("index " + std::string(col) +
+                            " is out of range for mat2"),
+                  std::string::npos)
+            << errs;
+    }
+    EXPECT_NE(feErrors("out vec4 c; void main() { mat2 m = mat2(1.0); "
+                       "c = vec4(m[3][0]); }")
+                  .find("index 3 is out of range for mat2"),
+              std::string::npos);
+    feOk("out vec4 c; void main() { mat2 m = mat2(1.0); "
+         "c = vec4(m[1], m[0][1], 1.0); }");
+}
+
+TEST(Sema, ConstantVectorComponentOutOfRangeIsDiagnosed)
+{
+    // Was "IR verification failed: bad extract", not a diagnostic.
+    EXPECT_NE(feErrors("out vec4 c; void main() { vec4 v = vec4(1.0); "
+                       "c = vec4(v[7]); }")
+                  .find("index 7 is out of range for vec4"),
+              std::string::npos);
+    EXPECT_NE(feErrors("out vec4 c; void main() { vec4 v = vec4(1.0); "
+                       "v[4] = 1.0; c = v; }")
+                  .find("index 4 is out of range for vec4"),
+              std::string::npos);
+}
+
+TEST(Sema, ConstantArrayIndexOutOfRangeIsDiagnosed)
+{
+    const std::string decl =
+        "out vec4 c; const float w[3] = float[](1.0, 2.0, 3.0); "
+        "void main() { c = vec4(";
+    EXPECT_NE(feErrors(decl + "w[3]); }").find(
+                  "index 3 is out of range for float[3]"),
+              std::string::npos);
+    EXPECT_NE(feErrors(decl + "w[-1]); }").find(
+                  "index -1 is out of range for float[3]"),
+              std::string::npos);
+    feOk(decl + "w[2]); }");
+}
+
+TEST(Parser, ArraySizesOutsideOneToMaxAreRejected)
+{
+    // [0] silently became a scalar; [4294967298] silently became [2].
+    EXPECT_NE(feErrors("out vec4 c; void main() { float a[0]; "
+                       "c = vec4(1.0); }")
+                  .find("array size 0 is outside 1..65536"),
+              std::string::npos);
+    EXPECT_NE(feErrors("out vec4 c; void main() { float a[65537]; "
+                       "c = vec4(1.0); }")
+                  .find("array size 65537 is outside 1..65536"),
+              std::string::npos);
+    EXPECT_NE(feErrors("out vec4 c; void main() { float a[4294967298]; "
+                       "c = vec4(1.0); }")
+                  .find("does not fit in 32 bits"),
+              std::string::npos);
+    // The cap itself parses (front end only: nothing is allocated).
+    auto cs = feOk("out vec4 c; void main() { float a[65536]; "
+                   "c = vec4(1.0); }");
+    EXPECT_EQ(cs.ast.functions[0].body->body[0]->declType.arraySize,
+              static_cast<int>(kMaxArraySize));
+}
+
+TEST(Lexer, IntLiteralsBeyond32BitsAreDiagnosed)
+{
+    // strtol saturated this one silently.
+    DiagEngine diags;
+    lex("99999999999999999999", diags);
+    EXPECT_NE(diags.str().find("integer literal 99999999999999999999 "
+                               "does not fit in 32 bits"),
+              std::string::npos)
+        << diags.str();
+    DiagEngine too_big;
+    lex("4294967296", too_big);
+    EXPECT_TRUE(too_big.hasErrors());
+    auto t = lexOk("4294967295");
+    EXPECT_EQ(t[0].intValue, 4294967295L);
 }
 
 // -------------------------------------------------------------- printer

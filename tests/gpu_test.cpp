@@ -61,6 +61,39 @@ TEST(Device, PaperPlatformProperties)
     EXPECT_EQ(dev(DeviceId::Nvidia).isa, IsaKind::Scalar);
 }
 
+// ---------------------------------------------- reference compilers
+
+/** driverCompile without its caches: parse, lower and canonicalize this
+ * text, then the vendor steps under the step rule and the back end. */
+ShaderBinary
+uncachedCompile(const std::string &text, const DeviceModel &d)
+{
+    auto m = emit::compileToIr(text);
+    passes::canonicalize(*m);
+    for (const VendorStep &step : vendorSteps()) {
+        if (step.enabled(d))
+            passes::canonicalizeIfChanged(*m, step.run(*m, d));
+    }
+    return driverBackEnd(*m, d);
+}
+
+/** The vendor pipeline as it ran before the step rule: a canonicalize
+ * after every vendor step, whether or not the step changed anything.
+ * The reference driverCompile must match bit for bit. */
+ShaderBinary
+alwaysCanonicalizeCompile(const std::string &text, const DeviceModel &d)
+{
+    auto m = emit::compileToIr(text);
+    passes::canonicalize(*m);
+    for (const VendorStep &step : vendorSteps()) {
+        if (!step.enabled(d))
+            continue;
+        step.run(*m, d);
+        passes::canonicalize(*m);
+    }
+    return driverBackEnd(*m, d);
+}
+
 TEST(Driver, CompileCacheHitsOnRepeatedTextDevicePairs)
 {
     const std::string src =
@@ -93,7 +126,7 @@ TEST(Driver, CompileCacheHitsOnRepeatedTextDevicePairs)
     (void)t;
 
     // The uncached path always agrees with the cached result.
-    ShaderBinary fresh = driverCompileUncached(src, nv);
+    ShaderBinary fresh = uncachedCompile(src, nv);
     EXPECT_DOUBLE_EQ(fresh.cyclesPerFragment, a.cyclesPerFragment);
 }
 
@@ -152,7 +185,7 @@ TEST(Driver, CachedCompileEqualsUncachedOnWholeCorpus)
                 .preprocessedText;
         for (DeviceId id : allDevices()) {
             const ShaderBinary cached = driverCompile(text, dev(id));
-            expectSameBinary(cached, driverCompileUncached(text, dev(id)),
+            expectSameBinary(cached, uncachedCompile(text, dev(id)),
                              shader.name + " on " + dev(id).name);
         }
     }
@@ -163,23 +196,6 @@ TEST(Driver, CachedCompileEqualsUncachedOnWholeCorpus)
 // compileIr canonicalizes after a vendor step only if the step changed
 // the module (passes::canonicalizeIfChanged); passes_test checks the
 // rule's premises for the registered passes.
-
-/** The vendor pipeline as it ran before the step rule: a canonicalize
- * after every vendor step, whether or not the step changed anything.
- * The reference driverCompile must match bit for bit. */
-ShaderBinary
-alwaysCanonicalizeCompile(const std::string &text, const DeviceModel &d)
-{
-    auto m = emit::compileToIr(text);
-    passes::canonicalize(*m);
-    for (const VendorStep &step : vendorSteps()) {
-        if (!step.enabled(d))
-            continue;
-        step.run(*m, d);
-        passes::canonicalize(*m);
-    }
-    return driverBackEnd(*m, d);
-}
 
 TEST(DriverStepRule, VendorStepReportingNoChangeLeavesModuleUnchanged)
 {

@@ -6,6 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include "campaign_texts.h"
+#include "test_md5.h"
+
 #include "emit/offline.h"
 #include "glsl/frontend.h"
 #include "ir/dump.h"
@@ -13,6 +16,8 @@
 #include "ir/verifier.h"
 #include "ir/walk.h"
 #include "lower/lower.h"
+#include "passes/passes.h"
+#include "tuner/flags.h"
 
 namespace gsopt {
 namespace {
@@ -413,6 +418,27 @@ TEST(Lower, GlFragCoordInput)
     InterpEnv env;
     env.inputs["gl_FragCoord"] = {250.0, 100.0, 0.5, 1.0};
     EXPECT_DOUBLE_EQ(outVec(*m, env)[0], 0.25);
+}
+
+TEST(LowerPins, DriverFrontEndOutputOnCampaignTexts)
+{
+    // The driver's front end on every campaign text: the lowered module
+    // and the module after the first canonicalize, as ir::dump text.
+    // Each digest is the md5 of the 708 per-text md5s in campaign order.
+    if (tuner::flagCount() != 8)
+        GTEST_SKIP() << "the pins cover the paper's 8-pass campaign; "
+                        "GSOPT_EXTRA_PASSES changes the texts";
+    const auto &texts = testutil::campaignTexts();
+    ASSERT_EQ(texts.size(), 708u);
+    std::string lowered, canonical;
+    for (const auto &[where, text] : texts) {
+        auto m = emit::compileToIr(text);
+        lowered += testutil::md5Hex(ir::dump(*m));
+        passes::canonicalize(*m);
+        canonical += testutil::md5Hex(ir::dump(*m));
+    }
+    EXPECT_EQ(testutil::md5Hex(lowered), "d7ad46fa3e0eadf98d3f2c313a12546c");
+    EXPECT_EQ(testutil::md5Hex(canonical), "248d0e4b55c512d15e1cde20f23eeb2e");
 }
 
 } // namespace
