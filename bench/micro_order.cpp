@@ -128,10 +128,11 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(plan_pass_runs),
                 static_cast<unsigned long long>(plan_memo_hits));
 
-    // Memoization bar: every walked plan step is exactly one pass run
-    // or one memo hit, so runs/(runs+hits) is the executed fraction —
-    // an unmemoized applier would sit at 100%. Prefix sharing and
-    // cross-order convergence must keep it under half.
+    // Memoization bar: every step a walk takes (past the prefix it
+    // reuses from the previous plan) is exactly one pass run or one
+    // memo hit, so runs/(runs+hits) is the executed fraction — an
+    // unmemoized applier would sit at 100%. Cross-order convergence
+    // must keep it under half.
     const uint64_t plan_steps = plan_pass_runs + plan_memo_hits;
     const bool memo_ok =
         plan_steps > 0 && plan_pass_runs * 2 < plan_steps;

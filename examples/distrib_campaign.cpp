@@ -14,7 +14,7 @@
  *   4. Run a second coordinator over the same directory: every unit
  *      is satisfied from the merged shards — the resume path.
  *
- * Knobs: GSOPT_DISTRIB_WORKERS, GSOPT_LEASE_MS, and the usual
+ * Knobs: GSOPT_THREADS, GSOPT_LEASE_MS, and the usual
  * campaign environment. GSOPT_FAULTS fault plans apply to workers
  * too: try GSOPT_FAULTS="worker.item:0.3:8" to watch items retried
  * and, when their retries run out, quarantined. A unit with a
@@ -59,7 +59,7 @@ main()
 
     // -- 2. the distributed run --------------------------------------
     tuner::distrib::Options opts;
-    opts.workers = 3; // or leave 0 and set GSOPT_DISTRIB_WORKERS
+    opts.workers = 3; // or leave 0 and set GSOPT_THREADS
     opts.transport = tuner::distrib::TransportKind::Subprocess;
     std::printf("Running %zu units on %u subprocess workers...\n",
                 shaders.size(), opts.workers);

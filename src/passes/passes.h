@@ -37,7 +37,7 @@ bool canonicalize(ir::Module &module);
 
 /**
  * The step rule every pass step follows (registry stages, hence
- * optimize() and the combination tree, and the driver's vendor steps):
+ * optimize() and the plan walk, and the driver's vendor steps):
  * the trailing canonicalize runs only if the pass reported a change.
  * Use as `canonicalizeIfChanged(m, pass(m))`; returns @p changed.
  *
@@ -229,9 +229,9 @@ struct FlagSet
 void optimize(ir::Module &module, FlagSet flags);
 
 /**
- * Phase accounting for one forEachFlagCombination() walk. The caller
- * folds these into its own counters (tuner::ExploreCounters for the
- * exploration path).
+ * Work accounting of a PlanApplier (cumulative since construction).
+ * The caller folds it into its own counters (tuner::ExploreCounters
+ * for the exploration path).
  */
 struct FlagTreeStats
 {
@@ -239,64 +239,40 @@ struct FlagTreeStats
     uint64_t passMemoHits = 0; ///< apply edges served from the memo
     uint64_t fingerprintRuns = 0; ///< module fingerprints computed
     uint64_t fingerprintNs = 0;   ///< time spent fingerprinting
-    uint64_t arenaBytes = 0; ///< IR arena bytes of all tree modules
+    uint64_t arenaBytes = 0; ///< IR arena bytes of all applier modules
 };
-
-/**
- * Run the flagged pipeline for every one of the 2^N flag combinations
- * of the registered passes (256 for the default built-in set) against
- * @p base, invoking @p sink with each combination's final module
- * (valid only for the duration of the call) and that module's
- * structural fingerprint.
- *
- * Because the pipeline applies passes in a fixed order, the 2^N
- * combinations form a binary prefix tree over N include/exclude
- * decisions; this walks that tree, cloning at branch points, so work
- * shared by combinations with a common pass prefix runs once (2^N - 1
- * pass applications instead of N * 2^(N-1)). Each delivered module is
- * content-identical — structure, ids, and therefore emitted text — to
- * optimize(base.clone(), flags); only object identity is NOT
- * guaranteed (memoization below can hand several combinations the
- * same module instance).
- *
- * On top of the prefix sharing, apply edges are memoized by content:
- * each (incoming-module structural fingerprint, incoming id
- * labelling, pass id) triple runs the pass (and pays its clone) only
- * once per walk, and every other edge with the same key reuses the
- * stored result module — sound because a deterministic pass given
- * content-identical input produces content-identical output. Flag
- * orders that converge to identical intermediate IR — the common
- * case: most passes fire on nothing (paper Fig 4c) — therefore
- * collapse from 2^N - 1 pass runs to one run per *distinct*
- * (module, pass) edge, which is what keeps a 10-pass exploration
- * cheaper than an unmemoized 8-pass one. The fingerprint each module
- * needs is computed exactly once, when the module is created, and
- * handed to the sink for free.
- *
- * Sink invocation order follows the tree walk, not numeric flag order.
- */
-void forEachFlagCombination(
-    const ir::Module &base,
-    const std::function<void(FlagSet, const ir::Module &,
-                             uint64_t fingerprint)> &sink,
-    FlagTreeStats *stats = nullptr);
 
 struct PassPlan; // registry.h — an ordered sequence of pass bits
 
 /**
- * The memoized apply-edge machinery behind forEachFlagCombination,
- * exposed so ordered-plan exploration shares the same cache. Every
- * module a PlanApplier creates is immutable once built and owned by
- * the applier (alive until destruction), and every apply edge is
- * content-addressed by (incoming structural fingerprint, incoming id
- * labelling, pass id) — so plans that share a prefix, or that converge
- * to identical intermediate IR through different orders, pay for each
- * distinct (module, pass) edge exactly once across the applier's whole
- * lifetime. This is what holds executed pass runs far below the
- * walked-plan count when exploring permutations.
+ * The one walk over pass sequences: every exploration — the 2^N flag
+ * lattice (as its canonical plans, forEachLatticePlan), ordered plans
+ * (forEachPlan) and on-demand plans (tuner::PlanExplorer) — walks its
+ * plans through a PlanApplier.
  *
- * Node handles stay valid for the applier's lifetime. Not thread-safe;
- * one applier per exploration thread.
+ * Two mechanisms keep the walk cheap. First, prefix reuse: the
+ * applier keeps the node path of its previous walk and resumes from
+ * the longest prefix the next plan shares with it, so plans visited in
+ * the lattice's skip-first DFS order take exactly the prefix tree's
+ * 2^N - 1 apply edges, not N * 2^(N-1). Second, the memo: every apply
+ * edge is content-addressed by (incoming structural fingerprint,
+ * incoming id labelling, pass id), and each distinct key runs the pass
+ * (and pays its clone) once per applier — sound because a
+ * deterministic pass given content-identical input produces
+ * content-identical output. Plans that converge to identical
+ * intermediate IR through different orders — the common case: most
+ * passes fire on nothing (paper Fig 4c) — therefore share one pass
+ * run per *distinct* (module, pass) edge across the applier's whole
+ * lifetime. Each module is fingerprinted exactly once, when it is
+ * created.
+ *
+ * Every module is immutable once built and owned by the applier, so
+ * Node handles stay valid for the applier's lifetime, and a canonical
+ * plan's module is content-identical — structure, ids, and therefore
+ * emitted text — to optimize(base.clone(), flags); only object
+ * identity is NOT guaranteed (the memo can hand several plans the
+ * same module instance). Not thread-safe; one applier per
+ * exploration thread.
  */
 class PlanApplier
 {
@@ -315,36 +291,42 @@ class PlanApplier
     PlanApplier(const PlanApplier &) = delete;
     PlanApplier &operator=(const PlanApplier &) = delete;
 
-    /** Clone @p base, canonicalize, verify, fingerprint — the shared
-     * root every plan starts from (identical to what optimize() and
-     * forEachFlagCombination() do before the first gated pass). */
+    /** Clone @p base, canonicalize, verify, fingerprint — the root
+     * every later walk() starts from (identical to what optimize()
+     * does before the first gated pass). */
     Node root(const ir::Module &base);
 
-    /** Apply registered pass @p passBit to @p from, memoized: a
-     * repeated (fingerprint, idHash, pass) edge returns the stored
-     * result without running the pass. */
-    Node apply(const Node &from, int passBit);
+    /**
+     * The final node of @p plan, walked from the root: the steps
+     * shared with the previous walk's prefix are reused, and only the
+     * remaining steps are applied through the memo. Each applied step
+     * is charged to the governor (PassSteps) and checks its deadline;
+     * reused steps are not taken again. @p plan must be valid
+     * (PassPlan::valid); call root() first.
+     */
+    Node walk(const PassPlan &plan);
 
     /** Cumulative work accounting since construction (callers diff
      * before/after to attribute work to one walk). */
     const FlagTreeStats &stats() const;
 
   private:
+    /** Apply registered pass @p passBit to @p from, memoized. */
+    Node apply(const Node &from, int passBit);
+
     struct Impl;
     std::unique_ptr<Impl> impl_;
 };
 
 /**
- * Run every ordered plan in @p plans against @p base, invoking @p sink
- * with the plan, its final module (valid until the call returns), and
- * that module's structural fingerprint. The generalisation of
- * forEachFlagCombination from the flag lattice to ordered sequences:
- * a canonical plan (PassPlan::canonicalOf) delivers a module
- * bit-identical to optimize() with the same flag set, and one shared
- * PlanApplier memo serves all plans, so permutations that share a
- * prefix or converge to the same module share pass runs and
- * fingerprints. Plans are processed in the given order; invalid plans
- * abort (validate first with PassPlan::valid).
+ * Run every ordered plan in @p plans against @p base through one
+ * PlanApplier, invoking @p sink with the plan, its final module (valid
+ * until the call returns), and that module's structural fingerprint.
+ * A canonical plan (PassPlan::canonicalOf) delivers a module
+ * bit-identical to optimize() with the same flag set; latticePlans()
+ * lists the whole flag lattice in the order that shares the most
+ * prefix. Plans are processed in the given order; invalid plans abort
+ * (validate first with PassPlan::valid).
  */
 void forEachPlan(
     const ir::Module &base, const std::vector<PassPlan> &plans,

@@ -4,11 +4,11 @@
  * canonicalisation always runs; each registered gated pass applies in
  * registry pipeline order when its bit of the FlagSet is selected
  * (FlagSet's registry-sized members live here too). The registry
- * is the single source of truth for that order — optimize() and the
- * prefix-sharing forEachFlagCombination() both walk it, which is what
- * guarantees the tree walk reproduces the linear pipeline bit-for-bit
- * (and that newly registered passes flow through both paths with no
- * further changes).
+ * is the single source of truth for that order — optimize() applies
+ * it, and canonical plans (PassPlan::canonicalOf) list it, which is
+ * what guarantees the PlanApplier walk of a canonical plan reproduces
+ * the linear pipeline bit-for-bit (and that newly registered passes
+ * flow through both paths with no further changes).
  */
 #include <cstdio>
 #include <cstdlib>
@@ -76,7 +76,7 @@ idSequenceHash(const ir::Module &m)
     return h;
 }
 
-/** Memo key: content-address of an apply edge in the flag tree. */
+/** Memo key: content-address of an apply edge in the plan tree. */
 struct PassEdgeKey
 {
     uint64_t moduleFp;
@@ -115,6 +115,10 @@ struct PlanApplier::Impl
     std::unordered_map<PassEdgeKey, Node, PassEdgeKeyHash> memo;
     /** Owners of the tree's modules (alive for the applier's life). */
     std::vector<std::unique_ptr<ir::Module>> owned;
+    /** The previous walk: path[0] is the root, path[i + 1] the node
+     * after step walked[i]. */
+    std::vector<Node> path;
+    std::vector<int> walked;
 
     uint64_t fingerprintTimed(const ir::Module &m)
     {
@@ -139,15 +143,40 @@ PlanApplier::root(const ir::Module &base)
               idSequenceHash(*m)};
     impl_->stats.arenaBytes += m->arenaBytes();
     impl_->owned.push_back(std::move(m));
+    impl_->path.assign(1, node);
+    impl_->walked.clear();
     return node;
+}
+
+PlanApplier::Node
+PlanApplier::walk(const PassPlan &plan)
+{
+    Impl &s = *impl_;
+    if (s.path.empty()) {
+        std::fprintf(stderr, "PlanApplier::walk before root()\n");
+        std::abort();
+    }
+    size_t keep = 0;
+    while (keep < s.walked.size() && keep < plan.bits.size() &&
+           s.walked[keep] == plan.bits[keep])
+        ++keep;
+    s.path.resize(keep + 1);
+    s.walked.resize(keep);
+    for (size_t i = keep; i < plan.bits.size(); ++i) {
+        // Grow the path only once a step has succeeded, so a step the
+        // governor aborts leaves a consistent prefix behind.
+        const Node next = apply(s.path.back(), plan.bits[i]);
+        s.path.push_back(next);
+        s.walked.push_back(plan.bits[i]);
+    }
+    return s.path.back();
 }
 
 PlanApplier::Node
 PlanApplier::apply(const Node &from, int passBit)
 {
-    // The single choke point for every walked pass step — lattice
-    // walks and plan walks both route through here — so one probe
-    // makes a 20k-combo exploration abortable mid-tree. Memo hits are
+    // The single choke point for every walked pass step, so one probe
+    // makes a 20k-combo exploration abortable mid-walk. Memo hits are
     // walked steps too: they advance the same exploration.
     governor::charge(governor::Dim::PassSteps, 1, "passes");
     governor::checkDeadline("passes");
@@ -181,36 +210,6 @@ PlanApplier::stats() const
     return impl_->stats;
 }
 
-namespace {
-
-/** The prefix-sharing binary tree walk over include/exclude decisions,
- * with the apply edges served by the shared PlanApplier memo. */
-struct CombinationWalker
-{
-    const std::vector<const PassDescriptor *> &pipeline;
-    const std::function<void(FlagSet, const ir::Module &, uint64_t)>
-        &sink;
-    PlanApplier &applier;
-
-    void walk(const PlanApplier::Node &node, size_t stage, FlagSet flags)
-    {
-        if (stage == pipeline.size()) {
-            sink(flags, *node.module, node.fingerprint);
-            return;
-        }
-        // Skip branch: the module is untouched — share it (and its
-        // hashes), no copy.
-        walk(node, stage + 1, flags);
-
-        // Apply branch: memoized inside the applier.
-        const PassDescriptor *pass = pipeline[stage];
-        const PlanApplier::Node next = applier.apply(node, pass->bit);
-        walk(next, stage + 1, flags.with(pass->bit));
-    }
-};
-
-} // namespace
-
 void
 optimize(ir::Module &module, FlagSet flags)
 {
@@ -227,28 +226,13 @@ optimize(ir::Module &module, FlagSet flags)
 }
 
 void
-forEachFlagCombination(
-    const ir::Module &base,
-    const std::function<void(FlagSet, const ir::Module &, uint64_t)> &sink,
-    FlagTreeStats *stats)
-{
-    PlanApplier applier;
-    const PlanApplier::Node root = applier.root(base);
-    CombinationWalker walker{PassRegistry::instance().pipeline(), sink,
-                             applier};
-    walker.walk(root, 0, FlagSet::none());
-    if (stats)
-        *stats = applier.stats();
-}
-
-void
 forEachPlan(const ir::Module &base, const std::vector<PassPlan> &plans,
             const std::function<void(const PassPlan &,
                                      const ir::Module &, uint64_t)> &sink,
             FlagTreeStats *stats)
 {
     PlanApplier applier;
-    const PlanApplier::Node root = applier.root(base);
+    applier.root(base);
     for (const PassPlan &plan : plans) {
         std::string why;
         if (!plan.valid(&why)) {
@@ -256,9 +240,7 @@ forEachPlan(const ir::Module &base, const std::vector<PassPlan> &plans,
                          plan.str().c_str(), why.c_str());
             std::abort();
         }
-        PlanApplier::Node node = root;
-        for (int bit : plan.bits)
-            node = applier.apply(node, bit);
+        const PlanApplier::Node node = applier.walk(plan);
         sink(plan, *node.module, node.fingerprint);
     }
     if (stats)

@@ -5,8 +5,8 @@
  * former fixed kStages[] table: each apply() includes the trailing
  * canonicalisation the linear pipeline performs after the pass
  * (canonicalizeIfChanged: only when the pass changed something), so
- * the prefix-sharing combination tree replays exactly what optimize()
- * does.
+ * the PlanApplier walk of a canonical plan replays exactly what
+ * optimize() does.
  */
 #include "passes/registry.h"
 
@@ -43,11 +43,10 @@ const std::vector<PassDescriptor> &
 extraPassCatalog()
 {
     // Stage contract: like the built-ins, each apply() carries the
-    // trailing canonicalisation so the prefix-sharing combination tree
-    // replays exactly what optimize() does. It follows the step rule
-    // (passes.h): canonicalize only if the pass reported a change,
-    // which is exact because every stage's input is a canonicalize
-    // fixpoint.
+    // trailing canonicalisation so the plan walk replays exactly what
+    // optimize() does. It follows the step rule (passes.h):
+    // canonicalize only if the pass reported a change, which is exact
+    // because every stage's input is a canonicalize fixpoint.
     static const std::vector<PassDescriptor> catalog = [] {
         std::vector<PassDescriptor> c;
         PassDescriptor d;
@@ -296,6 +295,36 @@ PassPlan::canonicalOf(uint64_t mask)
             plan.bits.push_back(d->bit);
     }
     return plan;
+}
+
+void
+forEachLatticePlan(const std::function<void(const PassPlan &)> &visit)
+{
+    // Leaf i of the skip-first tree applies pipeline stage s iff bit
+    // (n - 1 - s) of i is set. From leaf i - 1 to leaf i the trailing
+    // set bits of i - 1 clear — the plan's last ctz(i) stages — and
+    // the stage of the bit that sets is appended.
+    const auto &pipeline = PassRegistry::instance().pipeline();
+    const size_t n = pipeline.size();
+    const uint64_t leaves = PassRegistry::instance().comboCount();
+    PassPlan plan;
+    plan.bits.reserve(n);
+    visit(plan);
+    for (uint64_t i = 1; i < leaves; ++i) {
+        const size_t t = static_cast<size_t>(__builtin_ctzll(i));
+        plan.bits.resize(plan.bits.size() - t);
+        plan.bits.push_back(pipeline[n - 1 - t]->bit);
+        visit(plan);
+    }
+}
+
+std::vector<PassPlan>
+latticePlans()
+{
+    std::vector<PassPlan> plans;
+    forEachLatticePlan(
+        [&plans](const PassPlan &plan) { plans.push_back(plan); });
+    return plans;
 }
 
 bool

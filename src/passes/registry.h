@@ -8,10 +8,10 @@
  * start-up with their historical bit positions and pipeline order, so
  * every 256-combination semantic (bit encodings, display names,
  * variant partitions) is bit-compatible with the fixed-table code this
- * replaces. New passes register on top — `optimize()`,
- * `forEachFlagCombination()`, `FlagSet`, exploration, the
- * search strategies, and the experiment engine all size themselves
- * from the registry, so a ninth pass needs no changes anywhere else.
+ * replaces. New passes register on top — `optimize()`, `FlagSet`,
+ * the flag lattice (`forEachLatticePlan()`), exploration, the search
+ * strategies, and the experiment engine all size themselves from the
+ * registry, so a ninth pass needs no changes anywhere else.
  */
 #ifndef GSOPT_PASSES_REGISTRY_H
 #define GSOPT_PASSES_REGISTRY_H
@@ -35,8 +35,8 @@ struct PassDescriptor
      * trailing canonicalisation the linear pipeline performs after the
      * pass (the built-ins all follow passes::canonicalizeIfChanged:
      * canonicalize only if the pass reported a change), because the
-     * prefix-sharing combination tree replays these stage functions
-     * verbatim to stay bit-identical with optimize().
+     * plan walk (PlanApplier) replays these stage functions verbatim
+     * to stay bit-identical with optimize().
      */
     std::function<void(ir::Module &)> apply;
 
@@ -162,6 +162,23 @@ struct PassPlan
     bool operator==(const PassPlan &o) const { return bits == o.bits; }
     bool operator!=(const PassPlan &o) const { return bits != o.bits; }
 };
+
+/**
+ * Visit the 2^N canonical plans of the registered passes — the flag
+ * lattice, one plan per FlagSet(plan.mask()) — in the prefix tree's
+ * skip-first DFS order: the empty plan first, then, stage by stage in
+ * pipeline order, every plan without the stage before every plan with
+ * it. Consecutive plans differ only after their common prefix, so
+ * walking them in this order through one PlanApplier takes exactly the
+ * tree's 2^N - 1 apply edges. One plan is updated in place; the
+ * reference is valid only during @p visit.
+ */
+void forEachLatticePlan(
+    const std::function<void(const PassPlan &)> &visit);
+
+/** The same 2^N canonical plans as a list, in the same order (for
+ * forEachPlan). */
+std::vector<PassPlan> latticePlans();
 
 /**
  * The catalog of shippable passes beyond the built-in eight: licm,

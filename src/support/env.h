@@ -1,17 +1,16 @@
 /**
  * @file
  * Integer knobs read from the environment (GSOPT_THREADS,
- * GSOPT_RETRY_ATTEMPTS, GSOPT_DISTRIB_WORKERS, GSOPT_LEASE_MS,
- * GSOPT_BUDGET_*, ...). An unset or empty variable means "use the
- * default". Any other value must be a plain decimal integer in range;
- * anything else ("4x", "-1", "abc", " 4") prints the variable and its
- * value to stderr and aborts: a knob that is silently ignored would
- * let a CI leg prove nothing.
+ * GSOPT_RETRY_ATTEMPTS, GSOPT_LEASE_MS, GSOPT_BUDGET_*, ...). An unset
+ * or empty variable means "use the default". Any other value must be a
+ * plain decimal integer in range; anything else ("4x", "-1", "abc",
+ * " 4") prints the variable and its value to stderr and aborts: a knob
+ * that is silently ignored would let a CI leg prove nothing.
  *
  * defaultThreadCount() is GSOPT_THREADS resolved against the hardware:
- * the worker count of ExperimentEngine's campaign, which runs as a
- * CampaignCoordinator over in-process worker threads
- * (tuner/distrib.h).
+ * the one default worker count of the campaign scheduler, a
+ * CampaignCoordinator (tuner/distrib.h) over in-process threads for
+ * ExperimentEngine or subprocess workers in a distributed campaign.
  */
 #ifndef GSOPT_SUPPORT_ENV_H
 #define GSOPT_SUPPORT_ENV_H

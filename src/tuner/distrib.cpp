@@ -176,13 +176,6 @@ class Heartbeat
 
 // ---- knobs --------------------------------------------------------------
 
-unsigned
-defaultWorkerCount()
-{
-    return static_cast<unsigned>(
-        envInteger("GSOPT_DISTRIB_WORKERS", 2));
-}
-
 uint64_t
 defaultLeaseMs()
 {
@@ -889,7 +882,7 @@ CampaignCoordinator::CampaignCoordinator(
       opts_(opts)
 {
     if (opts_.workers == 0)
-        opts_.workers = defaultWorkerCount();
+        opts_.workers = defaultThreadCount();
     if (opts_.leaseMs == 0)
         opts_.leaseMs = defaultLeaseMs();
     if (opts_.maxAssignments < 1)
@@ -1232,14 +1225,14 @@ std::unique_ptr<WorkerTransport>
 makeInProcessTransport(unsigned workers)
 {
     return std::make_unique<InProcessTransport>(
-        workers == 0 ? defaultWorkerCount() : workers);
+        workers == 0 ? defaultThreadCount() : workers);
 }
 
 std::unique_ptr<WorkerTransport>
 makeSubprocessTransport(unsigned workers)
 {
     return std::make_unique<SubprocessTransport>(
-        workers == 0 ? defaultWorkerCount() : workers);
+        workers == 0 ? defaultThreadCount() : workers);
 }
 
 } // namespace gsopt::tuner::distrib

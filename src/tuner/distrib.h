@@ -58,10 +58,10 @@
  *    MUST call distrib::maybeRunWorker() first thing in main() and
  *    return when it reports true.
  *
- * Knobs: GSOPT_DISTRIB_WORKERS (default worker count when
- * Options::workers is 0), GSOPT_LEASE_MS (default lease when
- * Options::leaseMs is 0). Malformed values abort loudly, same policy
- * as GSOPT_FAULTS.
+ * Knobs: GSOPT_THREADS (worker count when Options::workers is 0, the
+ * campaign's one worker-count knob; support/env.h), GSOPT_LEASE_MS
+ * (default lease when Options::leaseMs is 0). Malformed values abort
+ * loudly, same policy as GSOPT_FAULTS.
  */
 #ifndef GSOPT_TUNER_DISTRIB_H
 #define GSOPT_TUNER_DISTRIB_H
@@ -86,8 +86,8 @@ enum class TransportKind {
 /** Coordinator configuration. */
 struct Options
 {
-    /** Worker count; 0 = GSOPT_DISTRIB_WORKERS, default 2. A run
-     * starts no more workers than it has pending units. */
+    /** Worker count; 0 = defaultThreadCount(). A run starts no more
+     * workers than it has pending units. */
     unsigned workers = 0;
     TransportKind transport = TransportKind::InProcess;
     /** Per-assignment lease in ms; 0 = GSOPT_LEASE_MS, default
@@ -175,7 +175,7 @@ class WorkerTransport
     virtual void shutdown() = 0;
 };
 
-/** @p workers worker threads (0 = GSOPT_DISTRIB_WORKERS), each running
+/** @p workers worker threads (0 = defaultThreadCount()), each running
  * one unit at a time, serially. A thread hand-off has no wire, so no
  * ipc.* fault site is probed. */
 std::unique_ptr<WorkerTransport>

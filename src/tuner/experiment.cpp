@@ -11,7 +11,6 @@
 #include "passes/registry.h"
 #include "runtime/framework.h"
 #include "support/diag.h"
-#include "support/env.h"
 #include "support/fault.h"
 #include "support/governor.h"
 #include "support/ipc.h"
@@ -200,7 +199,7 @@ ExperimentEngine::ExperimentEngine(
     const std::string &cacheDir)
 {
     distrib::Options opts;
-    opts.workers = threads == 0 ? defaultThreadCount() : threads;
+    opts.workers = threads;
     distrib::CampaignCoordinator coordinator(shaders, cacheDir, opts);
     health_ = coordinator.run();
     results_ = std::move(coordinator.results());

@@ -97,6 +97,26 @@ Exploration::flagChangesOutput(int bit) const
     return false;
 }
 
+namespace {
+
+/** emitGlsl, counted in exploreCounters(); also adds its time to
+ * @p ns when given. */
+std::string
+printCounted(const ir::Module &module, uint64_t *ns = nullptr)
+{
+    const uint64_t t0 = nowNs();
+    std::string text = emit::emitGlsl(module);
+    const uint64_t dt = nowNs() - t0;
+    if (ns)
+        *ns += dt;
+    ExploreCounters &counters = exploreCounters();
+    counters.printRuns.fetch_add(1, std::memory_order_relaxed);
+    counters.printNs.fetch_add(dt, std::memory_order_relaxed);
+    return text;
+}
+
+} // namespace
+
 Exploration
 exploreShader(const corpus::CorpusShader &shader)
 {
@@ -111,69 +131,37 @@ exploreShader(const corpus::CorpusShader &shader)
     ex.exploredFlagCount = flagCount();
     checkExhaustiveFeasible("exploreShader");
 
-    // Front end once: preprocess/lex/parse/sema run a single time per
-    // shader; every flag combination reuses the result. (The
-    // preprocessed text also feeds the Fig 4a LoC metric.)
-    uint64_t t0 = nowNs();
-    glsl::CompiledShader cs =
-        glsl::compileShader(shader.source, shader.defines);
-    counters.frontEndRuns.fetch_add(1, std::memory_order_relaxed);
-    counters.frontEndNs.fetch_add(nowNs() - t0,
-                                  std::memory_order_relaxed);
-    ex.preprocessedOriginal = cs.preprocessedText;
-
-    // Lower once: the flag pipelines all start from clones of this
-    // module, which is behaviourally identical to re-lowering (clone
-    // preserves structure and ids exactly).
-    t0 = nowNs();
-    auto base = lower::lowerShader(cs);
-    counters.lowerRuns.fetch_add(1, std::memory_order_relaxed);
-    counters.lowerNs.fetch_add(nowNs() - t0, std::memory_order_relaxed);
-
-    // Phase A — run all 2^N pipelines over the memoized prefix-sharing
-    // tree (combos with a common pass prefix share that work, and apply
-    // edges whose incoming IR fingerprints identically share one pass
-    // run + one clone). Each tree module is fingerprinted exactly once,
-    // at creation, and the sink receives the fingerprint for free; only
-    // fingerprint-unique modules reach the printer (most of the combos
-    // are structurally identical — Fig 4c).
+    // Phase A — walk all 2^N canonical plans in the prefix tree's
+    // order, so the applier's prefix reuse takes each of the tree's
+    // 2^N - 1 apply edges once, and edges whose incoming IR
+    // fingerprints identically share one pass run + one clone. Each
+    // module is fingerprinted exactly once, at creation; only
+    // fingerprint-unique modules reach the printer (most of the
+    // combos are structurally identical — Fig 4c). The explorer, and
+    // with it every module, ends with this phase.
     std::vector<uint64_t> combo_fp(comboCount(), 0);
     std::unordered_map<uint64_t, std::string> text_of_fp;
-    uint64_t print_ns = 0;
-    passes::FlagTreeStats tree;
-    const uint64_t tree_t0 = nowNs();
-    passes::forEachFlagCombination(
-        *base,
-        [&](FlagSet flags, const ir::Module &module, uint64_t fp) {
+    {
+        PlanExplorer explorer(shader, ex);
+        uint64_t print_ns = 0;
+        const passes::FlagTreeStats before = explorer.applier_.stats();
+        const uint64_t t0 = nowNs();
+        passes::forEachLatticePlan([&](const passes::PassPlan &plan) {
+            const passes::PlanApplier::Node node =
+                explorer.applier_.walk(plan);
             counters.pipelineRuns.fetch_add(1,
                                             std::memory_order_relaxed);
-            combo_fp[flags.bits] = fp;
-            if (!text_of_fp.count(fp)) {
-                const uint64_t t = nowNs();
-                text_of_fp.emplace(fp, emit::emitGlsl(module));
-                counters.printRuns.fetch_add(
-                    1, std::memory_order_relaxed);
-                print_ns += nowNs() - t;
+            combo_fp[plan.mask()] = node.fingerprint;
+            if (!text_of_fp.count(node.fingerprint)) {
+                text_of_fp.emplace(node.fingerprint,
+                                   printCounted(*node.module, &print_ns));
             } else {
                 counters.fingerprintHits.fetch_add(
                     1, std::memory_order_relaxed);
             }
-        },
-        &tree);
-    counters.pipelineNs.fetch_add(
-        nowNs() - tree_t0 - tree.fingerprintNs - print_ns,
-        std::memory_order_relaxed);
-    counters.passRuns.fetch_add(tree.passRuns,
-                                std::memory_order_relaxed);
-    counters.passMemoHits.fetch_add(tree.passMemoHits,
-                                    std::memory_order_relaxed);
-    counters.fingerprintRuns.fetch_add(tree.fingerprintRuns,
-                                       std::memory_order_relaxed);
-    counters.fingerprintNs.fetch_add(tree.fingerprintNs,
-                                     std::memory_order_relaxed);
-    counters.arenaBytes.fetch_add(tree.arenaBytes,
-                                  std::memory_order_relaxed);
-    counters.printNs.fetch_add(print_ns, std::memory_order_relaxed);
+        });
+        explorer.account(before, nowNs() - t0 - print_ns);
+    }
 
     // Phase B — assign variant indices in numeric combo order with the
     // text-hash dedup the seed used, so the variant partition and
@@ -209,20 +197,27 @@ PlanExplorer::PlanExplorer(const corpus::CorpusShader &shader,
 {
     governor::ScopedRequestBudget admission;
     ExploreCounters &counters = exploreCounters();
-    // Front end + lowering once, same accounting as exploreShader;
-    // every plan walks from clones of this module.
+    // Front end once: preprocess/lex/parse/sema run a single time per
+    // explorer; every plan reuses the result. (The preprocessed text
+    // also feeds the Fig 4a LoC metric.)
     uint64_t t0 = nowNs();
     glsl::CompiledShader cs =
         glsl::compileShader(shader.source, shader.defines);
     counters.frontEndRuns.fetch_add(1, std::memory_order_relaxed);
     counters.frontEndNs.fetch_add(nowNs() - t0,
                                   std::memory_order_relaxed);
+    ex_.preprocessedOriginal = cs.preprocessedText;
+
+    // Lower once: every plan walks from the applier's clone of this
+    // module, which is behaviourally identical to re-lowering (clone
+    // preserves structure and ids exactly).
     t0 = nowNs();
-    base_ = lower::lowerShader(cs);
+    auto base = lower::lowerShader(cs);
     counters.lowerRuns.fetch_add(1, std::memory_order_relaxed);
     counters.lowerNs.fetch_add(nowNs() - t0, std::memory_order_relaxed);
-    root_ = applier_.root(*base_);
-    foldStats();
+    t0 = nowNs();
+    applier_.root(*base);
+    account(passes::FlagTreeStats{}, nowNs() - t0);
     for (size_t i = 0; i < ex_.variants.size(); ++i)
         byTextHash_.emplace(ex_.variants[i].sourceHash,
                             static_cast<int>(i));
@@ -231,24 +226,26 @@ PlanExplorer::PlanExplorer(const corpus::CorpusShader &shader,
 PlanExplorer::~PlanExplorer() = default;
 
 void
-PlanExplorer::foldStats()
+PlanExplorer::account(const passes::FlagTreeStats &before, uint64_t ns)
 {
     const passes::FlagTreeStats &now = applier_.stats();
     ExploreCounters &counters = exploreCounters();
-    counters.passRuns.fetch_add(now.passRuns - folded_.passRuns,
+    counters.pipelineNs.fetch_add(
+        ns - (now.fingerprintNs - before.fingerprintNs),
+        std::memory_order_relaxed);
+    counters.passRuns.fetch_add(now.passRuns - before.passRuns,
                                 std::memory_order_relaxed);
     counters.passMemoHits.fetch_add(
-        now.passMemoHits - folded_.passMemoHits,
+        now.passMemoHits - before.passMemoHits,
         std::memory_order_relaxed);
     counters.fingerprintRuns.fetch_add(
-        now.fingerprintRuns - folded_.fingerprintRuns,
+        now.fingerprintRuns - before.fingerprintRuns,
         std::memory_order_relaxed);
     counters.fingerprintNs.fetch_add(
-        now.fingerprintNs - folded_.fingerprintNs,
+        now.fingerprintNs - before.fingerprintNs,
         std::memory_order_relaxed);
-    counters.arenaBytes.fetch_add(now.arenaBytes - folded_.arenaBytes,
+    counters.arenaBytes.fetch_add(now.arenaBytes - before.arenaBytes,
                                   std::memory_order_relaxed);
-    folded_ = now;
 }
 
 int
@@ -272,24 +269,16 @@ PlanExplorer::ensure(const passes::PassPlan &plan)
     }
 
     ExploreCounters &counters = exploreCounters();
-    const uint64_t fp_ns_before = applier_.stats().fingerprintNs;
+    const passes::FlagTreeStats before = applier_.stats();
     const uint64_t t0 = nowNs();
-    passes::PlanApplier::Node node = root_;
-    for (int bit : plan.bits)
-        node = applier_.apply(node, bit);
-    counters.pipelineNs.fetch_add(
-        nowNs() - t0 - (applier_.stats().fingerprintNs - fp_ns_before),
-        std::memory_order_relaxed);
+    const passes::PlanApplier::Node node = applier_.walk(plan);
+    account(before, nowNs() - t0);
     ++plansWalked_;
     counters.plansWalked.fetch_add(1, std::memory_order_relaxed);
-    foldStats();
 
     // Dedup against every variant seen so far: plans converging to an
     // existing text (canonical or plan-born) share its index.
-    const uint64_t tp = nowNs();
-    std::string text = emit::emitGlsl(*node.module);
-    counters.printRuns.fetch_add(1, std::memory_order_relaxed);
-    counters.printNs.fetch_add(nowNs() - tp, std::memory_order_relaxed);
+    std::string text = printCounted(*node.module);
     const uint64_t hash = fnv1a(text);
     auto hit = byTextHash_.find(hash);
     int index;

@@ -114,28 +114,32 @@ struct Exploration
 };
 
 /** Run the exhaustive 2^N-combination exploration for one corpus
- * shader (N from the pass registry; the paper's 256 by default). */
+ * shader (N from the pass registry; the paper's 256 by default): a
+ * PlanExplorer walks the lattice's canonical plans
+ * (passes::forEachLatticePlan). */
 Exploration exploreShader(const corpus::CorpusShader &shader);
 
 /**
- * Incremental ordered-plan exploration layered over an Exploration.
- * Where exploreShader walks the whole flag lattice up front, a
- * PlanExplorer explores plans on demand: `ensure(plan)` returns the
+ * Plan exploration over one shader: front end, lowering and the
+ * applier root run once, at construction, and every plan walks through
+ * one persistent passes::PlanApplier (prefix reuse plus the
+ * content-addressed (fingerprint, pass) memo), with its time and work
+ * added to exploreCounters(). exploreShader walks the whole flag
+ * lattice through one; on its own, a PlanExplorer explores plans on
+ * demand over an existing Exploration: `ensure(plan)` returns the
  * plan's variant index, walking the pass sequence only the first time
  * (canonical plans resolve straight from variantOfCombo with no pass
  * work, and repeated or text-converging plans dedup against the
- * existing variants). One persistent passes::PlanApplier serves every
- * ensure() call, so all plans explored through one PlanExplorer share
- * the content-addressed (fingerprint, pass) memo — executed pass runs
- * stay far below walked-plan count (ExploreCounters::plansWalked vs
- * passRuns). New variants are appended to the Exploration with the
- * plan recorded in variantOfPlan; front end and lowering run once, at
- * construction. Not thread-safe; confine to one search thread.
+ * existing variants). Executed pass runs stay far below walked-plan
+ * count (ExploreCounters::plansWalked vs passRuns). New variants are
+ * appended to the Exploration with the plan recorded in
+ * variantOfPlan. Not thread-safe; confine to one search thread.
  */
 class PlanExplorer
 {
   public:
-    /** @p shader must be the shader @p ex was explored from. */
+    /** @p shader must be the shader @p ex was explored from. Sets
+     * ex.preprocessedOriginal. */
     PlanExplorer(const corpus::CorpusShader &shader, Exploration &ex);
     ~PlanExplorer();
     PlanExplorer(const PlanExplorer &) = delete;
@@ -151,14 +155,16 @@ class PlanExplorer
     uint64_t plansWalked() const { return plansWalked_; }
 
   private:
-    void foldStats();
+    friend Exploration exploreShader(const corpus::CorpusShader &shader);
+
+    /** Add one stretch of walking to exploreCounters(): @p ns of wall
+     * time, less the applier's fingerprinting since @p before, as
+     * pipeline time, and the applier's work since @p before. */
+    void account(const passes::FlagTreeStats &before, uint64_t ns);
 
     Exploration &ex_;
-    std::unique_ptr<ir::Module> base_;
     passes::PlanApplier applier_;
-    passes::PlanApplier::Node root_;
     std::unordered_map<uint64_t, int> byTextHash_;
-    passes::FlagTreeStats folded_; ///< applier stats already counted
     uint64_t plansWalked_ = 0;
 };
 

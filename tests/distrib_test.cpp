@@ -335,8 +335,8 @@ TEST(DistribEquivalence, InProcessAnyWorkerCountAnyOrder)
 }
 
 /** The real distribution shape: fork/exec'd workers over pipes. CI
- * runs this test with GSOPT_DISTRIB_WORKERS=4 and again under an
- * ambient GSOPT_FAULTS plan covering the ipc.* sites. */
+ * runs this test on its own and again under an ambient GSOPT_FAULTS
+ * plan covering the ipc.* sites. */
 TEST(DistribEquivalence, SubprocessWorkersMatchSingleProcess)
 {
     for (unsigned workers : {1u, 4u}) {

@@ -30,7 +30,7 @@
  * and integer multiply/index chains, and duplicate texture fetches
  * across block boundaries.
  *
- * The walk uses the memoized combination tree and checks each module
+ * The lattice plan walk memoizes apply edges and checks each module
  * once per distinct structural fingerprint, so depth scales with the
  * number of *distinct* variants, not 2^N. Seed count comes from the
  * GSOPT_FUZZ_ITERS environment knob: the tier-1 default stays small;
@@ -293,15 +293,15 @@ TEST_P(RandomShader, FullRegistryTreePreservesSemantics)
 
     uint64_t combos = 0;
     std::unordered_set<uint64_t> seen;
-    passes::forEachFlagCombination(
-        *reference,
-        [&](passes::FlagSet flags, const ir::Module &module,
+    passes::forEachPlan(
+        *reference, passes::latticePlans(),
+        [&](const passes::PassPlan &plan, const ir::Module &module,
             uint64_t fingerprint) {
             ++combos;
             if (!seen.insert(fingerprint).second)
                 return; // distinct modules only: the walk memoizes
             SCOPED_TRACE("flags mask " +
-                         std::to_string(flags.bits));
+                         std::to_string(plan.mask()));
 
             // (1) semantics vs the unoptimised reference run: one
             // batched interpretation covers all 8 environments.

@@ -111,8 +111,8 @@ TEST(InterpGolden, InterpretMatchesMapReferenceAcrossCorpus)
 TEST(InterpGolden, BatchedMatchesScalarOnEveryCorpusShaderAllCombos)
 {
     // The acceptance pin for the batched engine: EVERY corpus shader,
-    // EVERY combination of the FULL pass registry (walked through the
-    // memoized combination tree, so each distinct optimised module is
+    // EVERY combination of the FULL pass registry (walked as lattice
+    // plans through the memoized applier, so each distinct module is
     // checked once), with 4 probe lanes spanning the default
     // environment and perturbed inputs. Each distinct module gets one
     // batched run; a lane chosen by the module's fingerprint is then
@@ -145,9 +145,10 @@ TEST(InterpGolden, BatchedMatchesScalarOnEveryCorpusShaderAllCombos)
             envs.push_back(benv.laneEnv(l));
 
         std::unordered_set<uint64_t> seen;
-        passes::forEachFlagCombination(
-            *base, [&](passes::FlagSet, const ir::Module &m,
-                       uint64_t fp) {
+        passes::forEachPlan(
+            *base, passes::latticePlans(),
+            [&](const passes::PassPlan &, const ir::Module &m,
+                uint64_t fp) {
                 if (!seen.insert(fp).second)
                     return; // distinct modules only
                 const ir::BatchResult batch =

@@ -2,8 +2,8 @@
  * @file
  * Unit tests for the catalog passes (licm, strength_reduce, tex_batch)
  * plus the N=11 pipeline property: with all three registered, the
- * prefix-sharing combination tree stays byte-identical to the linear
- * optimize() pipeline over the whole 2048-combination space.
+ * lattice plan walk stays byte-identical to the linear optimize()
+ * pipeline over the whole 2048-combination space.
  */
 #include <gtest/gtest.h>
 
@@ -491,11 +491,13 @@ TEST(ElevenPassSpace, TreeMatchesLinearOnEveryCorpusShader)
         // suite's runtime for no extra coverage).
         uint64_t walked = 0;
         std::map<uint64_t, std::string> tree_text;
-        passes::forEachFlagCombination(
-            *base, [&](FlagSet flags, const ir::Module &module, uint64_t) {
+        passes::forEachPlan(
+            *base, passes::latticePlans(),
+            [&](const passes::PassPlan &plan, const ir::Module &module,
+                uint64_t) {
                 ++walked;
-                if (combos.count(flags.bits))
-                    tree_text[flags.bits] = emit::emitGlsl(module);
+                if (combos.count(plan.mask()))
+                    tree_text[plan.mask()] = emit::emitGlsl(module);
             });
         ASSERT_EQ(walked, reg.comboCount()) << shader.name;
         ASSERT_EQ(tree_text.size(), combos.size()) << shader.name;
@@ -522,9 +524,11 @@ TEST(ElevenPassSpace, TreeMatchesLinearOverTheFullRegistry)
         auto base = emit::compileToIr(shader.source, shader.defines);
 
         std::map<uint64_t, std::string> tree_text;
-        passes::forEachFlagCombination(
-            *base, [&](FlagSet flags, const ir::Module &module, uint64_t) {
-                tree_text[flags.bits] = emit::emitGlsl(module);
+        passes::forEachPlan(
+            *base, passes::latticePlans(),
+            [&](const passes::PassPlan &plan, const ir::Module &module,
+                uint64_t) {
+                tree_text[plan.mask()] = emit::emitGlsl(module);
             });
         ASSERT_EQ(tree_text.size(), 2048u) << name;
 

@@ -2,7 +2,8 @@
  * @file
  * Ordered-plan tests: PassPlan's canonical/string/parse algebra, the
  * forEachPlan walk delivering bit-identical modules to the linear
- * pipeline for canonical plans, the PlanApplier memo collapsing
+ * pipeline for canonical plans, the PlanApplier's prefix reuse taking
+ * the lattice's 2^N - 1 tree edges and its memo collapsing
  * permutations onto distinct (module, pass) edges, and PlanExplorer
  * layering on-demand plan exploration over an Exploration without
  * disturbing the flag-lattice contract.
@@ -10,11 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <stdexcept>
 
 #include "corpus/corpus.h"
 #include "emit/emit.h"
 #include "emit/offline.h"
+#include "ir/dump.h"
 #include "passes/passes.h"
 #include "passes/registry.h"
 #include "tuner/explore.h"
@@ -108,14 +111,30 @@ TEST(PassPlan, ValidNamesTheOffendingBit)
     EXPECT_TRUE(reversed.valid());
 }
 
+/** Apply edges a prefix-reusing walk of @p plans takes: each plan's
+ * length less the prefix it shares with the plan before it. */
+uint64_t
+stepsWithPrefixReuse(const std::vector<PassPlan> &plans)
+{
+    uint64_t steps = 0;
+    const PassPlan *prev = nullptr;
+    for (const PassPlan &plan : plans) {
+        size_t shared = 0;
+        while (prev && shared < prev->length() &&
+               shared < plan.length() &&
+               prev->bits[shared] == plan.bits[shared])
+            ++shared;
+        steps += plan.length() - shared;
+        prev = &plan;
+    }
+    return steps;
+}
+
 TEST(PlanWalk, CanonicalPlansMatchLinearPipelineByteForByte)
 {
-    // forEachPlan over every canonical plan must reproduce
-    // optimize() exactly — the flag lattice really is the
-    // canonical-order special case of the plan space.
-    if (PassRegistry::instance().count() != 8)
-        GTEST_SKIP() << "step counts pinned to the 256-combo lattice; "
-                        "GSOPT_EXTRA_PASSES widens it";
+    // forEachPlan over every canonical plan, in numeric mask order,
+    // must reproduce optimize() exactly — the flag lattice really is
+    // the canonical-order special case of the plan space.
     const corpus::CorpusShader &shader =
         *corpus::findShader("toon/bands3");
     auto base = emit::compileToIr(shader.source, shader.defines);
@@ -142,11 +161,48 @@ TEST(PlanWalk, CanonicalPlansMatchLinearPipelineByteForByte)
             << PassPlan::canonicalOf(mask).str();
     }
 
-    // The memo must hold executed pass runs far below the walked
-    // total: 256 canonical plans contain 8 * 128 = 1024 plan steps.
-    EXPECT_EQ(stats.passRuns + stats.passMemoHits, 1024u);
-    EXPECT_LT(stats.passRuns, 256u);
+    // Every step the walk takes beyond the prefix it reuses is one
+    // apply edge, and the memo must hold executed pass runs far below
+    // that total.
+    EXPECT_EQ(stats.passRuns + stats.passMemoHits,
+              stepsWithPrefixReuse(plans));
+    EXPECT_LT(stats.passRuns, combos);
     EXPECT_GT(stats.passMemoHits, stats.passRuns);
+}
+
+TEST(PlanWalk, LatticeTakesTheTreesEdgesAndMatchesOptimize)
+{
+    // The lattice in its enumeration order: every mask once, each as
+    // its canonical plan, and a prefix-reusing walk takes exactly the
+    // prefix tree's 2^N - 1 apply edges — at any registry width.
+    const std::vector<PassPlan> plans = passes::latticePlans();
+    const uint64_t combos = PassRegistry::instance().comboCount();
+    ASSERT_EQ(plans.size(), combos);
+    std::set<uint64_t> masks;
+    for (const PassPlan &plan : plans) {
+        EXPECT_TRUE(plan.isCanonical()) << plan.str();
+        masks.insert(plan.mask());
+    }
+    EXPECT_EQ(masks.size(), combos);
+    EXPECT_TRUE(plans.front().empty());
+
+    const corpus::CorpusShader &shader =
+        *corpus::findShader("simple/grayscale");
+    auto base = emit::compileToIr(shader.source, shader.defines);
+    uint64_t delivered = 0;
+    passes::FlagTreeStats stats;
+    passes::forEachPlan(
+        *base, plans,
+        [&](const PassPlan &plan, const ir::Module &module, uint64_t) {
+            ++delivered;
+            auto linear = base->clone();
+            passes::optimize(*linear, passes::FlagSet(plan.mask()));
+            ASSERT_EQ(ir::dump(*linear), ir::dump(module)) << plan.str();
+        },
+        &stats);
+    EXPECT_EQ(delivered, combos);
+    EXPECT_EQ(stats.passRuns + stats.passMemoHits, combos - 1);
+    EXPECT_EQ(stepsWithPrefixReuse(plans), combos - 1);
 }
 
 TEST(PlanWalk, PermutationsShareDistinctEdgesThroughTheMemo)
@@ -174,14 +230,16 @@ TEST(PlanWalk, PermutationsShareDistinctEdgesThroughTheMemo)
         &stats);
     EXPECT_EQ(delivered, plans.size());
 
-    // 6 plans x 3 steps = 18 apply edges walked. Each pass can open
-    // at most one *distinct* edge per distinct incoming module, and
-    // each of the three passes appears twice as a first step — so at
-    // least 3 edges are memo hits even with zero convergence, and
-    // every walked edge is accounted as exactly one of run/hit.
-    EXPECT_EQ(stats.passRuns + stats.passMemoHits, 18u);
+    // Prefix reuse walks 3 + 2 steps per first pass: 15 apply edges,
+    // every one accounted as exactly one of run/hit. No two of them
+    // share a plan prefix and pass, so each memo hit is convergence:
+    // orders that reach content-identical IR share the edges out of
+    // it (on this shader some passes fire on nothing).
+    const uint64_t steps = stepsWithPrefixReuse(plans);
+    EXPECT_EQ(steps, 15u);
+    EXPECT_EQ(stats.passRuns + stats.passMemoHits, steps);
     EXPECT_GE(stats.passMemoHits, 3u);
-    EXPECT_LT(stats.passRuns, 18u);
+    EXPECT_LT(stats.passRuns, steps);
 }
 
 TEST(PlanExplorer, CanonicalPlansResolveWithoutPassWork)
@@ -240,6 +298,44 @@ TEST(PlanExplorer, NonCanonicalPlansDedupAnnotateAndCache)
         planner.ensure(PassPlan{
             {passes::kGvn, passes::kGvn}}),
         std::invalid_argument);
+}
+
+TEST(PlanExplorer, PrefixReuseDoesNotShowInVariants)
+{
+    // One explorer walks plans that share prefixes (resuming each from
+    // the previous walk); a fresh explorer per plan walks each from
+    // the root. Both must assign the same variant indices and texts.
+    const corpus::CorpusShader &shader =
+        *corpus::findShader("blur/weighted9");
+    const int u = passes::kUnroll;
+    const int g = passes::kGvn;
+    const int f = passes::kFpReassociate;
+    const int c = passes::kCoalesce;
+    const int d = passes::kDivToMul;
+    const std::vector<PassPlan> plans = {
+        PassPlan{{g, u, f}}, PassPlan{{g, u, c}}, PassPlan{{g, u}},
+        PassPlan{{g, f, u, c}}, PassPlan{{f, g, u}},
+        PassPlan{{f, g, d, u}}, PassPlan{{f, u, g}},
+    };
+
+    tuner::Exploration shared_ex = tuner::exploreShader(shader);
+    tuner::Exploration fresh_ex = shared_ex;
+    const size_t unique_before = shared_ex.uniqueCount();
+    tuner::PlanExplorer shared(shader, shared_ex);
+    for (const PassPlan &plan : plans) {
+        tuner::PlanExplorer fresh(shader, fresh_ex);
+        const int v = shared.ensure(plan);
+        EXPECT_EQ(v, fresh.ensure(plan)) << plan.str();
+        EXPECT_EQ(shared_ex.variants[v].source,
+                  fresh_ex.variants[v].source)
+            << plan.str();
+    }
+    EXPECT_EQ(shared.plansWalked(), plans.size());
+    // Some plan reaches a text no flag subset does, so indices were
+    // assigned, not only looked up.
+    EXPECT_GT(shared_ex.uniqueCount(), unique_before);
+    EXPECT_EQ(shared_ex.uniqueCount(), fresh_ex.uniqueCount());
+    EXPECT_EQ(shared_ex.variantOfPlan, fresh_ex.variantOfPlan);
 }
 
 TEST(PlanExplorer, OrderingCanReachTextNoFlagSubsetProduces)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Pass-registry tests: built-in registration stays bit-compatible with
- * the paper's fixed table, the tree walk stays byte-identical to the
- * linear pipeline for every registered combination, cache keys hash
+ * the paper's fixed table, the lattice plan walk stays byte-identical
+ * to the linear pipeline for every registered combination, cache keys hash
  * exact bit patterns, and — the headline decoupling property — a ninth
  * registered pass flows through pipeline, exploration, and the
  * experiment engine with no changes to any of them.
@@ -88,9 +88,11 @@ TEST(PipelineEquivalence, TreeMatchesLinearOnCorpusShaders)
         auto base = emit::compileToIr(shader.source, shader.defines);
 
         std::map<uint64_t, std::string> tree_text;
-        passes::forEachFlagCombination(
-            *base, [&](FlagSet flags, const ir::Module &module, uint64_t) {
-                tree_text[flags.bits] = emit::emitGlsl(module);
+        passes::forEachPlan(
+            *base, passes::latticePlans(),
+            [&](const passes::PassPlan &plan, const ir::Module &module,
+                uint64_t) {
+                tree_text[plan.mask()] = emit::emitGlsl(module);
             });
         ASSERT_EQ(tree_text.size(),
                   PassRegistry::instance().comboCount())
