@@ -834,10 +834,12 @@ class Engine
             const double *coord = val(i.operands[0], nc);
             const double *u = comp(coord, nc, 0);
             const double *v = comp(coord, nc, 1);
-            const double *lod =
-                i.operands.size() > 1
-                    ? comp(val(i.operands[1], nl), nl, 0)
-                    : zero_;
+            // val() sets nl, so it must run before comp() reads it.
+            const double *lod = zero_;
+            if (i.operands.size() > 1) {
+                const double *l = val(i.operands[1], nl);
+                lod = comp(l, nl, 0);
+            }
             const TextureFn *fn =
                 textures_[static_cast<size_t>(i.var->id)];
             double *d = define(i, 4);
