@@ -1,8 +1,10 @@
 #include "emit/emit.h"
 
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "glsl/builtins.h"
 #include "ir/walk.h"
 #include "support/strings.h"
 
@@ -332,10 +334,14 @@ class Emitter
                ref(i.operands[1], suffix);
     }
 
-    std::string call(const Instr &i, const std::string &fn,
+    /** A call of @p fn on the operands; a texture fetch's sampler is
+     * its first argument. */
+    std::string call(const Instr &i, std::string_view fn,
                      const std::string &suffix)
     {
-        std::string out = fn + "(";
+        std::string out = std::string(fn) + "(";
+        if (i.var)
+            out += i.var->name + ", ";
         for (size_t k = 0; k < i.operands.size(); ++k) {
             if (k)
                 out += ", ";
@@ -366,7 +372,7 @@ class Emitter
           case Opcode::Mod:
             if (i.type.isInt())
                 return binaryInfix(i, "%", suffix);
-            return call(i, "mod", suffix);
+            break;
           case Opcode::Lt:
             return binaryInfix(i, "<", suffix);
           case Opcode::Le:
@@ -383,53 +389,12 @@ class Emitter
             return binaryInfix(i, "&&", suffix);
           case Opcode::LogicalOr:
             return binaryInfix(i, "||", suffix);
-          case Opcode::Sin: return call(i, "sin", suffix);
-          case Opcode::Cos: return call(i, "cos", suffix);
-          case Opcode::Tan: return call(i, "tan", suffix);
-          case Opcode::Asin: return call(i, "asin", suffix);
-          case Opcode::Acos: return call(i, "acos", suffix);
-          case Opcode::Atan: return call(i, "atan", suffix);
-          case Opcode::Atan2: return call(i, "atan", suffix);
-          case Opcode::Exp: return call(i, "exp", suffix);
-          case Opcode::Log: return call(i, "log", suffix);
-          case Opcode::Exp2: return call(i, "exp2", suffix);
-          case Opcode::Log2: return call(i, "log2", suffix);
-          case Opcode::Sqrt: return call(i, "sqrt", suffix);
-          case Opcode::InvSqrt: return call(i, "inversesqrt", suffix);
-          case Opcode::Abs: return call(i, "abs", suffix);
-          case Opcode::Sign: return call(i, "sign", suffix);
-          case Opcode::Floor: return call(i, "floor", suffix);
-          case Opcode::Ceil: return call(i, "ceil", suffix);
-          case Opcode::Fract: return call(i, "fract", suffix);
-          case Opcode::Radians: return call(i, "radians", suffix);
-          case Opcode::Degrees: return call(i, "degrees", suffix);
-          case Opcode::Normalize: return call(i, "normalize", suffix);
-          case Opcode::Length: return call(i, "length", suffix);
-          case Opcode::Pow: return call(i, "pow", suffix);
-          case Opcode::Min: return call(i, "min", suffix);
-          case Opcode::Max: return call(i, "max", suffix);
-          case Opcode::Step: return call(i, "step", suffix);
-          case Opcode::Distance: return call(i, "distance", suffix);
-          case Opcode::Dot: return call(i, "dot", suffix);
-          case Opcode::Cross: return call(i, "cross", suffix);
-          case Opcode::Reflect: return call(i, "reflect", suffix);
-          case Opcode::Clamp: return call(i, "clamp", suffix);
-          case Opcode::Mix: return call(i, "mix", suffix);
-          case Opcode::Smoothstep: return call(i, "smoothstep", suffix);
-          case Opcode::Refract: return call(i, "refract", suffix);
           case Opcode::Select:
             return "(" + ref(i.operands[0], suffix) + " ? " +
                    ref(i.operands[1], suffix) + " : " +
                    ref(i.operands[2], suffix) + ")";
-          case Opcode::Construct: {
-            std::string out = i.type.str() + "(";
-            for (size_t k = 0; k < i.operands.size(); ++k) {
-                if (k)
-                    out += ", ";
-                out += ref(i.operands[k], suffix);
-            }
-            return out + ")";
-          }
+          case Opcode::Construct:
+            return call(i, i.type.str(), suffix);
           case Opcode::Extract:
             return ref(i.operands[0], suffix) + "." +
                    kSwizzleChar[static_cast<size_t>(i.indices[0])];
@@ -439,23 +404,12 @@ class Emitter
                 out += kSwizzleChar[static_cast<size_t>(idx)];
             return out;
           }
-          case Opcode::Texture: {
-            return "texture(" + i.var->name + ", " +
-                   ref(i.operands[0], suffix) + ")";
-          }
-          case Opcode::TextureBias: {
-            return "texture(" + i.var->name + ", " +
-                   ref(i.operands[0], suffix) + ", " +
-                   ref(i.operands[1], suffix) + ")";
-          }
-          case Opcode::TextureLod: {
-            return "textureLod(" + i.var->name + ", " +
-                   ref(i.operands[0], suffix) + ", " +
-                   ref(i.operands[1], suffix) + ")";
-          }
           default:
-            return "/*?" + std::string(ir::opcodeName(i.op)) + "*/0.0";
+            break;
         }
+        if (const char *fn = glsl::builtinSpelling(i.op))
+            return call(i, fn, suffix);
+        return "/*?" + std::string(ir::opcodeName(i.op)) + "*/0.0";
     }
 
     const Module &module_;

@@ -84,6 +84,8 @@ struct Span
     T &operator[](size_t i) const { return items[i]; }
 };
 
+struct Builtin;
+
 /** Expression node discriminator. */
 enum class ExprKind {
     IntLit,
@@ -93,7 +95,7 @@ enum class ExprKind {
     Unary,    ///< unaryOp, args[0]
     Binary,   ///< binaryOp, args[0], args[1]
     Ternary,  ///< args[0] ? args[1] : args[2]
-    Call,     ///< builtin or user function: name, args
+    Call,     ///< builtin or user function: name, args, builtin
     Construct,///< type constructor: ctorType, args (also array init)
     Index,    ///< args[0] [ args[1] ]
     Member,   ///< args[0] . name   (vector swizzle)
@@ -122,6 +124,9 @@ struct Expr
     BinaryOp binaryOp = BinaryOp::Add;
     Type ctorType;
     Span<Expr *> args;
+    /** Call: the catalogue row sema resolved it to; null for a call
+     * to a user function. */
+    const Builtin *builtin = nullptr;
 };
 
 /** The value of an int literal, or of `-` applied to one, if @p e is

@@ -6,50 +6,36 @@
 
 namespace gsopt::glsl {
 
-std::unique_ptr<CompiledShader>
-tryCompileShader(const std::string &source,
-                 const std::map<std::string, std::string> &predefines,
-                 DiagEngine &diags)
+CompiledShader
+compileShader(const std::string &source,
+              const std::map<std::string, std::string> &predefines)
 {
     // Admission control: a cold compile of untrusted text gets a fresh
     // budget from the ambient caps (GSOPT_DEADLINE_MS / GSOPT_BUDGET_*)
     // unless an outer request already governs this thread.
     governor::ScopedRequestBudget admission;
-    auto out = std::make_unique<CompiledShader>();
+    DiagEngine diags;
+    CompiledShader out;
     PreprocessResult pp = preprocess(source, predefines, diags);
-    if (diags.hasErrors())
-        return nullptr;
-    out->preprocessedText = std::move(pp.text);
-    out->version = pp.version;
+    diags.checkpoint();
+    out.preprocessedText = std::move(pp.text);
+    out.version = pp.version;
 
     // The tokens view preprocessedText; the AST copies what it keeps.
-    auto tokens = lex(out->preprocessedText, diags);
-    if (diags.hasErrors())
-        return nullptr;
+    auto tokens = lex(out.preprocessedText, diags);
+    diags.checkpoint();
 
-    out->ast = parseShader(tokens, diags);
-    if (diags.hasErrors())
-        return nullptr;
-    out->ast.version = pp.version;
+    out.ast = parseShader(tokens, diags);
+    diags.checkpoint();
+    out.ast.version = pp.version;
 
-    out->interface = analyze(out->ast, diags);
-    if (diags.hasErrors())
-        return nullptr;
-    return out;
-}
-
-CompiledShader
-compileShader(const std::string &source,
-              const std::map<std::string, std::string> &predefines)
-{
-    DiagEngine diags;
-    auto out = tryCompileShader(source, predefines, diags);
+    out.interface = analyze(out.ast, diags);
     diags.checkpoint();
     // Success is not silence: this entry point's contract only throws
     // on errors, so route any warnings through the support/diag sink
     // rather than dropping them with the local engine.
     diags.reportWarnings();
-    return std::move(*out);
+    return out;
 }
 
 } // namespace gsopt::glsl

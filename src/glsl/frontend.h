@@ -8,7 +8,6 @@
 #define GSOPT_GLSL_FRONTEND_H
 
 #include <map>
-#include <memory>
 #include <string>
 
 #include "glsl/ast.h"
@@ -36,8 +35,8 @@ struct CompiledShader
  * through the support/diag warning sink (setWarningSink), never
  * silently dropped.
  *
- * Both entry points are governed admission points: when ambient
- * resource caps are configured (GSOPT_DEADLINE_MS / GSOPT_BUDGET_*, or
+ * It is a governed admission point: when ambient resource caps are
+ * configured (GSOPT_DEADLINE_MS / GSOPT_BUDGET_*, or
  * governor::ScopedAmbientCaps), each call gets a fresh budget and may
  * throw governor::ResourceExhausted naming the exhausted dimension.
  *
@@ -47,16 +46,6 @@ struct CompiledShader
 CompiledShader compileShader(
     const std::string &source,
     const std::map<std::string, std::string> &predefines = {});
-
-/**
- * Diagnostic-collecting variant; returns nullptr on error and fills
- * @p diags (the caller owns reporting, including warnings). Still
- * throws governor::ResourceExhausted under a configured budget.
- */
-std::unique_ptr<CompiledShader> tryCompileShader(
-    const std::string &source,
-    const std::map<std::string, std::string> &predefines,
-    DiagEngine &diags);
 
 } // namespace gsopt::glsl
 

@@ -3,194 +3,10 @@
 #include <optional>
 #include <string>
 
+#include "glsl/builtins.h"
 #include "support/governor.h"
 
 namespace gsopt::glsl {
-
-namespace {
-
-/** Is every arg a float scalar or vector of the same shape? */
-bool
-sameFloatShape(const std::vector<Type> &args)
-{
-    if (args.empty())
-        return false;
-    for (const Type &t : args) {
-        if (!t.isFloat() || t.isArray() || t.isMatrix())
-            return false;
-        if (t.rows != args[0].rows)
-            return false;
-    }
-    return true;
-}
-
-bool
-isFloatScalarOrVector(const Type &t)
-{
-    return t.isFloat() && !t.isArray() && !t.isMatrix();
-}
-
-} // namespace
-
-bool
-isBuiltinFunction(std::string_view name)
-{
-    static const char *names[] = {
-        "radians", "degrees", "sin", "cos", "tan", "asin", "acos",
-        "atan", "pow", "exp", "log", "exp2", "log2", "sqrt",
-        "inversesqrt", "abs", "sign", "floor", "ceil", "fract", "mod",
-        "min", "max", "clamp", "mix", "step", "smoothstep", "length",
-        "distance", "dot", "cross", "normalize", "reflect", "refract",
-        "texture", "texture2D", "textureLod",
-    };
-    for (const char *n : names) {
-        if (name == n)
-            return true;
-    }
-    return false;
-}
-
-Type
-builtinResultType(std::string_view name, const std::vector<Type> &args)
-{
-    const size_t n = args.size();
-
-    // -- texturing ------------------------------------------------------
-    if (name == "texture" || name == "texture2D") {
-        if (n == 2 && args[0].isSampler() && args[1] == Type::vec(2))
-            return Type::vec(4);
-        // texture(s, uv, bias)
-        if (n == 3 && args[0].isSampler() && args[1] == Type::vec(2) &&
-            args[2] == Type::floatTy())
-            return Type::vec(4);
-        return Type::voidTy();
-    }
-    if (name == "textureLod") {
-        if (n == 3 && args[0].isSampler() && args[1] == Type::vec(2) &&
-            args[2] == Type::floatTy())
-            return Type::vec(4);
-        return Type::voidTy();
-    }
-
-    // -- genType -> genType unary --------------------------------------
-    static const char *unary_gen[] = {
-        "radians", "degrees", "sin", "cos", "tan", "asin", "acos",
-        "exp", "log", "exp2", "log2", "sqrt", "inversesqrt", "sign",
-        "floor", "ceil", "fract", "normalize",
-    };
-    for (const char *u : unary_gen) {
-        if (name == u) {
-            if (n == 1 && isFloatScalarOrVector(args[0]))
-                return args[0];
-            return Type::voidTy();
-        }
-    }
-    if (name == "abs") {
-        if (n == 1 && !args[0].isArray() && !args[0].isMatrix() &&
-            (args[0].isFloat() || args[0].isInt()))
-            return args[0];
-        return Type::voidTy();
-    }
-    if (name == "atan") {
-        if (n == 1 && isFloatScalarOrVector(args[0]))
-            return args[0];
-        if (n == 2 && sameFloatShape(args))
-            return args[0];
-        return Type::voidTy();
-    }
-
-    // -- binary genType (second operand may be scalar) -------------------
-    if (name == "pow") {
-        if (n == 2 && sameFloatShape(args))
-            return args[0];
-        return Type::voidTy();
-    }
-    if (name == "mod" || name == "min" || name == "max") {
-        if (n != 2)
-            return Type::voidTy();
-        // int overloads of min/max
-        if (name != "mod" && args[0].isInt() && args[1].isInt() &&
-            !args[0].isArray() &&
-            (args[0].rows == args[1].rows || args[1].isScalar()))
-            return args[0];
-        if (!isFloatScalarOrVector(args[0]) ||
-            !isFloatScalarOrVector(args[1]))
-            return Type::voidTy();
-        if (args[0].rows == args[1].rows || args[1].isScalar())
-            return args[0];
-        return Type::voidTy();
-    }
-    if (name == "clamp") {
-        if (n != 3)
-            return Type::voidTy();
-        if (args[0].isInt() && args[1].isInt() && args[2].isInt() &&
-            !args[0].isArray())
-            return args[0];
-        if (!isFloatScalarOrVector(args[0]))
-            return Type::voidTy();
-        bool scalar_rest =
-            args[1].isScalar() && args[2].isScalar() &&
-            args[1].isFloat() && args[2].isFloat();
-        bool same_rest = args[1] == args[0] && args[2] == args[0];
-        return (scalar_rest || same_rest) ? args[0] : Type::voidTy();
-    }
-    if (name == "mix") {
-        if (n != 3)
-            return Type::voidTy();
-        if (!isFloatScalarOrVector(args[0]) || args[1] != args[0])
-            return Type::voidTy();
-        if (args[2] == args[0] ||
-            (args[2].isScalar() && args[2].isFloat()))
-            return args[0];
-        return Type::voidTy();
-    }
-    if (name == "step") {
-        if (n != 2 || !isFloatScalarOrVector(args[1]))
-            return Type::voidTy();
-        if (args[0] == args[1] ||
-            (args[0].isScalar() && args[0].isFloat()))
-            return args[1];
-        return Type::voidTy();
-    }
-    if (name == "smoothstep") {
-        if (n != 3 || !isFloatScalarOrVector(args[2]))
-            return Type::voidTy();
-        bool scalar_edges = args[0] == Type::floatTy() &&
-                            args[1] == Type::floatTy();
-        bool same_edges = args[0] == args[2] && args[1] == args[2];
-        return (scalar_edges || same_edges) ? args[2] : Type::voidTy();
-    }
-
-    // -- reductions -------------------------------------------------------
-    if (name == "length") {
-        if (n == 1 && isFloatScalarOrVector(args[0]))
-            return Type::floatTy();
-        return Type::voidTy();
-    }
-    if (name == "distance" || name == "dot") {
-        if (n == 2 && sameFloatShape(args))
-            return Type::floatTy();
-        return Type::voidTy();
-    }
-    if (name == "cross") {
-        if (n == 2 && args[0] == Type::vec(3) && args[1] == Type::vec(3))
-            return Type::vec(3);
-        return Type::voidTy();
-    }
-    if (name == "reflect") {
-        if (n == 2 && sameFloatShape(args))
-            return args[0];
-        return Type::voidTy();
-    }
-    if (name == "refract") {
-        if (n == 3 && isFloatScalarOrVector(args[0]) &&
-            args[1] == args[0] && args[2] == Type::floatTy())
-            return args[0];
-        return Type::voidTy();
-    }
-
-    return Type::voidTy();
-}
 
 std::optional<std::vector<int>>
 decodeSwizzle(std::string_view name, int source_rows)
@@ -873,10 +689,11 @@ class Checker
             checkExpr(a);
             arg_types.push_back(a->type);
         }
-        const std::string_view name = shader_.names.str(e->name);
-        // Builtin?
-        if (isBuiltinFunction(name)) {
-            Type r = builtinResultType(name, arg_types);
+        // Builtin? Resolve its catalogue row once, for lowering too.
+        const Builtin *b = findBuiltin(shader_.names.str(e->name),
+                                       arg_types.size());
+        if (b) {
+            Type r = b->resultType(arg_types);
             if (r.isVoid()) {
                 // Try int->float promoting every int arg.
                 bool promoted = false;
@@ -892,7 +709,7 @@ class Checker
                     }
                 }
                 if (promoted)
-                    r = builtinResultType(name, arg_types);
+                    r = b->resultType(arg_types);
             }
             if (r.isVoid()) {
                 std::string sig;
@@ -905,6 +722,7 @@ class Checker
                 return;
             }
             e->type = r;
+            e->builtin = b;
             return;
         }
         // User function.

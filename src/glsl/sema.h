@@ -5,6 +5,12 @@
  * Responsibilities:
  *  - build symbol tables and check every name/type rule of the subset;
  *  - annotate every expression with its Type (Expr::type);
+ *  - resolve each builtin call to its row of the builtin catalogue
+ *    (glsl/builtins.h), whose operand rule accepts or rejects the call
+ *    and gives its type, and record the row on the call
+ *    (Expr::builtin) so that lowering looks no name up again; a call
+ *    that fits no row is retried with every int argument promoted to
+ *    float;
  *  - insert implicit int->float conversions as Construct nodes;
  *  - alpha-rename shadowed locals so that, post-sema, every variable name
  *    in a function is unique (this is what lets the lowering stage treat
@@ -56,22 +62,11 @@ struct ShaderInterface
 ShaderInterface analyze(Shader &shader, DiagEngine &diags);
 
 /**
- * Result type of a builtin-function call given argument types, or Void if
- * @p name is not a builtin / the argument types do not match. Exposed for
- * reuse by the lowering stage and tests.
- */
-Type builtinResultType(std::string_view name,
-                       const std::vector<Type> &args);
-
-/**
  * Lanes of a swizzle like "xyz" / "rgb" / "stp" of a vector with
  * @p source_rows lanes; nullopt if @p name is not one.
  */
 std::optional<std::vector<int>> decodeSwizzle(std::string_view name,
                                               int source_rows);
-
-/** True if @p name names a builtin function of the subset. */
-bool isBuiltinFunction(std::string_view name);
 
 } // namespace gsopt::glsl
 

@@ -92,18 +92,6 @@ isVoidOp(Opcode op)
 }
 
 bool
-Instr::isConstValue(double v) const
-{
-    if (op != Opcode::Const || constData.empty())
-        return false;
-    for (double d : constData) {
-        if (d != v)
-            return false;
-    }
-    return true;
-}
-
-bool
 Instr::isSplatConst() const
 {
     if (op != Opcode::Const || constData.empty())

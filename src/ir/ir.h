@@ -177,9 +177,6 @@ class Instr
         return constData.empty() ? 0.0 : constData[0];
     }
 
-    /** True if every lane equals @p v (and this is a Const). */
-    bool isConstValue(double v) const;
-
     /** True if all lanes of a Const are equal (splat constant). */
     bool isSplatConst() const;
 };

@@ -4,41 +4,6 @@
 
 namespace gsopt::ir {
 
-namespace {
-
-void
-replaceUsesInRegion(Region &region, Instr *from, Instr *to)
-{
-    for (auto &node : region.nodes) {
-        if (auto *b = dyn_cast<Block>(node.get())) {
-            for (auto &i : b->instrs) {
-                for (auto &op : i->operands) {
-                    if (op == from)
-                        op = to;
-                }
-            }
-        } else if (auto *f = dyn_cast<IfNode>(node.get())) {
-            if (f->cond == from)
-                f->cond = to;
-            replaceUsesInRegion(f->thenRegion, from, to);
-            replaceUsesInRegion(f->elseRegion, from, to);
-        } else if (auto *l = dyn_cast<LoopNode>(node.get())) {
-            if (l->condValue == from)
-                l->condValue = to;
-            replaceUsesInRegion(l->condRegion, from, to);
-            replaceUsesInRegion(l->body, from, to);
-        }
-    }
-}
-
-} // namespace
-
-void
-replaceAllUses(Module &module, Instr *from, Instr *to)
-{
-    replaceUsesInRegion(module.body, from, to);
-}
-
 void
 cloneRegionInto(const Region &src, Region &dst, Module &module,
                 ValueMap &map)

@@ -62,12 +62,6 @@ forEachNode(Region &region, Fn &&fn)
     }
 }
 
-/**
- * Replace every use of @p from with @p to across the module body
- * (operands and if/loop condition references).
- */
-void replaceAllUses(Module &module, Instr *from, Instr *to);
-
 /** Value remapping table used while cloning. */
 using ValueMap = std::unordered_map<const Instr *, Instr *>;
 

@@ -1,9 +1,11 @@
 #include "lower/lower.h"
 
+#include <array>
 #include <cmath>
 #include <optional>
 #include <string>
 
+#include "glsl/builtins.h"
 #include "ir/builder.h"
 #include "ir/verifier.h"
 
@@ -809,10 +811,10 @@ class Lowerer
 
     Value lowerCall(const Expr &e)
     {
-        const NameId name = e.name;
-        if (glsl::isBuiltinFunction(str(name)))
-            return lowerBuiltin(e);
+        if (e.builtin)
+            return lowerBuiltin(e, *e.builtin);
 
+        const NameId name = e.name;
         const glsl::FunctionDecl *fn = cs_.ast.findFunction(name);
         if (!fn)
             fail(e.loc, "call to unknown function " + quoted(name));
@@ -864,118 +866,35 @@ class Lowerer
         return {builder_.load(varFor(ret_name, e.loc)), std::nullopt};
     }
 
-    Value lowerBuiltin(const Expr &e)
+    /** A call sema resolved to catalogue row @p b. A sampler operand
+     * becomes the instruction's var; a scalar passed where the genType
+     * is a vector is splatted to it. */
+    Value lowerBuiltin(const Expr &e, const glsl::Builtin &b)
     {
-        const std::string_view name = str(e.name);
-
-        if (name == "texture" || name == "texture2D" ||
-            name == "textureLod") {
-            Var *sampler = samplerOf(*e.args[0]);
-            Instr *coord = lowerScalarOrVector(*e.args[1]);
-            if (name == "textureLod") {
-                Instr *lod = lowerScalarOrVector(*e.args[2]);
-                return {builder_.emit(Opcode::TextureLod, Type::vec(4),
-                                      {coord, lod}, sampler),
-                        std::nullopt};
+        using glsl::Operand;
+        Var *sampler = nullptr;
+        std::array<Instr *, 3> ops{};
+        Type gen = Type::voidTy();
+        for (size_t k = 0; k < b.arity; ++k) {
+            if (b.operands[k] == Operand::Sampler) {
+                sampler = samplerOf(*e.args[k]);
+                continue;
             }
-            if (e.args.size() == 3) {
-                Instr *bias = lowerScalarOrVector(*e.args[2]);
-                return {builder_.emit(Opcode::TextureBias, Type::vec(4),
-                                      {coord, bias}, sampler),
-                        std::nullopt};
-            }
-            return {builder_.emit(Opcode::Texture, Type::vec(4), {coord},
-                                  sampler),
-                    std::nullopt};
+            ops[k] = lowerScalarOrVector(*e.args[k]);
+            if (b.operands[k] == Operand::Gen && gen.isVoid())
+                gen = ops[k]->type;
         }
-
         std::vector<Instr *> args;
-        for (const Expr *a : e.args)
-            args.push_back(lowerScalarOrVector(*a));
-
-        auto splat_to_first = [&](size_t from) {
-            for (size_t i = from; i < args.size(); ++i) {
-                if (args[i]->type.isScalar() && args[0]->type.isVector())
-                    args[i] = splat(args[i], args[0]->type);
-            }
-        };
-
-        struct UnaryMap { const char *name; Opcode op; };
-        static const UnaryMap unary_map[] = {
-            {"sin", Opcode::Sin}, {"cos", Opcode::Cos},
-            {"tan", Opcode::Tan}, {"asin", Opcode::Asin},
-            {"acos", Opcode::Acos}, {"exp", Opcode::Exp},
-            {"log", Opcode::Log}, {"exp2", Opcode::Exp2},
-            {"log2", Opcode::Log2}, {"sqrt", Opcode::Sqrt},
-            {"inversesqrt", Opcode::InvSqrt}, {"abs", Opcode::Abs},
-            {"sign", Opcode::Sign}, {"floor", Opcode::Floor},
-            {"ceil", Opcode::Ceil}, {"fract", Opcode::Fract},
-            {"radians", Opcode::Radians},
-            {"degrees", Opcode::Degrees},
-            {"normalize", Opcode::Normalize},
-            {"length", Opcode::Length},
-        };
-        for (const auto &[n, op] : unary_map) {
-            if (name == n)
-                return {builder_.unary(op, args[0]), std::nullopt};
+        for (size_t k = 0; k < b.arity; ++k) {
+            if (!ops[k])
+                continue;
+            if (b.operands[k] == Operand::GenOrScalar && gen.isVector() &&
+                ops[k]->type.isScalar())
+                ops[k] = splat(ops[k], gen);
+            args.push_back(ops[k]);
         }
-        if (name == "atan") {
-            if (args.size() == 1)
-                return {builder_.unary(Opcode::Atan, args[0]),
-                        std::nullopt};
-            return {builder_.binary(Opcode::Atan2, args[0], args[1]),
-                    std::nullopt};
-        }
-
-        struct BinaryMap { const char *name; Opcode op; };
-        static const BinaryMap binary_map[] = {
-            {"pow", Opcode::Pow},   {"min", Opcode::Min},
-            {"max", Opcode::Max},   {"mod", Opcode::Mod},
-            {"dot", Opcode::Dot},   {"cross", Opcode::Cross},
-            {"distance", Opcode::Distance},
-            {"reflect", Opcode::Reflect},
-        };
-        for (const auto &[n, op] : binary_map) {
-            if (name == n) {
-                splat_to_first(1);
-                return {builder_.binary(op, args[0], args[1]),
-                        std::nullopt};
-            }
-        }
-        if (name == "step") {
-            // step(edge, x): result has x's shape.
-            if (args[0]->type.isScalar() && args[1]->type.isVector())
-                args[0] = splat(args[0], args[1]->type);
-            return {builder_.emit(Opcode::Step, args[1]->type,
-                                  {args[0], args[1]}),
-                    std::nullopt};
-        }
-        if (name == "clamp" || name == "mix") {
-            splat_to_first(1);
-            Opcode op =
-                name == "clamp" ? Opcode::Clamp : Opcode::Mix;
-            return {builder_.emit(op, args[0]->type,
-                                  {args[0], args[1], args[2]}),
-                    std::nullopt};
-        }
-        if (name == "smoothstep") {
-            // smoothstep(e0, e1, x): result has x's shape.
-            if (args[2]->type.isVector()) {
-                for (int i = 0; i < 2; ++i) {
-                    if (args[i]->type.isScalar())
-                        args[i] = splat(args[i], args[2]->type);
-                }
-            }
-            return {builder_.emit(Opcode::Smoothstep, args[2]->type,
-                                  {args[0], args[1], args[2]}),
-                    std::nullopt};
-        }
-        if (name == "refract") {
-            return {builder_.emit(Opcode::Refract, args[0]->type,
-                                  {args[0], args[1], args[2]}),
-                    std::nullopt};
-        }
-        fail(e.loc, "builtin '" + std::string(name) + "' not lowered");
+        return {builder_.emit(b.op, e.type, std::move(args), sampler),
+                std::nullopt};
     }
 
     Var *samplerOf(const Expr &e)

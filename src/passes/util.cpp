@@ -228,12 +228,6 @@ LocalBuilder::constVec(Type type, std::vector<double> lanes)
     return i;
 }
 
-bool
-isConstSplatValue(const Instr *instr, double v)
-{
-    return instr && instr->op == Opcode::Const && instr->isConstValue(v);
-}
-
 std::optional<double>
 splatConstValue(const Instr *instr)
 {

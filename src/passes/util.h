@@ -156,9 +156,6 @@ class LocalBuilder
  */
 std::optional<std::vector<double>> foldConstInstr(const ir::Instr &instr);
 
-/** True if the value is a Const (scalar or splat vector) equal to v. */
-bool isConstSplatValue(const ir::Instr *instr, double v);
-
 /**
  * If @p instr is a "scalar-like" constant — a Const scalar, a Const
  * splat vector, or a Construct splat of a Const scalar — return the

@@ -1,7 +1,6 @@
 #include "support/retry.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <climits>
 #include <thread>
@@ -10,10 +9,6 @@
 #include "support/rng.h"
 
 namespace gsopt {
-
-namespace {
-std::atomic<uint64_t> gBackoffs{0};
-} // namespace
 
 RetryPolicy
 defaultRetryPolicy()
@@ -35,18 +30,11 @@ strictMode()
     return envInteger("GSOPT_STRICT", 0, 0) != 0;
 }
 
-uint64_t
-retryBackoffCount()
-{
-    return gBackoffs.load(std::memory_order_relaxed);
-}
-
 namespace detail {
 
 void
 backoff(const RetryPolicy &policy, std::string_view label, int attempt)
 {
-    gBackoffs.fetch_add(1, std::memory_order_relaxed);
     double delay = policy.baseDelayUs;
     for (int a = 1; a < attempt; ++a)
         delay *= 2.0;

@@ -42,9 +42,6 @@ RetryPolicy defaultRetryPolicy();
  * every call, so a scoped override takes effect at once. */
 bool strictMode();
 
-/** Total backoff sleeps performed process-wide (test/report metric). */
-uint64_t retryBackoffCount();
-
 namespace detail {
 /** Sleep the deterministic backoff for @p attempt (1-based) of the
  * call labelled @p label. */

@@ -375,6 +375,10 @@ const Rejected kRejected[] = {
     {"vec3 x = vec3(0.5); float y = 0.5;", "dot(x, y)"},
     {"vec2 x = vec2(0.5);", "textureLod(tex, x).x"},
     {"vec3 x = vec3(0.5);", "texture(tex, x).x"},
+    // The int overload's bounds follow the float rule too (this call
+    // once lowered to a clamp of an ivec3 between an ivec2 and an int).
+    {"ivec3 x = ivec3(1); ivec2 y = x.xy; int z = 1;",
+     "float(clamp(x, y, z).x)"},
 };
 
 TEST(BuiltinOverloads, RejectedWithNoMatchingOverload)

@@ -226,14 +226,22 @@ randomShader(uint64_t seed)
         scalars.push_back("branchy");
     }
 
-    // Component writes (coalesce fodder) + optional texture.
+    // Component writes (coalesce fodder) + optional texture: a plain,
+    // a biased or an explicit-LOD fetch, with a per-fragment bias/LOD.
     os << "    vec4 v = vec4(0.0);\n";
     for (int lane = 0; lane < 4; ++lane) {
         os << "    v." << "xyzw"[lane] << " = "
            << randomScalarExpr(rng, scalars, 2) << ";\n";
     }
-    if (rng.below(2) == 0)
-        os << "    v = v * 0.5 + texture(tex, uv) * 0.5;\n";
+    if (rng.below(2) == 0) {
+        static const char *const kFetches[] = {
+            "texture(tex, uv)",
+            "texture(tex, uv, uv.x * 2.0)",
+            "textureLod(tex, uv, uv.y * 3.0)",
+        };
+        os << "    v = v * 0.5 + " << kFetches[rng.below(3)]
+           << " * 0.5;\n";
+    }
     os << "    fragColor = v;\n";
     os << "}\n";
     return os.str();
@@ -576,13 +584,17 @@ TEST(HostileFuzz, EveryInputTerminatesWithinTheDeadline)
 
         const uint64_t t0 = nowNs();
         try {
-            DiagEngine diags;
-            auto compiled = glsl::tryCompileShader(src, {}, diags);
-            if (!compiled) {
-                EXPECT_TRUE(diags.hasErrors())
+            glsl::CompiledShader compiled;
+            bool rejected = false;
+            try {
+                compiled = glsl::compileShader(src);
+            } catch (const CompileError &e) {
+                rejected = true;
+                EXPECT_FALSE(e.diagnostics().empty())
                     << "rejection must carry a diagnostic";
-            } else {
-                auto module = lower::lowerShader(*compiled);
+            }
+            if (!rejected) {
+                auto module = lower::lowerShader(compiled);
                 ir::InterpEnv env;
                 // The legacy trip cap out of the way: the budget (work
                 // and wall clock) is what must stop runaway loops.

@@ -383,13 +383,9 @@ TEST(Parser, MultipleDeclarators)
 
 TEST(Parser, RejectsBreak)
 {
-    DiagEngine diags;
-    auto r = tryCompileShader(
-        "out vec4 c; void main() { for (int i = 0; i < 4; i++) { break; "
-        "} c = vec4(0.0); }",
-        {}, diags);
-    EXPECT_EQ(r, nullptr);
-    EXPECT_TRUE(diags.hasErrors());
+    EXPECT_THROW(compileShader("out vec4 c; void main() { for (int i = 0; "
+                               "i < 4; i++) { break; } c = vec4(0.0); }"),
+                 CompileError);
 }
 
 // ----------------------------------------------------------------- sema
@@ -455,56 +451,42 @@ TEST(Sema, MatrixTyping)
 
 TEST(Sema, RejectsUndefinedVariable)
 {
-    DiagEngine diags;
-    auto r = tryCompileShader(
-        "out vec4 c; void main() { c = vec4(nope); }", {}, diags);
-    EXPECT_EQ(r, nullptr);
+    EXPECT_THROW(
+        compileShader("out vec4 c; void main() { c = vec4(nope); }"),
+        CompileError);
 }
 
 TEST(Sema, RejectsAssignToUniform)
 {
-    DiagEngine diags;
-    auto r = tryCompileShader(
-        "uniform float u; out vec4 c; void main() { u = 1.0; c = "
-        "vec4(u); }",
-        {}, diags);
-    EXPECT_EQ(r, nullptr);
+    EXPECT_THROW(compileShader("uniform float u; out vec4 c; void main() "
+                               "{ u = 1.0; c = vec4(u); }"),
+                 CompileError);
 }
 
 TEST(Sema, RejectsAssignToConst)
 {
-    DiagEngine diags;
-    auto r = tryCompileShader(
-        "out vec4 c; void main() { const float k = 1.0; k = 2.0; c = "
-        "vec4(k); }",
-        {}, diags);
-    EXPECT_EQ(r, nullptr);
+    EXPECT_THROW(compileShader("out vec4 c; void main() { const float k = "
+                               "1.0; k = 2.0; c = vec4(k); }"),
+                 CompileError);
 }
 
 TEST(Sema, RejectsBadSwizzle)
 {
-    DiagEngine diags;
-    auto r = tryCompileShader(
-        "in vec2 uv; out vec4 c; void main() { c = vec4(uv.z); }", {},
-        diags);
-    EXPECT_EQ(r, nullptr);
+    EXPECT_THROW(compileShader("in vec2 uv; out vec4 c; void main() { c = "
+                               "vec4(uv.z); }"),
+                 CompileError);
 }
 
 TEST(Sema, RejectsTypeMismatch)
 {
-    DiagEngine diags;
-    auto r = tryCompileShader(
-        "out vec4 c; void main() { vec3 v = vec2(1.0); c = vec4(v, "
-        "1.0); }",
-        {}, diags);
-    EXPECT_EQ(r, nullptr);
+    EXPECT_THROW(compileShader("out vec4 c; void main() { vec3 v = "
+                               "vec2(1.0); c = vec4(v, 1.0); }"),
+                 CompileError);
 }
 
 TEST(Sema, RequiresMain)
 {
-    DiagEngine diags;
-    auto r = tryCompileShader("out vec4 c;", {}, diags);
-    EXPECT_EQ(r, nullptr);
+    EXPECT_THROW(compileShader("out vec4 c;"), CompileError);
 }
 
 TEST(Sema, ShadowedLocalsAreRenamed)
@@ -560,9 +542,16 @@ TEST(Sema, InterfaceCollected)
 std::string
 feErrors(const std::string &src)
 {
-    DiagEngine diags;
-    EXPECT_EQ(tryCompileShader(src, {}, diags), nullptr) << src;
-    return diags.str();
+    try {
+        compileShader(src);
+    } catch (const CompileError &e) {
+        std::string out;
+        for (const Diagnostic &d : e.diagnostics())
+            out += d.str() + "\n";
+        return out;
+    }
+    ADD_FAILURE() << "accepted: " << src;
+    return {};
 }
 
 TEST(Sema, ConstantMatrixColumnOutOfRangeIsDiagnosed)

@@ -120,19 +120,6 @@ TEST(Walk, CloneRemapsOperands)
     EXPECT_NE(cb->instrs[0], x);
 }
 
-TEST(Walk, ReplaceAllUses)
-{
-    Module m;
-    Var *out = m.newVar("o", Type::floatTy(), VarKind::Output);
-    IrBuilder b(m);
-    Instr *a = b.constFloat(1.0);
-    Instr *c = b.constFloat(2.0);
-    Instr *n = b.unary(Opcode::Neg, a);
-    b.store(out, n);
-    replaceAllUses(m, a, c);
-    EXPECT_EQ(n->operands[0], c);
-}
-
 TEST(Walk, SimplifyMergesAdjacentBlocks)
 {
     Module m;
