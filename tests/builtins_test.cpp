@@ -5,8 +5,7 @@
  * emitted text re-parses; the batched engine at one and sixteen lanes
  * equals the map reference bit for bit on a tile; the fully optimized
  * module computes the unoptimized one's outputs. A second table pins
- * which malformed calls sema rejects and which it accepts through
- * int -> float promotion.
+ * which malformed calls sema rejects.
  */
 #include <gtest/gtest.h>
 
@@ -258,7 +257,7 @@ const Form kForms[] = {
      "bcf71c8b8a9c9989f576a2a1c53d6f88", "0013112152fdf158baf02b2a7ec745bc"},
     {"textureLod", "vec4", "textureLod(tex, p.xy, r.x * 2.0)",
      "b27ef5b7e16caa808811e31d45956307", "858a829735c3f25156d79f92fae583a5"},
-    // int arguments promoted to float
+    // accepted through int -> float promotion
     {"promote_sin", "float", "sin(1)",
      "77933ce3645857254a1f4e0289ca9110", "5076281fcfe4d9a049ef17c14afd53b6"},
     {"promote_max", "float", "max(1, 2.0)",
@@ -308,11 +307,10 @@ TEST_P(BuiltinForm, PinnedAndEquivalent)
     const std::string text = emit::emitGlsl(*m);
     const std::string ir_md5 = testutil::md5Hex(ir::dump(*m));
     const std::string glsl_md5 = testutil::md5Hex(text);
-    EXPECT_EQ(ir_md5, f.irMd5);
-    EXPECT_EQ(glsl_md5, f.glslMd5);
-    if (ir_md5 != f.irMd5 || glsl_md5 != f.glslMd5)
-        ADD_FAILURE() << "pin: {\"" << f.name << "\", \"" << ir_md5
-                      << "\", \"" << glsl_md5 << "\"}";
+    const std::string pin = std::string("{\"") + f.name + "\", \"" +
+                            ir_md5 + "\", \"" + glsl_md5 + "\"}";
+    EXPECT_EQ(ir_md5, f.irMd5) << pin;
+    EXPECT_EQ(glsl_md5, f.glslMd5) << pin;
     EXPECT_NO_THROW(glsl::compileShader(text)) << text;
 
     // The batched engine, at one lane and at sixteen, equals the map
@@ -396,16 +394,6 @@ TEST(BuiltinOverloads, RejectedWithNoMatchingOverload)
                       std::string::npos)
                 << r.expr << ": " << e.what();
         }
-    }
-}
-
-TEST(BuiltinOverloads, IntArgumentsPromoteToFloat)
-{
-    for (const char *expr : {"sin(1)", "max(1, 2.0)", "length(ivec2(1))"}) {
-        const std::string source =
-            std::string("out float o;\nvoid main() {\n    o = ") + expr +
-            ";\n}\n";
-        EXPECT_NO_THROW(glsl::compileShader(source)) << expr;
     }
 }
 
