@@ -477,17 +477,31 @@ struct LivenessCtx
         }
         return lanes;
     }
-
-    double weight(const std::unordered_map<const void *, double> &live)
-    {
-        double sum = 0;
-        for (const auto &[k, w] : live)
-            sum += w;
-        return sum;
-    }
 };
 
-using LiveSet = std::unordered_map<const void *, double>;
+/** The live values' register weights and their running total. Every
+ * weight is a multiple of 0.5, so the total is exact. */
+struct LiveSet
+{
+    std::unordered_map<const void *, double> weights;
+    double total = 0;
+
+    void set(const void *key, double weight)
+    {
+        double &slot = weights[key];
+        total += weight - slot;
+        slot = weight;
+    }
+
+    void erase(const void *key)
+    {
+        auto it = weights.find(key);
+        if (it != weights.end()) {
+            total -= it->second;
+            weights.erase(it);
+        }
+    }
+};
 
 void
 scanRegionLive(const Region &region, LivenessCtx &ctx, LiveSet &live);
@@ -506,17 +520,17 @@ scanBlockLive(const Block &b, LivenessCtx &ctx, LiveSet &live)
         // Operands become live.
         for (const Instr *op : i.operands) {
             if (op->op != Opcode::Const)
-                live[op] = ctx.weightOf(op->type);
+                live.set(op, ctx.weightOf(op->type));
         }
         // Loads keep local vars alive.
         if (i.op == Opcode::LoadVar && i.var->kind == VarKind::Local)
-            live[i.var] = ctx.weightOf(i.var->type);
+            live.set(i.var, ctx.weightOf(i.var->type));
         if ((i.op == Opcode::LoadElem || i.op == Opcode::StoreElem) &&
             i.var->kind == VarKind::Local) {
-            live[i.var] = ctx.weightOf(i.var->type.elementType()) *
-                          std::max(1, i.var->type.arraySize);
+            live.set(i.var, ctx.weightOf(i.var->type.elementType()) *
+                                std::max(1, i.var->type.arraySize));
         }
-        ctx.maxLive = std::max(ctx.maxLive, ctx.weight(live));
+        ctx.maxLive = std::max(ctx.maxLive, live.total);
     }
 }
 
@@ -535,10 +549,10 @@ scanRegionLive(const Region &region, LivenessCtx &ctx, LiveSet &live)
             scanRegionLive(f->elseRegion, ctx, else_live);
             // Arms are alternatives: union of live-ins.
             live = std::move(then_live);
-            for (const auto &[k, w] : else_live)
-                live[k] = w;
+            for (const auto &[k, w] : else_live.weights)
+                live.set(k, w);
             if (f->cond && f->cond->op != Opcode::Const)
-                live[f->cond] = ctx.weightOf(f->cond->type);
+                live.set(f->cond, ctx.weightOf(f->cond->type));
         } else if (const auto *l = dyn_cast<LoopNode>(node)) {
             // Everything live after the loop stays live through it;
             // body-internal values add on top.
@@ -547,7 +561,7 @@ scanRegionLive(const Region &region, LivenessCtx &ctx, LiveSet &live)
             scanRegionLive(l->condRegion, ctx, body_live);
             live = std::move(body_live);
             if (l->counter)
-                live[l->counter] = 1.0;
+                live.set(l->counter, 1.0);
         }
     }
 }

@@ -655,8 +655,10 @@ class Lowerer
         if (parts.size() == 1 && parts[0]->type.isScalar())
             return {builder_.construct(ty, parts), std::nullopt}; // splat
         if (parts.size() == 1 && parts[0]->type.isVector() &&
-            parts[0]->type.rows > ty.rows) {
-            // vec3(v4): truncating swizzle
+            parts[0]->type.rows > ty.rows &&
+            parts[0]->type.base == ty.base) {
+            // vec3(v4): truncating swizzle (ivec3(v4) converts its
+            // lanes in the chain below)
             std::vector<int> idx;
             for (int i = 0; i < ty.rows; ++i)
                 idx.push_back(i);
@@ -672,8 +674,19 @@ class Lowerer
             if (p->type.isScalar()) {
                 scalars.push_back(p);
             } else {
-                for (int i = 0; i < p->type.rows; ++i)
-                    scalars.push_back(builder_.extract(p, i));
+                // Each lane converts to the constructor's base type
+                // (ivec4(v4) truncates), except an int lane of a float
+                // vector: GLSL promotes it implicitly, and an int is
+                // already an exact float. Lanes past the constructor's
+                // size (ivec3(v4)) are not extracted.
+                for (int i = 0; i < p->type.rows &&
+                                static_cast<int>(scalars.size()) < ty.rows;
+                     ++i) {
+                    Instr *lane = builder_.extract(p, i);
+                    if (!(lane->type.isInt() && ty.isFloat()))
+                        lane = convertScalar(lane, ty.scalarType());
+                    scalars.push_back(lane);
+                }
             }
         }
         scalars.resize(static_cast<size_t>(ty.rows),

@@ -10,7 +10,6 @@
 #include "support/governor.h"
 #include "support/retry.h"
 #include "support/rng.h"
-#include "support/stats.h"
 
 namespace gsopt::runtime {
 
@@ -286,8 +285,12 @@ measureShader(const std::string &glslSource,
         device.noiseSigma / std::sqrt(static_cast<double>(draws));
     const double env_sigma = device.noiseSigma * 0.5;
 
+    // Every sample is a whole number of timer quanta, themselves whole
+    // nanoseconds, so each partial sum is an integer below 2^53: the
+    // sum in sample order is exact, the same bits as in sorted order.
     result.frameTimesNs.reserve(
         static_cast<size_t>(kFramesPerRun * kRepetitions));
+    double sum = 0.0;
     for (int rep = 0; rep < kRepetitions; ++rep) {
         Rng rng(label + "/" + device.vendor + "/rep" +
                 std::to_string(rep));
@@ -299,14 +302,12 @@ measureShader(const std::string &glslSource,
             // Timer query quantisation.
             t = std::round(t / device.timerQuantumNs) *
                 device.timerQuantumNs;
-            result.frameTimesNs.push_back(std::max(0.0, t));
+            t = std::max(0.0, t);
+            result.frameTimesNs.push_back(t);
+            sum += t;
         }
     }
-
-    Summary s = summarize(result.frameTimesNs);
-    result.meanNs = s.mean;
-    result.medianNs = s.median;
-    result.stddevNs = s.stddev;
+    result.meanNs = sum / static_cast<double>(result.frameTimesNs.size());
     return result;
 }
 

@@ -41,9 +41,7 @@ constexpr int kRepetitions = 5;
 struct TimingResult
 {
     std::vector<double> frameTimesNs; ///< all samples (runs x frames)
-    double meanNs = 0;
-    double medianNs = 0;
-    double stddevNs = 0;
+    double meanNs = 0; ///< summarize(frameTimesNs) has the rest
     gpu::ShaderBinary binary;         ///< the driver's compilation
 };
 

@@ -99,20 +99,28 @@ Exploration::flagChangesOutput(int bit) const
 
 namespace {
 
-/** emitGlsl, counted in exploreCounters(); also adds its time to
- * @p ns when given. */
-std::string
+/** A printed variant text and its fnv1a hash. */
+struct Printed
+{
+    std::string text;
+    uint64_t hash;
+};
+
+/** emitGlsl and the text's hash, counted in exploreCounters(); also
+ * adds its time to @p ns when given. */
+Printed
 printCounted(const ir::Module &module, uint64_t *ns = nullptr)
 {
     const uint64_t t0 = nowNs();
     std::string text = emit::emitGlsl(module);
+    const uint64_t hash = fnv1a(text);
     const uint64_t dt = nowNs() - t0;
     if (ns)
         *ns += dt;
     ExploreCounters &counters = exploreCounters();
     counters.printRuns.fetch_add(1, std::memory_order_relaxed);
     counters.printNs.fetch_add(dt, std::memory_order_relaxed);
-    return text;
+    return {std::move(text), hash};
 }
 
 } // namespace
@@ -137,10 +145,11 @@ exploreShader(const corpus::CorpusShader &shader)
     // fingerprints identically share one pass run + one clone. Each
     // module is fingerprinted exactly once, at creation; only
     // fingerprint-unique modules reach the printer (most of the
-    // combos are structurally identical — Fig 4c). The explorer, and
-    // with it every module, ends with this phase.
+    // combos are structurally identical — Fig 4c), and each printed
+    // text is hashed once, there. The explorer, and with it every
+    // module, ends with this phase.
     std::vector<uint64_t> combo_fp(comboCount(), 0);
-    std::unordered_map<uint64_t, std::string> text_of_fp;
+    std::unordered_map<uint64_t, Printed> text_of_fp;
     {
         PlanExplorer explorer(shader, ex);
         uint64_t print_ns = 0;
@@ -169,16 +178,15 @@ exploreShader(const corpus::CorpusShader &shader)
     // (fingerprints only decide who pays for printing).
     std::unordered_map<uint64_t, int> by_text_hash;
     for (const FlagSet &flags : allFlagSets()) {
-        const std::string &text = text_of_fp.at(combo_fp[flags.bits]);
-        const uint64_t hash = fnv1a(text);
-        auto it = by_text_hash.find(hash);
+        const Printed &printed = text_of_fp.at(combo_fp[flags.bits]);
+        auto it = by_text_hash.find(printed.hash);
         int index;
         if (it == by_text_hash.end()) {
             index = static_cast<int>(ex.variants.size());
-            by_text_hash.emplace(hash, index);
+            by_text_hash.emplace(printed.hash, index);
             Variant v;
-            v.source = text;
-            v.sourceHash = hash;
+            v.source = printed.text;
+            v.sourceHash = printed.hash;
             ex.variants.push_back(std::move(v));
         } else {
             index = it->second;
@@ -278,16 +286,15 @@ PlanExplorer::ensure(const passes::PassPlan &plan)
 
     // Dedup against every variant seen so far: plans converging to an
     // existing text (canonical or plan-born) share its index.
-    std::string text = printCounted(*node.module);
-    const uint64_t hash = fnv1a(text);
-    auto hit = byTextHash_.find(hash);
+    Printed printed = printCounted(*node.module);
+    auto hit = byTextHash_.find(printed.hash);
     int index;
     if (hit == byTextHash_.end()) {
         index = static_cast<int>(ex_.variants.size());
-        byTextHash_.emplace(hash, index);
+        byTextHash_.emplace(printed.hash, index);
         Variant v;
-        v.source = std::move(text);
-        v.sourceHash = hash;
+        v.source = std::move(printed.text);
+        v.sourceHash = printed.hash;
         ex_.variants.push_back(std::move(v));
     } else {
         index = hit->second;

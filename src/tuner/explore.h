@@ -50,7 +50,7 @@ struct ExploreCounters
     std::atomic<uint64_t> lowerNs{0};
     std::atomic<uint64_t> pipelineNs{0};   ///< clone + pass pipeline
     std::atomic<uint64_t> fingerprintNs{0};
-    std::atomic<uint64_t> printNs{0};
+    std::atomic<uint64_t> printNs{0};      ///< emitGlsl + text hash
 
     void reset();
 };

@@ -4,8 +4,9 @@
  * the lowered module and the emitted text are md5-pinned per form; the
  * emitted text re-parses; the batched engine at one and sixteen lanes
  * equals the map reference bit for bit on a tile; the fully optimized
- * module computes the unoptimized one's outputs. A second table pins
- * which malformed calls sema rejects.
+ * module computes the unoptimized one's outputs. The vector
+ * constructors that convert their argument's lanes ride along. A
+ * second table pins which malformed calls sema rejects.
  */
 #include <gtest/gtest.h>
 
@@ -264,6 +265,15 @@ const Form kForms[] = {
      "1ad25c125c2c5300030adae00b6e55c8", "60aa40a1dbe846444151eb45476743cf"},
     {"promote_length", "float", "length(ivec2(1))",
      "922c4f5724145a8d6d746b857f75eeca", "95fdf003b087c1ad42283e77146ecac8"},
+    // vector constructors that convert their argument's lanes
+    {"ctor_ivec4_vec4", "ivec4", "ivec4(q * 3.0)",
+     "bfeb5485238397001e8c3f666c8297d7", "8481951f0461fe2d9483ce5ed726d7ec"},
+    {"ctor_ivec3_vec4", "ivec3", "ivec3(q * 3.0)",
+     "775175a84cb55b25705a8524ba1b4277", "aab3beef185ca15840b1fc3ea5047091"},
+    {"ctor_vec4_ivec4", "vec4", "vec4(i)",
+     "e6c341366b7b616023915495c469ed21", "670facc77f6e84ab1c5143be61209b74"},
+    {"ctor_ivec2_vec2", "ivec2", "ivec2(q.xy * 3.0)",
+     "b4b3312d1b443cf71c0ee8f9cb71eedd", "e2d7a9872a95a3b1026e7bb17d965c1d"},
 };
 
 /** Bitwise equality of two sums, with NaN equal to NaN. */
@@ -317,6 +327,11 @@ TEST_P(BuiltinForm, PinnedAndEquivalent)
     // reference bit for bit.
     const runtime::TileResult want = tile(*m, cs.interface, 0);
     ASSERT_EQ(want.outputSums.count("o"), 1u);
+    // An int output's lanes are whole, so their sums are too.
+    if (f.out[0] == 'i') {
+        for (double sum : want.outputSums.at("o"))
+            EXPECT_EQ(sum, std::trunc(sum)) << "o holds a fraction";
+    }
     for (size_t width : {size_t{1}, size_t{16}}) {
         const runtime::TileResult got = tile(*m, cs.interface, width);
         EXPECT_EQ(got.discardedFragments, want.discardedFragments);

@@ -6,7 +6,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "corpus/corpus.h"
 #include "glsl/frontend.h"
+#include "support/stats.h"
 #include "support/strings.h"
 #include "runtime/framework.h"
 
@@ -35,7 +39,7 @@ TEST(Framework, ProtocolSampleCounts)
     EXPECT_EQ(r.frameTimesNs.size(),
               static_cast<size_t>(kFramesPerRun * kRepetitions));
     EXPECT_GT(r.meanNs, 0.0);
-    EXPECT_GT(r.medianNs, 0.0);
+    EXPECT_GT(summarize(r.frameTimesNs).median, 0.0);
 }
 
 TEST(Framework, DeterministicGivenLabel)
@@ -57,7 +61,32 @@ TEST(Framework, NoiseMatchesDeviceSigma)
     auto ri = measureShader(kShader, intel, "noise");
     auto rq = measureShader(kShader, qc, "noise");
     // Relative spread tracks the configured sigma (Intel quietest).
-    EXPECT_LT(ri.stddevNs / ri.meanNs, rq.stddevNs / rq.meanNs);
+    EXPECT_LT(summarize(ri.frameTimesNs).stddev / ri.meanNs,
+              summarize(rq.frameTimesNs).stddev / rq.meanNs);
+}
+
+TEST(Framework, MeanIsExactSampleMean)
+{
+    // measureShader sums the samples in the order it draws them. With
+    // whole-nanosecond quanta every partial sum is an exact integer,
+    // so that mean is the sorted one of summarize(), bit for bit (both
+    // are positive and finite, so == compares the bits).
+    for (gpu::DeviceId id : gpu::allDevices()) {
+        const double q = gpu::deviceModel(id).timerQuantumNs;
+        EXPECT_GT(q, 0.0);
+        EXPECT_EQ(q, std::trunc(q));
+    }
+    for (const corpus::CorpusShader &shader : corpus::corpus()) {
+        const std::string text =
+            glsl::compileShader(shader.source, shader.defines)
+                .preprocessedText;
+        for (gpu::DeviceId id : gpu::allDevices()) {
+            const TimingResult r = measureShader(
+                text, gpu::deviceModel(id), shader.name + "/original");
+            EXPECT_EQ(r.meanNs, summarize(r.frameTimesNs).mean)
+                << shader.name << " on " << gpu::deviceModel(id).name;
+        }
+    }
 }
 
 TEST(Framework, MobileUsesFewerTriangles)

@@ -6,7 +6,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
 #include "corpus/corpus.h"
+#include "emit/emit.h"
+#include "emit/offline.h"
+#include "passes/registry.h"
+#include "support/rng.h"
 #include "tuner/experiment.h"
 #include "tuner/explore.h"
 #include "tuner/flags.h"
@@ -129,6 +135,45 @@ TEST(Explore, MostlyHasFlagSemantics)
     EXPECT_TRUE(v.mostlyHasFlag(0));  // 2 of 3
     EXPECT_TRUE(v.mostlyHasFlag(1));  // 2 of 3
     EXPECT_FALSE(v.mostlyHasFlag(2)); // 0 of 3
+}
+
+/** Every variant's hash is its text's, and variantOfCombo is the
+ * partition that printing and hashing every combination's linear
+ * pipeline gives, with variants numbered in the same order. */
+void
+expectVariantsMatchPerComboHash(const corpus::CorpusShader &shader)
+{
+    const Exploration ex = exploreShader(shader);
+    for (const Variant &v : ex.variants)
+        EXPECT_EQ(v.sourceHash, fnv1a(v.source)) << shader.name;
+    const auto base = emit::compileToIr(shader.source, shader.defines);
+    std::unordered_map<uint64_t, int> by_hash;
+    for (const FlagSet &flags : allFlagSets()) {
+        auto linear = base->clone();
+        passes::optimize(*linear, flags);
+        const std::string text = emit::emitGlsl(*linear);
+        const int want =
+            by_hash.emplace(fnv1a(text), static_cast<int>(by_hash.size()))
+                .first->second;
+        ASSERT_EQ(ex.variantOf(flags), want)
+            << shader.name << " " << flags.str();
+        EXPECT_EQ(ex.variants[static_cast<size_t>(want)].source, text)
+            << shader.name << " " << flags.str();
+    }
+    EXPECT_EQ(by_hash.size(), ex.variants.size()) << shader.name;
+}
+
+TEST(Explore, VariantHashIsTextHash)
+{
+    // bilateral7 and heatmap print some text twice, from modules with
+    // different fingerprints: only the text hash may merge those.
+    for (const char *name :
+         {"simple/grayscale", "blur/bilateral7", "tier/heatmap"})
+        expectVariantsMatchPerComboHash(*corpus::findShader(name));
+    passes::ScopedExtraPasses extras;
+    ASSERT_EQ(flagCount(), 11u);
+    for (const char *name : {"blur/bilateral7", "tier/heatmap"})
+        expectVariantsMatchPerComboHash(*corpus::findShader(name));
 }
 
 /** Reduced corpus keeps engine tests fast. */
