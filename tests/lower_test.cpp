@@ -17,6 +17,7 @@
 #include "ir/walk.h"
 #include "lower/lower.h"
 #include "passes/passes.h"
+#include "tuner/features.h"
 #include "tuner/flags.h"
 
 namespace gsopt {
@@ -422,23 +423,35 @@ TEST(Lower, GlFragCoordInput)
 
 TEST(LowerPins, DriverFrontEndOutputOnCampaignTexts)
 {
-    // The driver's front end on every campaign text: the lowered module
-    // and the module after the first canonicalize, as ir::dump text.
+    // The driver's front end on every campaign text: the lowered module,
+    // the module after the first canonicalize, and that module after
+    // each value-numbering pass (gvn, tex_batch), as ir::dump text.
     // Each digest is the md5 of the 708 per-text md5s in campaign order.
+    // dupFetches, tex_batch's profitability feature, is summed too.
     if (tuner::flagCount() != 8)
         GTEST_SKIP() << "the pins cover the paper's 8-pass campaign; "
                         "GSOPT_EXTRA_PASSES changes the texts";
     const auto &texts = testutil::campaignTexts();
     ASSERT_EQ(texts.size(), 708u);
-    std::string lowered, canonical;
+    std::string lowered, canonical, gvn, texBatch;
+    int dupFetches = 0;
     for (const auto &[where, text] : texts) {
         auto m = emit::compileToIr(text);
         lowered += testutil::md5Hex(ir::dump(*m));
         passes::canonicalize(*m);
         canonical += testutil::md5Hex(ir::dump(*m));
+        auto g = m->clone();
+        passes::gvn(*g);
+        gvn += testutil::md5Hex(ir::dump(*g));
+        passes::texBatch(*m);
+        texBatch += testutil::md5Hex(ir::dump(*m));
+        dupFetches += tuner::computeFeatures(text).dupFetches;
     }
     EXPECT_EQ(testutil::md5Hex(lowered), "d7ad46fa3e0eadf98d3f2c313a12546c");
     EXPECT_EQ(testutil::md5Hex(canonical), "248d0e4b55c512d15e1cde20f23eeb2e");
+    EXPECT_EQ(testutil::md5Hex(gvn), "6391c0eb4238703b01e315bda90fe364");
+    EXPECT_EQ(testutil::md5Hex(texBatch), "9e38b83a5fb5b4e5c534acdec999445d");
+    EXPECT_EQ(dupFetches, 106);
 }
 
 } // namespace
