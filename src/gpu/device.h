@@ -128,11 +128,6 @@ struct DeviceModel
      * there.
      */
     size_t schedulerWindow = 48;
-
-    bool isMobile() const
-    {
-        return id == DeviceId::Arm || id == DeviceId::Qualcomm;
-    }
 };
 
 /** The configured model for one of the paper's devices. */

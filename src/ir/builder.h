@@ -26,8 +26,6 @@ class IrBuilder
     void pushRegion(Region *region);
     /** Return to the previous region (pop). */
     void popRegion();
-    /** Current insertion region. */
-    Region *currentRegion() { return regions_.back(); }
 
     // -- structured nodes -----------------------------------------------
     /** Append an IfNode and return it (regions empty). */

@@ -474,78 +474,17 @@ isNumerable(const Instr &i)
     return true;
 }
 
-/**
- * localCse's value table: open addressing with linear probing, one
- * table per localCse call reused across its blocks. A slot is live only
- * while its stamp equals the current block's epoch, so starting a block
- * bumps the epoch instead of wiping the slots. A slot holds the first
- * instruction with a value, not the value's key: a tag match recomputes
- * that instruction's key, which is still the key it was inserted under
- * because localCse resolves an instruction's operands before inserting
- * it and writes nothing to it afterwards.
- */
-class CseTable
-{
-  public:
-    /** Start a block of @p instrs instructions (at most that many
-     * inserts, so the load factor stays at or below one half). */
-    void beginBlock(size_t instrs)
-    {
-        size_t want = 16;
-        while (want < 2 * instrs)
-            want *= 2;
-        if (want > slots_.size()) {
-            slots_.assign(want, Slot{});
-            epoch_ = 0;
-        }
-        if (++epoch_ == 0) { // wrapped: old stamps would read live
-            std::fill(slots_.begin(), slots_.end(), Slot{});
-            epoch_ = 1;
-        }
-        mask_ = want - 1;
-    }
-
-    /** The block's first instruction with @p instr's value key, or
-     * nullptr after recording @p instr as that first instruction. */
-    Instr *findOrInsert(Instr &instr)
-    {
-        const ValueKey key = valueKey(instr);
-        const size_t hash = ValueKeyHash{}(key);
-        const auto tag = static_cast<uint32_t>(hash >> 32);
-        for (size_t s = hash & mask_;; s = (s + 1) & mask_) {
-            Slot &slot = slots_[s];
-            if (slot.epoch != epoch_) {
-                slot = {tag, epoch_, &instr};
-                return nullptr;
-            }
-            if (slot.tag == tag && valueKey(*slot.first) == key)
-                return slot.first;
-        }
-    }
-
-  private:
-    struct Slot
-    {
-        uint32_t tag = 0;   ///< high hash bits of first's key
-        uint32_t epoch = 0; ///< live iff equal to epoch_
-        Instr *first = nullptr;
-    };
-    std::vector<Slot> slots_;
-    size_t mask_ = 0;
-    uint32_t epoch_ = 0;
-};
-
 bool
 localCse(Module &module)
 {
     bool changed = false;
     Replacements repl(module);
-    CseTable table;
+    ValueTable table;
     ir::forEachNode(module.body, [&](Node &n) {
         auto *b = dyn_cast<Block>(&n);
         if (!b)
             return;
-        table.beginBlock(b->instrs.size());
+        table.pushScope();
         for (Instr *ip : b->instrs) {
             Instr &i = *ip;
             repl.resolveOperands(i);
@@ -556,6 +495,7 @@ localCse(Module &module)
                 changed = true;
             }
         }
+        table.popScope();
     });
     repl.apply(module);
     return changed;

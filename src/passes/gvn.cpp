@@ -1,9 +1,10 @@
 /**
  * @file
- * Global value numbering over the structured dominance tree. The always-
- * on CSE is block-local; GVN extends value numbering across nested
- * structure (code before an if dominates both arms and everything after
- * it cannot see arm-local values, which the scope stack enforces).
+ * Global value numbering over the structured dominance tree, and
+ * tex_batch, its restriction to the fetch class. The always-on CSE is
+ * block-local; GVN extends value numbering across nested structure
+ * (code before an if dominates both arms and everything after it
+ * cannot see arm-local values, which the table's scopes enforce).
  * Loads participate with a memory version per variable that bumps on
  * stores, so redundant loads across control flow collapse too.
  *
@@ -11,7 +12,6 @@
  * shaders with non-trivial control flow: straight-line redundancy is
  * already gone after local CSE.
  */
-#include <unordered_map>
 #include <vector>
 
 #include "ir/walk.h"
@@ -32,46 +32,30 @@ using ir::Var;
 
 namespace {
 
-class GvnPass
+/**
+ * One dominance walk: each instruction @p admit accepts collapses onto
+ * the first instruction with its value key on a dominating path.
+ */
+class DominanceNumbering
 {
   public:
-    explicit GvnPass(Module &module)
-        : module_(module), memVersion_(module.vars.size(), 0),
-          repl_(module)
+    DominanceNumbering(Module &module, bool (*admit)(const Instr &))
+        : module_(module), admit_(admit),
+          memVersion_(module.vars.size(), 0), repl_(module)
     {
     }
 
     bool run()
     {
-        scopes_.emplace_back();
         walkRegion(module_.body);
         repl_.apply(module_);
         return !repl_.empty();
     }
 
   private:
-    using Scope = std::unordered_map<ValueKey, Instr *, ValueKeyHash>;
-
     int &versionOf(const Var *v)
     {
         return memVersion_[static_cast<size_t>(v->id)];
-    }
-
-    Instr *lookup(const ValueKey &key)
-    {
-        for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-            auto f = it->find(key);
-            if (f != it->end())
-                return f->second;
-        }
-        return nullptr;
-    }
-
-    ValueKey keyOf(const Instr &i)
-    {
-        const bool load =
-            i.var && (i.op == Opcode::LoadVar || i.op == Opcode::LoadElem);
-        return valueKey(i, load ? versionOf(i.var) : 0);
     }
 
     void bumpStoredVars(const Region &region)
@@ -80,6 +64,13 @@ class GvnPass
             if (i.op == Opcode::StoreVar || i.op == Opcode::StoreElem)
                 ++versionOf(i.var);
         });
+    }
+
+    void walkScope(Region &region)
+    {
+        table_.pushScope();
+        walkRegion(region);
+        table_.popScope();
     }
 
     void walkRegion(Region &region)
@@ -94,24 +85,20 @@ class GvnPass
                         ++versionOf(i.var);
                         continue;
                     }
-                    if (ir::hasSideEffects(i.op))
+                    if (!admit_(i))
                         continue;
-                    const ValueKey key = keyOf(i);
-                    if (Instr *prior = lookup(key))
+                    const bool load = i.var && (i.op == Opcode::LoadVar ||
+                                                i.op == Opcode::LoadElem);
+                    if (Instr *prior = table_.findOrInsert(
+                            i, load ? versionOf(i.var) : 0))
                         repl_.set(i, prior);
-                    else
-                        scopes_.back().emplace(key, &i);
                 }
             } else if (auto *f = dyn_cast<IfNode>(node.get())) {
                 f->cond = repl_.resolve(f->cond);
-                auto versions = memVersion_;
-                scopes_.emplace_back();
-                walkRegion(f->thenRegion);
-                scopes_.pop_back();
+                const std::vector<int> versions = memVersion_;
+                walkScope(f->thenRegion);
                 memVersion_ = versions;
-                scopes_.emplace_back();
-                walkRegion(f->elseRegion);
-                scopes_.pop_back();
+                walkScope(f->elseRegion);
                 memVersion_ = versions;
                 // After the if, any var stored in either arm has a new
                 // version.
@@ -128,13 +115,11 @@ class GvnPass
                 // Cond region and body get *separate* scopes: values
                 // must not be shared between them (the back end emits
                 // the condition computation twice, at different points).
-                scopes_.emplace_back();
-                walkRegion(l->condRegion);
+                // Pre-loop values stay visible to both, which is what
+                // lifts a loop-constant fetch to one issue.
+                walkScope(l->condRegion);
                 l->condValue = repl_.resolve(l->condValue);
-                scopes_.pop_back();
-                scopes_.emplace_back();
-                walkRegion(l->body);
-                scopes_.pop_back();
+                walkScope(l->body);
                 bumpStoredVars(l->condRegion);
                 bumpStoredVars(l->body);
                 if (l->counter)
@@ -144,7 +129,8 @@ class GvnPass
     }
 
     Module &module_;
-    std::vector<Scope> scopes_;
+    bool (*admit_)(const Instr &);
+    ValueTable table_;
     /** Per Var::id: bumped by every store the walk passes. */
     std::vector<int> memVersion_;
     Replacements repl_;
@@ -155,7 +141,31 @@ class GvnPass
 bool
 gvn(Module &module)
 {
-    return GvnPass(module).run();
+    return DominanceNumbering(module, [](const Instr &i) {
+               return !ir::hasSideEffects(i.op);
+           }).run();
+}
+
+bool
+isFetchOp(const Instr &i)
+{
+    switch (i.op) {
+      case Opcode::Texture:
+      case Opcode::TextureBias:
+      case Opcode::TextureLod:
+        return true;
+      case Opcode::LoadVar:
+      case Opcode::LoadElem:
+        return i.var && i.var->isReadOnly();
+      default:
+        return false;
+    }
+}
+
+bool
+texBatch(Module &module)
+{
+    return DominanceNumbering(module, isFetchOp).run();
 }
 
 } // namespace gsopt::passes

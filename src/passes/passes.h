@@ -123,12 +123,25 @@ size_t licmHoistableCount(const ir::Module &module);
 bool strengthReduce(ir::Module &module);
 
 /**
- * Texture-fetch batching: dominance-scoped value numbering restricted
- * to the fetch class (texture ops + read-only varying/uniform/
- * const-array loads), collapsing same-sampler same-coordinate fetches
- * across block boundaries onto one fetch with lane extracts. The
- * targeted subset of GVN that pays on the mobile parts whose driver
- * JITs run no GVN of their own.
+ * Texture-fetch batching: fetches of the same sampler at the same
+ * coordinates — and read-only varying/uniform/const-array loads —
+ * collapse onto the first fetch on a dominating path, leaving one
+ * fetch whose consumers extract the lanes they need.
+ *
+ * The always-on canonicalisation already does this *within* a block;
+ * full GVN does it across blocks but drags every other op class along
+ * and is a flag the mobile drivers in the paper's device set do not
+ * run. tex_batch is the targeted middle ground: GVN's dominance walk
+ * (gvn.cpp) admitting only the fetch class — the memory-bandwidth win
+ * that matters on the tile-based mobile parts (ARM, Qualcomm), whose
+ * JIT models run no GVN of their own.
+ *
+ * Every participating op is read-only (samplers, inputs, uniforms,
+ * const arrays; the verifier rejects stores to them), so its memory
+ * version never moves; the walk's scopes alone enforce dominance (an
+ * if-arm fetch never serves the other arm or the code after the join,
+ * and loop cond-region values never serve the body, mirroring the
+ * GVN/back-end contract).
  */
 bool texBatch(ir::Module &module);
 

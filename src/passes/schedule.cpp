@@ -61,10 +61,6 @@ scheduleBlock(Block &block, size_t min_span,
               const std::vector<int> &uses)
 {
     const size_t n = block.instrs.size();
-    std::unordered_map<const Instr *, size_t> pos;
-    for (size_t i = 0; i < n; ++i)
-        pos[block.instrs[i]] = i;
-
     // First (and only, for single-use values) user position per instr.
     std::unordered_map<const Instr *, size_t> user_pos;
     for (size_t i = 0; i < n; ++i) {

@@ -188,6 +188,50 @@ valueKey(const Instr &i, int memVersion)
     return k;
 }
 
+void
+ValueTable::popScope()
+{
+    for (size_t mark = marks_.back(); log_.size() > mark; log_.pop_back())
+        slots_[log_.back()] = Slot{};
+    marks_.pop_back();
+}
+
+Instr *
+ValueTable::findOrInsert(Instr &instr, int memVersion)
+{
+    if (2 * (log_.size() + 1) > slots_.size())
+        grow();
+    const ValueKey key = valueKey(instr, memVersion);
+    const uint64_t hash = ValueKeyHash{}(key);
+    for (size_t s = hash & mask_;; s = (s + 1) & mask_) {
+        Slot &slot = slots_[s];
+        if (!slot.first) {
+            slot = {hash, &instr, memVersion};
+            log_.push_back(s);
+            return nullptr;
+        }
+        if (slot.hash == hash &&
+            valueKey(*slot.first, slot.memVersion) == key)
+            return slot.first;
+    }
+}
+
+void
+ValueTable::grow()
+{
+    const std::vector<Slot> old = std::move(slots_);
+    slots_.assign(std::max<size_t>(16, 2 * old.size()), Slot{});
+    mask_ = slots_.size() - 1;
+    // Re-inserting the live entries in insertion order lays them out as
+    // if they had been inserted at this size, so popScope stays exact.
+    for (size_t &s : log_) {
+        const Slot &entry = old[s];
+        for (s = entry.hash & mask_; slots_[s].first; s = (s + 1) & mask_) {
+        }
+        slots_[s] = entry;
+    }
+}
+
 Instr *
 LocalBuilder::emit(Opcode op, Type type, std::vector<Instr *> operands,
                    ir::Var *var, std::vector<int> indices)

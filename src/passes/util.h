@@ -84,9 +84,9 @@ class Replacements
  *
  * Const lanes compare by their std::to_string ("%f") rendering, as the
  * string keys this record replaced did. That merges distinct constants
- * printing alike (5.4e-09 and 0) within a block, deliberately: the
- * pinned campaign outputs depend on it. Exact lanes are ROADMAP item 5
- * and need a re-baseline of the pins.
+ * printing alike (5.4e-09 and 0), deliberately: the pinned campaign
+ * outputs depend on it. Exact lanes are ROADMAP item 2(a) and need a
+ * re-baseline of the pins.
  */
 struct ValueKey
 {
@@ -117,6 +117,53 @@ struct ValueKeyHash
 /** The key of @p instr; @p memVersion distinguishes loads of one var
  * across stores (GVN), 0 elsewhere. */
 ValueKey valueKey(const ir::Instr &instr, int memVersion = 0);
+
+/**
+ * Scoped value numbering: the first instruction inserted with each
+ * value key, among the scopes still open. Block CSE, GVN, tex_batch and
+ * the dupFetches feature all number values through it.
+ *
+ * Open addressing with linear probing, grown to keep the load factor at
+ * or below one half. A key is inserted only when no live entry has it,
+ * so there is at most one live entry per key, and the first dominating
+ * instruction is found without searching scope by scope. Every insert
+ * is logged; popScope clears the slots logged since the matching
+ * pushScope, newest first, which undoes linear probing exactly.
+ *
+ * A slot holds the first instruction, the memory version it was keyed
+ * with and the key's hash, not the key: a hash match recomputes that
+ * instruction's key. Callers resolve an instruction's operands before
+ * inserting it and write nothing to it afterwards, so the key stays the
+ * one it was inserted under.
+ */
+class ValueTable
+{
+  public:
+    /** Open a scope: popScope forgets what is inserted from here on. */
+    void pushScope() { marks_.push_back(log_.size()); }
+    void popScope();
+
+    /** The live entry with @p instr's key under @p memVersion, or
+     * nullptr after recording @p instr as that entry. */
+    ir::Instr *findOrInsert(ir::Instr &instr, int memVersion = 0);
+
+  private:
+    struct Slot
+    {
+        uint64_t hash = 0; ///< of first's key
+        ir::Instr *first = nullptr; ///< nullptr: empty
+        int memVersion = 0;
+    };
+
+    void grow();
+
+    std::vector<Slot> slots_;
+    size_t mask_ = 0;
+    /** Slot of every live entry, in insertion order. */
+    std::vector<size_t> log_;
+    /** log_ size at each open pushScope. */
+    std::vector<size_t> marks_;
+};
 
 /**
  * Creates instructions inside an existing Block at a fixed position

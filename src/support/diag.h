@@ -68,7 +68,6 @@ class DiagEngine
     void note(SourceLoc loc, std::string message);
 
     bool hasErrors() const { return errorCount_ > 0; }
-    bool hasWarnings() const { return warningCount_ > 0; }
     const std::vector<Diagnostic> &diagnostics() const { return diags_; }
 
     /** Throw CompileError if any error has been reported. */

@@ -133,15 +133,4 @@ mean(const std::vector<double> &values)
     return sum / static_cast<double>(values.size());
 }
 
-double
-geomeanSpeedup(const std::vector<double> &speedups)
-{
-    if (speedups.empty())
-        return 0.0;
-    double log_sum = 0.0;
-    for (double s : speedups)
-        log_sum += std::log(std::max(1e-9, 1.0 + s));
-    return std::exp(log_sum / static_cast<double>(speedups.size())) - 1.0;
-}
-
 } // namespace gsopt

@@ -64,9 +64,6 @@ std::string renderHistogram(const std::vector<HistogramBin> &bins,
 /** Arithmetic mean (0 for empty input). */
 double mean(const std::vector<double> &values);
 
-/** Geometric mean of (1 + x) minus 1; robust speed-up aggregation. */
-double geomeanSpeedup(const std::vector<double> &speedups);
-
 } // namespace gsopt
 
 #endif // GSOPT_SUPPORT_STATS_H

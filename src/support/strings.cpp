@@ -34,25 +34,6 @@ split(std::string_view s, char delim)
     return out;
 }
 
-std::vector<std::string>
-splitWhitespace(std::string_view s)
-{
-    std::vector<std::string> out;
-    size_t i = 0;
-    while (i < s.size()) {
-        while (i < s.size() &&
-               std::isspace(static_cast<unsigned char>(s[i])))
-            ++i;
-        size_t start = i;
-        while (i < s.size() &&
-               !std::isspace(static_cast<unsigned char>(s[i])))
-            ++i;
-        if (i > start)
-            out.emplace_back(s.substr(start, i - start));
-    }
-    return out;
-}
-
 std::string
 join(const std::vector<std::string> &parts, std::string_view sep)
 {
@@ -70,13 +51,6 @@ startsWith(std::string_view s, std::string_view prefix)
 {
     return s.size() >= prefix.size() &&
            s.substr(0, prefix.size()) == prefix;
-}
-
-bool
-endsWith(std::string_view s, std::string_view suffix)
-{
-    return s.size() >= suffix.size() &&
-           s.substr(s.size() - suffix.size()) == suffix;
 }
 
 std::string

@@ -77,15 +77,11 @@ std::string_view trim(std::string_view s);
 /** Split on a delimiter character; keeps empty fields. */
 std::vector<std::string> split(std::string_view s, char delim);
 
-/** Split into non-empty whitespace-separated tokens. */
-std::vector<std::string> splitWhitespace(std::string_view s);
-
 /** Join with a separator. */
 std::string join(const std::vector<std::string> &parts,
                  std::string_view sep);
 
 bool startsWith(std::string_view s, std::string_view prefix);
-bool endsWith(std::string_view s, std::string_view suffix);
 
 /** Replace every occurrence of @p from with @p to. */
 std::string replaceAll(std::string s, std::string_view from,

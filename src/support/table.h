@@ -32,8 +32,6 @@ class TextTable
     /** Render with column separators and a rule under the header. */
     std::string str() const;
 
-    size_t rowCount() const { return rows_.size(); }
-
   private:
     std::vector<std::string> header_;
     std::vector<std::vector<std::string>> rows_;

@@ -293,7 +293,9 @@ PlanExplorer::ensure(const passes::PassPlan &plan)
         index = static_cast<int>(ex_.variants.size());
         byTextHash_.emplace(printed.hash, index);
         Variant v;
-        v.source = std::move(printed.text);
+        // A copy, not a move: it leaves emitGlsl's spare capacity
+        // behind instead of keeping it for the exploration's lifetime.
+        v.source = printed.text;
         v.sourceHash = printed.hash;
         ex_.variants.push_back(std::move(v));
     } else {

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "emit/offline.h"
 #include "ir/walk.h"
@@ -33,9 +32,8 @@ computeFeatures(const std::string &preprocessed)
             ++f.branches;
         }
     });
-    std::unordered_map<passes::ValueKey, int, passes::ValueKeyHash>
-        fetchShapes;
-    ir::forEachInstr(module->body, [&](const ir::Instr &i) {
+    passes::ValueTable fetches;
+    ir::forEachInstr(module->body, [&](ir::Instr &i) {
         switch (i.op) {
           case ir::Opcode::Texture:
           case ir::Opcode::TextureBias:
@@ -69,7 +67,7 @@ computeFeatures(const std::string &preprocessed)
         // Same fetch class and identity key as tex_batch itself, so
         // the profitability signal cannot drift from the pass.
         if (passes::isFetchOp(i))
-            f.dupFetches += fetchShapes[passes::valueKey(i)]++ > 0;
+            f.dupFetches += fetches.findOrInsert(i) != nullptr;
     });
     f.loopInvariantInstrs = passes::licmHoistableCount(*module);
     return f;

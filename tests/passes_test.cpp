@@ -683,6 +683,79 @@ TEST(ValueKey, LaneCacheEvictionKeepsKeys)
     EXPECT_EQ(check.merges(), 0u);
 }
 
+TEST(ValueTable, PoppedScopeLeavesOuterEntriesFound)
+{
+    ir::Module m;
+    ir::Block b;
+    const ir::Type f = ir::Type::floatTy();
+    auto home = [](const ir::Instr &i) {
+        return passes::ValueKeyHash{}(passes::valueKey(i)) & 0xffff;
+    };
+    // Eight outer values, and for each an inner value with the same low
+    // 16 hash bits: the same home slot at any table size up to 65536,
+    // so every inner insert probes past its outer entry.
+    std::vector<ir::Instr *> outer, inner;
+    for (int k = 0; k < 8; ++k)
+        outer.push_back(constInstr(m, b, f, {k + 0.25}));
+    ir::Instr *probe = constInstr(m, b, f, {0.0});
+    for (const ir::Instr *o : outer) {
+        for (int n = 1;; ++n) {
+            probe->constData[0] = -n;
+            if (home(*probe) == home(*o)) {
+                inner.push_back(constInstr(m, b, f, {-1.0 * n}));
+                break;
+            }
+        }
+    }
+    auto copy = [&](const ir::Instr *i) {
+        return constInstr(m, b, i->type, i->constData);
+    };
+
+    passes::ValueTable table;
+    for (ir::Instr *o : outer)
+        EXPECT_EQ(table.findOrInsert(*o), nullptr);
+    table.pushScope();
+    for (ir::Instr *i : inner)
+        EXPECT_EQ(table.findOrInsert(*i), nullptr);
+    // Enough more inserts to grow the table inside the scope.
+    for (int k = 0; k < 64; ++k)
+        EXPECT_EQ(table.findOrInsert(*constInstr(m, b, f, {1000.0 + k})),
+                  nullptr);
+    for (size_t k = 0; k < outer.size(); ++k) {
+        EXPECT_EQ(table.findOrInsert(*copy(outer[k])), outer[k]);
+        EXPECT_EQ(table.findOrInsert(*copy(inner[k])), inner[k]);
+    }
+    table.popScope();
+    for (size_t k = 0; k < outer.size(); ++k) {
+        EXPECT_EQ(table.findOrInsert(*copy(outer[k])), outer[k]);
+        ir::Instr *again = copy(inner[k]);
+        EXPECT_EQ(table.findOrInsert(*again), nullptr);
+        EXPECT_EQ(table.findOrInsert(*copy(inner[k])), again);
+    }
+    EXPECT_EQ(table.findOrInsert(*constInstr(m, b, f, {1000.0})), nullptr);
+}
+
+TEST(ValueTable, LoadsUnderDifferentMemoryVersionsStayApart)
+{
+    ir::Module m;
+    ir::Block b;
+    ir::Var *v = m.newVar("v", ir::Type::floatTy(), ir::VarKind::Local);
+    auto load = [&] {
+        ir::Instr *i = m.newInstr();
+        i->op = ir::Opcode::LoadVar;
+        i->type = v->type;
+        i->var = v;
+        b.instrs.push_back(i);
+        return i;
+    };
+    ir::Instr *before = load(), *after = load();
+    passes::ValueTable table;
+    EXPECT_EQ(table.findOrInsert(*before, 0), nullptr);
+    EXPECT_EQ(table.findOrInsert(*after, 1), nullptr);
+    EXPECT_EQ(table.findOrInsert(*load(), 0), before);
+    EXPECT_EQ(table.findOrInsert(*load(), 1), after);
+}
+
 // -------------------------------------------------------- the step rule
 // Each pipeline step canonicalizes only when its pass reported a change
 // (passes::canonicalizeIfChanged). That is exact iff canonicalize ends

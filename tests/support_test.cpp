@@ -135,13 +135,6 @@ TEST(Stats, HistogramClampsOutliers)
     EXPECT_EQ(bins.back().count, 1u);
 }
 
-TEST(Stats, GeomeanSpeedup)
-{
-    // +10% and -9.0909..% cancel out.
-    EXPECT_NEAR(geomeanSpeedup({0.10, -1.0 / 11.0}), 0.0, 1e-12);
-    EXPECT_NEAR(geomeanSpeedup({0.05, 0.05}), 0.05, 1e-12);
-}
-
 TEST(Strings, TrimAndSplit)
 {
     EXPECT_EQ(trim("  a b  "), "a b");
@@ -149,9 +142,6 @@ TEST(Strings, TrimAndSplit)
     auto parts = split("a,b,,c", ',');
     ASSERT_EQ(parts.size(), 4u);
     EXPECT_EQ(parts[2], "");
-    auto ws = splitWhitespace("  foo\t bar\nbaz ");
-    ASSERT_EQ(ws.size(), 3u);
-    EXPECT_EQ(ws[2], "baz");
 }
 
 TEST(Strings, ReplaceAll)
