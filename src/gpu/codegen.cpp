@@ -426,8 +426,7 @@ costRegion(const Region &region, const DeviceModel &d, CostSummary &out)
                 longer.texIssueCycles +
                 d.divergencePenalty * shorter.texIssueCycles;
             out.textureCount += longer.textureCount;
-            out.branchCycles += longer.branchCycles +
-                                else_c.branchCycles * 0 + d.costBranch;
+            out.branchCycles += longer.branchCycles + d.costBranch;
             out.instructionCount +=
                 longer.instructionCount + shorter.instructionCount + 1;
         } else if (const auto *l = dyn_cast<LoopNode>(node.get())) {

@@ -101,7 +101,6 @@ class InlineVec
     const T &back() const { return items_[size_ - 1]; }
 
     void clear() { size_ = 0; }
-    void reserve(size_t) {} // capacity is fixed; kept for call sites
     void push_back(const T &v)
     {
         if (size_ >= N)

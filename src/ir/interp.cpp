@@ -1,5 +1,6 @@
 #include "ir/interp.h"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <stdexcept>
@@ -14,7 +15,7 @@ namespace {
 /** Broadcast read: scalar splats extend to any lane; the modulo wrap is
  * hoisted off the common paths (scalar splat, in-range index). */
 double
-lane(const LaneVector &v, size_t i)
+lane(LaneSpan v, size_t i)
 {
     if (v.empty())
         return 0.0;
@@ -23,10 +24,275 @@ lane(const LaneVector &v, size_t i)
     return i < v.size() ? v[i] : v[i % v.size()];
 }
 
+} // namespace
+
+bool
+evalPure(const Instr &i, const OperandLanes &args, LaneVector &out)
+{
+    auto cw1 = [&](double (*fn)(double)) {
+        out.assign(args[0].begin(), args[0].end());
+        for (double &d : out)
+            d = fn(d);
+    };
+    auto cw2 = [&](double (*fn)(double, double)) {
+        const LaneSpan a = args[0];
+        const LaneSpan b = args[1];
+        out.assign(std::max(a.size(), b.size()), 0.0);
+        for (size_t k = 0; k < out.size(); ++k)
+            out[k] = fn(lane(a, k), lane(b, k));
+    };
+
+    switch (i.op) {
+      case Opcode::Const:
+        out.assign(i.constData.begin(), i.constData.end());
+        return true;
+      case Opcode::Neg:
+        cw1(+[](double a) { return -a; });
+        return true;
+      case Opcode::Not:
+        cw1(+[](double a) { return a == 0.0 ? 1.0 : 0.0; });
+        return true;
+      case Opcode::Add:
+        cw2(+[](double a, double b) { return a + b; });
+        return true;
+      case Opcode::Sub:
+        cw2(+[](double a, double b) { return a - b; });
+        return true;
+      case Opcode::Mul:
+        cw2(+[](double a, double b) { return a * b; });
+        return true;
+      case Opcode::Div:
+        if (i.type.isInt()) {
+            cw2(+[](double a, double b) {
+                return b != 0.0 ? std::trunc(a / b) : 0.0;
+            });
+        } else {
+            cw2(+[](double a, double b) { return a / b; });
+        }
+        return true;
+      case Opcode::Mod:
+        cw2(+[](double a, double b) {
+            return b != 0.0 ? a - b * std::floor(a / b) : 0.0;
+        });
+        return true;
+      case Opcode::Lt:
+        out = {args[0][0] < args[1][0] ? 1.0 : 0.0};
+        return true;
+      case Opcode::Le:
+        out = {args[0][0] <= args[1][0] ? 1.0 : 0.0};
+        return true;
+      case Opcode::Gt:
+        out = {args[0][0] > args[1][0] ? 1.0 : 0.0};
+        return true;
+      case Opcode::Ge:
+        out = {args[0][0] >= args[1][0] ? 1.0 : 0.0};
+        return true;
+      case Opcode::Eq:
+      case Opcode::Ne: {
+        const bool eq = std::equal(args[0].begin(), args[0].end(),
+                                   args[1].begin(), args[1].end());
+        out = {eq == (i.op == Opcode::Eq) ? 1.0 : 0.0};
+        return true;
+      }
+      case Opcode::LogicalAnd:
+        out = {args[0][0] != 0.0 && args[1][0] != 0.0 ? 1.0 : 0.0};
+        return true;
+      case Opcode::LogicalOr:
+        out = {args[0][0] != 0.0 || args[1][0] != 0.0 ? 1.0 : 0.0};
+        return true;
+      case Opcode::Sin: cw1(+[](double a) { return std::sin(a); }); return true;
+      case Opcode::Cos: cw1(+[](double a) { return std::cos(a); }); return true;
+      case Opcode::Tan: cw1(+[](double a) { return std::tan(a); }); return true;
+      case Opcode::Asin: cw1(+[](double a) { return std::asin(a); }); return true;
+      case Opcode::Acos: cw1(+[](double a) { return std::acos(a); }); return true;
+      case Opcode::Atan: cw1(+[](double a) { return std::atan(a); }); return true;
+      case Opcode::Exp: cw1(+[](double a) { return std::exp(a); }); return true;
+      case Opcode::Log: cw1(+[](double a) { return std::log(a); }); return true;
+      case Opcode::Exp2: cw1(+[](double a) { return std::exp2(a); }); return true;
+      case Opcode::Log2: cw1(+[](double a) { return std::log2(a); }); return true;
+      case Opcode::Sqrt: cw1(+[](double a) { return std::sqrt(a); }); return true;
+      case Opcode::InvSqrt:
+        cw1(+[](double a) { return 1.0 / std::sqrt(a); });
+        return true;
+      case Opcode::Abs: cw1(+[](double a) { return std::fabs(a); }); return true;
+      case Opcode::Sign:
+        cw1(+[](double a) {
+            return a > 0.0 ? 1.0 : a < 0.0 ? -1.0 : 0.0;
+        });
+        return true;
+      case Opcode::Floor: cw1(+[](double a) { return std::floor(a); }); return true;
+      case Opcode::Ceil: cw1(+[](double a) { return std::ceil(a); }); return true;
+      case Opcode::Fract:
+        cw1(+[](double a) { return a - std::floor(a); });
+        return true;
+      case Opcode::Radians:
+        cw1(+[](double a) { return a * M_PI / 180.0; });
+        return true;
+      case Opcode::Degrees:
+        cw1(+[](double a) { return a * 180.0 / M_PI; });
+        return true;
+      case Opcode::Atan2:
+        cw2(+[](double y, double x) { return std::atan2(y, x); });
+        return true;
+      case Opcode::Pow:
+        cw2(+[](double a, double b) { return std::pow(a, b); });
+        return true;
+      case Opcode::Min:
+        cw2(+[](double a, double b) { return std::min(a, b); });
+        return true;
+      case Opcode::Max:
+        cw2(+[](double a, double b) { return std::max(a, b); });
+        return true;
+      case Opcode::Step:
+        cw2(+[](double e, double x) { return x < e ? 0.0 : 1.0; });
+        return true;
+      case Opcode::Normalize: {
+        out.assign(args[0].begin(), args[0].end());
+        double len = 0.0;
+        for (double d : out)
+            len += d * d;
+        len = std::sqrt(len);
+        if (len > 0.0) {
+            for (double &d : out)
+                d /= len;
+        }
+        return true;
+      }
+      case Opcode::Length: {
+        double len = 0.0;
+        for (double d : args[0])
+            len += d * d;
+        out = {std::sqrt(len)};
+        return true;
+      }
+      case Opcode::Distance: {
+        double len = 0.0;
+        for (size_t k = 0; k < args[0].size(); ++k) {
+            double d = args[0][k] - lane(args[1], k);
+            len += d * d;
+        }
+        out = {std::sqrt(len)};
+        return true;
+      }
+      case Opcode::Dot: {
+        double sum = 0.0;
+        for (size_t k = 0; k < args[0].size(); ++k)
+            sum += args[0][k] * lane(args[1], k);
+        out = {sum};
+        return true;
+      }
+      case Opcode::Cross: {
+        const LaneSpan a = args[0];
+        const LaneSpan b = args[1];
+        out = {a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+               a[0] * b[1] - a[1] * b[0]};
+        return true;
+      }
+      case Opcode::Reflect: {
+        const LaneSpan v = args[0];
+        const LaneSpan n = args[1];
+        double d = 0.0;
+        for (size_t k = 0; k < v.size(); ++k)
+            d += v[k] * lane(n, k);
+        out.assign(v.size(), 0.0);
+        for (size_t k = 0; k < v.size(); ++k)
+            out[k] = v[k] - 2.0 * d * lane(n, k);
+        return true;
+      }
+      case Opcode::Refract: {
+        const LaneSpan v = args[0];
+        const LaneSpan n = args[1];
+        double eta = args[2][0];
+        double d = 0.0;
+        for (size_t k = 0; k < v.size(); ++k)
+            d += v[k] * lane(n, k);
+        double k_val = 1.0 - eta * eta * (1.0 - d * d);
+        out.assign(v.size(), 0.0);
+        if (k_val >= 0.0) {
+            double coeff = eta * d + std::sqrt(k_val);
+            for (size_t k = 0; k < v.size(); ++k)
+                out[k] = eta * v[k] - coeff * lane(n, k);
+        }
+        return true;
+      }
+      case Opcode::Clamp: {
+        out.assign(args[0].begin(), args[0].end());
+        for (size_t k = 0; k < out.size(); ++k)
+            out[k] = std::min(std::max(out[k], lane(args[1], k)),
+                              lane(args[2], k));
+        return true;
+      }
+      case Opcode::Mix: {
+        out.assign(args[0].begin(), args[0].end());
+        for (size_t k = 0; k < out.size(); ++k) {
+            double t = lane(args[2], k);
+            out[k] = out[k] * (1.0 - t) + lane(args[1], k) * t;
+        }
+        return true;
+      }
+      case Opcode::Smoothstep: {
+        out.assign(args[2].begin(), args[2].end());
+        for (size_t k = 0; k < out.size(); ++k) {
+            double e0 = lane(args[0], k), e1 = lane(args[1], k);
+            double t = e1 != e0 ? (out[k] - e0) / (e1 - e0) : 0.0;
+            t = std::min(std::max(t, 0.0), 1.0);
+            out[k] = t * t * (3.0 - 2.0 * t);
+        }
+        return true;
+      }
+      case Opcode::Select: {
+        const LaneSpan chosen = args[0][0] != 0.0 ? args[1] : args[2];
+        out.assign(chosen.begin(), chosen.end());
+        return true;
+      }
+      case Opcode::Construct: {
+        out.clear();
+        for (const LaneSpan v : args)
+            out.insert(out.end(), v.begin(), v.end());
+        const size_t want = static_cast<size_t>(i.type.componentCount());
+        if (out.size() == 1 && want > 1)
+            out.assign(want, out[0]);
+        out.resize(want, 0.0);
+        // Construct doubles as the conversion op: int(x) truncates
+        // toward zero (GLSL 4.4.0 §4.1.10).
+        if (i.type.isInt()) {
+            for (double &d : out)
+                d = std::trunc(d);
+        }
+        return true;
+      }
+      case Opcode::Extract:
+        out = {args[0][static_cast<size_t>(i.indices[0])]};
+        return true;
+      case Opcode::Insert:
+        out.assign(args[0].begin(), args[0].end());
+        out[static_cast<size_t>(i.indices[0])] = args[1][0];
+        return true;
+      case Opcode::Swizzle:
+        out.clear();
+        for (int idx : i.indices)
+            out.push_back(args[0][static_cast<size_t>(idx)]);
+        return true;
+      case Opcode::Texture:
+      case Opcode::TextureBias:
+      case Opcode::TextureLod:
+      case Opcode::LoadVar:
+      case Opcode::StoreVar:
+      case Opcode::LoadElem:
+      case Opcode::StoreElem:
+      case Opcode::Discard:
+        return false;
+    }
+    return false;
+}
+
+namespace {
+
 // ===================================================================
 // Map-based reference interpreter: the independent golden baseline for
 // the batched engine, and its scalar fallback for hand-assembled
-// modules with non-dense ids and BatchFallback shapes.
+// modules with non-dense ids and BatchFallback shapes. Pure opcodes go
+// through evalPure; this class owns memory, textures and discard.
 // ===================================================================
 
 class MapInterpreter
@@ -152,308 +418,54 @@ class MapInterpreter
     {
         ++executed_;
         meter_.tick();
-        auto arg = [&](size_t k) -> const LaneVector & {
-            return value(i.operands[k]);
-        };
-        auto set = [&](LaneVector v) {
-            values_[&i] = std::move(v);
-        };
-        auto cw1 = [&](double (*fn)(double)) {
-            LaneVector out = arg(0);
-            for (double &d : out)
-                d = fn(d);
-            set(std::move(out));
-        };
-        auto cw2 = [&](double (*fn)(double, double)) {
-            const LaneVector &a = arg(0);
-            const LaneVector &b = arg(1);
-            LaneVector out(std::max(a.size(), b.size()));
-            for (size_t k = 0; k < out.size(); ++k)
-                out[k] = fn(lane(a, k), lane(b, k));
-            set(std::move(out));
-        };
+        OperandLanes args;
+        for (const Instr *op : i.operands)
+            args.push_back(value(op));
+        LaneVector out;
+        if (evalPure(i, args, out)) {
+            values_[&i] = std::move(out);
+            return;
+        }
 
         switch (i.op) {
-          case Opcode::Const:
-            set(i.constData);
-            break;
-          case Opcode::Neg:
-            cw1(+[](double a) { return -a; });
-            break;
-          case Opcode::Not:
-            cw1(+[](double a) { return a == 0.0 ? 1.0 : 0.0; });
-            break;
-          case Opcode::Add:
-            cw2(+[](double a, double b) { return a + b; });
-            break;
-          case Opcode::Sub:
-            cw2(+[](double a, double b) { return a - b; });
-            break;
-          case Opcode::Mul:
-            cw2(+[](double a, double b) { return a * b; });
-            break;
-          case Opcode::Div:
-            if (i.type.isInt()) {
-                cw2(+[](double a, double b) {
-                    return b != 0.0 ? std::trunc(a / b) : 0.0;
-                });
-            } else {
-                cw2(+[](double a, double b) { return a / b; });
-            }
-            break;
-          case Opcode::Mod:
-            cw2(+[](double a, double b) {
-                return b != 0.0 ? a - b * std::floor(a / b) : 0.0;
-            });
-            break;
-          case Opcode::Lt:
-            set({arg(0)[0] < arg(1)[0] ? 1.0 : 0.0});
-            break;
-          case Opcode::Le:
-            set({arg(0)[0] <= arg(1)[0] ? 1.0 : 0.0});
-            break;
-          case Opcode::Gt:
-            set({arg(0)[0] > arg(1)[0] ? 1.0 : 0.0});
-            break;
-          case Opcode::Ge:
-            set({arg(0)[0] >= arg(1)[0] ? 1.0 : 0.0});
-            break;
-          case Opcode::Eq:
-            set({arg(0) == arg(1) ? 1.0 : 0.0});
-            break;
-          case Opcode::Ne:
-            set({arg(0) != arg(1) ? 1.0 : 0.0});
-            break;
-          case Opcode::LogicalAnd:
-            set({arg(0)[0] != 0.0 && arg(1)[0] != 0.0 ? 1.0 : 0.0});
-            break;
-          case Opcode::LogicalOr:
-            set({arg(0)[0] != 0.0 || arg(1)[0] != 0.0 ? 1.0 : 0.0});
-            break;
-          case Opcode::Sin: cw1(+[](double a) { return std::sin(a); }); break;
-          case Opcode::Cos: cw1(+[](double a) { return std::cos(a); }); break;
-          case Opcode::Tan: cw1(+[](double a) { return std::tan(a); }); break;
-          case Opcode::Asin: cw1(+[](double a) { return std::asin(a); }); break;
-          case Opcode::Acos: cw1(+[](double a) { return std::acos(a); }); break;
-          case Opcode::Atan: cw1(+[](double a) { return std::atan(a); }); break;
-          case Opcode::Exp: cw1(+[](double a) { return std::exp(a); }); break;
-          case Opcode::Log: cw1(+[](double a) { return std::log(a); }); break;
-          case Opcode::Exp2: cw1(+[](double a) { return std::exp2(a); }); break;
-          case Opcode::Log2: cw1(+[](double a) { return std::log2(a); }); break;
-          case Opcode::Sqrt: cw1(+[](double a) { return std::sqrt(a); }); break;
-          case Opcode::InvSqrt:
-            cw1(+[](double a) { return 1.0 / std::sqrt(a); });
-            break;
-          case Opcode::Abs: cw1(+[](double a) { return std::fabs(a); }); break;
-          case Opcode::Sign:
-            cw1(+[](double a) {
-                return a > 0.0 ? 1.0 : a < 0.0 ? -1.0 : 0.0;
-            });
-            break;
-          case Opcode::Floor: cw1(+[](double a) { return std::floor(a); }); break;
-          case Opcode::Ceil: cw1(+[](double a) { return std::ceil(a); }); break;
-          case Opcode::Fract:
-            cw1(+[](double a) { return a - std::floor(a); });
-            break;
-          case Opcode::Radians:
-            cw1(+[](double a) { return a * M_PI / 180.0; });
-            break;
-          case Opcode::Degrees:
-            cw1(+[](double a) { return a * 180.0 / M_PI; });
-            break;
-          case Opcode::Atan2:
-            cw2(+[](double y, double x) { return std::atan2(y, x); });
-            break;
-          case Opcode::Pow:
-            cw2(+[](double a, double b) { return std::pow(a, b); });
-            break;
-          case Opcode::Min:
-            cw2(+[](double a, double b) { return std::min(a, b); });
-            break;
-          case Opcode::Max:
-            cw2(+[](double a, double b) { return std::max(a, b); });
-            break;
-          case Opcode::Step:
-            cw2(+[](double e, double x) { return x < e ? 0.0 : 1.0; });
-            break;
-          case Opcode::Normalize: {
-            LaneVector out = arg(0);
-            double len = 0.0;
-            for (double d : out)
-                len += d * d;
-            len = std::sqrt(len);
-            if (len > 0.0) {
-                for (double &d : out)
-                    d /= len;
-            }
-            set(std::move(out));
-            break;
-          }
-          case Opcode::Length: {
-            double len = 0.0;
-            for (double d : arg(0))
-                len += d * d;
-            set({std::sqrt(len)});
-            break;
-          }
-          case Opcode::Distance: {
-            double len = 0.0;
-            for (size_t k = 0; k < arg(0).size(); ++k) {
-                double d = arg(0)[k] - lane(arg(1), k);
-                len += d * d;
-            }
-            set({std::sqrt(len)});
-            break;
-          }
-          case Opcode::Dot: {
-            double sum = 0.0;
-            for (size_t k = 0; k < arg(0).size(); ++k)
-                sum += arg(0)[k] * lane(arg(1), k);
-            set({sum});
-            break;
-          }
-          case Opcode::Cross: {
-            const LaneVector &a = arg(0);
-            const LaneVector &b = arg(1);
-            set({a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-                 a[0] * b[1] - a[1] * b[0]});
-            break;
-          }
-          case Opcode::Reflect: {
-            const LaneVector &v = arg(0);
-            const LaneVector &n = arg(1);
-            double d = 0.0;
-            for (size_t k = 0; k < v.size(); ++k)
-                d += v[k] * lane(n, k);
-            LaneVector out(v.size());
-            for (size_t k = 0; k < v.size(); ++k)
-                out[k] = v[k] - 2.0 * d * lane(n, k);
-            set(std::move(out));
-            break;
-          }
-          case Opcode::Refract: {
-            const LaneVector &v = arg(0);
-            const LaneVector &n = arg(1);
-            double eta = arg(2)[0];
-            double d = 0.0;
-            for (size_t k = 0; k < v.size(); ++k)
-                d += v[k] * lane(n, k);
-            double k_val = 1.0 - eta * eta * (1.0 - d * d);
-            LaneVector out(v.size(), 0.0);
-            if (k_val >= 0.0) {
-                double coeff = eta * d + std::sqrt(k_val);
-                for (size_t k = 0; k < v.size(); ++k)
-                    out[k] = eta * v[k] - coeff * lane(n, k);
-            }
-            set(std::move(out));
-            break;
-          }
-          case Opcode::Clamp: {
-            LaneVector out = arg(0);
-            for (size_t k = 0; k < out.size(); ++k)
-                out[k] = std::min(std::max(out[k], lane(arg(1), k)),
-                                  lane(arg(2), k));
-            set(std::move(out));
-            break;
-          }
-          case Opcode::Mix: {
-            LaneVector out = arg(0);
-            for (size_t k = 0; k < out.size(); ++k) {
-                double t = lane(arg(2), k);
-                out[k] = out[k] * (1.0 - t) + lane(arg(1), k) * t;
-            }
-            set(std::move(out));
-            break;
-          }
-          case Opcode::Smoothstep: {
-            LaneVector out = arg(2);
-            for (size_t k = 0; k < out.size(); ++k) {
-                double e0 = lane(arg(0), k), e1 = lane(arg(1), k);
-                double t = e1 != e0 ? (out[k] - e0) / (e1 - e0) : 0.0;
-                t = std::min(std::max(t, 0.0), 1.0);
-                out[k] = t * t * (3.0 - 2.0 * t);
-            }
-            set(std::move(out));
-            break;
-          }
-          case Opcode::Select:
-            set(arg(0)[0] != 0.0 ? arg(1) : arg(2));
-            break;
-          case Opcode::Construct: {
-            LaneVector out;
-            for (const Instr *op : i.operands) {
-                const LaneVector &v = value(op);
-                out.insert(out.end(), v.begin(), v.end());
-            }
-            const size_t want =
-                static_cast<size_t>(i.type.componentCount());
-            if (out.size() == 1 && want > 1)
-                out.assign(want, out[0]);
-            out.resize(want, 0.0);
-            // Construct doubles as the conversion op: int(x) truncates
-            // toward zero (matching the constant folder, which keeps
-            // all int-typed lanes integral).
-            if (i.type.isInt()) {
-                for (double &d : out)
-                    d = std::trunc(d);
-            }
-            set(std::move(out));
-            break;
-          }
-          case Opcode::Extract:
-            set({arg(0)[static_cast<size_t>(i.indices[0])]});
-            break;
-          case Opcode::Insert: {
-            LaneVector out = arg(0);
-            out[static_cast<size_t>(i.indices[0])] = arg(1)[0];
-            set(std::move(out));
-            break;
-          }
-          case Opcode::Swizzle: {
-            LaneVector out;
-            for (int idx : i.indices)
-                out.push_back(arg(0)[static_cast<size_t>(idx)]);
-            set(std::move(out));
-            break;
-          }
           case Opcode::Texture:
           case Opcode::TextureBias:
           case Opcode::TextureLod: {
-            const LaneVector &coord = arg(0);
-            double lod = i.operands.size() > 1 ? arg(1)[0] : 0.0;
+            const LaneSpan coord = args[0];
+            double lod = args.size() > 1 ? args[1][0] : 0.0;
             TextureFn fn = defaultTexture;
             auto it = env_.textures.find(i.var->name);
             if (it != env_.textures.end())
                 fn = it->second;
             auto rgba = fn(coord[0], lane(coord, 1), lod);
-            set({rgba[0], rgba[1], rgba[2], rgba[3]});
+            values_[&i] = {rgba[0], rgba[1], rgba[2], rgba[3]};
             break;
           }
           case Opcode::LoadVar:
-            set(memory_[i.var]);
+            values_[&i] = memory_[i.var];
             break;
           case Opcode::StoreVar:
-            memory_[i.var] = arg(0);
+            memory_[i.var].assign(args[0].begin(), args[0].end());
             break;
           case Opcode::LoadElem: {
             const LaneVector &mem = memory_[i.var];
             const int comp = i.type.componentCount();
-            long idx = static_cast<long>(arg(0)[0]);
-            LaneVector out(static_cast<size_t>(comp), 0.0);
+            long idx = static_cast<long>(args[0][0]);
+            LaneVector elem(static_cast<size_t>(comp), 0.0);
             size_t off = static_cast<size_t>(idx) *
                          static_cast<size_t>(comp);
             for (int k = 0; k < comp; ++k) {
                 size_t p = off + static_cast<size_t>(k);
                 if (p < mem.size())
-                    out[static_cast<size_t>(k)] = mem[p];
+                    elem[static_cast<size_t>(k)] = mem[p];
             }
-            set(std::move(out));
+            values_[&i] = std::move(elem);
             break;
           }
           case Opcode::StoreElem: {
             LaneVector &mem = memory_[i.var];
-            const LaneVector &val = arg(1);
-            long idx = static_cast<long>(arg(0)[0]);
+            const LaneSpan val = args[1];
+            long idx = static_cast<long>(args[0][0]);
             size_t off = static_cast<size_t>(idx) * val.size();
             for (size_t k = 0; k < val.size(); ++k) {
                 size_t p = off + k;
@@ -464,6 +476,8 @@ class MapInterpreter
           }
           case Opcode::Discard:
             discarded_ = true;
+            break;
+          default:
             break;
         }
     }

@@ -14,6 +14,13 @@
  * small map-based engine behind interpretReference(), which is the
  * independent reference the batched engine is pinned against and its
  * scalar fallback.
+ *
+ * One function, evalPure(), evaluates every pure opcode on its
+ * operands' lanes. It has three callers: the reference engine, the
+ * constant folder (passes::foldConstInstr) and lowering's evaluator of
+ * const initialisers, so compile-time folding and the reference follow
+ * the same rules. The batched engine keeps its own copy on purpose: it
+ * is the second implementation the reference is checked against.
  */
 #ifndef GSOPT_IR_INTERP_H
 #define GSOPT_IR_INTERP_H
@@ -63,6 +70,47 @@ struct InterpResult
     /** Dynamic instruction count (one per executed instruction). */
     size_t executedInstructions = 0;
 };
+
+/**
+ * A read-only view of one value's lanes: a LaneVector, or a Const
+ * instruction's inline constData.
+ */
+class LaneSpan
+{
+  public:
+    LaneSpan() = default;
+    LaneSpan(const LaneVector &v) : data_(v.data()), size_(v.size()) {}
+    LaneSpan(const InlineVec<double, kMaxInstrWidth> &v)
+        : data_(v.data()), size_(v.size())
+    {
+    }
+
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    const double *begin() const { return data_; }
+    const double *end() const { return data_ + size_; }
+    double operator[](size_t i) const { return data_[i]; }
+
+  private:
+    const double *data_ = nullptr;
+    size_t size_ = 0;
+};
+
+/** One instruction's operand lanes, in operand order. */
+using OperandLanes = InlineVec<LaneSpan, kMaxInstrWidth>;
+
+/**
+ * Evaluate the pure instruction @p i on its operands' lanes @p args,
+ * writing the result lanes to @p out (which must not alias @p args).
+ * Reads i.op, i.type, i.indices and i.constData, never i.operands, so a
+ * caller may pass an unlinked Instr. A scalar operand of a
+ * componentwise op broadcasts to every lane; `int` results of Div and
+ * Construct truncate toward zero.
+ *
+ * Returns false, leaving @p out untouched, for the impure opcodes:
+ * memory access, texturing and discard.
+ */
+bool evalPure(const Instr &i, const OperandLanes &args, LaneVector &out);
 
 /** The default procedural texture (smooth RGBA pattern in [0,1]). */
 std::array<double, 4> defaultTexture(double u, double v, double lod);

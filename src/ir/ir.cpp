@@ -1,6 +1,7 @@
 #include "ir/ir.h"
 
 #include <cstring>
+#include <iterator>
 #include <unordered_map>
 
 #include "support/rng.h"
@@ -10,72 +11,23 @@ namespace gsopt::ir {
 const char *
 opcodeName(Opcode op)
 {
-    switch (op) {
-      case Opcode::Const: return "const";
-      case Opcode::Neg: return "neg";
-      case Opcode::Not: return "not";
-      case Opcode::Add: return "add";
-      case Opcode::Sub: return "sub";
-      case Opcode::Mul: return "mul";
-      case Opcode::Div: return "div";
-      case Opcode::Mod: return "mod";
-      case Opcode::Lt: return "lt";
-      case Opcode::Le: return "le";
-      case Opcode::Gt: return "gt";
-      case Opcode::Ge: return "ge";
-      case Opcode::Eq: return "eq";
-      case Opcode::Ne: return "ne";
-      case Opcode::LogicalAnd: return "and";
-      case Opcode::LogicalOr: return "or";
-      case Opcode::Sin: return "sin";
-      case Opcode::Cos: return "cos";
-      case Opcode::Tan: return "tan";
-      case Opcode::Asin: return "asin";
-      case Opcode::Acos: return "acos";
-      case Opcode::Atan: return "atan";
-      case Opcode::Exp: return "exp";
-      case Opcode::Log: return "log";
-      case Opcode::Exp2: return "exp2";
-      case Opcode::Log2: return "log2";
-      case Opcode::Sqrt: return "sqrt";
-      case Opcode::InvSqrt: return "inversesqrt";
-      case Opcode::Abs: return "abs";
-      case Opcode::Sign: return "sign";
-      case Opcode::Floor: return "floor";
-      case Opcode::Ceil: return "ceil";
-      case Opcode::Fract: return "fract";
-      case Opcode::Radians: return "radians";
-      case Opcode::Degrees: return "degrees";
-      case Opcode::Normalize: return "normalize";
-      case Opcode::Length: return "length";
-      case Opcode::Atan2: return "atan2";
-      case Opcode::Pow: return "pow";
-      case Opcode::Min: return "min";
-      case Opcode::Max: return "max";
-      case Opcode::Step: return "step";
-      case Opcode::Distance: return "distance";
-      case Opcode::Dot: return "dot";
-      case Opcode::Cross: return "cross";
-      case Opcode::Reflect: return "reflect";
-      case Opcode::Clamp: return "clamp";
-      case Opcode::Mix: return "mix";
-      case Opcode::Smoothstep: return "smoothstep";
-      case Opcode::Refract: return "refract";
-      case Opcode::Select: return "select";
-      case Opcode::Construct: return "construct";
-      case Opcode::Extract: return "extract";
-      case Opcode::Insert: return "insert";
-      case Opcode::Swizzle: return "swizzle";
-      case Opcode::Texture: return "texture";
-      case Opcode::TextureBias: return "texture_bias";
-      case Opcode::TextureLod: return "texture_lod";
-      case Opcode::LoadVar: return "load";
-      case Opcode::StoreVar: return "store";
-      case Opcode::LoadElem: return "load_elem";
-      case Opcode::StoreElem: return "store_elem";
-      case Opcode::Discard: return "discard";
-    }
-    return "?";
+    // In Opcode order.
+    static constexpr const char *kNames[] = {
+        "const", "neg", "not", "add", "sub", "mul", "div", "mod", "lt",
+        "le", "gt", "ge", "eq", "ne", "and", "or", "sin", "cos", "tan",
+        "asin", "acos", "atan", "exp", "log", "exp2", "log2", "sqrt",
+        "inversesqrt", "abs", "sign", "floor", "ceil", "fract", "radians",
+        "degrees", "normalize", "length", "atan2", "pow", "min", "max",
+        "step", "distance", "dot", "cross", "reflect", "clamp", "mix",
+        "smoothstep", "refract", "select", "construct", "extract",
+        "insert", "swizzle", "texture", "texture_bias", "texture_lod",
+        "load", "store", "load_elem", "store_elem", "discard",
+    };
+    static_assert(std::size(kNames) ==
+                      static_cast<size_t>(Opcode::Discard) + 1,
+                  "one name per opcode");
+    const auto k = static_cast<size_t>(op);
+    return k < std::size(kNames) ? kNames[k] : "?";
 }
 
 bool

@@ -7,6 +7,7 @@
 
 #include "glsl/builtins.h"
 #include "ir/builder.h"
+#include "ir/interp.h"
 #include "ir/verifier.h"
 
 namespace gsopt::lower {
@@ -83,7 +84,26 @@ class Lowerer
   private:
     // ================= constant evaluation (for const arrays) ==========
 
-    /** Flattened constant value of an expression, if fully constant. */
+    /** @p op at @p type on @p args, by the reference interpreter's
+     * rules (ir::evalPure). */
+    static std::optional<std::vector<double>>
+    evalAt(Opcode op, const Type &type, ir::OperandLanes args,
+           const std::vector<int> &indices = {})
+    {
+        Instr instr;
+        instr.op = op;
+        instr.type = type;
+        instr.indices = indices;
+        std::vector<double> out;
+        if (!ir::evalPure(instr, args, out))
+            return std::nullopt;
+        return out;
+    }
+
+    /** Flattened constant value of an expression, if fully constant.
+     * Operators, constructors and swizzles evaluate at the node's type
+     * through evalAt; array constructors concatenate and indexing
+     * slices. */
     std::optional<std::vector<double>> tryEvalConst(const Expr &e)
     {
         switch (e.kind) {
@@ -100,37 +120,28 @@ class Lowerer
             auto a = tryEvalConst(*e.args[0]);
             if (!a)
                 return std::nullopt;
-            for (double &d : *a)
-                d = e.unaryOp == UnaryOp::Not ? (d == 0.0 ? 1.0 : 0.0)
-                                              : -d;
-            return a;
+            return evalAt(e.unaryOp == UnaryOp::Not ? Opcode::Not
+                                                    : Opcode::Neg,
+                          e.type, {*a});
           }
           case ExprKind::Binary: {
+            Opcode op;
+            switch (e.binaryOp) {
+              case BinaryOp::Add: op = Opcode::Add; break;
+              case BinaryOp::Sub: op = Opcode::Sub; break;
+              case BinaryOp::Mul: op = Opcode::Mul; break;
+              case BinaryOp::Div: op = Opcode::Div; break;
+              default: return std::nullopt;
+            }
             auto a = tryEvalConst(*e.args[0]);
             auto b = tryEvalConst(*e.args[1]);
             if (!a || !b)
                 return std::nullopt;
-            // Broadcast scalars.
-            if (a->size() == 1 && b->size() > 1)
-                a->assign(b->size(), (*a)[0]);
-            if (b->size() == 1 && a->size() > 1)
-                b->assign(a->size(), (*b)[0]);
-            if (a->size() != b->size())
+            // Equal shapes, or a scalar broadcast.
+            if (a->size() != b->size() && a->size() != 1 &&
+                b->size() != 1)
                 return std::nullopt;
-            for (size_t i = 0; i < a->size(); ++i) {
-                double x = (*a)[i], y = (*b)[i];
-                switch (e.binaryOp) {
-                  case BinaryOp::Add: (*a)[i] = x + y; break;
-                  case BinaryOp::Sub: (*a)[i] = x - y; break;
-                  case BinaryOp::Mul: (*a)[i] = x * y; break;
-                  case BinaryOp::Div:
-                    (*a)[i] = y != 0.0 ? x / y : 0.0;
-                    break;
-                  default:
-                    return std::nullopt;
-                }
-            }
-            return a;
+            return evalAt(op, e.type, {*a, *b});
           }
           case ExprKind::Construct: {
             if (e.ctorType.isMatrix())
@@ -142,17 +153,14 @@ class Lowerer
                     return std::nullopt;
                 out.insert(out.end(), v->begin(), v->end());
             }
-            if (!e.ctorType.isArray()) {
-                const size_t want =
-                    static_cast<size_t>(e.ctorType.componentCount());
-                if (out.size() == 1 && want > 1)
-                    out.assign(want, out[0]); // splat
-                if (out.size() > want)
-                    out.resize(want); // vec3(v4) truncation
-                if (out.size() != want)
-                    return std::nullopt;
-            }
-            return out;
+            if (e.ctorType.isArray())
+                return out;
+            // A splat, or enough lanes (vec3(v4) truncates).
+            if (out.size() != 1 &&
+                out.size() <
+                    static_cast<size_t>(e.ctorType.componentCount()))
+                return std::nullopt;
+            return evalAt(Opcode::Construct, e.ctorType, {out});
           }
           case ExprKind::Index: {
             auto base = tryEvalConst(*e.args[0]);
@@ -177,10 +185,7 @@ class Lowerer
                 str(e.name), static_cast<int>(base->size()));
             if (!lanes)
                 return std::nullopt;
-            std::vector<double> out;
-            for (int i : *lanes)
-                out.push_back((*base)[static_cast<size_t>(i)]);
-            return out;
+            return evalAt(Opcode::Swizzle, e.type, {*base}, *lanes);
           }
           default:
             return std::nullopt;

@@ -4,9 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <type_traits>
 
+#include "ir/interp.h"
 #include "ir/walk.h"
 #include "support/rng.h"
 
@@ -286,288 +286,19 @@ splatConstValue(const Instr *instr)
     return std::nullopt;
 }
 
-namespace {
-
-/** An Instr's inline constant-lane list. */
-using Lanes = ir::InlineVec<double, ir::kMaxInstrWidth>;
-
-/** Broadcast-aware lane fetch. */
-double
-lane(const Lanes &v, size_t i)
-{
-    return v.size() == 1 ? v[0] : v[i];
-}
-
-std::vector<double>
-componentwise2(const Lanes &a, const Lanes &b,
-               double (*fn)(double, double))
-{
-    const size_t n = std::max(a.size(), b.size());
-    std::vector<double> out(n);
-    for (size_t i = 0; i < n; ++i)
-        out[i] = fn(lane(a, i), lane(b, i));
-    return out;
-}
-
-} // namespace
-
 std::optional<std::vector<double>>
 foldConstInstr(const Instr &instr)
 {
+    ir::OperandLanes args;
     for (const Instr *op : instr.operands) {
         if (!op || op->op != Opcode::Const)
             return std::nullopt;
+        args.push_back(op->constData);
     }
-    auto arg = [&](size_t i) -> const Lanes & {
-        return instr.operands[i]->constData;
-    };
-    const bool is_int = instr.type.isInt();
-
-    auto wrap_int = [is_int](std::vector<double> v) {
-        if (is_int) {
-            for (double &d : v)
-                d = std::trunc(d);
-        }
-        return v;
-    };
-
-    switch (instr.op) {
-      case Opcode::Neg: {
-        std::vector<double> out = arg(0);
-        for (double &d : out)
-            d = -d;
-        return out;
-      }
-      case Opcode::Not: {
-        std::vector<double> out = arg(0);
-        for (double &d : out)
-            d = d == 0.0 ? 1.0 : 0.0;
-        return out;
-      }
-      case Opcode::Add:
-        return wrap_int(componentwise2(
-            arg(0), arg(1), +[](double a, double b) { return a + b; }));
-      case Opcode::Sub:
-        return wrap_int(componentwise2(
-            arg(0), arg(1), +[](double a, double b) { return a - b; }));
-      case Opcode::Mul:
-        return wrap_int(componentwise2(
-            arg(0), arg(1), +[](double a, double b) { return a * b; }));
-      case Opcode::Div:
-        if (is_int) {
-            return componentwise2(arg(0), arg(1),
-                                  +[](double a, double b) {
-                                      return b != 0.0
-                                                 ? std::trunc(a / b)
-                                                 : 0.0;
-                                  });
-        }
-        return componentwise2(arg(0), arg(1), +[](double a, double b) {
-            return b != 0.0 ? a / b
-                            : (a == 0.0
-                                   ? std::nan("")
-                                   : std::copysign(
-                                         std::numeric_limits<
-                                             double>::infinity(),
-                                         a));
-        });
-      case Opcode::Mod:
-        return componentwise2(arg(0), arg(1), +[](double a, double b) {
-            return b != 0.0 ? a - b * std::floor(a / b) : 0.0;
-        });
-      case Opcode::Lt:
-        return std::vector<double>{arg(0)[0] < arg(1)[0] ? 1.0 : 0.0};
-      case Opcode::Le:
-        return std::vector<double>{arg(0)[0] <= arg(1)[0] ? 1.0 : 0.0};
-      case Opcode::Gt:
-        return std::vector<double>{arg(0)[0] > arg(1)[0] ? 1.0 : 0.0};
-      case Opcode::Ge:
-        return std::vector<double>{arg(0)[0] >= arg(1)[0] ? 1.0 : 0.0};
-      case Opcode::Eq: {
-        bool eq = arg(0) == arg(1);
-        return std::vector<double>{eq ? 1.0 : 0.0};
-      }
-      case Opcode::Ne: {
-        bool ne = arg(0) != arg(1);
-        return std::vector<double>{ne ? 1.0 : 0.0};
-      }
-      case Opcode::LogicalAnd:
-        return std::vector<double>{
-            arg(0)[0] != 0.0 && arg(1)[0] != 0.0 ? 1.0 : 0.0};
-      case Opcode::LogicalOr:
-        return std::vector<double>{
-            arg(0)[0] != 0.0 || arg(1)[0] != 0.0 ? 1.0 : 0.0};
-      case Opcode::Sin:
-      case Opcode::Cos:
-      case Opcode::Tan:
-      case Opcode::Asin:
-      case Opcode::Acos:
-      case Opcode::Atan:
-      case Opcode::Exp:
-      case Opcode::Log:
-      case Opcode::Exp2:
-      case Opcode::Log2:
-      case Opcode::Sqrt:
-      case Opcode::InvSqrt:
-      case Opcode::Abs:
-      case Opcode::Sign:
-      case Opcode::Floor:
-      case Opcode::Ceil:
-      case Opcode::Fract:
-      case Opcode::Radians:
-      case Opcode::Degrees: {
-        std::vector<double> out = arg(0);
-        for (double &d : out) {
-            switch (instr.op) {
-              case Opcode::Sin: d = std::sin(d); break;
-              case Opcode::Cos: d = std::cos(d); break;
-              case Opcode::Tan: d = std::tan(d); break;
-              case Opcode::Asin: d = std::asin(d); break;
-              case Opcode::Acos: d = std::acos(d); break;
-              case Opcode::Atan: d = std::atan(d); break;
-              case Opcode::Exp: d = std::exp(d); break;
-              case Opcode::Log: d = std::log(d); break;
-              case Opcode::Exp2: d = std::exp2(d); break;
-              case Opcode::Log2: d = std::log2(d); break;
-              case Opcode::Sqrt: d = std::sqrt(d); break;
-              case Opcode::InvSqrt: d = 1.0 / std::sqrt(d); break;
-              case Opcode::Abs: d = std::fabs(d); break;
-              case Opcode::Sign:
-                d = d > 0.0 ? 1.0 : d < 0.0 ? -1.0 : 0.0;
-                break;
-              case Opcode::Floor: d = std::floor(d); break;
-              case Opcode::Ceil: d = std::ceil(d); break;
-              case Opcode::Fract: d = d - std::floor(d); break;
-              case Opcode::Radians: d = d * M_PI / 180.0; break;
-              case Opcode::Degrees: d = d * 180.0 / M_PI; break;
-              default: break;
-            }
-        }
-        return out;
-      }
-      case Opcode::Atan2:
-        return componentwise2(arg(0), arg(1), +[](double y, double x) {
-            return std::atan2(y, x);
-        });
-      case Opcode::Pow:
-        return componentwise2(arg(0), arg(1), +[](double a, double b) {
-            return std::pow(a, b);
-        });
-      case Opcode::Min:
-        return componentwise2(arg(0), arg(1), +[](double a, double b) {
-            return std::min(a, b);
-        });
-      case Opcode::Max:
-        return componentwise2(arg(0), arg(1), +[](double a, double b) {
-            return std::max(a, b);
-        });
-      case Opcode::Step:
-        return componentwise2(arg(0), arg(1), +[](double e, double x) {
-            return x < e ? 0.0 : 1.0;
-        });
-      case Opcode::Dot: {
-        double sum = 0.0;
-        for (size_t i = 0; i < arg(0).size(); ++i)
-            sum += arg(0)[i] * lane(arg(1), i);
-        return std::vector<double>{sum};
-      }
-      case Opcode::Length: {
-        double sum = 0.0;
-        for (double d : arg(0))
-            sum += d * d;
-        return std::vector<double>{std::sqrt(sum)};
-      }
-      case Opcode::Distance: {
-        double sum = 0.0;
-        for (size_t i = 0; i < arg(0).size(); ++i) {
-            double d = arg(0)[i] - lane(arg(1), i);
-            sum += d * d;
-        }
-        return std::vector<double>{std::sqrt(sum)};
-      }
-      case Opcode::Normalize: {
-        double sum = 0.0;
-        for (double d : arg(0))
-            sum += d * d;
-        double len = std::sqrt(sum);
-        std::vector<double> out = arg(0);
-        if (len > 0.0) {
-            for (double &d : out)
-                d /= len;
-        }
-        return out;
-      }
-      case Opcode::Cross: {
-        const auto &a = arg(0);
-        const auto &b = arg(1);
-        return std::vector<double>{a[1] * b[2] - a[2] * b[1],
-                                   a[2] * b[0] - a[0] * b[2],
-                                   a[0] * b[1] - a[1] * b[0]};
-      }
-      case Opcode::Clamp: {
-        std::vector<double> out = arg(0);
-        for (size_t i = 0; i < out.size(); ++i)
-            out[i] = std::min(std::max(out[i], lane(arg(1), i)),
-                              lane(arg(2), i));
-        return out;
-      }
-      case Opcode::Mix: {
-        std::vector<double> out = arg(0);
-        for (size_t i = 0; i < out.size(); ++i) {
-            double t = lane(arg(2), i);
-            out[i] = out[i] * (1.0 - t) + lane(arg(1), i) * t;
-        }
-        return out;
-      }
-      case Opcode::Smoothstep: {
-        std::vector<double> out = arg(2);
-        for (size_t i = 0; i < out.size(); ++i) {
-            double e0 = lane(arg(0), i), e1 = lane(arg(1), i);
-            double t = e1 != e0 ? (out[i] - e0) / (e1 - e0) : 0.0;
-            t = std::min(std::max(t, 0.0), 1.0);
-            out[i] = t * t * (3.0 - 2.0 * t);
-        }
-        return out;
-      }
-      case Opcode::Select: {
-        return instr.operands[0]->scalarConst() != 0.0
-                   ? arg(1)
-                   : arg(2);
-      }
-      case Opcode::Construct: {
-        std::vector<double> out;
-        for (const Instr *op : instr.operands)
-            out.insert(out.end(), op->constData.begin(),
-                       op->constData.end());
-        const size_t want =
-            static_cast<size_t>(instr.type.componentCount());
-        if (out.size() == 1 && want > 1)
-            out.assign(want, out[0]); // splat
-        if (out.size() != want)
-            return std::nullopt;
-        // int(x) truncates toward zero (GLSL 4.4.0 §4.1.10). Construct
-        // is also the IR's conversion op, so this is where fractional
-        // values must die: the interpreter truncates here too, and the
-        // int-arithmetic wrap_int below only ever sees integral lanes.
-        return wrap_int(std::move(out));
-      }
-      case Opcode::Extract:
-        return std::vector<double>{
-            arg(0)[static_cast<size_t>(instr.indices[0])]};
-      case Opcode::Insert: {
-        std::vector<double> out = arg(0);
-        out[static_cast<size_t>(instr.indices[0])] = arg(1)[0];
-        return out;
-      }
-      case Opcode::Swizzle: {
-        std::vector<double> out;
-        for (int idx : instr.indices)
-            out.push_back(arg(0)[static_cast<size_t>(idx)]);
-        return out;
-      }
-      default:
+    std::vector<double> out;
+    if (!ir::evalPure(instr, args, out))
         return std::nullopt;
-    }
+    return out;
 }
 
 } // namespace gsopt::passes

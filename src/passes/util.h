@@ -198,8 +198,9 @@ class LocalBuilder
 };
 
 /**
- * Evaluate an instruction whose operands are all Const, returning the
- * result lanes; nullopt if the op is not foldable.
+ * Evaluate an instruction whose operands are all Const by the
+ * reference interpreter's rules (ir::evalPure), returning the result
+ * lanes; nullopt if an operand is not Const or the op is impure.
  */
 std::optional<std::vector<double>> foldConstInstr(const ir::Instr &instr);
 

@@ -127,7 +127,6 @@ class FrameDecoder
 class Pack
 {
   public:
-    Pack &u32(uint32_t v) { return pod(v); }
     Pack &u64(uint64_t v) { return pod(v); }
     Pack &str(std::string_view s)
     {
@@ -156,7 +155,6 @@ class Unpack
   public:
     explicit Unpack(std::string_view bytes) : bytes_(bytes) {}
 
-    bool u32(uint32_t &v) { return pod(v); }
     bool u64(uint64_t &v) { return pod(v); }
     bool str(std::string &s)
     {

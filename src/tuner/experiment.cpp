@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -417,11 +418,16 @@ ExperimentEngine::familyPrior() const
 
 // ---------------------------------------------------------------- cache
 
-std::string
-serializeShardBody(const ShaderResult &r)
+namespace {
+
+/** A shard file's header: the shard key, then fnv1a of the body. */
+constexpr size_t kShardHeaderBytes = 2 * sizeof(uint64_t);
+
+/** Append @p r's shard body (serializeShardBody's bytes) to @p p. */
+void
+packShardBody(ipc::Pack &p, const ShaderResult &r)
 {
     const Exploration &ex = r.exploration;
-    ipc::Pack p;
     p.str(ex.shaderName)
         .str(ex.family)
         .str(ex.preprocessedOriginal)
@@ -467,10 +473,7 @@ serializeShardBody(const ShaderResult &r)
                                                      : why->second);
         }
     }
-    return p.take();
 }
-
-namespace {
 
 void
 warnShard(const std::string &path, const std::string &what)
@@ -481,14 +484,28 @@ warnShard(const std::string &path, const std::string &what)
 } // namespace
 
 std::string
+serializeShardBody(const ShaderResult &r)
+{
+    ipc::Pack p;
+    packShardBody(p, r);
+    return p.take();
+}
+
+std::string
 shardFileBytes(uint64_t key, const ShaderResult &r)
 {
-    // Serialise the body first so a content hash can front it: the
-    // structural caps in parseShard cannot catch a flipped byte inside
-    // stored shader text, and a silently wrong variant is worse than a
-    // re-run shard.
-    const std::string body = serializeShardBody(r);
-    return ipc::Pack().u64(key).u64(fnv1a(body)).take() + body;
+    // The body is packed behind a header whose hash slot is filled in
+    // afterwards: the structural caps in parseShard cannot catch a
+    // flipped byte inside stored shader text, and a silently wrong
+    // variant is worse than a re-run shard.
+    ipc::Pack p;
+    p.u64(key).u64(0);
+    packShardBody(p, r);
+    std::string bytes = p.take();
+    const uint64_t body_hash =
+        fnv1a(std::string_view(bytes).substr(kShardHeaderBytes));
+    std::memcpy(&bytes[sizeof(uint64_t)], &body_hash, sizeof body_hash);
+    return bytes;
 }
 
 bool
@@ -499,7 +516,7 @@ parseShard(std::string_view bytes, uint64_t key, ShaderResult &out)
     if (!header.u64(file_key) || file_key != key ||
         !header.u64(body_hash))
         return false;
-    const std::string_view body = bytes.substr(2 * sizeof(uint64_t));
+    const std::string_view body = bytes.substr(kShardHeaderBytes);
     if (fnv1a(body) != body_hash)
         return false;
 

@@ -84,8 +84,7 @@ struct ShaderResult
      * final failure — for a budget-exhausted item this is the
      * governor::ResourceExhausted message naming the dimension and
      * stage (e.g. "resource exhausted: deadline ..."). Keyed subset of
-     * `quarantined`; items quarantined before this field existed (or
-     * through older shards) simply have no entry. */
+     * `quarantined`. */
     std::map<gpu::DeviceId, std::string> quarantineReason;
 
     /** Measurement for @p dev. Throws std::out_of_range with a

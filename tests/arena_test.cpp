@@ -89,7 +89,7 @@ TEST(InlineVec, VectorSurface)
         sum += x;
     EXPECT_EQ(sum, 18);
 
-    std::vector<int> copy = v; // conversion used by foldConstInstr
+    std::vector<int> copy = v; // the implicit conversion to std::vector
     EXPECT_EQ(copy, (std::vector<int>{5, 6, 7}));
 
     ir::InlineVec<int, 4> w(std::vector<int>{5, 6, 7});

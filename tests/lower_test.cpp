@@ -6,9 +6,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "campaign_texts.h"
 #include "test_md5.h"
 
+#include "emit/emit.h"
 #include "emit/offline.h"
 #include "glsl/frontend.h"
 #include "ir/dump.h"
@@ -309,6 +312,54 @@ TEST(Lower, ConstArrayBecomesConstData)
     EXPECT_EQ(w->kind, ir::VarKind::ConstArray);
     ASSERT_EQ(w->constInit.size(), 4u);
     EXPECT_NEAR(outScalar(*m), 0.6, 1e-12);
+}
+
+/**
+ * Output "c" of @p src's lowered module under the reference
+ * interpreter, checked against re-compiling the module's own emitted
+ * GLSL: a const initialiser must fold to the value its printed text
+ * computes.
+ */
+std::vector<double>
+constOutput(const std::string &src)
+{
+    auto m = lowerOk(src);
+    const std::vector<double> out =
+        ir::interpretReference(*m, {}).outputs.at("c");
+    const std::string text = emit::emitGlsl(*m);
+    auto reparsed = emit::compileToIr(text);
+    EXPECT_EQ(ir::interpretReference(*reparsed, {}).outputs.at("c"), out)
+        << text;
+    return out;
+}
+
+TEST(LowerConstEval, GlobalIntDivisionTruncates)
+{
+    EXPECT_EQ(constOutput("const int H = 3 / 2; out float c; "
+                          "void main() { c = float(H); }"),
+              std::vector<double>{1.0});
+}
+
+TEST(LowerConstEval, FloatDivisionByZeroIsInfinite)
+{
+    EXPECT_EQ(constOutput("const float Z = 1.0 / 0.0; out float c; "
+                          "void main() { c = Z; }"),
+              std::vector<double>{std::numeric_limits<double>::infinity()});
+}
+
+TEST(LowerConstEval, IntConstructorTruncates)
+{
+    EXPECT_EQ(constOutput("const ivec2 V = ivec2(vec2(1.5, -1.5)); "
+                          "out vec2 c; void main() { c = vec2(V); }"),
+              (std::vector<double>{1.0, -1.0}));
+}
+
+TEST(LowerConstEval, ConstArrayHoldsTruncatedLocalInt)
+{
+    EXPECT_EQ(constOutput("out float c; void main() { const int H = 3 / 2; "
+                          "const float A[2] = float[](float(H), 2.0); "
+                          "c = A[0]; }"),
+              std::vector<double>{1.0});
 }
 
 TEST(Lower, MutableArrayUsesElementStores)

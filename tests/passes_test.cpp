@@ -75,6 +75,15 @@ TEST(Canonicalize, FoldsConstantExpressions)
     // Single store of a single constant.
     EXPECT_EQ(m->instructionCount(), 2u);
     EXPECT_DOUBLE_EQ(ir::interpret(*m, {}).outputs.at("c")[0], 10.0);
+
+    // reflect/refract fold too, to the reference interpreter's value.
+    m = build("out vec3 c; void main() { c = reflect(vec3(1.0, -2.0, "
+              "0.5), vec3(0.0, 0.6, 0.8)) + refract(vec3(0.6, -0.8, "
+              "0.0), vec3(0.0, 1.0, 0.0), 0.75); }");
+    const auto want = ir::interpretReference(*m, {}).outputs.at("c");
+    passes::canonicalize(*m);
+    EXPECT_EQ(m->instructionCount(), 2u) << ir::dump(*m);
+    EXPECT_EQ(ir::interpretReference(*m, {}).outputs.at("c"), want);
 }
 
 TEST(Canonicalize, ForwardsStoresToLoads)
