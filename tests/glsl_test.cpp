@@ -5,10 +5,12 @@
  */
 #include <gtest/gtest.h>
 
+#include "corpus/corpus.h"
 #include "glsl/frontend.h"
 #include "glsl/lexer.h"
 #include "glsl/parser.h"
 #include "glsl/type.h"
+#include "test_md5.h"
 
 namespace gsopt::glsl {
 namespace {
@@ -225,6 +227,95 @@ TEST(Preprocessor, ErrorsOnUnterminatedIf)
     DiagEngine diags;
     preprocess("#ifdef A\nx;\n", {}, diags);
     EXPECT_TRUE(diags.hasErrors());
+}
+
+/** Preprocess @p src and return its diagnostics' text. */
+std::string
+ppDiags(const std::string &src)
+{
+    DiagEngine diags;
+    preprocess(src, {}, diags);
+    return diags.str();
+}
+
+TEST(Preprocessor, CorpusOutputIsPinned)
+{
+    // The md5 of every corpus shader's output (text, version,
+    // extensions, diagnostics) with its defines, in corpus order.
+    std::string all;
+    for (const auto &shader : corpus::corpus()) {
+        DiagEngine diags;
+        auto r = preprocess(shader.source, shader.defines, diags);
+        all += r.text;
+        all += '\0' + std::to_string(r.version) + '\0';
+        for (const std::string &e : r.extensions)
+            all += e + '\n';
+        all += '\0' + diags.str() + '\0';
+    }
+    EXPECT_EQ(testutil::md5Hex(all), "738da623cc3e1832c3ecb743458b18f2");
+}
+
+TEST(Preprocessor, TrailingNewlineGivesAFinalEmptyLine)
+{
+    EXPECT_EQ(ppOk("a;\n"), "a;\n\n");
+    EXPECT_EQ(ppOk("a;"), "a;\n");
+}
+
+TEST(Preprocessor, CrlfContinuationInsideADefine)
+{
+    EXPECT_EQ(ppOk("#define M 1 + \\\r\n2\r\nint x = M;\r\n"),
+              "int x = 1 + 2;\n\n");
+}
+
+TEST(Preprocessor, ParenthesisedCommaStaysInOneArgument)
+{
+    EXPECT_EQ(ppOk("#define F(x, y) x + y\nF((a, b), c);"),
+              "((a, b)) + (c);\n");
+}
+
+TEST(Preprocessor, EmptyArgumentListOnZeroParameterMacro)
+{
+    EXPECT_EQ(ppDiags("#define F() 1\nF( );"),
+              "error: macro 'F' expects 0 arguments, got 1\n");
+}
+
+TEST(Preprocessor, FunctionLikeNameWithoutParenIsLeftAlone)
+{
+    EXPECT_EQ(ppOk("#define F(x) x\nfloat F = 1.0;"), "float F = 1.0;\n");
+}
+
+TEST(Preprocessor, UnterminatedInvocationIsReported)
+{
+    EXPECT_EQ(ppDiags("#define F(x) x\nF(a;"),
+              "error: unterminated macro invocation of 'F'\n");
+}
+
+TEST(Preprocessor, DefinedWithoutParentheses)
+{
+    EXPECT_EQ(ppOk("#if defined A && !defined B\nok;\n#endif",
+                   {{"A", ""}}),
+              "ok;\n");
+}
+
+TEST(Preprocessor, IntegerLiteralsReadWithBaseZero)
+{
+    EXPECT_EQ(ppOk("#if 0x10 == 16 && 010 == 8\nok;\n#endif"), "ok;\n");
+}
+
+TEST(Preprocessor, DivisionByZeroIsFalse)
+{
+    EXPECT_EQ(ppOk("#if 1 / 0\nyes;\n#else\nno;\n#endif"), "no;\n");
+}
+
+TEST(Preprocessor, UnknownDirectiveInFalseBranchIsAnError)
+{
+    EXPECT_EQ(ppDiags("#if 0\n#bogus\n#endif"),
+              "2:1: error: unknown directive '#bogus'\n");
+}
+
+TEST(Preprocessor, ElifAfterTakenBranchIsSkipped)
+{
+    EXPECT_EQ(ppOk("#if 1\na;\n#elif 1\nb;\n#else\nc;\n#endif"), "a;\n");
 }
 
 // --------------------------------------------------------------- parser
