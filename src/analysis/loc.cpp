@@ -38,35 +38,10 @@ executableLines(const std::string &preprocessedSource)
 {
     int count = 0;
     bool in_block_comment = false;
+    std::string storage;
     for (const std::string &raw : split(preprocessedSource, '\n')) {
-        std::string_view line = trim(raw);
-        if (in_block_comment) {
-            size_t close = line.find("*/");
-            if (close == std::string_view::npos)
-                continue;
-            line = trim(line.substr(close + 2));
-            in_block_comment = false;
-        }
-        // Strip line comments.
-        size_t lc = line.find("//");
-        if (lc != std::string_view::npos)
-            line = trim(line.substr(0, lc));
-        // Strip (possibly unterminated) block comments. The merged
-        // text must outlive `line` (a view into it) for the rest of
-        // the iteration, so it lives in loop-persistent storage.
-        // NOTE: single block comment per line is enough for this
-        // metric; nested same-line pairs are uncommon.
-        size_t bc = line.find("/*");
-        if (bc != std::string_view::npos) {
-            static thread_local std::string storage;
-            storage.assign(line.substr(0, bc));
-            size_t close = line.find("*/", bc + 2);
-            if (close == std::string_view::npos)
-                in_block_comment = true;
-            else
-                storage.append(line.substr(close + 2));
-            line = trim(storage);
-        }
+        const std::string_view line =
+            trim(stripComments(raw, in_block_comment, storage));
         if (line.empty())
             continue;
         if (isLoneBrackets(line))

@@ -53,6 +53,40 @@ startsWith(std::string_view s, std::string_view prefix)
            s.substr(0, prefix.size()) == prefix;
 }
 
+std::string_view
+stripComments(std::string_view line, bool &inBlock, std::string &storage)
+{
+    if (!inBlock && line.find('/') == std::string_view::npos)
+        return line;
+    storage.clear();
+    size_t i = 0;
+    for (;;) {
+        if (inBlock) {
+            storage += ' ';
+            const size_t close = line.find("*/", i);
+            if (close == std::string_view::npos)
+                return storage;
+            inBlock = false;
+            i = close + 2;
+        }
+        size_t c = i;
+        while (c + 1 < line.size() &&
+               !(line[c] == '/' && (line[c + 1] == '/' || line[c + 1] == '*')))
+            ++c;
+        if (c + 1 >= line.size()) {
+            storage.append(line.substr(i));
+            return storage;
+        }
+        storage.append(line.substr(i, c - i));
+        if (line[c + 1] == '/') {
+            storage += ' ';
+            return storage;
+        }
+        inBlock = true;
+        i = c + 2;
+    }
+}
+
 std::string
 replaceAll(std::string s, std::string_view from, std::string_view to)
 {

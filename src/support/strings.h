@@ -83,6 +83,17 @@ std::string join(const std::vector<std::string> &parts,
 
 bool startsWith(std::string_view s, std::string_view prefix);
 
+/**
+ * One line of GLSL with each comment replaced by one space: a `//`
+ * comment runs to the end of the line, a block comment to its closing
+ * star-slash. @p inBlock carries a block comment across lines: on entry
+ * it says the line begins inside one, on exit whether the line ends
+ * inside one. Returns @p line itself if it holds no comment, else a
+ * view of @p storage.
+ */
+std::string_view stripComments(std::string_view line, bool &inBlock,
+                               std::string &storage);
+
 /** Replace every occurrence of @p from with @p to. */
 std::string replaceAll(std::string s, std::string_view from,
                        std::string_view to);

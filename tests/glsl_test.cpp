@@ -313,6 +313,25 @@ TEST(Preprocessor, UnknownDirectiveInFalseBranchIsAnError)
               "2:1: error: unknown directive '#bogus'\n");
 }
 
+TEST(Preprocessor, CommentInADefineIsNotPartOfTheBody)
+{
+    EXPECT_EQ(ppOk("#define X 1 // one\nfloat y = X + 2;"),
+              "float y = 1 + 2;\n");
+    EXPECT_EQ(ppOk("#define Y /* two */ 2\nfloat y = Y;"), "float y = 2;\n");
+}
+
+TEST(Preprocessor, CommentAfterAnIfdefName)
+{
+    EXPECT_EQ(ppOk("#define FEATURE\n#ifdef FEATURE // on\na;\n#else\nb;\n"
+                   "#endif"),
+              "a;\n");
+}
+
+TEST(Preprocessor, CommentAfterAnIfExpression)
+{
+    EXPECT_EQ(ppOk("#if 1 // c\na;\n#endif"), "a;\n");
+}
+
 TEST(Preprocessor, ElifAfterTakenBranchIsSkipped)
 {
     EXPECT_EQ(ppOk("#if 1\na;\n#elif 1\nb;\n#else\nc;\n#endif"), "a;\n");

@@ -150,6 +150,20 @@ TEST(Strings, ReplaceAll)
     EXPECT_EQ(replaceAll("xyx", "y", ""), "xx");
 }
 
+TEST(Strings, StripCommentsLeavesOneSpacePerComment)
+{
+    std::string storage;
+    bool inBlock = false;
+    EXPECT_EQ(stripComments("a / b", inBlock, storage), "a / b");
+    EXPECT_EQ(stripComments("a/**/b // c", inBlock, storage), "a b  ");
+    EXPECT_FALSE(inBlock);
+    EXPECT_EQ(stripComments("x; /* open", inBlock, storage), "x;  ");
+    EXPECT_TRUE(inBlock);
+    EXPECT_EQ(stripComments("still", inBlock, storage), " ");
+    EXPECT_EQ(stripComments("*/ y;", inBlock, storage), "  y;");
+    EXPECT_FALSE(inBlock);
+}
+
 TEST(Strings, FormatGlslFloatRoundTrips)
 {
     for (double v : {0.0, 1.0, -2.5, 0.699301, 1e-8, 3.14159265358979,
