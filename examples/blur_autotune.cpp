@@ -38,8 +38,6 @@ autotune(const corpus::CorpusShader &shader)
         auto original = runtime::measureShader(
             ex.preprocessedOriginal, device, shader.name + "/orig");
 
-        double best = -1e30;
-        tuner::FlagSet best_flags;
         std::vector<double> by_variant;
         for (size_t v = 0; v < ex.variants.size(); ++v) {
             auto timing = runtime::measureShader(
@@ -48,19 +46,14 @@ autotune(const corpus::CorpusShader &shader)
             by_variant.push_back(
                 runtime::speedupPercent(original, timing));
         }
-        for (size_t v = 0; v < ex.variants.size(); ++v) {
-            if (by_variant[v] > best) {
-                best = by_variant[v];
-                best_flags =
-                    tuner::minimalProducer(ex.variants[v].producers);
-            }
-        }
+        const tuner::Exploration::BestFlags best =
+            ex.bestFlags([&](size_t v) { return by_variant[v]; });
         double defaults = by_variant[static_cast<size_t>(
             ex.variantOf(tuner::FlagSet::lunarGlassDefaults()))];
         double all = by_variant[static_cast<size_t>(
             ex.variantOf(tuner::FlagSet::all()))];
-        t.addRow({device.vendor, best_flags.str(),
-                  TextTable::num(best, 2) + "%",
+        t.addRow({device.vendor, best.flags.str(),
+                  TextTable::num(best.speedup, 2) + "%",
                   TextTable::num(defaults, 2) + "%",
                   TextTable::num(all, 2) + "%"});
     }

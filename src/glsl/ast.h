@@ -101,7 +101,7 @@ enum class ExprKind {
     Member,   ///< args[0] . name   (vector swizzle)
 };
 
-enum class UnaryOp { Neg, Not, Plus };
+enum class UnaryOp { Neg, Not };
 
 enum class BinaryOp {
     Add, Sub, Mul, Div, Mod,

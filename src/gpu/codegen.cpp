@@ -29,7 +29,7 @@ constexpr double kGenericLoopTrips = 8.0;
 int
 lanesOf(const Instr &i)
 {
-    if (ir::isVoidOp(i.op))
+    if (ir::hasSideEffects(i.op))
         return 1;
     return std::max(1, i.type.componentCount());
 }

@@ -71,7 +71,7 @@ std::string
 dumpInstr(const Instr &instr)
 {
     std::ostringstream os;
-    if (!isVoidOp(instr.op))
+    if (!hasSideEffects(instr.op))
         os << "%" << instr.id << " = ";
     os << opcodeName(instr.op) << " " << instr.type.str();
     if (instr.var)

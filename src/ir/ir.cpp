@@ -38,12 +38,6 @@ hasSideEffects(Opcode op)
 }
 
 bool
-isVoidOp(Opcode op)
-{
-    return hasSideEffects(op);
-}
-
-bool
 Instr::isSplatConst() const
 {
     if (op != Opcode::Const || constData.empty())

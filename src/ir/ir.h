@@ -139,11 +139,9 @@ enum class Opcode {
 /** Human-readable opcode mnemonic. */
 const char *opcodeName(Opcode op);
 
-/** True for instructions whose effect is not captured by their value. */
+/** True for instructions whose effect is not captured by their value;
+ * these are also the ones that produce no value at all. */
 bool hasSideEffects(Opcode op);
-
-/** True if the op produces no value at all. */
-bool isVoidOp(Opcode op);
 
 /** Widest operand/index/constant-lane list an instruction can carry:
  * the type system tops out at vec4, so Construct takes at most 4

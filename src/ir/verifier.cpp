@@ -190,7 +190,7 @@ class Verifier
           default:
             break;
         }
-        if (!isVoidOp(i.op))
+        if (!hasSideEffects(i.op))
             define(i);
     }
 

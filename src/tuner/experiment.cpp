@@ -157,23 +157,11 @@ FlagSet
 ShaderResult::bestFlags(gpu::DeviceId dev) const
 {
     const auto &m = measurement(dev);
-    int best_variant = 0;
-    double best = -1e30;
-    for (size_t v = 0; v < m.variantMeanNs.size(); ++v) {
-        // Plan-only variants have no producers — no flag set reaches
-        // them, so they cannot answer a best-*flags* query.
-        if (exploration.variants[v].producers.empty())
-            continue;
-        double s = m.speedupOf(static_cast<int>(v));
-        if (s > best) {
-            best = s;
-            best_variant = static_cast<int>(v);
-        }
-    }
-    // Prefer the smallest flag set among producers (minimal set).
-    return minimalProducer(
-        exploration.variants[static_cast<size_t>(best_variant)]
-            .producers);
+    return exploration
+        .bestFlags([&m](size_t v) {
+            return m.speedupOf(static_cast<int>(v));
+        })
+        .flags;
 }
 
 double

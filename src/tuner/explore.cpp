@@ -97,6 +97,30 @@ Exploration::flagChangesOutput(int bit) const
     return false;
 }
 
+Exploration::BestFlags
+Exploration::bestFlags(const std::function<double(size_t)> &speedupOf) const
+{
+    size_t best_variant = 0;
+    double best = -1e30;
+    for (size_t v = 0; v < variants.size(); ++v) {
+        if (variants[v].producers.empty())
+            continue;
+        const double s = speedupOf(v);
+        if (s > best) {
+            best = s;
+            best_variant = v;
+        }
+    }
+    // The producer with the fewest flags; ties keep the earliest.
+    const std::vector<FlagSet> &producers = variants[best_variant].producers;
+    FlagSet minimal = producers.front();
+    for (const FlagSet &f : producers) {
+        if (f.count() < minimal.count())
+            minimal = f;
+    }
+    return {minimal, best};
+}
+
 namespace {
 
 /** A printed variant text and its fnv1a hash. */

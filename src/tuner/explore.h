@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -106,6 +107,20 @@ struct Exploration
 
     /** Does toggling @p bit ever change the output text? (Fig 8 red) */
     bool flagChangesOutput(int bit) const;
+
+    /** A best flag set and the speed-up of the variant it reaches. */
+    struct BestFlags
+    {
+        FlagSet flags;
+        double speedup;
+    };
+
+    /** Among variants with producers, the one with the highest
+     * @p speedupOf(variant index), the first on ties, and its producer
+     * with the fewest flags, the first on ties. Plan-only variants have no producer, so no flag set
+     * reaches them. ShaderResult::bestFlags and ExhaustiveSearch
+     * answer with this rule. */
+    BestFlags bestFlags(const std::function<double(size_t)> &speedupOf) const;
 
     /** Static features, filled lazily by tuner::featuresOf (at most
      * one computation per exploration; copies made afterwards share

@@ -53,15 +53,4 @@ checkExhaustiveFeasible(const char *who)
     }
 }
 
-FlagSet
-minimalProducer(const std::vector<FlagSet> &producers)
-{
-    FlagSet minimal = producers.front();
-    for (const FlagSet &f : producers) {
-        if (f.count() < minimal.count())
-            minimal = f;
-    }
-    return minimal;
-}
-
 } // namespace gsopt::tuner

@@ -52,12 +52,6 @@ std::vector<FlagSet> allFlagSets();
  */
 void checkExhaustiveFeasible(const char *who);
 
-/** The producing combination with the fewest flags (ties keep the
- * earliest). The shared tie-break rule of ShaderResult::bestFlags,
- * ExhaustiveSearch, and the examples. @p producers must be
- * non-empty. */
-FlagSet minimalProducer(const std::vector<FlagSet> &producers);
-
 } // namespace gsopt::tuner
 
 #endif // GSOPT_TUNER_FLAGS_H

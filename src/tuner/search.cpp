@@ -240,28 +240,16 @@ ExhaustiveSearch::run(MeasurementOracle &oracle) const
         t.probe(FlagSet(combo));
     SearchOutcome out = t.finish();
 
-    // Report the winner under ShaderResult::bestFlags' exact rule
-    // (first variant index on strict ties, then minimal producer) so
-    // the exhaustive strategy reproduces the campaign verdict even
-    // when quantised timers make distinct variants tie exactly.
+    // Report the winner under ShaderResult::bestFlags' rule (first
+    // variant on ties, then minimal producer) so the exhaustive
+    // strategy reproduces the campaign verdict even when quantised
+    // timers make distinct variants tie exactly.
     const Exploration &ex = oracle.exploration();
-    int best_variant = 0;
-    double best = -1e30;
-    for (size_t v = 0; v < ex.variants.size(); ++v) {
-        // Plan-only variants (no producing flag set) are outside the
-        // lattice this strategy sweeps.
-        if (ex.variants[v].producers.empty())
-            continue;
-        const double s =
-            oracle.speedupOf(ex.variants[v].producers.front());
-        if (s > best) {
-            best = s;
-            best_variant = static_cast<int>(v);
-        }
-    }
-    out.bestSpeedupPercent = best;
-    out.bestFlags = minimalProducer(
-        ex.variants[static_cast<size_t>(best_variant)].producers);
+    const Exploration::BestFlags best = ex.bestFlags([&](size_t v) {
+        return oracle.speedupOf(ex.variants[v].producers.front());
+    });
+    out.bestSpeedupPercent = best.speedup;
+    out.bestFlags = best.flags;
     out.bestPlan = passes::PassPlan::canonicalOf(out.bestFlags.bits);
     return out;
 }
