@@ -87,6 +87,16 @@ struct BinaryOp
     long (*apply)(long, long);
 };
 
+using ulong = unsigned long;
+
+/** Two's-complement wrap: #if arithmetic on hostile input must neither
+ * overflow (undefined) nor trap (LONG_MIN / -1). */
+constexpr long
+wrap(ulong v)
+{
+    return static_cast<long>(v);
+}
+
 // Two spellings share a prefix only within one precedence level, and
 // there the longer one comes first, so `<` never eats half of `<=`.
 constexpr BinaryOp kBinaryOps[] = {
@@ -98,11 +108,12 @@ constexpr BinaryOp kBinaryOps[] = {
     {">=", 3, [](long a, long b) -> long { return a >= b; }},
     {"<", 3, [](long a, long b) -> long { return a < b; }},
     {">", 3, [](long a, long b) -> long { return a > b; }},
-    {"+", 4, [](long a, long b) { return a + b; }},
-    {"-", 4, [](long a, long b) { return a - b; }},
-    {"*", 5, [](long a, long b) { return a * b; }},
-    {"/", 5, [](long a, long b) { return b ? a / b : 0; }},
-    {"%", 5, [](long a, long b) { return b ? a % b : 0; }},
+    {"+", 4, [](long a, long b) { return wrap(ulong(a) + ulong(b)); }},
+    {"-", 4, [](long a, long b) { return wrap(ulong(a) - ulong(b)); }},
+    {"*", 5, [](long a, long b) { return wrap(ulong(a) * ulong(b)); }},
+    {"/", 5,
+     [](long a, long b) { return b == -1 ? wrap(-ulong(a)) : b ? a / b : 0; }},
+    {"%", 5, [](long a, long b) { return b == -1 || !b ? 0 : a % b; }},
 };
 
 /**
@@ -167,7 +178,7 @@ class CondParser
         if (eat('!'))
             return parseUnary() == 0 ? 1 : 0;
         if (eat('-'))
-            return -parseUnary();
+            return wrap(-ulong(parseUnary()));
         if (eat('+'))
             return parseUnary();
         if (!eat('('))

@@ -307,6 +307,16 @@ TEST(Preprocessor, DivisionByZeroIsFalse)
     EXPECT_EQ(ppOk("#if 1 / 0\nyes;\n#else\nno;\n#endif"), "no;\n");
 }
 
+TEST(Preprocessor, IfArithmeticWrapsInsteadOfTrapping)
+{
+    // LONG_MIN / -1 used to raise SIGFPE; every operator now wraps.
+    EXPECT_EQ(ppOk("#define MIN (-9223372036854775807 - 1)\n"
+                   "#if MIN / -1 == MIN && MIN % -1 == 0 && -MIN == MIN\n"
+                   "ok;\n#endif"),
+              "ok;\n");
+    EXPECT_EQ(ppOk("#if 9223372036854775807 + 1 < 0\nok;\n#endif"), "ok;\n");
+}
+
 TEST(Preprocessor, UnknownDirectiveInFalseBranchIsAnError)
 {
     EXPECT_EQ(ppDiags("#if 0\n#bogus\n#endif"),
