@@ -89,16 +89,10 @@ struct BinaryOp
 
 using ulong = unsigned long;
 
-/** Two's-complement wrap: #if arithmetic on hostile input must neither
- * overflow (undefined) nor trap (LONG_MIN / -1). */
-constexpr long
-wrap(ulong v)
-{
-    return static_cast<long>(v);
-}
-
 // Two spellings share a prefix only within one precedence level, and
 // there the longer one comes first, so `<` never eats half of `<=`.
+// Arithmetic wraps (through ulong), so hostile operands neither
+// overflow nor trap (LONG_MIN / -1).
 constexpr BinaryOp kBinaryOps[] = {
     {"||", 1, [](long a, long b) -> long { return a != 0 || b != 0; }},
     {"&&", 2, [](long a, long b) -> long { return a != 0 && b != 0; }},
@@ -108,12 +102,13 @@ constexpr BinaryOp kBinaryOps[] = {
     {">=", 3, [](long a, long b) -> long { return a >= b; }},
     {"<", 3, [](long a, long b) -> long { return a < b; }},
     {">", 3, [](long a, long b) -> long { return a > b; }},
-    {"+", 4, [](long a, long b) { return wrap(ulong(a) + ulong(b)); }},
-    {"-", 4, [](long a, long b) { return wrap(ulong(a) - ulong(b)); }},
-    {"*", 5, [](long a, long b) { return wrap(ulong(a) * ulong(b)); }},
-    {"/", 5,
-     [](long a, long b) { return b == -1 ? wrap(-ulong(a)) : b ? a / b : 0; }},
-    {"%", 5, [](long a, long b) { return b == -1 || !b ? 0 : a % b; }},
+    {"+", 4, [](long a, long b) -> long { return ulong(a) + ulong(b); }},
+    {"-", 4, [](long a, long b) -> long { return ulong(a) - ulong(b); }},
+    {"*", 5, [](long a, long b) -> long { return ulong(a) * ulong(b); }},
+    {"/", 5, [](long a, long b) -> long {
+         return b == -1 ? -ulong(a) : b ? a / b : 0;
+     }},
+    {"%", 5, [](long a, long b) -> long { return b && b != -1 ? a % b : 0; }},
 };
 
 /**
@@ -178,7 +173,7 @@ class CondParser
         if (eat('!'))
             return parseUnary() == 0 ? 1 : 0;
         if (eat('-'))
-            return wrap(-ulong(parseUnary()));
+            return -ulong(parseUnary());
         if (eat('+'))
             return parseUnary();
         if (!eat('('))

@@ -8,7 +8,10 @@
  * Supported directives: #version, #extension, #pragma (recorded or
  * ignored), #define (object- and function-like), #undef, #ifdef, #ifndef,
  * #if, #elif, #else, #endif, and backslash line continuations. `defined(X)`
- * and integer constant expressions are supported in #if/#elif.
+ * and integer constant expressions are supported in #if/#elif. A comment
+ * in a directive line counts as one space, as in C; the scan for
+ * directives is line by line, so a block comment spanning lines does not
+ * hide the directives inside it.
  */
 #ifndef GSOPT_GLSL_PREPROCESSOR_H
 #define GSOPT_GLSL_PREPROCESSOR_H

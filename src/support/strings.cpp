@@ -58,33 +58,26 @@ stripComments(std::string_view line, bool &inBlock, std::string &storage)
 {
     if (!inBlock && line.find('/') == std::string_view::npos)
         return line;
-    storage.clear();
-    size_t i = 0;
-    for (;;) {
+    storage.assign(inBlock ? 1 : 0, ' ');
+    for (size_t i = 0; i < line.size(); ++i) {
+        const std::string_view at = line.substr(i, 2);
         if (inBlock) {
+            if (at == "*/") {
+                inBlock = false;
+                ++i;
+            }
+        } else if (at == "//") {
             storage += ' ';
-            const size_t close = line.find("*/", i);
-            if (close == std::string_view::npos)
-                return storage;
-            inBlock = false;
-            i = close + 2;
-        }
-        size_t c = i;
-        while (c + 1 < line.size() &&
-               !(line[c] == '/' && (line[c + 1] == '/' || line[c + 1] == '*')))
-            ++c;
-        if (c + 1 >= line.size()) {
-            storage.append(line.substr(i));
-            return storage;
-        }
-        storage.append(line.substr(i, c - i));
-        if (line[c + 1] == '/') {
+            break;
+        } else if (at == "/*") {
             storage += ' ';
-            return storage;
+            inBlock = true;
+            ++i;
+        } else {
+            storage += line[i];
         }
-        inBlock = true;
-        i = c + 2;
     }
+    return storage;
 }
 
 std::string

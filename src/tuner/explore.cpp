@@ -111,10 +111,8 @@ Exploration::bestFlags(const std::function<double(size_t)> &speedupOf) const
             best_variant = v;
         }
     }
-    // The producer with the fewest flags; ties keep the earliest.
-    const std::vector<FlagSet> &producers = variants[best_variant].producers;
-    FlagSet minimal = producers.front();
-    for (const FlagSet &f : producers) {
+    FlagSet minimal = variants[best_variant].producers.front();
+    for (const FlagSet &f : variants[best_variant].producers) {
         if (f.count() < minimal.count())
             minimal = f;
     }

@@ -116,10 +116,10 @@ struct Exploration
     };
 
     /** Among variants with producers, the one with the highest
-     * @p speedupOf(variant index), the first on ties, and its producer
-     * with the fewest flags, the first on ties. Plan-only variants have no producer, so no flag set
-     * reaches them. ShaderResult::bestFlags and ExhaustiveSearch
-     * answer with this rule. */
+     * @p speedupOf(variant index), and its producer with the fewest
+     * flags; ties keep the first of each. Plan-only variants have no
+     * producer, so no flag set reaches them. ShaderResult::bestFlags
+     * and ExhaustiveSearch answer with this rule. */
     BestFlags bestFlags(const std::function<double(size_t)> &speedupOf) const;
 
     /** Static features, filled lazily by tuner::featuresOf (at most
